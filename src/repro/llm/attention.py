@@ -58,10 +58,12 @@ class KVHotPathStats:
       reference implementations' per-append concatenates.  Amortized
       O(1) per token for the preallocated path; O(history) per step
       for the reference path.
-    * ``dequant_bytes`` — bytes materialized float16 -> float32 for
-      attention reads.  Incremental views convert only the tail
-      appended since the last step; the reference path re-converts the
-      whole history every layer every step.
+    * ``dequant_bytes`` — bytes actually materialized in the
+      decode-ready residency for attention reads (float32 keys,
+      float64 values — 12 bytes per stored float16 pair).
+      Incremental views convert only the tail appended since the last
+      step; the reference path re-converts the whole history (to
+      float32) every layer every step.
 
     The engine snapshots these around each step and reports the deltas
     (``StepReport.kv_copy_bytes`` / ``kv_dequant_bytes``), which is
@@ -189,10 +191,11 @@ def grow_buffer(
 ) -> np.ndarray:
     """Allocate a larger cache buffer, carrying over its logical prefix.
 
-    The one growth implementation shared by every capacity-doubling
-    buffer on the hot path — float16 storage, float32 dequant views,
-    and the paged gather scratch — so the prefix-copy slicing and the
-    ``copy_bytes`` accounting cannot drift apart between them.
+    The one growth implementation shared by every growable buffer on
+    the hot path — float16 storage, the decode-ready dequant views,
+    the paged scratch and the bucket workspaces — so the prefix-copy
+    slicing and the ``copy_bytes`` accounting cannot drift apart
+    between them.
 
     Args:
         buffer: current buffer, or None for a first allocation.
@@ -208,6 +211,19 @@ def grow_buffer(
     return grown
 
 
+def buffer_capacity(length: int, reserved: int, current: int, minimum: int) -> int:
+    """Time-axis capacity for a buffer that must hold ``length`` positions.
+
+    A reservation that covers ``length`` is taken as-is — the buffer
+    then never regrows; without one (0) or once outgrown, capacity
+    doubles from ``current`` (at least ``minimum``) so growth copies
+    amortize.
+    """
+    if reserved >= length:
+        return reserved
+    return max(length, minimum, 2 * current)
+
+
 # -- per-forward-pass memos ---------------------------------------------------
 #
 # Every layer of a forward pass asks for the same additive masks and
@@ -216,43 +232,43 @@ def grow_buffer(
 # step into O(1).  Values are marked read-only: callers only ever add
 # or index them, never mutate.
 
-_MASK_MEMO: dict[tuple[int, int], np.ndarray] = {}
-#: Cap the memo by *bytes*, not entries: one full-prompt prefill mask is
-#: O(L^2) float32 (a 1024-position mask is ~4 MB), so an entry cap
-#: alone could pin hundreds of MB across varied prompt lengths.
-_MASK_MEMO_MAX_BYTES = 32 * 1024 * 1024
-_MASK_MEMO_BYTES = 0
+_CAUSAL_BLOCK: np.ndarray | None = None
 
 _CHUNK_POS_MEMO: tuple[tuple, np.ndarray] | None = None
 
 
-def history_mask(start: int, new_len: int) -> np.ndarray | None:
-    """Additive causal mask for queries at ``[start, start + new_len)``.
+def causal_block(new_len: int) -> np.ndarray | None:
+    """Additive ``(new_len, new_len)`` causal mask among the new positions.
 
-    The history spans ``start + new_len`` cached positions (the query
-    rows' own positions included).  Returns ``None`` when the mask
-    would be all zeros — the single-token decode case — because adding
-    a zero mask is a bitwise no-op through the softmax (``exp`` maps
-    ``-0.0`` and ``+0.0`` to the same ``1.0``) and skipping it saves
-    one (batch, heads, 1, total) allocation per request per layer.
+    Queries at ``[start, start + new_len)`` see every one of the
+    ``start`` older positions and the causal triangle among themselves,
+    so the full ``(new_len, start + new_len)`` mask is ``start`` zero
+    columns followed by this block — the caller adds the block in place
+    to ``scores[..., start:]`` and leaves the zero columns alone.
+    Skipping a zero addend is a bitwise no-op through the softmax: at
+    worst it keeps a ``-0.0`` score that ``+ 0.0`` would have turned
+    into ``+0.0``, and ``exp`` maps both to the same ``1.0``.  For the
+    same reason the single-token decode case returns ``None`` (its
+    block is one zero).
+
+    Memoized as one growing triangle: a causal mask's top-left corner
+    is the causal mask of the smaller size, so every ``new_len`` is a
+    view of the largest block built so far — no per-shape entries to
+    cap.  The side grows to the next power of two, so chunk sizes that
+    creep upward rebuild it O(log) times, not once per size, and the
+    block that stays pinned for the life of the process is under twice
+    the largest ``new_len`` ever asked for on a side (exactly
+    ``max_seq_len`` squared float32 after a full power-of-two prefill).
     """
     if new_len <= 1:
         return None
-    global _MASK_MEMO_BYTES
-    key = (start, new_len)
-    mask = _MASK_MEMO.get(key)
-    if mask is None:
-        total = start + new_len
-        positions = np.arange(start, total)[:, None]
-        history = np.arange(total)[None, :]
-        mask = np.where(history > positions, MASK_VALUE, 0.0).astype(np.float32)
-        mask.setflags(write=False)
-        if _MASK_MEMO_BYTES + mask.nbytes > _MASK_MEMO_MAX_BYTES:
-            _MASK_MEMO.clear()
-            _MASK_MEMO_BYTES = 0
-        _MASK_MEMO[key] = mask
-        _MASK_MEMO_BYTES += mask.nbytes
-    return mask
+    global _CAUSAL_BLOCK
+    block = _CAUSAL_BLOCK
+    if block is None or block.shape[0] < new_len:
+        block = causal_mask(1 << (new_len - 1).bit_length())
+        block.setflags(write=False)
+        _CAUSAL_BLOCK = block
+    return block[:new_len, :new_len]
 
 
 def chunk_positions(starts: list[int], lengths: list[int]) -> np.ndarray:
@@ -419,12 +435,23 @@ class KVCache:
       uses those to compress a whole batch's K/V in one call and then
       append per request via :meth:`append_precompressed`.
     * **storage** — :meth:`_store` (persist float16 rows) and
-      :meth:`view` (return the full float32 history).  The paged
+      :meth:`view` (return the full decode-ready history).  The paged
       subclass (:class:`repro.serve.kvpool.paged.PagedKVCache`)
-      scatters rows into pool blocks on write and gathers the
-      non-contiguous blocks on read.  Because both store the same
+      scatters rows into pool blocks on write and keeps the same
+      decode-ready history per sequence.  Because both store the same
       float16 bytes, the two are bitwise interchangeable under
       ``step`` / ``step_batch``.
+
+    **One decode-ready residency.**  :meth:`view` is the only form in
+    which attention ever reads history, so it is held in exactly the
+    dtypes its consumers compute in: keys **float32** (the scores
+    matmul must run in float32 and be upcast by the float64 scale
+    afterwards, as the oracle does) and values **float64** (their only
+    consumer is ``float64 weights @ values``, which numpy would
+    otherwise promote to float64 — the *whole* history, per launch —
+    before BLAS sees it).  Both conversions from the stored float16
+    are exact, so pre-promoting is bitwise invisible; no attention
+    launch converts history again.
 
     Storage here is the decode hot path, so per-step cost must be
     proportional to *new* tokens, not history length:
@@ -432,16 +459,16 @@ class KVCache:
     * float16 rows land in preallocated, capacity-doubling buffers
       with a logical length (``_len``) — appending a token is one row
       write, and buffer-growth copies amortize to O(1) per token;
-    * :meth:`view` keeps a memoized float32 twin of the storage and
-      dequantizes only the tail appended since the last call,
-      returning zero-copy slices of it.  The memo is invalidated if
-      :meth:`compression_key` ever changes (defensive — compression is
-      applied at write time, so stored bytes never change under it).
+    * :meth:`view` keeps the decode-ready twin of the storage and
+      converts only the tail appended since the last call, returning
+      zero-copy slices of it.  The twin is written by :meth:`view`
+      alone and invalidated if :meth:`compression_key` ever changes
+      (defensive — compression is applied at write time, so stored
+      bytes never change under it).
 
-    Both choices are bitwise-invisible: stored float16 bytes are
-    identical to the old concatenate storage, float16 -> float32
-    conversion is exact, and numpy matmuls buffer strided views to
-    contiguous memory before BLAS sees them.
+    Stored float16 bytes are identical to the old concatenate storage,
+    and numpy matmuls buffer strided views to contiguous memory before
+    BLAS sees them.
     :class:`ReferenceKVCache` keeps the O(history)-per-step storage
     alive as the parity oracle the growth property tests and the
     decode hot-path benchmark compare against.
@@ -480,6 +507,15 @@ class KVCache:
         """
         return self._uid
 
+    @property
+    def reserved(self) -> int:
+        """Positions this cache is known to grow to at most (0: unknown).
+
+        Buffers sized from a reservation never regrow; without one
+        they fall back to capacity doubling.
+        """
+        return 0
+
     def compress(self, tensor: np.ndarray) -> np.ndarray:
         """Write-side transform; must be row-local along leading axes."""
         return tensor
@@ -495,7 +531,9 @@ class KVCache:
         self, k: np.ndarray, v: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Append K/V already passed through :meth:`compress`."""
-        self._store(k.astype(np.float16), v.astype(np.float16))
+        self._store(
+            k.astype(np.float16, copy=False), v.astype(np.float16, copy=False)
+        )
         return self.view()
 
     @property
@@ -531,12 +569,12 @@ class KVCache:
         self._len = end
 
     def view(self) -> tuple[np.ndarray, np.ndarray]:
-        """Full cached history as float32 ``(batch, heads, time, hd)``.
+        """Decode-ready history ``(batch, heads, time, hd)``: K float32, V float64.
 
         Memoized: only positions appended since the last call are
         converted; the returned arrays are read-mostly slices of the
-        persistent float32 buffers (valid until the next append forces
-        a growth reallocation, i.e. for the current layer step).
+        persistent buffers (valid until the next append forces a
+        growth reallocation, i.e. for the current layer step).
         """
         if self._len == 0 or self._k16 is None:
             raise ModelError("view() on an empty KV cache")
@@ -548,13 +586,13 @@ class KVCache:
         if self._deq_k is None or self._deq_k.shape[2] != capacity:
             shape = tuple(self._k16.shape)
             self._deq_k = grow_buffer(self._deq_k, shape, 2, self._deq_len, np.float32)
-            self._deq_v = grow_buffer(self._deq_v, shape, 2, self._deq_len, np.float32)
+            self._deq_v = grow_buffer(self._deq_v, shape, 2, self._deq_len, np.float64)
         if self._deq_len < self._len:
             tail = slice(self._deq_len, self._len)
             self._deq_k[:, :, tail] = self._k16[:, :, tail]
             self._deq_v[:, :, tail] = self._v16[:, :, tail]
             _ACTIVE_SCOPE.get().hot.dequant_bytes += (
-                2 * self._deq_k[:, :, tail].nbytes
+                self._deq_k[:, :, tail].nbytes + self._deq_v[:, :, tail].nbytes
             )
             self._deq_len = self._len
         keys = self._deq_k[:, :, : self._len]
@@ -575,7 +613,7 @@ class KVCache:
 
         The engine's batch-level fault rollback: positions beyond
         ``length`` are logically dropped (the preallocated buffers keep
-        their capacity) and the float32 memo is clamped so the next
+        their capacity) and the decode-ready twin is clamped so the next
         :meth:`view` re-dequantizes nothing stale.  Re-appending the
         same rows afterwards reproduces the pre-truncation bytes
         exactly.
@@ -593,8 +631,9 @@ class ReferenceKVCache(KVCache):
 
     Appends by whole-array concatenate and dequantizes the full
     history on every :meth:`view` — exactly what :class:`KVCache` did
-    before preallocated buffers and incremental views.  The growth
-    property tests pin the optimized storage bitwise against this, and
+    before preallocated buffers and incremental views, float32 values
+    included.  The growth property tests pin the optimized storage
+    bitwise against this (values against its exact float64 upcast), and
     ``benchmarks/bench_decode_hotpath.py`` measures the step-latency
     gap.  An optional ``codec`` delegates the write-side compression,
     so one reference class covers FP16 and Anda storage.
@@ -794,18 +833,17 @@ def plan_buckets(lengths: list[int], pad_waste_cap: float = 0.125) -> BucketPlan
 
 
 class _BucketWorkspace:
-    """Persistent K/V gather buffers for one bucket membership.
+    """Persistent stacked K/V buffers for one exact-bucket membership.
 
-    ``keys`` stays float32 — the scores matmul must run in float32 and
-    be upcast by the float64 scale afterwards, exactly as the oracle
-    does, or the bits change.  ``values`` is stored float64: numpy
-    promotes the mixed ``float64 weights @ float32 values`` context
-    matmul to float64 before BLAS sees it, so pre-promoting into the
-    workspace is bitwise invisible — and it turns a pathologically slow
-    batched mixed-dtype matmul (a fresh O(bucket * len) cast per layer
-    per step) into a straight dgemm over persistent memory.
+    The members' decode-ready histories (:meth:`KVCache.view` — keys
+    float32, values float64) stacked along a leading bucket axis, in
+    the same dtypes, so the sync is a plain tail copy and the batched
+    context matmul is a straight dgemm over persistent memory.
+    Written only by :meth:`BucketedAttention._workspace`; sized from
+    the members' reservations when every member has one, so a bucket
+    that lives its whole decode never regrows.
 
-    ``synced`` is the shared dequant watermark: exact buckets hold
+    ``synced`` is the shared copy watermark: exact buckets hold
     equal-length members, and a workspace is only ever reused by the
     identical member tuple, so one integer tracks all members.
     """
@@ -828,28 +866,56 @@ class BucketedAttention:
     together — the steady decode state — each step's sync copies only
     the tail appended since the last step (O(new tokens), preserving
     the hot-path contract), and a membership change simply starts a
-    fresh workspace.  The caches are assumed append-only, as on the
-    engine path; rewriting stored history through direct ``write()``
-    calls would require a new cache (new uid) to stay coherent.
+    fresh workspace.  :meth:`plan` opens a step by sweeping every
+    workspace the previous step did not touch — its membership no
+    longer exists — so residency tracks the live buckets instead of
+    accumulating dead ones; steps too small to plan call :meth:`sweep`
+    directly, and the owner calls :meth:`clear` when nothing is left
+    decoding.  The caches are assumed append-only, as on
+    the engine path; rewriting stored history through direct
+    ``write()`` calls would require a new cache (new uid) to stay
+    coherent.
 
     Composes with both storage backends by construction: it reads
-    histories only through ``cache.view()``'s float32
-    ``(1, H, len, hd)`` contract, which unpaged :class:`KVCache` and
-    the paged gather scratch both satisfy.
+    histories only through ``cache.view()``'s decode-ready
+    ``(1, H, len, hd)`` contract (keys float32, values float64), which
+    unpaged :class:`KVCache` and the paged sequence scratch both
+    satisfy.
     """
 
-    def __init__(self, pad_waste_cap: float = 0.125, max_workspaces: int = 32) -> None:
+    def __init__(self, pad_waste_cap: float = 0.125) -> None:
         if not 0.0 <= pad_waste_cap < 1.0:
             raise ModelError(f"pad_waste_cap must lie in [0, 1), got {pad_waste_cap}")
-        if max_workspaces < 1:
-            raise ModelError(f"max_workspaces must be positive, got {max_workspaces}")
         self.pad_waste_cap = pad_waste_cap
-        self._max_workspaces = max_workspaces
         self._workspaces: dict[tuple[int, ...], _BucketWorkspace] = {}
+        #: Workspace keys used since the last :meth:`plan`.
+        self._touched: set[tuple[int, ...]] = set()
 
     def plan(self, lengths: list[int]) -> BucketPlan:
-        """Bucket assignment for one decode step's post-append lengths."""
+        """Bucket assignment for one decode step's post-append lengths.
+
+        Also a step boundary for workspace residency (:meth:`sweep`).
+        Direct :meth:`run_bucket` callers that never plan keep every
+        workspace they create.
+        """
+        self.sweep()
         return plan_buckets(lengths, self.pad_waste_cap)
+
+    def sweep(self) -> None:
+        """Step boundary: drop workspaces untouched since the last one.
+
+        Every decode step is a boundary, including one whose batch is
+        too small to plan — a batch that drained from two requests to
+        one must still free the pair's workspace.
+        """
+        if len(self._touched) < len(self._workspaces):
+            self._workspaces = {key: self._workspaces[key] for key in self._touched}
+        self._touched.clear()
+
+    def clear(self) -> None:
+        """Drop every workspace (no decoder left, or histories rolled back)."""
+        self._workspaces = {}
+        self._touched.clear()
 
     def run_bucket(
         self,
@@ -912,19 +978,21 @@ class BucketedAttention:
         length = bucket.length
         workspace = self._workspaces.get(key)
         if workspace is None:
-            if len(self._workspaces) >= self._max_workspaces:
-                self._workspaces.clear()
             workspace = _BucketWorkspace()
             self._workspaces[key] = workspace
+        self._touched.add(key)
         if workspace.synced > length:
             # History shrank under us (direct write() rollback): the
             # cached prefix can no longer be trusted.
             workspace.synced = 0
         if workspace.keys is None or workspace.keys.shape[2] < length:
-            capacity = max(
+            # The membership dissolves when its first member finishes,
+            # so the smallest reservation bounds the workspace's life.
+            capacity = buffer_capacity(
                 length,
+                min(caches[index].reserved for index in bucket.indices),
+                0 if workspace.keys is None else workspace.keys.shape[2],
                 _INITIAL_CAPACITY,
-                2 * (0 if workspace.keys is None else workspace.keys.shape[2]),
             )
             heads, head_dim = views[bucket.indices[0]][0].shape[1], views[
                 bucket.indices[0]
@@ -1081,16 +1149,19 @@ class MultiHeadAttention(Module):
         """Masked softmax attention over one request's exact history.
 
         ``q`` is ``(batch, heads, new, head_dim)``; ``keys``/``values``
-        hold ``start + new`` cached positions.  No padding is involved:
-        scores span exactly the request's history, which is what makes
-        batched decode token-identical to sequential decode.
+        hold ``start + new`` cached positions in the decode-ready
+        dtypes of :meth:`KVCache.view` (float32 / float64 — the weights
+        are float64, so float32 values would be re-promoted whole, per
+        call).  No padding is involved: scores span exactly the
+        request's history, which is what makes batched decode
+        token-identical to sequential decode.
         """
         new_len = q.shape[2]
         _ACTIVE_SCOPE.get().attention.dispatches += 1
         scores = (q @ keys.swapaxes(-1, -2)) * self.scale
-        mask = history_mask(start, new_len)
-        if mask is not None:
-            scores = scores + mask
+        block = causal_block(new_len)
+        if block is not None:
+            scores[..., start:] += block
         scores -= scores.max(axis=-1, keepdims=True)
         weights_np = np.exp(scores)
         weights_np /= weights_np.sum(axis=-1, keepdims=True)
@@ -1189,8 +1260,9 @@ class MultiHeadAttention(Module):
         # batch (the engine's common case) degenerates to exactly one
         # stacked call over the whole k/v arrays; fp16 rows are the
         # identity and skip the stack entirely.  Afterwards every row
-        # holds its stored form, so the append loops below always take
-        # the precompressed path.
+        # holds its stored form: one float16 cast per layer covers the
+        # whole batch, and the per-request appends below store the
+        # rows as-is.
         groups: dict[tuple, list[int]] = {}
         for index, cache in enumerate(caches):
             key = cache.compression_key()
@@ -1218,22 +1290,21 @@ class MultiHeadAttention(Module):
                         )
                         k[indices] = stacked[:n]
                         v[indices] = stacked[n:]
-        precompressed = True
+        k = k.astype(np.float16)
+        v = v.astype(np.float16)
 
         if plan is not None and dispatcher is not None:
             # Grouped mode: land every request's append first (views of
             # one request's cache are never invalidated by another
             # request's append — per-request buffers, or per-sequence
-            # gather scratch in the paged pool), then launch once per
+            # scratch in the paged pool), then launch once per
             # bucket.
-            views: list[tuple[np.ndarray, np.ndarray]] = []
-            for index, cache in enumerate(caches):
-                k_row = k[index : index + 1]
-                v_row = v[index : index + 1]
-                if precompressed:
-                    views.append(cache.append_precompressed(k_row, v_row))
-                else:
-                    views.append(cache.append(k_row, v_row))
+            views = [
+                cache.append_precompressed(
+                    k[index : index + 1], v[index : index + 1]
+                )
+                for index, cache in enumerate(caches)
+            ]
             context: np.ndarray | None = None
             for bucket in plan.buckets:
                 rows = dispatcher.run_bucket(self, bucket, q, views, caches)
@@ -1249,12 +1320,9 @@ class MultiHeadAttention(Module):
         # before the next layer) to the output projection.
         context = None
         for index, cache in enumerate(caches):
-            k_row = k[index : index + 1]
-            v_row = v[index : index + 1]
-            if precompressed:
-                keys, values = cache.append_precompressed(k_row, v_row)
-            else:
-                keys, values = cache.append(k_row, v_row)
+            keys, values = cache.append_precompressed(
+                k[index : index + 1], v[index : index + 1]
+            )
             row = self._attention_core(
                 q[index : index + 1], keys, values, int(starts[index])
             )

@@ -118,14 +118,29 @@ class Embedding(Module):
 
 
 class LayerNorm(Module):
-    """Standard LayerNorm over the last axis (OPT family)."""
+    """Standard LayerNorm over the last axis (OPT family).
+
+    Given a :class:`Tensor` it runs (and records) the autograd ops;
+    given a plain ``ndarray`` — the serving lanes, which never
+    differentiate — it returns an ``ndarray`` from an op-for-op numpy
+    replica of the same arithmetic (float32 scalars where ``Tensor``
+    coerces Python floats, ``sum * (1/n)`` for the mean, ``x + (-mean)``
+    for the subtraction), bitwise equal to the ``Tensor`` path.
+    """
 
     def __init__(self, dim: int, eps: float = 1e-5) -> None:
         self.gain = _parameter(np.ones(dim))
         self.shift = _parameter(np.zeros(dim))
         self.eps = eps
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor | Array) -> Tensor | Array:
+        if isinstance(x, np.ndarray):
+            x = np.asarray(x, dtype=np.float32)
+            inv_count = np.float32(1.0 / x.shape[-1])
+            centered = x + (-(x.sum(axis=-1, keepdims=True) * inv_count))
+            variance = (centered * centered).sum(axis=-1, keepdims=True) * inv_count
+            normed = centered * (variance + np.float32(self.eps)) ** -0.5
+            return normed * self.gain.data + self.shift.data
         mean = x.mean(axis=-1, keepdims=True)
         centered = x - mean
         variance = (centered * centered).mean(axis=-1, keepdims=True)
@@ -134,13 +149,23 @@ class LayerNorm(Module):
 
 
 class RMSNorm(Module):
-    """Root-mean-square norm without re-centering (LLaMA family)."""
+    """Root-mean-square norm without re-centering (LLaMA family).
+
+    ``ndarray`` in, ``ndarray`` out, bitwise equal to the ``Tensor``
+    path — see :class:`LayerNorm`.
+    """
 
     def __init__(self, dim: int, eps: float = 1e-5) -> None:
         self.gain = _parameter(np.ones(dim))
         self.eps = eps
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor | Array) -> Tensor | Array:
+        if isinstance(x, np.ndarray):
+            x = np.asarray(x, dtype=np.float32)
+            mean_square = (x * x).sum(axis=-1, keepdims=True) * np.float32(
+                1.0 / x.shape[-1]
+            )
+            return x * (mean_square + np.float32(self.eps)) ** -0.5 * self.gain.data
         mean_square = (x * x).mean(axis=-1, keepdims=True)
         return x * (mean_square + self.eps) ** -0.5 * self.gain
 

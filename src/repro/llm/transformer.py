@@ -64,7 +64,7 @@ class FeedForward(Module):
         if self.tap.quantizer is not None:
             hidden = self.tap.quantizer(TensorKind.D, hidden)
         return (hidden @ self.down_proj.weight.data + self.down_proj.bias.data).astype(
-            np.float32
+            np.float32, copy=False
         )
 
 
@@ -97,7 +97,7 @@ class GatedFeedForward(Module):
         gate = gate / (1.0 + np.exp(-gate)) * (x @ self.up_proj.weight.data)
         if self.tap.quantizer is not None:
             gate = self.tap.quantizer(TensorKind.D, gate)
-        return (gate @ self.down_proj.weight.data).astype(np.float32)
+        return (gate @ self.down_proj.weight.data).astype(np.float32, copy=False)
 
 
 class TransformerBlock(Module):
@@ -120,11 +120,8 @@ class TransformerBlock(Module):
         return x + self.ffn(self.ffn_norm(x))
 
     def step(self, x: np.ndarray, cache: KVCache) -> np.ndarray:
-        with no_grad():
-            normed = self.attn_norm(Tensor(x)).data
-            x = x + self.attention.step(normed, cache)
-            normed = self.ffn_norm(Tensor(x)).data
-            return x + self.ffn.step(normed)
+        x = x + self.attention.step(self.attn_norm(x), cache)
+        return x + self.ffn.step(self.ffn_norm(x))
 
     def step_batch(
         self,
@@ -140,13 +137,10 @@ class TransformerBlock(Module):
         :meth:`~repro.llm.attention.MultiHeadAttention.step_batch`,
         grouped into KV-length buckets when a ``plan`` is given.
         """
-        with no_grad():
-            normed = self.attn_norm(Tensor(x)).data
-            x = x + self.attention.step_batch(
-                normed, caches, plan=plan, dispatcher=dispatcher
-            )
-            normed = self.ffn_norm(Tensor(x)).data
-            return x + self.ffn.step(normed)
+        x = x + self.attention.step_batch(
+            self.attn_norm(x), caches, plan=plan, dispatcher=dispatcher
+        )
+        return x + self.ffn.step(self.ffn_norm(x))
 
     def step_mixed(
         self, x: np.ndarray, caches: list[KVCache], lengths: list[int]
@@ -158,11 +152,8 @@ class TransformerBlock(Module):
         :meth:`~repro.llm.attention.MultiHeadAttention.step_mixed` so
         decodes and prompt chunks share the step's GeMMs.
         """
-        with no_grad():
-            normed = self.attn_norm(Tensor(x)).data
-            x = x + self.attention.step_mixed(normed, caches, lengths)
-            normed = self.ffn_norm(Tensor(x)).data
-            return x + self.ffn.step(normed)
+        x = x + self.attention.step_mixed(self.attn_norm(x), caches, lengths)
+        return x + self.ffn.step(self.ffn_norm(x))
 
 
 class CausalLM(Module):
@@ -246,8 +237,7 @@ class CausalLM(Module):
                 hidden = hidden + self.position_embedding(positions).data
             for block, cache in zip(self.blocks, caches):
                 hidden = block.step(hidden, cache)
-            normed = self.final_norm(Tensor(hidden)).data
-            return normed @ self.lm_head.weight.data
+            return self.final_norm(hidden) @ self.lm_head.weight.data
 
     def forward_decode_batch(
         self,
@@ -298,10 +288,15 @@ class CausalLM(Module):
                 f"a request would exceed max_seq_len {self.config.max_seq_len}"
             )
         plan: BucketPlan | None = None
-        if dispatcher is not None and len(request_caches) > 1:
-            # Post-append lengths: each cache gains one position this
-            # step before attention reads it.
-            plan = dispatcher.plan([int(start) + 1 for start in starts])
+        if dispatcher is not None:
+            if len(request_caches) > 1:
+                # Post-append lengths: each cache gains one position
+                # this step before attention reads it.
+                plan = dispatcher.plan([int(start) + 1 for start in starts])
+            else:
+                # A lone request launches no bucket, but the step still
+                # frees the workspaces of the batch it drained from.
+                dispatcher.sweep()
         tracer = active_scope().tracer
         if tracer is not None:
             tracer.begin(
@@ -318,8 +313,7 @@ class CausalLM(Module):
                 hidden = block.step_batch(
                     hidden, layer_caches, plan=plan, dispatcher=dispatcher
                 )
-            normed = self.final_norm(Tensor(hidden)).data
-            logits = normed @ self.lm_head.weight.data
+            logits = self.final_norm(hidden) @ self.lm_head.weight.data
         if tracer is not None:
             tracer.end("step.decode_batch")
         return logits
@@ -424,8 +418,8 @@ class CausalLM(Module):
             for layer_index, block in enumerate(self.blocks):
                 layer_caches = [caches[layer_index] for caches in chunk_caches]
                 hidden = block.step_mixed(hidden, layer_caches, lengths)
-            normed = self.final_norm(Tensor(hidden)).data
-            logits = normed @ self.lm_head.weight.data  # (1, total, vocab)
+            # (1, total, vocab)
+            logits = self.final_norm(hidden) @ self.lm_head.weight.data
         if tracer is not None:
             tracer.end("step.prefill_chunks")
         split: list[np.ndarray] = []

@@ -571,6 +571,7 @@ class Engine:
         else:
             self._waiting.remove(state)
         self._release_residency(state)
+        self._clear_idle_workspaces()
         state.status = RequestStatus.ABORTED
         state.finish_reason = "abort"
         state.finish_step = self._step_index
@@ -974,6 +975,7 @@ class Engine:
         if legacy and tracer is not None:
             tracer.end("step.prefill")
 
+        self._clear_idle_workspaces()
         ended = time.perf_counter()
         report = StepReport(
             step=self._step_index,
@@ -1050,18 +1052,23 @@ class Engine:
 
         A private request carries per-layer codec overrides and opts
         out of prefix sharing — cached blocks hold default-format
-        bytes it can neither read nor contribute to.
+        bytes it can neither read nor contribute to.  The request's
+        final length is known here, so the sequence's decode-ready
+        scratch (and the bucket workspaces built over it) are sized
+        once and never regrow.
         """
         assert self._pool is not None
         codecs = None
         if state.kv_private:
             assert state.kv_format is not None  # kv_private implies an override
             codecs = state.kv_format.codecs(self._n_layers)
+        request = state.request
         return self._pool.create_sequence(
-            state.request.prompt,
+            request.prompt,
             reserve_logits=reserve_logits,
             codecs=codecs,
             shareable=not state.kv_private,
+            reserved=request.prompt_length + request.params.max_new_tokens,
         )
 
     # -- chunked prefill --------------------------------------------------
@@ -1192,6 +1199,17 @@ class Engine:
             state.kv = None
         state.caches = None
         state.prefill_pos = 0
+
+    def _clear_idle_workspaces(self) -> None:
+        """Free the bucket workspaces once no request is decoding.
+
+        The dispatcher sweeps at each decode step; with the running set
+        empty there is no next decode step to do it, and the last
+        batch's stacked histories would sit resident while the engine
+        idles or only prefills.
+        """
+        if self._dispatcher is not None and not self._running:
+            self._dispatcher.clear()
 
     def _rollback_chunk(self, state: RequestState) -> None:
         """Undo a chunk participant: release its cache, stay queued."""
@@ -1326,7 +1344,7 @@ class Engine:
         Every decode participant's KV is truncated back to its
         pre-step watermark (captured before the forward), every chunk
         participant returns to a clean waiting state, and the grouped-
-        attention dispatcher is rebuilt (its workspaces track synced
+        attention dispatcher is cleared (its workspaces track synced
         cache lengths that a truncation would invalidate; fresh
         workspaces re-sync bitwise).  An attributed victim is then
         quarantined or backed off; an unattributed fault counts as one
@@ -1346,9 +1364,7 @@ class Engine:
             if run.state is not victim:
                 self._rollback_chunk(run.state)
         if self._dispatcher is not None:
-            self._dispatcher = BucketedAttention(
-                pad_waste_cap=self.config.attention_pad_waste
-            )
+            self._dispatcher.clear()
         if victim is None:
             self._fault_retries += 1
             return

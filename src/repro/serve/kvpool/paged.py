@@ -5,22 +5,35 @@ block table (shared across layers — a block holds every layer's K/V
 for its token positions) plus one :class:`PagedKVCache` per layer that
 plugs into the existing attention ``step`` / ``step_batch`` paths.
 Writes scatter new positions into blocks (allocating or copy-on-write
-forking as needed); reads gather the non-contiguous blocks back into
-one contiguous history.  Stored bytes are identical to the unpaged
+forking as needed).  Stored bytes are identical to the unpaged
 ``KVCache`` — float16 rows, compressed per position — so paged decode
 is bitwise identical to unpaged decode.
 
-The gather is the decode hot path: every layer of every step reads a
-request's whole history.  :meth:`SequenceKV.gather` therefore keeps a
-persistent per-layer float32 scratch per sequence and extends it
-incrementally — one vectorized fancy-index gather over the block table
-covers exactly the positions appended since the last step, so a decode
-step costs O(new tokens), not O(history).  Copy-on-write forks copy
-bytes verbatim, so they never invalidate the scratch; a write below
-the dequantized watermark (only possible through direct
-:meth:`SequenceKV.write` calls, e.g. in tests) rolls the watermark
-back.  :meth:`SequenceKV.gather_reference` keeps the original
-per-block-loop gather as the parity oracle.
+Reading is the decode hot path: every layer of every step reads a
+request's whole history.  Each sequence therefore keeps **one
+decode-ready residency** per layer — a contiguous scratch holding keys
+as float32 and values as float64, the dtypes attention computes in
+(see :class:`~repro.llm.attention.KVCache`) — and every launch reads it
+without conversion:
+
+* **who writes it** — :meth:`SequenceKV.write`, write-through: an
+  append landing at (or below) the layer's dequant watermark extends
+  the scratch from the float16 rows in hand, so a decode step costs
+  O(new tokens) and never re-reads what it just stored;
+* **when the pool is read back** — only for positions the sequence did
+  not write itself: :meth:`SequenceKV.gather` fetches a shared prefix
+  (or anything else above the watermark) with one vectorized
+  fancy-index gather over the block table.  ``truncate`` / ``rollback``
+  clamp the watermark; the scratch below it stays valid;
+* **how big it is** — reserved to the request's final length
+  (``prompt + max_new_tokens``, passed by the engine at creation), so it
+  never regrows; sequences created without a reservation fall back to
+  capacity doubling.  It is allocated at first use and freed with the
+  residency it mirrors (:meth:`SequenceKV.release`).
+
+Copy-on-write forks copy bytes verbatim, so they never invalidate the
+scratch.  :meth:`SequenceKV.gather_reference` keeps the original
+per-block-loop float32 gather as the parity oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +43,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import ModelError
-from repro.llm.attention import KVCache, active_scope, grow_buffer
+from repro.llm.attention import KVCache, active_scope, buffer_capacity, grow_buffer
 from repro.serve.faults.injector import inject
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (pool -> paged)
@@ -42,7 +55,7 @@ class PagedKVCache(KVCache):
 
     Drop-in for :class:`~repro.llm.attention.KVCache`: ``append`` /
     ``append_precompressed`` write through the sequence's block table
-    and return the gathered float32 history, and ``compress`` /
+    and return its decode-ready history, and ``compress`` /
     ``compression_key`` delegate to the pool's codec so the batched
     decode path can precompress a whole batch in one call exactly as it
     does for unpaged caches.
@@ -84,12 +97,16 @@ class PagedKVCache(KVCache):
     def length(self) -> int:
         return self._length
 
+    @property
+    def reserved(self) -> int:
+        return self._sequence.reserved
+
     def truncate(self, length: int) -> None:
         """Roll this layer back to ``length`` positions (fault rollback).
 
         Positions beyond ``length`` stay in their blocks but are
-        logically dropped; the sequence-level gather watermark is
-        clamped so re-appended positions are re-dequantized.  Block
+        logically dropped; the sequence-level dequant watermark is
+        clamped so re-appended positions overwrite the scratch.  Block
         trimming is the sequence's job (:meth:`SequenceKV.rollback`).
         """
         if not 0 <= length <= self._length:
@@ -110,6 +127,12 @@ class SequenceKV:
     from the writer's point of view; the only in-place mutation is the
     copy-on-write fork that replaces a shared block with a private copy
     the first time this request writes into it.
+
+    ``reserved`` is the most positions the request can ever hold
+    (``prompt + max_new_tokens``; 0 when unknown): the per-layer
+    decode-ready scratch — keys float32, values float64, see the module
+    docstring for who writes it and when the pool is re-read — is sized
+    from it once and never regrows.
     """
 
     __slots__ = (
@@ -119,6 +142,7 @@ class SequenceKV:
         "caches",
         "codecs",
         "owner",
+        "reserved",
         "_released",
         "_deq_k",
         "_deq_v",
@@ -131,10 +155,12 @@ class SequenceKV:
         block_table: list[int],
         shared_tokens: int,
         codecs: "list[KVCache] | None" = None,
+        reserved: int = 0,
     ) -> None:
         self.pool = pool
         self.block_table = block_table
         self.shared_tokens = shared_tokens
+        self.reserved = reserved
         #: Per-layer write-side codec overrides for requests whose KV
         #: format differs from the pool's engine-wide default; None
         #: delegates every layer to ``pool.codec``.  A sequence with
@@ -152,9 +178,9 @@ class SequenceKV:
         self.owner: int | None = None
         self.caches = [PagedKVCache(self, layer) for layer in range(pool.n_layers)]
         self._released = False
-        # Per-layer float32 gather scratch: dequantized history prefix
-        # [0, _deq_len[layer]) lives in _deq_k/_deq_v[layer], shaped
-        # (heads, capacity, head_dim) and grown by doubling.
+        # Per-layer decode-ready scratch: history prefix
+        # [0, _deq_len[layer]) lives in _deq_k (float32) / _deq_v
+        # (float64)[layer], shaped (heads, capacity, head_dim).
         self._deq_k: list[np.ndarray | None] = [None] * pool.n_layers
         self._deq_v: list[np.ndarray | None] = [None] * pool.n_layers
         self._deq_len = [0] * pool.n_layers
@@ -218,14 +244,19 @@ class SequenceKV:
         self.pool.cow_forks += 1
 
     def write(self, layer: int, start: int, k16: np.ndarray, v16: np.ndarray) -> None:
-        """Scatter ``(1, H, T, hd)`` float16 rows into blocks."""
+        """Scatter ``(1, H, T, hd)`` float16 rows into blocks.
+
+        Write-through: rows landing at the layer's dequant watermark —
+        every engine append once the scratch is seeded — also extend
+        the decode-ready scratch straight from ``k16`` / ``v16``, so
+        the following :meth:`gather` has nothing to read back.  Rows
+        landing below it (direct ``write()`` callers only; the engine
+        path is append-only) overwrite the scratch from there; rows
+        landing above it leave the gap for :meth:`gather` to fetch.
+        """
         new_len = k16.shape[2]
-        self._ensure_writable(start, start + new_len)
-        if start < self._deq_len[layer]:
-            # Rewriting already-dequantized positions (direct write()
-            # callers only; the engine path is append-only): roll the
-            # scratch watermark back so gather re-reads them.
-            self._deq_len[layer] = start
+        end = start + new_len
+        self._ensure_writable(start, end)
         size = self.pool.block_size
         position, offset = start, 0
         while offset < new_len:
@@ -240,34 +271,53 @@ class SequenceKV:
             ]
             position += count
             offset += count
+        if start <= self._deq_len[layer]:
+            k, v = self._scratch(layer, start, end)
+            k[:, start:end] = k16[0]
+            v[:, start:end] = v16[0]
+            active_scope().hot.dequant_bytes += (
+                k[:, start:end].nbytes + v[:, start:end].nbytes
+            )
+            self._deq_len[layer] = end
 
     # -- read path --------------------------------------------------------
 
-    def gather(self, layer: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-        """Contiguous float32 ``(1, H, length, hd)`` K/V history.
+    def _scratch(
+        self, layer: int, kept: int, length: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The layer's scratch with room for ``length``, keeping ``[0, kept)``."""
+        k = self._deq_k[layer]
+        v = self._deq_v[layer]
+        if k is None or v is None or k.shape[1] < length:
+            capacity = buffer_capacity(
+                length,
+                self.reserved,
+                0 if k is None else k.shape[1],
+                self.pool.block_size,
+            )
+            shape = (self.pool.keys.shape[2], capacity, self.pool.keys.shape[4])
+            k = grow_buffer(k, shape, 1, kept, np.float32)
+            v = grow_buffer(v, shape, 1, kept, np.float64)
+            self._deq_k[layer] = k
+            self._deq_v[layer] = v
+        return k, v
 
-        Incremental: positions below the layer's dequant watermark are
-        served straight from the persistent scratch; the tail is
-        fetched with one fancy-index gather over the block table
-        (``O(new positions)``, including the table slice converted —
-        never the whole table), not a per-block Python loop over the
+    def gather(self, layer: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+        """Decode-ready ``(1, H, length, hd)`` history: K float32, V float64.
+
+        Positions below the layer's dequant watermark — everything this
+        sequence wrote itself — are served straight from the scratch.
+        Anything above it (a shared prefix on first read) is fetched
+        with one fancy-index gather over the block table
+        (``O(fetched positions)``, including the table slice converted
+        — never the whole table), not a per-block Python loop over the
         whole history.
         """
         if length < 1:
             raise ModelError("gather needs at least one cached position")
         inject("paged.gather", self.owner)
         kept = self._deq_len[layer]
-        k = self._deq_k[layer]
-        v = self._deq_v[layer]
-        if k is None or k.shape[1] < length:
-            capacity = max(
-                length, self.pool.block_size, 2 * (0 if k is None else k.shape[1])
-            )
-            shape = (self.pool.keys.shape[2], capacity, self.pool.keys.shape[4])
-            k = grow_buffer(k, shape, 1, kept, np.float32)
-            v = grow_buffer(v, shape, 1, kept, np.float32)
-            self._deq_k[layer] = k
-            self._deq_v[layer] = v
+        k, v = self._scratch(layer, kept, length)
         if kept < length:
             size = self.pool.block_size
             positions = np.arange(kept, length)
@@ -284,7 +334,9 @@ class SequenceKV:
             v[:, kept:length] = self.pool.values[layer, blocks, :, rows].transpose(
                 1, 0, 2
             )
-            active_scope().hot.dequant_bytes += 2 * k[:, kept:length].nbytes
+            active_scope().hot.dequant_bytes += (
+                k[:, kept:length].nbytes + v[:, kept:length].nbytes
+            )
             self._deq_len[layer] = length
         keys = k[None, :, :length]
         values = v[None, :, :length]
@@ -357,7 +409,7 @@ class SequenceKV:
             self.pool.allocator.decref(block)
         self.block_table = []
         self._released = True
-        # Free the gather scratch with the residency it mirrors.
+        # Free the decode-ready scratch with the blocks it mirrors.
         self._deq_k = [None] * self.pool.n_layers
         self._deq_v = [None] * self.pool.n_layers
         self._deq_len = [0] * self.pool.n_layers

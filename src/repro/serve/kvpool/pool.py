@@ -211,6 +211,7 @@ class KVPool:
         reserve_logits: bool = True,
         codecs: list[KVCache] | None = None,
         shareable: bool = True,
+        reserved: int = 0,
     ) -> SequenceKV:
         """New request view, seeded with any cached prompt prefix.
 
@@ -219,6 +220,8 @@ class KVPool:
         ``shareable=False`` opts the sequence out of prefix-cache
         matching — cached blocks hold the *default* format's bytes,
         which a different format must neither read nor contribute to.
+        ``reserved`` is the most positions the sequence will ever hold
+        (0: unknown); its decode-ready scratch is sized from it once.
         """
         blocks: list[int] = []
         shared_tokens = 0
@@ -228,7 +231,9 @@ class KVPool:
             blocks, shared_tokens = self.prefix_cache.match(
                 prompt_tokens, cap, self._clock
             )
-        return SequenceKV(self, list(blocks), shared_tokens, codecs=codecs)
+        return SequenceKV(
+            self, list(blocks), shared_tokens, codecs=codecs, reserved=reserved
+        )
 
     def register_prefix(self, sequence: SequenceKV, prompt_tokens: np.ndarray) -> int:
         """Cache a prefilled prompt's full blocks for future sharing.

@@ -69,9 +69,9 @@ class StepReport:
             this step (buffer/scratch growth; O(history) per step on
             the reference storage, amortized O(new tokens) on the
             preallocated path).
-        kv_dequant_bytes: host bytes converted float16 -> float32 for
-            attention reads this step (the incremental views convert
-            only the appended tail).
+        kv_dequant_bytes: host bytes materialised from stored float16
+            into the decode-ready residency (float32 keys, float64
+            values) this step (only the appended tail is converted).
         attention_dispatches: attention pipeline launches this step —
             one per per-request core call plus one per grouped bucket.
             O(layers x batch) per decode step ungrouped, O(layers x
@@ -132,9 +132,10 @@ class EngineMetrics:
         kv_copy_bytes: total host bytes memcpy'd re-materializing KV
             history (the decode hot path's waste metric — amortized
             O(1) per token on the preallocated storage).
-        kv_dequant_bytes: total host bytes converted float16 ->
-            float32 for attention reads (incremental views convert
-            each stored position once, not once per step).
+        kv_dequant_bytes: total host bytes materialised from stored
+            float16 into the decode-ready residency (float32 keys,
+            float64 values; each stored position is converted once,
+            not once per step).
         attention_dispatches: total attention pipeline launches —
             grouped attention's headline metric, dropping from
             O(layers x batch) to O(layers x buckets) per decode step.

@@ -97,7 +97,7 @@ ENGINE_COUNTER_FIELDS: tuple[tuple[str, str, str], ...] = (
     (
         "kv_dequant_bytes",
         "repro_engine_kv_dequant_bytes_total",
-        "Host bytes converted float16 -> float32 for attention reads",
+        "Host bytes materialised float16 -> float32 K / float64 V for attention reads",
     ),
     (
         "attention_dispatches",

@@ -43,6 +43,23 @@ class TestLayers:
         rms = np.sqrt((out**2).mean(axis=-1))
         np.testing.assert_allclose(rms, 1.0, atol=1e-2)
 
+    @pytest.mark.parametrize("kind", [LayerNorm, RMSNorm])
+    @pytest.mark.parametrize("shape", [(1, 1, 32), (3, 7, 32), (16, 1, 256)])
+    def test_ndarray_path_is_bitwise_the_autograd_path(self, kind, shape):
+        """Serving norms skip autograd: ndarray in, identical bits out."""
+        rng = np.random.default_rng(4)
+        norm = kind(shape[-1])
+        norm.gain.data[...] = rng.normal(1.0, 0.3, size=shape[-1])
+        if kind is LayerNorm:
+            norm.shift.data[...] = rng.normal(0.0, 0.3, size=shape[-1])
+        x = rng.normal(0.5, 4.0, size=shape).astype(np.float32)
+        with no_grad():
+            expected = norm(Tensor(x)).data
+        out = norm(x)
+        assert isinstance(out, np.ndarray) and out.dtype == np.float32
+        assert out.tobytes() == expected.tobytes()
+        assert isinstance(norm(Tensor(x)), Tensor)
+
     def test_embedding_range_check(self):
         emb = Embedding(10, 4, np.random.default_rng(3))
         with pytest.raises(ModelError):

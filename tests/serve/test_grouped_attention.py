@@ -120,8 +120,9 @@ class TestPlanBuckets:
             plan_buckets([4], pad_waste_cap=-0.1)
         with pytest.raises(ModelError):
             BucketedAttention(pad_waste_cap=1.5)
-        with pytest.raises(ModelError):
-            BucketedAttention(max_workspaces=0)
+        with pytest.raises(TypeError):
+            # Deleted knob: residency is swept per step, not capped.
+            BucketedAttention(max_workspaces=2)
 
 
 def decode_batch_logits(model, factory, prompts, steps, dispatcher=None):
@@ -300,19 +301,113 @@ class TestWorkspaceReuse:
         model.forward_decode_batch(token, first, dispatcher=dispatcher)
         assert len(dispatcher._workspaces) == len(model.blocks)
         model.forward_decode_batch(token, second, dispatcher=dispatcher)
-        # New uid tuples -> new workspaces alongside the old ones.
+        # New uid tuples -> new workspaces; the old membership was
+        # live in the previous step, so it survives this step's sweep...
         assert len(dispatcher._workspaces) == 2 * len(model.blocks)
+        model.forward_decode_batch(token, second, dispatcher=dispatcher)
+        # ...and is freed by the next one.
+        second_keys = {
+            tuple(request[layer].uid for request in second)
+            for layer in range(len(model.blocks))
+        }
+        assert set(dispatcher._workspaces) == second_keys
 
-    def test_max_workspaces_caps_the_table(self, model):
+    def test_batch_draining_to_one_frees_the_pair_workspace(self, model):
+        # A singleton batch plans nothing, but it is still a step
+        # boundary: the pair's workspace goes the step after it was
+        # last used, not whenever a batch of two next shows up.
         factory = make_cache_factory(model, "fp16", 8)
-        dispatcher = BucketedAttention(max_workspaces=2)
+        caches = [factory() for _ in range(2)]
+        for request in caches:
+            model.forward_step(np.arange(5).reshape(1, -1), request)
+        dispatcher = BucketedAttention()
+        model.forward_decode_batch(np.full((2, 1), 3), caches, dispatcher=dispatcher)
+        assert len(dispatcher._workspaces) == len(model.blocks)
+        survivor = caches[:1]
+        token = np.full((1, 1), 3)
+        model.forward_decode_batch(token, survivor, dispatcher=dispatcher)
+        model.forward_decode_batch(token, survivor, dispatcher=dispatcher)
+        assert not dispatcher._workspaces
+
+    def test_clear_drops_everything_and_resyncs_bitwise(self, model):
+        factory = make_cache_factory(model, "fp16", 8)
+        caches = [factory() for _ in range(2)]
+        twins = [factory() for _ in range(2)]
+        for request in (*caches, *twins):
+            model.forward_step(np.arange(5).reshape(1, -1), request)
+        dispatcher, untouched = BucketedAttention(), BucketedAttention()
         token = np.full((2, 1), 3)
-        for _ in range(4):
+        model.forward_decode_batch(token, caches, dispatcher=dispatcher)
+        model.forward_decode_batch(token, twins, dispatcher=untouched)
+        dispatcher.clear()
+        assert not dispatcher._workspaces
+        assert bitwise_equal(
+            model.forward_decode_batch(token, caches, dispatcher=dispatcher),
+            model.forward_decode_batch(token, twins, dispatcher=untouched),
+        )
+
+    def test_sweep_bounds_the_table_under_churn(self, model):
+        # Every step brings a brand-new membership: residency never
+        # exceeds the live step's workspaces plus the previous step's.
+        factory = make_cache_factory(model, "fp16", 8)
+        dispatcher = BucketedAttention()
+        token = np.full((2, 1), 3)
+        for _ in range(6):
             caches = [factory() for _ in range(2)]
             for request in caches:
                 model.forward_step(np.arange(4).reshape(1, -1), request)
             model.forward_decode_batch(token, caches, dispatcher=dispatcher)
-        assert len(dispatcher._workspaces) <= 2
+            assert len(dispatcher._workspaces) <= 2 * len(model.blocks)
+
+    def test_run_bucket_without_plan_keeps_its_workspace(self, model):
+        # Direct callers (the ledger's bucket probe) never plan(): the
+        # launch must work, reuse one workspace, and match the planned
+        # dispatcher bitwise.
+        factory = make_cache_factory(model, "fp16", 8)
+        caches = [factory()[0] for _ in range(3)]
+        rng = np.random.default_rng(59)
+        attention = model.blocks[0].attention
+        shape = (1, attention.n_heads, 6, attention.head_dim)
+        for cache in caches:
+            cache.append(
+                rng.normal(size=shape).astype(np.float32),
+                rng.normal(size=shape).astype(np.float32),
+            )
+        views = [cache.view() for cache in caches]
+        q = rng.normal(size=(3, attention.n_heads, 1, attention.head_dim)).astype(
+            np.float32
+        )
+        unplanned = BucketedAttention()
+        bucket = plan_buckets([6, 6, 6]).buckets[0]
+        first = unplanned.run_bucket(attention, bucket, q, views, caches)
+        again = unplanned.run_bucket(attention, bucket, q, views, caches)
+        assert len(unplanned._workspaces) == 1
+        planned = BucketedAttention()
+        reference = planned.run_bucket(
+            attention, planned.plan([6, 6, 6]).buckets[0], q, views, caches
+        )
+        assert bitwise_equal(first, reference) and bitwise_equal(again, reference)
+
+    def test_reserved_members_size_the_workspace_once(self, model):
+        # Paged sequences carrying a reservation: the workspace is
+        # allocated at the smallest member reservation and the steady
+        # state pays the tail sync only — no growth copy, ever.
+        pool = KVPool(
+            model.config, num_blocks=64, block_size=4, enable_prefix_cache=False
+        )
+        caches = [
+            pool.create_sequence(np.arange(20), reserved=20 + extra).caches
+            for extra in (12, 16)
+        ]
+        for request in caches:
+            model.forward_step(np.arange(20).reshape(1, -1), request)
+        dispatcher = BucketedAttention()
+        token = np.full((2, 1), 3)
+        first, *steady = self.run_steps(model, dispatcher, caches, token, 8)
+        assert len(set(steady)) == 1 and 0 < steady[0] < first
+        for workspace in dispatcher._workspaces.values():
+            assert workspace.keys.shape[2] == 32
+            assert workspace.values.dtype == np.float64
 
 
 class TestEngineGrouped:
@@ -388,6 +483,22 @@ class TestEngineGrouped:
         )
         for ours, expected in zip(grouped, reference):
             np.testing.assert_array_equal(ours.tokens, expected.tokens)
+
+    def test_drained_engine_holds_no_workspaces(self, model):
+        # No request left decoding means no next decode step to sweep:
+        # the engine clears the dispatcher itself, on finish and abort.
+        rng = np.random.default_rng(67)
+        prompts = [rng.integers(0, 256, size=8) for _ in range(3)]
+        engine = Engine(model, self.grouped_config())
+        handles = [engine.submit(prompt, max_new_tokens=6) for prompt in prompts]
+        while not engine._dispatcher._workspaces:
+            engine.step()
+        for handle in handles:
+            assert engine.abort(handle.request_id)
+        assert not engine._dispatcher._workspaces
+        serve(model, prompts, max_new_tokens=4, engine=engine)
+        assert engine.metrics().attention_grouped_requests > 0
+        assert not engine._dispatcher._workspaces
 
     def test_pad_waste_config_validated(self):
         with pytest.raises(ModelError):

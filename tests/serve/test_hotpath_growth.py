@@ -1,16 +1,21 @@
 """Growth property tests for the zero-copy decode hot path.
 
-The optimized KV storage (preallocated capacity-doubling buffers +
-incremental dequant views, and the paged vectorized gather into
-persistent scratch) must be **bitwise** indistinguishable from the
-pre-optimization reference (per-append concatenate + full re-astype,
-kept alive as ``ReferenceKVCache`` / ``SequenceKV.gather_reference``).
-These tests pin that across the edges where the optimized storage does
-something structurally different:
+The optimized KV storage (preallocated buffers + incremental
+decode-ready views, and the paged write-through scratch) must be
+**bitwise** indistinguishable from the pre-optimization reference
+(per-append concatenate + full re-astype, kept alive as
+``ReferenceKVCache`` / ``SequenceKV.gather_reference``).  The one
+representation difference is deliberate: the decode-ready residency
+holds keys float32 and values **float64** (what ``float64 weights @
+values`` computes in), so values are pinned against the reference's
+exact float32 -> float64 upcast.  These tests pin that across the edges
+where the optimized storage does something structurally different:
 
-* capacity-doubling boundaries (buffer growth copies),
+* capacity-doubling boundaries (buffer growth copies) and reserved
+  capacity (no growth copies at all),
 * block boundaries and fragmented block tables (paged gather),
-* copy-on-write forks under prefix sharing (scratch must stay valid),
+* write-through appends interleaved with truncate / rollback /
+  copy-on-write forks / prefix-seeded reads (scratch must stay valid),
 * release + replay (the preempt/resume path rebuilds from scratch),
 
 for both KV modes (fp16, anda) and both storages (unpaged, paged).
@@ -23,11 +28,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.llm import attention as attention_module
 from repro.llm.attention import (
+    HOT_PATH_STATS,
     KVCache,
     ReferenceKVCache,
+    causal_block,
     causal_mask,
-    history_mask,
 )
 from repro.llm.config import tiny_test_config
 from repro.llm.kv_quant import AndaKVCache, make_kv_codec
@@ -47,6 +54,25 @@ def bitwise_equal(left: np.ndarray, right: np.ndarray) -> bool:
     return left.shape == right.shape and left.tobytes() == right.tobytes()
 
 
+def values_equal(values: np.ndarray, reference: np.ndarray) -> bool:
+    """Decode-ready values: float64, equal to the float32 oracle upcast."""
+    assert reference.dtype == np.float32
+    return values.dtype == np.float64 and bitwise_equal(
+        values, reference.astype(np.float64)
+    )
+
+
+def history_equal(history, reference) -> bool:
+    """A decode-ready ``(keys, values)`` pair against the float32 oracle."""
+    keys, values = history
+    ref_k, ref_v = reference
+    return (
+        keys.dtype == np.float32
+        and bitwise_equal(keys, ref_k)
+        and values_equal(values, ref_v)
+    )
+
+
 def make_unpaged(mode: str) -> KVCache:
     return KVCache() if mode == "fp16" else AndaKVCache(mantissa_bits=8)
 
@@ -60,6 +86,17 @@ def random_kv(rng: np.random.Generator, length: int) -> np.ndarray:
     return rng.normal(size=(1, HEADS, length, HEAD_DIM)).astype(np.float32)
 
 
+def make_pool(mode: str, num_blocks: int = 96) -> KVPool:
+    config = tiny_test_config(d_model=HEADS * HEAD_DIM, n_layers=2)
+    return KVPool(
+        config,
+        num_blocks=num_blocks,
+        block_size=4,
+        codec=make_kv_codec(mode, 8),
+        enable_prefix_cache=False,
+    )
+
+
 class TestUnpagedGrowthParity:
     @pytest.mark.parametrize("mode", KV_MODES)
     @given(lengths=chunk_lists, seed=st.integers(0, 2**31 - 1))
@@ -69,10 +106,7 @@ class TestUnpagedGrowthParity:
         optimized, reference = make_unpaged(mode), make_reference(mode)
         for length in lengths:
             k, v = random_kv(rng, length), random_kv(rng, length)
-            opt_k, opt_v = optimized.append(k, v)
-            ref_k, ref_v = reference.append(k, v)
-            assert bitwise_equal(opt_k, ref_k)
-            assert bitwise_equal(opt_v, ref_v)
+            assert history_equal(optimized.append(k, v), reference.append(k, v))
             assert optimized.length == reference.length
             # The stored float16 bytes are the parity bedrock.
             assert bitwise_equal(optimized.keys, reference.keys)
@@ -90,37 +124,25 @@ class TestUnpagedGrowthParity:
 
 
 class TestPagedGrowthParity:
-    def make_pool(self, mode: str, prefix: bool = False) -> KVPool:
-        config = tiny_test_config(d_model=HEADS * HEAD_DIM, n_layers=2)
-        return KVPool(
-            config,
-            num_blocks=96,
-            block_size=4,
-            codec=make_kv_codec(mode, 8),
-            enable_prefix_cache=prefix,
-        )
-
     @pytest.mark.parametrize("mode", KV_MODES)
     @given(lengths=chunk_lists, seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=15, deadline=None)
     def test_gather_matches_reference_and_unpaged(self, mode, lengths, seed):
         rng = np.random.default_rng(seed)
-        pool = self.make_pool(mode)
+        pool = make_pool(mode)
         sequence = pool.create_sequence(np.array([1, 2, 3]))
         reference = make_reference(mode)
         for length in lengths:
             k, v = random_kv(rng, length), random_kv(rng, length)
             for layer in range(pool.n_layers):
-                paged_k, paged_v = sequence.caches[layer].append(k, v)
+                paged = sequence.caches[layer].append(k, v)
                 if layer == 0:
-                    ref_k, ref_v = reference.append(k, v)
-                assert bitwise_equal(paged_k, ref_k)
-                assert bitwise_equal(paged_v, ref_v)
+                    unpaged = reference.append(k, v)
+                assert history_equal(paged, unpaged)
             total = sequence.length
-            old_k, old_v = sequence.gather_reference(0, total)
-            new_k, new_v = sequence.gather(0, total)
-            assert bitwise_equal(new_k, old_k)
-            assert bitwise_equal(new_v, old_v)
+            assert history_equal(
+                sequence.gather(0, total), sequence.gather_reference(0, total)
+            )
 
     @pytest.mark.parametrize("mode", KV_MODES)
     def test_cow_fork_keeps_warm_scratch_valid(self, mode):
@@ -133,7 +155,7 @@ class TestPagedGrowthParity:
         already warm over that block.
         """
         rng = np.random.default_rng(7)
-        pool = self.make_pool(mode)
+        pool = make_pool(mode)
         donor = pool.create_sequence(np.array([1]))
         for layer in range(pool.n_layers):
             donor.caches[layer].append(random_kv(rng, 4), random_kv(rng, 4))
@@ -154,10 +176,9 @@ class TestPagedGrowthParity:
         assert sharer.block_table[0] != shared_block
         for layer in range(pool.n_layers):
             length = sharer.caches[layer].length
-            new_k, new_v = sharer.gather(layer, length)
-            old_k, old_v = sharer.gather_reference(layer, length)
-            assert bitwise_equal(new_k, old_k)
-            assert bitwise_equal(new_v, old_v)
+            assert history_equal(
+                sharer.gather(layer, length), sharer.gather_reference(layer, length)
+            )
         # The donor's stored bytes are untouched by the fork.
         assert donor.gather(0, 4)[0].tobytes() == donor_before
         assert donor.gather_reference(0, 4)[0].tobytes() == donor_before
@@ -166,7 +187,7 @@ class TestPagedGrowthParity:
     def test_release_and_replay_rebuilds_bitwise(self, mode):
         """The preempt/resume path: a replayed sequence gathers identically."""
         rng = np.random.default_rng(11)
-        pool = self.make_pool(mode)
+        pool = make_pool(mode)
         appends = [
             (random_kv(rng, length), random_kv(rng, length))
             for length in (5, 1, 1, 7, 1, 3)
@@ -185,27 +206,216 @@ class TestPagedGrowthParity:
         assert run() == run()
 
 
+#: One step of the write-through property: (op, pick, amount).
+scratch_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["append", "truncate", "rollback", "partial", "fork"]),
+        st.integers(0, 7),
+        st.integers(1, 9),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestWriteThroughScratch:
+    """The scratch is written by ``write()``; the pool is only a seed."""
+
+    @pytest.mark.parametrize("mode", KV_MODES)
+    @given(
+        ops=scratch_ops,
+        reserved=st.sampled_from([0, 6, 160]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_scratch_equals_pool_readback_under_interleavings(
+        self, mode, ops, reserved, seed
+    ):
+        """Append / truncate / rollback / CoW fork / prefix seeding, interleaved.
+
+        After every operation each live sequence's decode-ready
+        history must equal both a full pool read-back
+        (``gather_reference``) and an independent unpaged oracle fed
+        the same appends — whatever mix of write-through extension,
+        watermark clamping and first-read seeding produced it.
+        """
+        rng = np.random.default_rng(seed)
+        pool = make_pool(mode, num_blocks=256)
+        live = [
+            (
+                SequenceKV(pool, [], shared_tokens=0, reserved=reserved),
+                make_reference(mode),
+            )
+        ]
+
+        def append(sequence, count, layers):
+            k, v = random_kv(rng, count), random_kv(rng, count)
+            for layer in layers:
+                sequence.caches[layer].append(k, v)
+            return k, v
+
+        for op, pick, amount in ops:
+            sequence, oracle = live[pick % len(live)]
+            length = sequence.length
+            floor = sequence.shared_tokens
+            if op == "append":
+                oracle.append(*append(sequence, amount, range(pool.n_layers)))
+            elif op == "truncate" and length:
+                # Per-cache truncate keeps the blocks (and may dip into
+                # a shared prefix: the next write then forks it).
+                kept = (pick * length) // 8
+                for cache in sequence.caches:
+                    cache.truncate(kept)
+                oracle.truncate(kept)
+            elif op == "rollback" and length > floor:
+                kept = floor + (pick * (length - floor)) // 8
+                sequence.rollback(kept)
+                oracle.truncate(kept)
+            elif op == "partial":
+                # A forward that faulted after layer 0 appended.
+                append(sequence, amount, [0])
+                sequence.rollback(length)
+            elif op == "fork" and length and len(live) < 3:
+                # A prefix-seeded sharer over the donor's blocks, cut
+                # mid-block when the length says so: both sides now
+                # copy-on-write on their next append.
+                for block in sequence.block_table:
+                    pool.allocator.incref(block)
+                sharer = SequenceKV(
+                    pool, list(sequence.block_table), length, reserved=reserved
+                )
+                for cache in sharer.caches:
+                    assert cache.length == length
+                twin = make_reference(mode)
+                twin.append_precompressed(oracle.keys, oracle.values)
+                live.append((sharer, twin))
+            for sequence, oracle in live:
+                if not oracle.length:
+                    continue
+                assert sequence.length == oracle.length
+                for layer in range(pool.n_layers):
+                    history = sequence.gather(layer, oracle.length)
+                    assert history_equal(
+                        history, sequence.gather_reference(layer, oracle.length)
+                    )
+                    assert history_equal(history, oracle.view())
+
+    @pytest.mark.parametrize("mode", KV_MODES)
+    def test_steady_appends_never_read_the_pool_back(self, mode):
+        """Once seeded, appends extend the scratch from the rows in hand.
+
+        Wiping the pool's stored bytes after each append must not
+        change what attention reads: nothing re-reads them.
+        """
+        rng = np.random.default_rng(23)
+        pool = make_pool(mode)
+        sequence = pool.create_sequence(np.array([1]), reserved=40)
+        oracle = make_reference(mode)
+        for count in (5, 1, 1, 3, 1, 1, 1):
+            k, v = random_kv(rng, count), random_kv(rng, count)
+            for layer in range(pool.n_layers):
+                history = sequence.caches[layer].append(k, v)
+                pool.keys[layer] = 0
+                pool.values[layer] = 0
+                if layer == 0:
+                    expected = oracle.append(k, v)
+                assert history_equal(history, expected)
+
+    def test_reserved_scratch_never_regrows(self):
+        pool = make_pool("fp16")
+        rng = np.random.default_rng(29)
+        reserved = pool.create_sequence(np.array([1]), reserved=40)
+        unreserved = pool.create_sequence(np.array([1]))
+        grown = {}
+        for name, sequence in (("reserved", reserved), ("unreserved", unreserved)):
+            before = HOT_PATH_STATS.copy_bytes
+            for _ in range(40):
+                sequence.caches[0].append(random_kv(rng, 1), random_kv(rng, 1))
+            grown[name] = HOT_PATH_STATS.copy_bytes - before
+        assert grown["reserved"] == 0
+        assert grown["unreserved"] > 0  # doubling: 4 -> 8 -> 16 -> 32 -> 64
+        assert reserved._deq_k[0].shape[1] == 40
+        # A reservation is a hint, not a limit: outgrowing it falls
+        # back to doubling and stays bitwise right.
+        reserved.caches[0].append(random_kv(rng, 3), random_kv(rng, 3))
+        assert history_equal(
+            reserved.gather(0, 43), reserved.gather_reference(0, 43)
+        )
+
+
 class TestMaskMemo:
     def test_prefill_mask_matches_causal_mask(self):
-        mask = history_mask(0, 6)
-        assert mask is not None
-        assert bitwise_equal(mask, causal_mask(6))
-        assert history_mask(0, 6) is mask  # memoized
+        block = causal_block(6)
+        assert block is not None
+        assert bitwise_equal(block, causal_mask(6))
+        # One growing triangle: every size is a view of the same memo.
+        assert np.shares_memory(causal_block(6), causal_block(4))
+
+    def test_memo_grows_by_powers_of_two(self, monkeypatch):
+        # Creeping chunk sizes must not rebuild the triangle per size:
+        # one build covers every size up to the next power of two.
+        monkeypatch.setattr(attention_module, "_CAUSAL_BLOCK", None)
+        assert causal_block(5).base is attention_module._CAUSAL_BLOCK
+        built = attention_module._CAUSAL_BLOCK
+        assert built.shape == (8, 8)
+        for size in (6, 7, 8):
+            assert bitwise_equal(causal_block(size), causal_mask(size))
+            assert attention_module._CAUSAL_BLOCK is built
+        assert causal_block(9).shape == (9, 9)
+        assert attention_module._CAUSAL_BLOCK.shape == (16, 16)
 
     def test_decode_mask_is_elided(self):
         # A single new token attends to its entire history: the
         # additive mask is all zeros, and adding zeros is a bitwise
         # no-op through the softmax, so the hot path skips it.
-        assert history_mask(41, 1) is None
+        assert causal_block(1) is None
 
     def test_mid_sequence_chunk_mask_values(self):
+        # Added in place to scores[..., start:], the block reproduces
+        # the full (new_len, start + new_len) history mask: zeros over
+        # the older positions, the causal triangle among the new ones.
         start, new_len = 3, 4
-        mask = history_mask(start, new_len)
         total = start + new_len
+        scores = np.zeros((2, new_len, total))
+        scores[..., start:] += causal_block(new_len)
         positions = np.arange(start, total)[:, None]
         history = np.arange(total)[None, :]
         expected = np.where(history > positions, -1e9, 0.0).astype(np.float32)
-        assert bitwise_equal(mask, expected)
+        assert bitwise_equal(scores[0], expected.astype(np.float64))
+        assert bitwise_equal(scores[1], scores[0])
+
+    @pytest.mark.parametrize("start", [0, 5])
+    def test_attention_core_matches_the_materialised_mask(self, start):
+        """In-place block vs ``scores + full_mask``: same weights, bitwise.
+
+        Also pins the dtype contract the one-residency design leans on
+        (NumPy >= 2 promotion): float32 scores times the float64 scale
+        make float64 weights, so the context comes back float64 even
+        from float32 values.
+        """
+        model = build_model(tiny_test_config(seed=3))
+        attention = model.blocks[0].attention
+        rng = np.random.default_rng(31)
+        new_len, total = 6, start + 6
+        shape = (1, attention.n_heads, total, attention.head_dim)
+        q = rng.normal(size=shape).astype(np.float32)[:, :, start:]
+        keys = rng.normal(size=shape).astype(np.float32)
+        values = rng.normal(size=shape).astype(np.float32)
+        context = attention._attention_core(q, keys, values, start)
+        assert context.dtype == np.float64
+        positions = np.arange(start, total)[:, None]
+        mask = np.where(np.arange(total)[None, :] > positions, -1e9, 0.0)
+        scores = (q @ keys.swapaxes(-1, -2)) * attention.scale + mask.astype(
+            np.float32
+        )
+        scores -= scores.max(axis=-1, keepdims=True)
+        weights = np.exp(scores)
+        weights /= weights.sum(axis=-1, keepdims=True)
+        assert bitwise_equal(context, weights @ values)
+        assert bitwise_equal(
+            context,
+            attention._attention_core(q, keys, values.astype(np.float64), start),
+        )
 
 
 class TestBatchedLogitsBitwise:
@@ -286,14 +496,24 @@ class TestEngineHotPathCounters:
         assert len(decode_steps) >= 20
         dequant = {report.kv_dequant_bytes for report in decode_steps}
         # Incremental views dequantize exactly the appended tail every
-        # step, so the per-step byte count is one constant.
+        # step, so the per-step byte count is one constant: the bytes
+        # materialised, float32 keys plus float64 values.
         assert len(dequant) == 1
-        assert dequant.pop() > 0
-        # Capacity crossings (5 prompt + 30 tokens passes 16 and 32)
-        # show up as growth copies on a few steps, not every step.
+        config = model.config
+        assert dequant.pop() == (
+            config.n_layers * config.n_heads * config.head_dim * (4 + 8)
+        )
         growth_steps = [r for r in decode_steps if r.kv_copy_bytes > 0]
-        assert growth_steps
-        assert len(growth_steps) < len(decode_steps) / 2
+        if kv_pool:
+            # The engine reserves a paged sequence's scratch to prompt
+            # + max_new_tokens: no growth copy, ever.
+            assert not growth_steps
+        else:
+            # Unreserved buffers double: capacity crossings (5 prompt +
+            # 30 tokens passes 16 and 32) show up as growth copies on
+            # a few steps, not every step.
+            assert growth_steps
+            assert len(growth_steps) < len(decode_steps) / 2
         metrics = engine.metrics()
         assert metrics.kv_dequant_bytes == sum(
             report.kv_dequant_bytes for report in engine._reports
