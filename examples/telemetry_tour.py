@@ -46,8 +46,7 @@ def main() -> None:
         model,
         EngineConfig(
             max_batch_size=8,
-            max_batch_tokens=48,
-            chunked_prefill=True,  # long prompts prefill in budgeted chunks
+            max_batch_tokens=48,  # long prompts prefill in 48-token chunks
             telemetry=TelemetryConfig(trace=True),
         ),
     )

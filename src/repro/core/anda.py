@@ -288,8 +288,7 @@ def fake_quantize_batch_reference(
 ) -> np.ndarray:
     """Pre-vectorization :func:`fake_quantize_batch`, kept as the oracle.
 
-    The parity tests and ``benchmarks/bench_decode_hotpath.py``'s codec
-    scenario compare the vectorized codec against this bitwise —
+    The parity tests compare the vectorized codec against this bitwise —
     including the ``.astype(float16)`` stored bytes the KV caches
     persist, which are the serving stack's parity bedrock.
     """

@@ -3,10 +3,9 @@
 Eight serving PRs accumulated a set of load-bearing invariants that
 were documented in ``src/repro/serve/README.md`` but enforced only by
 code review: bitwise GeMM lane discipline, hot-path allocation purity,
-contextvar-scoped telemetry, frozen request/format specs, deprecation
-shim boundaries.  This package encodes them as machine-checked rules —
-a standalone AST pass over ``src/repro`` with no runtime dependencies
-beyond the standard library.
+contextvar-scoped telemetry, frozen request/format specs.  This package
+encodes them as machine-checked rules — a standalone AST pass over
+``src/repro`` with no runtime dependencies beyond the standard library.
 
 Run it as ``python -m repro.lint``:
 
@@ -26,12 +25,12 @@ RPL001   no wall-clock calls in hot-path modules (perf_counter only)
 RPL002   no allocation-shaped numpy calls reachable from Engine.step
 RPL003   hot-path classes must declare ``__slots__``
 RPL004   module-global stats touched only by attention's StatScope
-RPL005   deprecated knobs used only inside their shim modules
 RPL006   ``object.__setattr__`` only inside ``__post_init__``
 RPL007   no bare/blanket exception swallowing in ``serve/``
 RPL008   ``serve.__all__`` exactly matches the bound public names
 RPL009   no import cycles between ``repro`` modules
 RPL010   no raw matmuls in ``serve/`` (lane discipline)
+RPL011   ``serve/`` raises ``ModelError`` subclasses only
 =======  ===========================================================
 """
 

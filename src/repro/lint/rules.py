@@ -1,4 +1,4 @@
-"""The repo-specific rules (RPL001–RPL011).
+"""The repo-specific rules (RPL001–RPL011; RPL005 is retired).
 
 Each rule carries a one-line rationale and a pointer to the invariant
 it guards (the "Enforced invariants" section of ``serve/README.md``
@@ -26,17 +26,6 @@ HOT_PATH_MODULES = (
     "repro.llm.transformer",
 )
 HOT_PATH_PREFIXES = ("repro.serve.kvpool",)
-
-# Modules allowed to reference the deprecated kv_mode / kv_mantissa_bits /
-# serve_batch spellings: the shims themselves plus the package __init__
-# that re-exports serve_batch for backward compatibility.
-SHIM_MODULES = frozenset(
-    {
-        "repro.serve.engine",  # EngineConfig kv_mode -> KVFormat shim
-        "repro.serve.llm",  # serve_batch -> LLM.generate shim
-        "repro.serve",  # re-exports serve_batch
-    }
-)
 
 STATS_GLOBALS = frozenset({"HOT_PATH_STATS", "ATTENTION_STATS"})
 STATS_HOME = "repro.llm.attention"
@@ -375,56 +364,6 @@ class StatsScopedToAttention(Rule):
                             node,
                             f"direct access to module-global {name} outside "
                             "attention's StatScope machinery (use stats_scope())",
-                            qual,
-                        )
-                    )
-        return findings
-
-
-class DeprecatedKnobsStayInShims(Rule):
-    code = "RPL005"
-    title = "deprecated kv_mode / kv_mantissa_bits / serve_batch only in shim modules"
-    rationale = "the deprecation shims exist to contain the old spellings; new internal callers would make them permanent"
-    invariant = "PR 8 KVFormat: serve/README.md 'KV formats' (kv_mode shim), PR 4 (serve_batch shim)"
-    explain = (
-        "kv_mode= / kv_mantissa_bits= (replaced by KVFormat) and serve_batch\n"
-        "(replaced by LLM.generate) are DeprecationWarning shims.  Only the\n"
-        "shim modules themselves (serve/engine.py's EngineConfig shim,\n"
-        "serve/llm.py, and the serve/__init__ re-export) may spell them;\n"
-        "everything else in src/repro must use the replacement API so the\n"
-        "shims can eventually be deleted in one place."
-    )
-
-    _NAMES = frozenset({"serve_batch"})
-    _ATTRS = frozenset({"kv_mode", "kv_mantissa_bits", "serve_batch"})
-
-    def check(self, index: ModuleIndex) -> list[Finding]:
-        findings: list[Finding] = []
-        for module in index.modules:
-            if module.name in SHIM_MODULES:
-                continue
-            for node, qual in _walk_with_context(module.tree):
-                spelled = None
-                if isinstance(node, ast.Call):
-                    for kw in node.keywords:
-                        if kw.arg in ("kv_mode", "kv_mantissa_bits"):
-                            spelled = f"{kw.arg}="
-                            break
-                elif isinstance(node, ast.Attribute) and node.attr in self._ATTRS:
-                    spelled = f".{node.attr}"
-                elif isinstance(node, ast.Name) and node.id in self._NAMES:
-                    spelled = node.id
-                elif isinstance(node, ast.ImportFrom) and any(
-                    alias.name in self._NAMES for alias in node.names
-                ):
-                    spelled = "import serve_batch"
-                if spelled is not None:
-                    findings.append(
-                        self.finding(
-                            module,
-                            node,
-                            f"deprecated spelling {spelled} outside its shim module "
-                            "(use KVFormat / LLM.generate)",
                             qual,
                         )
                     )
@@ -887,7 +826,6 @@ RULES: tuple[Rule, ...] = (
     NoHotPathAllocation(),
     HotClassesDeclareSlots(),
     StatsScopedToAttention(),
-    DeprecatedKnobsStayInShims(),
     FrozenFieldsOnlyInPostInit(),
     NoSwallowedExceptions(),
     AllMatchesBindings(),

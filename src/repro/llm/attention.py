@@ -91,11 +91,11 @@ class AttentionDispatchStats:
 
     ``dispatches`` counts attention-pipeline launches: one per
     :meth:`MultiHeadAttention._attention_core` call (the per-request
-    oracle — prefill segments and ungrouped decode both land here) plus
-    one per multi-request bucket run by :class:`BucketedAttention`.
-    The per-request decode path costs ``layers x batch`` dispatches per
-    step; the grouped path costs ``layers x buckets`` — that ratio is
-    the structural win the decode hot-path benchmark gates.
+    oracle — prefill segments and singleton decode buckets both land
+    here) plus one per multi-request bucket run by
+    :class:`BucketedAttention`, so a decode step costs exactly
+    ``layers x buckets`` dispatches (pinned in the grouped-attention
+    tests).
 
     ``grouped_requests`` counts requests served through a multi-request
     bucket (a measure of how much of the batch the planner managed to
@@ -633,9 +633,8 @@ class ReferenceKVCache(KVCache):
     history on every :meth:`view` — exactly what :class:`KVCache` did
     before preallocated buffers and incremental views, float32 values
     included.  The growth property tests pin the optimized storage
-    bitwise against this (values against its exact float64 upcast), and
-    ``benchmarks/bench_decode_hotpath.py`` measures the step-latency
-    gap.  An optional ``codec`` delegates the write-side compression,
+    bitwise against this (values against its exact float64 upcast).
+    An optional ``codec`` delegates the write-side compression,
     so one reference class covers FP16 and Anda storage.
     """
 
@@ -1202,8 +1201,8 @@ class MultiHeadAttention(Module):
         self,
         x: np.ndarray,
         caches: list[KVCache],
-        plan: BucketPlan | None = None,
-        dispatcher: BucketedAttention | None = None,
+        plan: BucketPlan,
+        dispatcher: BucketedAttention,
     ) -> np.ndarray:
         """Single-token decode for many independent requests at once.
 
@@ -1213,17 +1212,11 @@ class MultiHeadAttention(Module):
         request may sit at a different position; rotary/positional
         phases are gathered per request.
 
-        Attention itself runs in one of two modes, both token-bitwise
-        identical to sequential decode:
-
-        * **per request** (``plan is None``): one
-          :meth:`_attention_core` call per request against that
-          request's exact-length cache — O(batch) dispatches per layer.
-        * **grouped** (``plan`` + ``dispatcher`` given): appends and
-          views are collected first, then each :class:`Bucket` of the
-          plan runs as one batched launch — O(buckets) dispatches per
-          layer (singleton buckets still route through the oracle to
-          stay on the M == 1 kernel path).
+        Attention is grouped and token-bitwise identical to sequential
+        decode: appends and views are collected first, then each
+        :class:`Bucket` of the plan runs as one launch — O(buckets)
+        dispatches per layer, with singleton buckets routed through
+        :meth:`_attention_core` to stay on the M == 1 kernel path.
 
         Args:
             x: ``(batch, 1, d_model)`` activations, one row per request.
@@ -1293,42 +1286,25 @@ class MultiHeadAttention(Module):
         k = k.astype(np.float16)
         v = v.astype(np.float16)
 
-        if plan is not None and dispatcher is not None:
-            # Grouped mode: land every request's append first (views of
-            # one request's cache are never invalidated by another
-            # request's append — per-request buffers, or per-sequence
-            # scratch in the paged pool), then launch once per
-            # bucket.
-            views = [
-                cache.append_precompressed(
-                    k[index : index + 1], v[index : index + 1]
-                )
-                for index, cache in enumerate(caches)
-            ]
-            context: np.ndarray | None = None
-            for bucket in plan.buckets:
-                rows = dispatcher.run_bucket(self, bucket, q, views, caches)
-                if context is None:
-                    context = _context_scratch((batch,) + rows.shape[1:], rows.dtype)
-                for slot, index in enumerate(bucket.indices):
-                    context[index] = rows[slot]
-            context = context.transpose(0, 2, 1, 3).reshape(batch, new_len, d_model)
-            return self._project_out(context)
-
+        # Land every request's append first (views of one request's
+        # cache are never invalidated by another request's append —
+        # per-request buffers, or per-sequence scratch in the paged
+        # pool), then launch once per bucket.
+        views = [
+            cache.append_precompressed(k[index : index + 1], v[index : index + 1])
+            for index, cache in enumerate(caches)
+        ]
         # (B, H, 1, hd) scratch reused across the step's layers; the
         # transpose+reshape below hands a fresh copy (or a view consumed
         # before the next layer) to the output projection.
-        context = None
-        for index, cache in enumerate(caches):
-            keys, values = cache.append_precompressed(
-                k[index : index + 1], v[index : index + 1]
-            )
-            row = self._attention_core(
-                q[index : index + 1], keys, values, int(starts[index])
-            )
+        context: np.ndarray | None = None
+        for bucket in plan.buckets:
+            rows = dispatcher.run_bucket(self, bucket, q, views, caches)
             if context is None:
-                context = _context_scratch((batch,) + row.shape[1:], row.dtype)
-            context[index] = row[0]
+                context = _context_scratch((batch,) + rows.shape[1:], rows.dtype)
+            for slot, index in enumerate(bucket.indices):
+                context[index] = rows[slot]
+        assert context is not None  # a plan covers every request
         context = context.transpose(0, 2, 1, 3).reshape(batch, new_len, d_model)
         return self._project_out(context)
 

@@ -127,19 +127,17 @@ class TransformerBlock(Module):
         self,
         x: np.ndarray,
         caches: list[KVCache],
-        plan: BucketPlan | None = None,
-        dispatcher: BucketedAttention | None = None,
+        plan: BucketPlan,
+        dispatcher: BucketedAttention,
     ) -> np.ndarray:
         """One decode step for a batch of requests with per-request caches.
 
         Norms and the feed-forward reduce along the last axis only, so
         they batch row-identically as-is; attention routes through
         :meth:`~repro.llm.attention.MultiHeadAttention.step_batch`,
-        grouped into KV-length buckets when a ``plan`` is given.
+        one launch per KV-length bucket of ``plan``.
         """
-        x = x + self.attention.step_batch(
-            self.attn_norm(x), caches, plan=plan, dispatcher=dispatcher
-        )
+        x = x + self.attention.step_batch(self.attn_norm(x), caches, plan, dispatcher)
         return x + self.ffn.step(self.ffn_norm(x))
 
     def step_mixed(
@@ -243,7 +241,7 @@ class CausalLM(Module):
         self,
         tokens: np.ndarray,
         request_caches: list[list[KVCache]],
-        dispatcher: BucketedAttention | None = None,
+        dispatcher: BucketedAttention,
     ) -> np.ndarray:
         """Decode one token for many requests in a single batched step.
 
@@ -255,19 +253,20 @@ class CausalLM(Module):
         of the result is bitwise identical to running that request alone
         through :meth:`forward_step`.
 
-        With a ``dispatcher``, attention runs grouped: the step's
-        post-append KV lengths are bucketed once
-        (:meth:`~repro.llm.attention.BucketedAttention.plan` — all
-        layers sit at the same lengths, so the plan is shared) and each
-        layer launches one attention pipeline per bucket instead of one
-        per request, still token-bitwise identical.
+        Attention runs grouped: the step's post-append KV lengths are
+        bucketed once (:meth:`~repro.llm.attention.BucketedAttention.plan`
+        — all layers sit at the same lengths, so the plan is shared) and
+        each layer launches one attention pipeline per bucket; a request
+        alone at its length is a singleton bucket on the per-request
+        ``M == 1`` path.
 
         Args:
             tokens: ``(batch, 1)`` next-token ids, one row per request.
             request_caches: per request, the per-layer cache list that
                 earlier :meth:`forward_step` / ``forward_decode_batch``
                 calls extended.
-            dispatcher: optional grouped-attention dispatcher.
+            dispatcher: the grouped-attention dispatcher (one per
+                engine; it owns the bucket workspaces).
 
         Returns:
             Plain-numpy logits ``(batch, 1, vocab)``.
@@ -287,22 +286,15 @@ class CausalLM(Module):
             raise ModelError(
                 f"a request would exceed max_seq_len {self.config.max_seq_len}"
             )
-        plan: BucketPlan | None = None
-        if dispatcher is not None:
-            if len(request_caches) > 1:
-                # Post-append lengths: each cache gains one position
-                # this step before attention reads it.
-                plan = dispatcher.plan([int(start) + 1 for start in starts])
-            else:
-                # A lone request launches no bucket, but the step still
-                # frees the workspaces of the batch it drained from.
-                dispatcher.sweep()
+        # Post-append lengths: each cache gains one position this step
+        # before attention reads it.
+        plan = dispatcher.plan([int(start) + 1 for start in starts])
         tracer = active_scope().tracer
         if tracer is not None:
             tracer.begin(
                 "step.decode_batch",
                 batch=tokens.shape[0],
-                grouped=plan is not None,
+                buckets=plan.num_buckets,
             )
         with no_grad():
             hidden = self.token_embedding(tokens).data
@@ -310,9 +302,7 @@ class CausalLM(Module):
                 hidden = hidden + self.position_embedding(starts[:, None]).data
             for layer_index, block in enumerate(self.blocks):
                 layer_caches = [caches[layer_index] for caches in request_caches]
-                hidden = block.step_batch(
-                    hidden, layer_caches, plan=plan, dispatcher=dispatcher
-                )
+                hidden = block.step_batch(hidden, layer_caches, plan, dispatcher)
             logits = self.final_norm(hidden) @ self.lm_head.weight.data
         if tracer is not None:
             tracer.end("step.decode_batch")
@@ -358,8 +348,9 @@ class CausalLM(Module):
                 the decode lane.
             decode_caches: per decode request, the per-layer cache
                 list (required when ``decode_tokens`` is given).
-            dispatcher: optional grouped-attention dispatcher for the
-                decode lane (the chunk lane always runs per segment).
+            dispatcher: the grouped-attention dispatcher for the
+                decode lane (required when ``decode_tokens`` is given;
+                the chunk lane always runs per segment).
 
         Returns:
             ``(chunk_logits, decode_logits)`` — per chunk, plain-numpy
@@ -368,11 +359,13 @@ class CausalLM(Module):
         """
         if not chunk_groups and decode_tokens is None:
             raise ModelError("mixed step needs at least one chunk or decode")
+        if decode_tokens is not None and dispatcher is None:
+            raise ModelError("mixed step decodes need a BucketedAttention dispatcher")
         chunk_logits = self._forward_chunk_lane(chunk_groups, chunk_caches)
         decode_logits = None
-        if decode_tokens is not None:
+        if decode_tokens is not None and dispatcher is not None:
             decode_logits = self.forward_decode_batch(
-                decode_tokens, decode_caches or [], dispatcher=dispatcher
+                decode_tokens, decode_caches or [], dispatcher
             )
         return chunk_logits, decode_logits
 

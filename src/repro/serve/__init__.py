@@ -25,15 +25,15 @@ The public front end is three abstractions:
 
 Beneath the facade, :class:`~repro.serve.engine.Engine` is the
 internal-but-public layer: ``submit()`` / ``step()`` / ``drain()``
-continuous batching with chunked prefill (mixed steps bounding TTFT
-and inter-token latency), scheduler policies (FCFS,
+continuous batching over one lane: chunked prefill (mixed steps
+bounding TTFT and inter-token latency) and scheduler policies (FCFS,
 shortest-prompt-first, decode-first) under a ``max_batch_tokens``
 budget (:mod:`repro.serve.scheduler`), the paged KV-cache memory
-subsystem — refcounted block allocator with copy-on-write,
-prefix-sharing radix cache, recompute-on-resume preemption — enabled
-with ``EngineConfig(kv_pool=True)`` (:mod:`repro.serve.kvpool`), and
-per-request latency plus aggregate throughput/traffic metrics
-(:mod:`repro.serve.metrics`).
+subsystem sized by ``kv_pool_blocks`` — refcounted block allocator
+with copy-on-write, prefix-sharing radix cache, recompute-on-resume
+preemption (:mod:`repro.serve.kvpool`) — KV-length-bucketed decode
+attention, and per-request latency plus aggregate throughput/traffic
+metrics (:mod:`repro.serve.metrics`).
 
 Failure semantics (:mod:`repro.serve.faults`) make the engine
 fault-tolerant: deterministic seeded fault injection
@@ -48,11 +48,8 @@ degradation under KV-pool pressure
 (:class:`~repro.serve.faults.PressurePolicy`: load-shedding and
 opt-in KV-format downgrades).
 
-:func:`~repro.serve.llm.serve_batch` survives as a deprecated shim
-over ``LLM.generate`` with identical outputs.
-
 See ``src/repro/serve/README.md`` for a walkthrough and
-``benchmarks/bench_serving.py`` for the throughput benchmark.
+``benchmarks/ledger/`` for the serving benchmark.
 """
 
 from repro.llm.kv_quant import KVFormat
@@ -77,7 +74,7 @@ from repro.serve.kvpool import (
     PrefixCache,
     SequenceKV,
 )
-from repro.serve.llm import LLM, serve_batch
+from repro.serve.llm import LLM
 from repro.serve.metrics import EngineMetrics, StepReport, summarize
 from repro.serve.params import SamplingParams
 from repro.serve.request import (
@@ -160,7 +157,6 @@ __all__ = [
     "get_policy",
     "plan_step",
     "prometheus_exposition",
-    "serve_batch",
     "summarize",
     "validate_admission",
     "validate_chrome_trace",

@@ -23,37 +23,37 @@ usable on its own:
 * :meth:`Engine.drain` steps until the queue is empty and returns the
   finished requests.
 
-**Chunked prefill** (``EngineConfig.chunked_prefill``, on by default)
-is what bounds latency under long-prompt traffic: instead of stalling
-the whole decode batch for one monolithic prompt forward, a long
-prompt prefills across several steps — each step reserves one token of
-budget per running decode and gives the remainder to the prompt as a
-chunk.  ``RequestState.prefill_pos`` tracks progress; a half-prefilled
-request waits in the queue holding its partial cache until its final
-chunk completes and emits its first token.  Chunked output is
-token-bitwise-identical to unchunked prefill: multi-row GeMMs are
-row-local, attention masks span ``cache_len + chunk``, and decode
-tokens keep their own batched lane (see ``forward_mixed_step`` for why
-the lanes must not share one GeMM).
+The engine has one serving lane, and three sizes shape it:
 
-Decode batching keeps per-request KV caches at their exact lengths (no
-cross-request padding): request tokens are gathered into a ``(batch,
-1)`` array, the big GeMMs run once over the batch, and logits scatter
-back to the per-request states.  Every emitted token is bitwise
-identical to what a sequential :func:`repro.llm.generation.generate`
-call would produce — the parity tests pin this down for FP16 and
-Anda-compressed KV caches, chunked and unchunked.
+* **Chunked prefill** under ``max_batch_tokens`` bounds latency under
+  long-prompt traffic: instead of stalling the whole decode batch for
+  one monolithic prompt forward, a long prompt prefills across several
+  steps — each step reserves one token of budget per running decode
+  and gives the remainder to the prompt as a chunk (a budget >= the
+  prompt prefills it in one step).  ``RequestState.prefill_pos``
+  tracks progress; a half-prefilled request waits in the queue holding
+  its partial cache until its final chunk completes and emits its
+  first token.  Multi-row GeMMs are row-local and attention masks span
+  ``cache_len + chunk``, so chunk boundaries never change a token;
+  decode tokens keep their own batched lane (see
+  ``forward_mixed_step`` for why the lanes must not share one GeMM).
+* **The paged KV pool** (:mod:`repro.serve.kvpool`, ``kv_pool_blocks``
+  blocks of ``kv_block_size`` positions) holds every request's KV:
+  requests sharing a prompt prefix map the same physical blocks
+  (skipping the shared prefill compute and KV writes), admission is
+  planned against the free-block budget — for a chunk, only the
+  chunk's block growth — and under pool pressure the engine preempts
+  the latest-arrived request, running *or* half-prefilled
+  (recompute-on-resume), so admission never deadlocks.
+* **Grouped decode attention** (``attention_pad_waste``): the decode
+  batch's GeMMs run once over a ``(batch, 1)`` token array while
+  attention runs one launch per KV-length bucket
+  (:class:`repro.llm.attention.BucketedAttention`), each request
+  reading its own exact-length history.
 
-With ``kv_pool=True`` the engine swaps per-request exact-length caches
-for the paged memory subsystem (:mod:`repro.serve.kvpool`): KV lives
-in a fixed pool of refcounted blocks, requests sharing a prompt prefix
-map the same physical blocks (skipping the shared prefill compute and
-KV writes), admission is planned against the free-block budget — for a
-chunk, only the chunk's block growth — and under pool pressure the
-engine preempts the latest-arrived request, running *or*
-half-prefilled (recompute-on-resume), so admission never deadlocks.
-Paged decode stores the same float16 bytes the unpaged path stores, so
-token parity is preserved bitwise in both KV modes.
+Every emitted token is bitwise identical to what a sequential
+:func:`repro.llm.generation.generate` call would produce — the parity
+tests pin this down across KV formats, pool sizes and chunk budgets.
 """
 
 from __future__ import annotations
@@ -61,9 +61,9 @@ from __future__ import annotations
 import bisect
 import itertools
 import time
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
@@ -79,16 +79,11 @@ from repro.hw.traffic import (
 from repro.llm.attention import (
     AttentionDispatchStats,
     BucketedAttention,
-    KVCache,
     KVHotPathStats,
     stats_scope,
 )
 from repro.llm.generation import select_next_token
-from repro.llm.kv_quant import (
-    KVFormat,
-    kv_bits_per_element,
-    make_cache_factory,
-)
+from repro.llm.kv_quant import KVFormat, kv_bits_per_element
 from repro.llm.transformer import CausalLM
 from repro.serve.faults import (
     FaultInjector,
@@ -128,6 +123,27 @@ from repro.serve.telemetry.export import log_step_summary
 #: Process-wide engine numbering for default telemetry labels.
 _ENGINE_LABELS = itertools.count()
 
+#: The serving lanes the engine no longer has, and the size that
+#: expresses each instead.
+_REMOVED_LANES = (
+    (
+        "kv_pool",
+        "every engine stores KV in the paged pool; size it with "
+        "kv_pool_blocks (the default 64 blocks of 64 positions holds "
+        "max_batch_size=8 requests of 256 positions)",
+    ),
+    (
+        "chunked_prefill",
+        "set max_batch_tokens >= the prompt length to prefill a prompt "
+        "in one step",
+    ),
+    (
+        "grouped_attention",
+        "grouping is token-bitwise identical; set attention_pad_waste=0 "
+        "to group exact KV lengths only",
+    ),
+)
+
 
 @dataclass(frozen=True, slots=True)
 class EngineConfig:
@@ -137,48 +153,39 @@ class EngineConfig:
         max_batch_size: concurrent requests resident in KV memory
             (running decodes plus half-prefilled prompts).
         max_batch_tokens: scheduler token budget per step (decodes cost
-            1, prefill chunks cost their length).  With chunked prefill
-            this is *the* time-to-first-token vs throughput dial: small
-            budgets bound every step's work (tight inter-token latency,
-            more chunk steps per prompt), large budgets prefill prompts
-            in fewer, longer steps.
+            1, prefill chunks cost their length).  *The*
+            time-to-first-token vs throughput dial: small budgets bound
+            every step's work (tight inter-token latency, more chunk
+            steps per prompt), large budgets prefill prompts in fewer,
+            longer steps; a budget >= a prompt's length prefills it in
+            one step.
         policy: admission order — ``"fcfs"``,
             ``"shortest-prompt-first"`` or ``"decode-first"`` (finish
             in-flight chunked prefills before admitting new requests).
-        chunked_prefill: admit waiting prompts for budget-sized chunks
-            that ride along with the decode batch (mixed steps) instead
-            of requiring the whole prompt to fit one step.  Token
-            output is bitwise identical either way; chunking only
-            changes step composition — and therefore latency.
+        chunked_prefill: always ``True`` — waiting prompts are admitted
+            for budget-sized chunks that ride along with the decode
+            batch.  ``False`` raises :class:`~repro.errors.ModelError`;
+            size ``max_batch_tokens`` instead.
         kv_format: the engine-wide KV-cache format
             (:class:`repro.llm.kv_quant.KVFormat`): ``KVFormat.fp16()``
             (paper baseline, the default), ``KVFormat.anda(M)``,
             ``KVFormat.bfp(M)``, ``KVFormat.mx(M)``, or a
             ``KVFormat.per_layer([...])`` stack.  Requests may override
             it individually via ``SamplingParams.kv_format``.
-        kv_mode: deprecated spelling of the format's mode string; use
-            ``kv_format``.  Passing it (or ``kv_mantissa_bits``) emits
-            a :class:`DeprecationWarning` and builds the equivalent
-            ``kv_format``; both fields remain readable as mirrors of
-            the resolved format.
-        kv_mantissa_bits: deprecated Anda/BFP/MX mantissa length; use
-            ``kv_format``.
-        kv_pool: store KV in the paged block pool
-            (:mod:`repro.serve.kvpool`) instead of per-request
-            exact-length caches.
-        kv_pool_blocks: physical blocks in the pool (kv_pool mode).
+        kv_pool: always ``True`` — KV lives in the paged block pool
+            (:mod:`repro.serve.kvpool`).  ``False`` raises; size
+            ``kv_pool_blocks`` instead.
+        kv_pool_blocks: physical blocks in the pool.
         kv_block_size: token positions per block; defaults to 64, the
             Anda group size (any size stays bitwise exact — grouping is
             per position along the head dimension).
-        prefix_caching: share prompt-prefix blocks across requests
-            (kv_pool mode).
-        grouped_attention: bucket the decode batch by KV length and run
-            one batched attention launch per (layer, bucket) instead of
-            one per (layer, request)
-            (:class:`repro.llm.attention.BucketedAttention`).  Token
-            output is bitwise identical either way; grouping only cuts
-            Python/BLAS dispatch count from O(batch) to O(buckets) per
-            layer.
+        prefix_caching: share prompt-prefix blocks across requests.
+        grouped_attention: always ``True`` — the decode batch is
+            bucketed by KV length and runs one attention launch per
+            (layer, bucket)
+            (:class:`repro.llm.attention.BucketedAttention`).
+            ``False`` raises; ``attention_pad_waste=0`` limits grouping
+            to exact lengths.
         attention_pad_waste: padded-bucket waste cap in [0, 1): the
             maximum fraction of scored key positions that may be
             padding when merging near-equal-length singletons into one
@@ -201,20 +208,18 @@ class EngineConfig:
         pressure: :class:`~repro.serve.faults.PressurePolicy` for
             graceful degradation under KV-pool exhaustion (load
             shedding / KV-format downgrade at admission); inert by
-            default and outside kv_pool mode.
+            default.
     """
 
     max_batch_size: int = 8
     max_batch_tokens: int = 256
     policy: str = "fcfs"
-    chunked_prefill: bool = True
-    kv_mode: str | None = None
-    kv_mantissa_bits: int | None = None
-    kv_pool: bool = False
+    chunked_prefill: Literal[True] = True
+    kv_pool: Literal[True] = True
     kv_pool_blocks: int = 64
     kv_block_size: int = DEFAULT_BLOCK_SIZE
     prefix_caching: bool = True
-    grouped_attention: bool = True
+    grouped_attention: Literal[True] = True
     attention_pad_waste: float = 0.125
     telemetry: TelemetryConfig = TelemetryConfig()
     kv_format: KVFormat | None = None
@@ -225,6 +230,9 @@ class EngineConfig:
     def __post_init__(self) -> None:
         # A bad config must fail at construction, never mid-step with
         # requests already accepted.
+        for name, instead in _REMOVED_LANES:
+            if getattr(self, name) is not True:
+                raise ModelError(f"{name}=False is no longer supported: {instead}")
         if self.max_batch_size < 1:
             raise ModelError(f"max_batch_size must be >= 1, got {self.max_batch_size}")
         if self.max_batch_tokens < 1:
@@ -257,43 +265,13 @@ class EngineConfig:
                 "pressure must be a repro.serve.faults.PressurePolicy, "
                 f"got {type(self.pressure).__name__}"
             )
-        # kv_format is canonical; the legacy kv_mode/kv_mantissa_bits
-        # kwargs are deprecation shims that build the equivalent format
-        # (same pattern as the serve_batch shim).  After resolution both
-        # scalar fields hold read mirrors of the format, so pre-redesign
-        # readers of config.kv_mode keep seeing the same values.
-        if self.kv_mode is not None or self.kv_mantissa_bits is not None:
-            warnings.warn(
-                "EngineConfig.kv_mode / kv_mantissa_bits are deprecated; "
-                "pass EngineConfig(kv_format=KVFormat.anda(8)) (or "
-                ".fp16()/.bfp()/.mx()/.per_layer()) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            if self.kv_format is not None:
-                raise ModelError(
-                    "kv_format conflicts with the legacy kv_mode/"
-                    "kv_mantissa_bits kwargs; pass only kv_format"
-                )
-            resolved = KVFormat(
-                mode=self.kv_mode if self.kv_mode is not None else "fp16",
-                mantissa_bits=(
-                    self.kv_mantissa_bits
-                    if self.kv_mantissa_bits is not None
-                    else 8
-                ),
-            )
-            object.__setattr__(self, "kv_format", resolved)
-        elif self.kv_format is None:
+        if self.kv_format is None:
             object.__setattr__(self, "kv_format", KVFormat.fp16())
         elif not isinstance(self.kv_format, KVFormat):
             raise ModelError(
                 "kv_format must be a repro.llm.kv_quant.KVFormat, got "
                 f"{type(self.kv_format).__name__}"
             )
-        object.__setattr__(self, "kv_mode", self.kv_format.mode)
-        object.__setattr__(self, "kv_mantissa_bits", self.kv_format.mantissa_bits)
-        kv_bits_per_element(self.kv_format)
 
     @property
     def kv_bits(self) -> float:
@@ -334,24 +312,19 @@ class Engine:
         self.config = config or EngineConfig()
         self._policy: SchedulerPolicy = get_policy(self.config.policy)
         fmt = self.config.kv_format
-        self._cache_factory = make_cache_factory(model, fmt)
         self._n_layers = model.config.n_layers
         self._default_signature = fmt.signature(self._n_layers)
-        self._pool: KVPool | None = None
         self._preemptor = Preemptor()
-        if self.config.kv_pool:
-            self._pool = KVPool(
-                model.config,
-                num_blocks=self.config.kv_pool_blocks,
-                block_size=self.config.kv_block_size,
-                codec=fmt.codec() if fmt.uniform else None,
-                codecs=None if fmt.uniform else fmt.codecs(self._n_layers),
-                enable_prefix_cache=self.config.prefix_caching,
-            )
-        self._dispatcher: BucketedAttention | None = (
-            BucketedAttention(pad_waste_cap=self.config.attention_pad_waste)
-            if self.config.grouped_attention
-            else None
+        self._pool = KVPool(
+            model.config,
+            num_blocks=self.config.kv_pool_blocks,
+            block_size=self.config.kv_block_size,
+            codec=fmt.codec() if fmt.uniform else None,
+            codecs=None if fmt.uniform else fmt.codecs(self._n_layers),
+            enable_prefix_cache=self.config.prefix_caching,
+        )
+        self._dispatcher = BucketedAttention(
+            pad_waste_cap=self.config.attention_pad_waste
         )
         # Per-engine hot-path stats: installed around every step via
         # stats_scope, so two engines in one process (or one per
@@ -478,7 +451,7 @@ class Engine:
         shed = False
         degraded = False
         pressure = self.config.pressure
-        if self._pool is not None and pressure.active:
+        if pressure.active:
             headroom = (
                 self._pool.free_blocks + self._pool.reclaimable_blocks
             ) / self._pool.num_blocks
@@ -597,13 +570,12 @@ class Engine:
         invocation; a chunk that completes its prompt emits the
         request's first token (that is the moment TTFT is recorded),
         an incomplete chunk leaves the request half-prefilled in the
-        waiting queue.  Resumed (previously preempted, mid-decode)
-        requests replay their whole call pattern in one legacy
-        admission so the rebuilt cache stays bitwise.  In kv_pool mode
-        the step first reserves its block growth — preempting the
-        latest-arrived request, running or half-prefilled, when the
-        pool cannot cover it — and fresh prefills go through the
-        prefix cache.
+        waiting queue.  Resumed (previously preempted or retried,
+        mid-decode) requests replay their whole call pattern in one
+        admission so the rebuilt cache stays bitwise.  The step first
+        reserves its block growth — preempting the latest-arrived
+        request, running or half-prefilled, when the pool cannot cover
+        it — and fresh prefills go through the prefix cache.
 
         Returns a :class:`~repro.serve.handle.StepOutputs`: the step's
         aggregate :class:`StepReport` plus one
@@ -658,8 +630,7 @@ class Engine:
             self._policy,
             self.config.max_batch_size,
             self.config.max_batch_tokens,
-            blocks=(None if self._pool is None else self._pool.planner(self._running)),
-            chunking=self.config.chunked_prefill,
+            blocks=self._pool.planner(self._running),
         )
         if tracer is not None:
             tracer.end("step.schedule")
@@ -670,7 +641,7 @@ class Engine:
         partial = 0
         prefix_hit_tokens = 0
         saved = StepTraffic()
-        evicted_before = 0 if self._pool is None else self._pool.evicted_blocks
+        evicted_before = self._pool.evicted_blocks
         # Per-format attribution of the step's KV bytes.  Padded decode
         # reads belong to no request and stay in the aggregate only.
         fmt_bytes: dict[str, float] = {}
@@ -681,20 +652,22 @@ class Engine:
             label = state.kv_format.label if state.kv_format is not None else "fp16"
             fmt_bytes[label] = fmt_bytes.get(label, 0.0) + nbytes
 
+        # Fresh prompts prefill in chunks; a resumed request (one with
+        # emitted tokens) replays prompt + tokens in one admission.
         chunked: list[PrefillChunk] = []
-        legacy: list[PrefillChunk] = []
+        resumed: list[PrefillChunk] = []
         for chunk in plan.prefills:
-            if self.config.chunked_prefill and not chunk.state.generated:
-                chunked.append(chunk)
+            if chunk.state.generated:
+                resumed.append(chunk)
             else:
-                legacy.append(chunk)
+                chunked.append(chunk)
 
         decodes = list(plan.decodes)
         waves = self._plan_waves(chunked)
         executed_chunks = 0
         first_wave = True
         # Set when an injected fault aborts the forward lanes: the rest
-        # of the step (later waves, decode-only lane, legacy prefills)
+        # of the step (later waves, decode-only lane, resumed replays)
         # is skipped; every participant was rolled back to its pre-step
         # KV state, so the next step replays it bitwise.
         faulted = False
@@ -705,15 +678,12 @@ class Engine:
         weights_charged = False
         for wave in waves:
             runs = self._begin_chunks(wave)
-            if self._pool is not None:
-                step_decodes = decodes if first_wave else []
-                step_decodes, runs, evicted = self._reserve_step_blocks(
-                    step_decodes, runs
-                )
-                if first_wave:
-                    decodes = step_decodes
-                preemptions += evicted
-            wave_decodes = decodes if first_wave else []
+            wave_decodes, runs, evicted = self._reserve_step_blocks(
+                decodes if first_wave else [], runs
+            )
+            if first_wave:
+                decodes = wave_decodes
+            preemptions += evicted
             if not runs and not wave_decodes:
                 first_wave = False
                 continue
@@ -822,8 +792,7 @@ class Engine:
                         self._tracer.lifecycle(
                             state.request.request_id, "RUNNING"
                         )
-                    if self._pool is not None:
-                        self._pool.register_prefix(state.kv, state.request.prompt)
+                    self._pool.register_prefix(state.kv, state.request.prompt)
                     self._running.append(state)
                     self._emit(state, logits[-1, :], first=True)
                     new_tokens += 1
@@ -842,10 +811,9 @@ class Engine:
 
         if first_wave and decodes and not faulted:
             # No chunks this step: plain batched decode (still reserving
-            # its block growth first in pool mode).
-            if self._pool is not None:
-                decodes, _, evicted = self._reserve_step_blocks(decodes, [])
-                preemptions += evicted
+            # its block growth first).
+            decodes, _, evicted = self._reserve_step_blocks(decodes, [])
+            preemptions += evicted
             if decodes:
                 decode_contexts = [state.context_length for state in decodes]
                 padded_before = self._attn_stats.padded_slots
@@ -888,83 +856,31 @@ class Engine:
 
         if faulted:
             # A batch-level rollback already abandoned this step; the
-            # legacy prefills stay queued and run next step.
-            legacy = []
-        if legacy and tracer is not None:
-            tracer.begin("step.prefill", requests=len(legacy))
-        for chunk in legacy:
+            # resumed replays stay queued and run next step.
+            resumed = []
+        if resumed and tracer is not None:
+            tracer.begin("step.prefill", requests=len(resumed))
+        for chunk in resumed:
             state = chunk.state
             request_id = state.request.request_id
             try:
-                # The legacy lane is per-request, so faults here are
-                # always attributable; the ambient scope additionally
+                # Replays are per-request, so faults here are always
+                # attributable; the ambient scope additionally
                 # attributes pool/codec/gather probes fired inside.
                 with request_scope(request_id):
                     inject("model.prefill", request_id)
-                    if self._pool is None:
-                        # Run the fallible work (cache build, model
-                        # prefill) before dequeuing: if either raises,
-                        # the request stays queued instead of vanishing.
-                        # A resumed request (re-queued mid-decode by a
-                        # transient-fault backoff) replays its exact
-                        # original call pattern — prompt prefill, then
-                        # one single-token step per already-emitted
-                        # token — so the rebuilt cache is bitwise and
-                        # it emits nothing until it rejoins decode.
-                        resumed = bool(state.generated)
-                        state.caches = self._caches_for(state)
-                        logits = self.model.forward_step(
-                            state.request.prompt.reshape(1, -1), state.caches
-                        )
-                        request_traffic = prefill_traffic(
+                    cost = state.prefill_tokens
+                    hit, replay = self._replay_resumed(state)
+                    traffic = traffic + replay
+                    charge_format(state, replay.kv_read_bytes + replay.kv_write_bytes)
+                    prefix_hit_tokens += hit
+                    prefill_done += cost - hit
+                    if hit:
+                        saved = saved + prefix_cache_savings(
                             self.model.config,
-                            state.request.prompt_length,
+                            hit,
                             kv_bits_per_element=state.kv_bits,
                         )
-                        for token in state.generated[:-1]:
-                            context = state.context_length
-                            self.model.forward_step(
-                                np.array([[token]]), state.caches
-                            )
-                            request_traffic = request_traffic + decode_step_traffic(
-                                self.model.config,
-                                [context],
-                                kv_bits_per_element=state.kv_bits,
-                            )
-                        self._waiting.remove(state)
-                        state.status = RequestStatus.RUNNING
-                        if tracer is not None:
-                            tracer.lifecycle(request_id, "RUNNING", resumed=resumed)
-                        state.prefill_pos = state.request.prompt_length
-                        traffic = traffic + request_traffic
-                        charge_format(
-                            state,
-                            request_traffic.kv_read_bytes
-                            + request_traffic.kv_write_bytes,
-                        )
-                        prefill_done += state.request.prompt_length
-                        self._running.append(state)
-                        if not resumed:
-                            self._emit(state, logits[0, -1, :], first=True)
-                            new_tokens += 1
-                    else:
-                        cost = state.prefill_tokens
-                        hit, prefill_cost, emitted = self._prefill_paged(state)
-                        traffic = traffic + prefill_cost
-                        charge_format(
-                            state,
-                            prefill_cost.kv_read_bytes
-                            + prefill_cost.kv_write_bytes,
-                        )
-                        new_tokens += emitted
-                        prefix_hit_tokens += hit
-                        prefill_done += cost - hit
-                        if hit:
-                            saved = saved + prefix_cache_savings(
-                                self.model.config,
-                                hit,
-                                kv_bits_per_element=state.kv_bits,
-                            )
             except InjectedFault as fault:
                 # Per-request isolation: the inner rollback paths have
                 # already released this request's partial residency
@@ -972,14 +888,14 @@ class Engine:
                 # this request and keep serving the rest of the lane.
                 self._release_residency(state)
                 self._handle_request_fault(state, fault)
-        if legacy and tracer is not None:
+        if resumed and tracer is not None:
             tracer.end("step.prefill")
 
         self._clear_idle_workspaces()
         ended = time.perf_counter()
         report = StepReport(
             step=self._step_index,
-            prefills=executed_chunks + len(legacy),
+            prefills=executed_chunks + len(resumed),
             decodes=len(decodes),
             new_tokens=new_tokens,
             batch_tokens=len(decodes) + sum(chunk.tokens for chunk in plan.prefills),
@@ -988,11 +904,7 @@ class Engine:
             elapsed_seconds=ended - started,
             traffic=traffic,
             preemptions=preemptions,
-            evicted_blocks=(
-                0
-                if self._pool is None
-                else self._pool.evicted_blocks - evicted_before
-            ),
+            evicted_blocks=self._pool.evicted_blocks - evicted_before,
             prefix_hit_tokens=prefix_hit_tokens,
             prefix_saved_bytes=saved.total_bytes,
             kv_copy_bytes=self._hot_stats.copy_bytes - copy_before,
@@ -1033,18 +945,6 @@ class Engine:
 
     # -- per-request KV formats -------------------------------------------
 
-    def _caches_for(self, state: RequestState) -> list[KVCache]:
-        """Unpaged per-layer caches honoring the request's KV format.
-
-        Non-private requests (no override, or an override whose byte
-        layout matches the engine default) share the engine's memoized
-        factory; private requests build their own codec stack.
-        """
-        if not state.kv_private:
-            return self._cache_factory()
-        assert state.kv_format is not None  # kv_private implies an override
-        return state.kv_format.codecs(self._n_layers)
-
     def _sequence_for(
         self, state: RequestState, reserve_logits: bool = True
     ) -> "SequenceKV":
@@ -1057,7 +957,6 @@ class Engine:
         scratch (and the bucket workspaces built over it) are sized
         once and never regrow.
         """
-        assert self._pool is not None
         codecs = None
         if state.kv_private:
             assert state.kv_format is not None  # kv_private implies an override
@@ -1086,11 +985,7 @@ class Engine:
         them (exactly what the sequential admission order used to
         give).  Requests with distinct prompts all land in wave one.
         """
-        if (
-            self._pool is None
-            or self._pool.prefix_cache is None
-            or len(chunks) <= 1
-        ):
+        if self._pool.prefix_cache is None or len(chunks) <= 1:
             return [chunks] if chunks else []
         block = self._pool.block_size
         waves: list[list[PrefillChunk]] = []
@@ -1140,8 +1035,8 @@ class Engine:
     def _begin_chunks(self, chunks: list[PrefillChunk]) -> list[_ChunkRun]:
         """Materialize caches for this step's chunks (fallible setup).
 
-        A fresh request gets its cache here — through the prefix cache
-        in pool mode, which may shrink the executed chunk (cached
+        A fresh request gets its cache here — through the prefix cache,
+        which may shrink the executed chunk (cached
         positions are mapped, not computed).  Setup runs per chunk
         inside that request's fault-attribution scope: an injected
         fault drops only the faulted chunk (quarantine or backoff) and
@@ -1159,15 +1054,12 @@ class Engine:
                 with request_scope(request_id):
                     hit = 0
                     if state.caches is None:
-                        if self._pool is not None:
-                            seq = self._sequence_for(state)
-                            seq.owner = request_id
-                            state.kv = seq
-                            state.caches = seq.caches
-                            state.prefill_pos = seq.shared_tokens
-                            hit = seq.shared_tokens
-                        else:
-                            state.caches = self._caches_for(state)
+                        seq = self._sequence_for(state)
+                        seq.owner = request_id
+                        state.kv = seq
+                        state.caches = seq.caches
+                        state.prefill_pos = seq.shared_tokens
+                        hit = seq.shared_tokens
                     inject("model.chunk", request_id)
             except InjectedFault as fault:
                 self._release_residency(state)
@@ -1208,7 +1100,7 @@ class Engine:
         batch's stacked histories would sit resident while the engine
         idles or only prefills.
         """
-        if self._dispatcher is not None and not self._running:
+        if not self._running:
             self._dispatcher.clear()
 
     def _rollback_chunk(self, state: RequestState) -> None:
@@ -1323,15 +1215,6 @@ class Engine:
                 tokens=len(state.generated),
             )
 
-    def _truncate_caches(self, state: RequestState, length: int) -> None:
-        """Roll one request's KV back to ``length`` positions."""
-        if state.kv is not None:
-            state.kv.rollback(length)
-        elif state.caches is not None:
-            for cache in state.caches:
-                if cache.length > length:
-                    cache.truncate(length)
-
     def _recover_step_fault(
         self,
         fault: InjectedFault,
@@ -1351,7 +1234,8 @@ class Engine:
         batch retry — the whole step simply replays next tick, bitwise.
         """
         for state, length in zip(decodes, watermarks):
-            self._truncate_caches(state, length)
+            assert state.kv is not None  # every decode holds its sequence
+            state.kv.rollback(length)
         victim: RequestState | None = None
         if fault.request_id is not None:
             for state in itertools.chain(
@@ -1363,8 +1247,7 @@ class Engine:
         for run in runs:
             if run.state is not victim:
                 self._rollback_chunk(run.state)
-        if self._dispatcher is not None:
-            self._dispatcher.clear()
+        self._dispatcher.clear()
         if victim is None:
             self._fault_retries += 1
             return
@@ -1385,7 +1268,6 @@ class Engine:
         unscheduled — is preempted: its blocks return to the pool and
         it recomputes from scratch on re-admission.
         """
-        assert self._pool is not None
         preemptions = 0
         tracer = self._tracer
         if tracer is not None:
@@ -1439,33 +1321,29 @@ class Engine:
         if self._tracer is not None:
             self._tracer.lifecycle(state.request.request_id, "PREEMPTED")
 
-    def _prefill_paged(self, state: RequestState) -> tuple[int, StepTraffic, int]:
-        """Prefill (or resume) one request through the paged pool.
+    def _replay_resumed(self, state: RequestState) -> tuple[int, StepTraffic]:
+        """Rebuild a resumed request's cache and rejoin the decode batch.
 
-        The legacy whole-admission path, kept for resumed requests (a
-        previously preempted, mid-decode request rebuilds its cache
-        bitwise by replaying its exact original call pattern — suffix
-        prefill, then one single-token step per already-emitted token —
-        and emits nothing until it rejoins the decode batch) and for
-        fresh prefills when chunking is off.
+        A previously preempted (or retried) mid-decode request replays
+        its exact original call pattern — prompt-suffix prefill past any
+        prefix-cache hit, then one single-token step per already-emitted
+        token — so the rebuilt cache is bitwise, and it emits nothing
+        until the next decode step.
 
-        Returns ``(prefix_hit_tokens, traffic, tokens_emitted)``.
+        Returns ``(prefix_hit_tokens, traffic)``.
         """
-        assert self._pool is not None
         request = state.request
         prompt = request.prompt
-        resumed = bool(state.generated)
-        seq = self._sequence_for(state, reserve_logits=not resumed)
+        seq = self._sequence_for(state, reserve_logits=False)
         seq.owner = request.request_id
         hit = seq.shared_tokens
-        logits = None
         try:
             state.kv = seq
             state.caches = seq.caches
             traffic = StepTraffic()
             suffix = prompt[hit:]
             if suffix.size:
-                logits = self.model.forward_step(suffix.reshape(1, -1), state.caches)
+                self.model.forward_step(suffix.reshape(1, -1), state.caches)
                 traffic = traffic + prefill_traffic(
                     self.model.config,
                     request.prompt_length,
@@ -1482,32 +1360,17 @@ class Engine:
                 )
         except Exception:
             # The request stays queued; give its references back so a
-            # failed prefill cannot leak pool blocks.
-            seq.release()
-            state.kv = None
-            state.caches = None
+            # failed replay cannot leak pool blocks.
+            self._release_residency(state)
             raise
         self._waiting.remove(state)
         state.status = RequestStatus.RUNNING
         if self._tracer is not None:
-            self._tracer.lifecycle(request.request_id, "RUNNING", resumed=resumed)
+            self._tracer.lifecycle(request.request_id, "RUNNING", resumed=True)
         state.prefill_pos = request.prompt_length
         self._pool.register_prefix(seq, prompt)
         self._running.append(state)
-        if resumed:
-            return hit, traffic, 0
-        if logits is None:
-            # Unreachable by construction — reserve_logits caps prefix
-            # sharing at prompt_length - 1, so a fresh prefill always
-            # recomputes at least the final prompt position — but a
-            # shared-cap regression must fail loudly here, not as an
-            # AttributeError on None inside _emit.
-            raise ModelError(
-                "paged prefill produced no logits for a fresh request "
-                "(prefix sharing must leave >= 1 position to compute)"
-            )
-        self._emit(state, logits[0, -1, :], first=True)
-        return hit, traffic, 1
+        return hit, traffic
 
     def _emit(
         self, state: RequestState, logits: np.ndarray, first: bool = False

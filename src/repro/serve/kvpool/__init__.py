@@ -12,8 +12,9 @@ cache that maps shared prompt prefixes onto shared physical blocks
 policy for recompute-on-resume eviction under pool pressure
 (:class:`~repro.serve.kvpool.preempt.Preemptor`).
 
-Enable it per engine with ``EngineConfig(kv_pool=True)``; see
-``src/repro/serve/README.md`` for sizing and policy notes.
+Every engine stores its KV here, sized by ``EngineConfig.kv_pool_blocks``
+and ``kv_block_size``; see ``src/repro/serve/README.md`` for sizing and
+policy notes.
 """
 
 from repro.serve.kvpool.allocator import BlockAllocator, OutOfBlocksError

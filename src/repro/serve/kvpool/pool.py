@@ -169,15 +169,16 @@ class KVPool:
         """Allocate ``count`` blocks at once (chunk-write growth).
 
         Same eviction-on-dry behavior as :meth:`take_block`, but
-        all-or-nothing: if the pool runs dry mid-way, the blocks
-        already taken are returned to the free list before the error
-        propagates, so a failed multi-block grow leaks nothing.
+        all-or-nothing: if the pool runs dry (or an injected fault
+        fires) mid-way, the blocks already taken are returned to the
+        free list before the error propagates, so a failed multi-block
+        grow leaks nothing.
         """
         blocks: list[int] = []
         try:
             for _ in range(count):
                 blocks.append(self.take_block())
-        except OutOfBlocksError:
+        except Exception:
             for block in blocks:
                 self.allocator.decref(block)
             raise

@@ -19,14 +19,11 @@ on the same engine loop:
 
 ``Engine`` remains fully public as the internal layer (schedulers,
 paged KV pool, step-level control); the facade only narrows how
-requests enter and results leave.  The pre-redesign
-:func:`serve_batch` survives as a deprecated shim over
-:meth:`LLM.generate` with identical outputs.
+requests enter and results leave.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -49,8 +46,8 @@ class LLM:
             zoo name (e.g. ``"opt-125m-sim"``) resolved through
             :func:`repro.llm.zoo.get_model`.  Omit when passing a
             pre-built ``engine``.
-        config: engine configuration (KV mode, paged pool, chunked
-            prefill, scheduler policy); ignored when ``engine`` is
+        config: engine configuration (KV format, pool size, chunk
+            budget, scheduler policy); ignored when ``engine`` is
             given.
         engine: adopt an existing engine instead of building one —
             several facades (or facade and raw-engine code) may share
@@ -123,8 +120,7 @@ class LLM:
         RNG streams, exactly as sequential
         :func:`repro.llm.generation.generate` calls would).  A single
         1-D ndarray prompt returns a single result; a 2-D ndarray is a
-        batch of row prompts (as the deprecated ``serve_batch``
-        treated it), returning a list.
+        batch of row prompts, returning a list.
 
         The engine is run to idle, so on a shared engine, requests
         submitted elsewhere finish too — their results stay claimable
@@ -221,42 +217,3 @@ class LLM:
         """The engine's :class:`~repro.serve.telemetry.EngineTelemetry`
         bundle (counter registry, optional tracer, exporters)."""
         return self.engine.telemetry
-
-
-def serve_batch(
-    model: CausalLM,
-    prompts: list[np.ndarray],
-    max_new_tokens: int,
-    temperature: float = 0.0,
-    top_k: int = 20,
-    seed: int = 0,
-    config: EngineConfig | None = None,
-    engine: Engine | None = None,
-) -> list[CompletedRequest]:
-    """Deprecated: serve a fixed batch of prompts to completion.
-
-    Thin shim over :meth:`LLM.generate` kept for migration — emits a
-    :class:`DeprecationWarning` and returns exactly what the facade
-    returns (the parity test pins identical outputs).  Each request
-    gets the same recipe, as before; per-request recipes, streaming and
-    abort need the :class:`LLM` surface.
-
-    Pass a pre-built ``engine`` to keep a handle on it afterwards
-    (e.g. for :meth:`Engine.metrics`); ``config`` is ignored then.
-    """
-    warnings.warn(
-        "serve_batch is deprecated; use repro.serve.LLM(...).generate("
-        "prompts, SamplingParams(...)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    llm = LLM(model=model, config=config, engine=engine)
-    params = SamplingParams(
-        max_new_tokens=max_new_tokens,
-        temperature=temperature,
-        top_k=top_k,
-        seed=seed,
-    )
-    results = llm.generate(list(prompts), params)
-    assert isinstance(results, list)
-    return results

@@ -2,10 +2,10 @@
 
 The engine accumulates one :class:`StepReport` per step; this module
 rolls those plus the per-request records into an :class:`EngineMetrics`
-summary — the object the serving benchmark serializes.  In paged
-KV-pool mode the reports additionally carry the memory subsystem's
-counters: preemptions, prefix-cache block evictions, prefix-hit tokens
-and the DRAM traffic those hits avoided.
+summary — the object the serving benchmark serializes.  The reports
+also carry the paged KV pool's counters: preemptions, prefix-cache
+block evictions, prefix-hit tokens and the DRAM traffic those hits
+avoided.
 
 Latency is summarized as percentiles, the form a serving SLO is
 written in: **TTFT** (time to first token — what chunked prefill
@@ -51,7 +51,7 @@ class StepReport:
         step: the engine's step index.
         prefills / decodes: request counts per phase this step (a
             prefill here is one admitted chunk — a whole prompt when
-            chunking is off or the budget covers it).
+            the budget covers it — or one resumed request's replay).
         new_tokens: tokens emitted (completed prefills produce their
             first token).
         batch_tokens: scheduler budget consumed (chunk grants + decodes).
@@ -124,7 +124,7 @@ class EngineMetrics:
         traffic: summed simulated DRAM traffic.
         prefill_tokens: prompt positions computed across all steps.
         partial_prefills: chunk admissions that left a prompt in
-            flight (0 everywhere when chunking is off).
+            flight (0 when every prompt fits the token budget).
         preemptions: total recompute-on-resume evictions.
         evicted_blocks: total prefix-cache blocks reclaimed.
         prefix_hit_tokens: total prompt positions shared, not computed.

@@ -138,8 +138,8 @@ class RequestState:
     request: Request
     status: RequestStatus = RequestStatus.WAITING
     caches: list[KVCache] | None = None
-    #: Paged-pool handle when the engine runs in kv_pool mode; None for
-    #: unpaged caches.
+    #: The request's paged-pool sequence (``caches`` are its per-layer
+    #: views); None while the request holds no KV residency.
     kv: SequenceKV | None = None
     #: Prompt positions already prefilled (chunked prefill progress).
     #: Strictly between 0 and the prompt length, the request holds a

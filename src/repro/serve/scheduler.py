@@ -7,15 +7,15 @@ bounds the work of one model step — the knob that trades
 time-to-first-token against decode throughput — while
 ``max_batch_size`` bounds concurrent KV-cache residency.
 
-With **chunked prefill** (the engine's default), a waiting request no
-longer has to fit its whole prompt into one step: the budget walk
-reserves one token per running decode first, then hands whatever
-budget is left to prefill work as a *chunk* — so a long prompt
-prefills across several steps while every running request keeps
-decoding (Sarathi/vLLM-style mixed steps).  A half-prefilled request
-(``RequestState.prefill_pos`` > 0) stays in the waiting queue holding
-its partial cache; it keeps its residency slot, and admitting its next
-chunk never consumes a new one.
+Prefill is **chunked**: a waiting request does not have to fit its
+whole prompt into one step.  The budget walk reserves one token per
+running decode first, then hands whatever budget is left to prefill
+work as a *chunk* — so a long prompt prefills across several steps
+while every running request keeps decoding (Sarathi/vLLM-style mixed
+steps), and a budget at least as long as a prompt prefills it whole.
+A half-prefilled request (``RequestState.prefill_pos`` > 0) stays in
+the waiting queue holding its partial cache; it keeps its residency
+slot, and admitting its next chunk never consumes a new one.
 
 Admission *order* is a policy:
 
@@ -33,12 +33,12 @@ Admission *order* is a policy:
 
 Policies only order the waiting queue; the budget walk below is shared.
 One guarantee is unconditional: if nothing is running and nothing fits,
-the first candidate is admitted anyway (a prompt longer than the budget
-must not deadlock the engine — with chunking on, it simply gets a
-budget-sized chunk).
+the first candidate is admitted anyway (a resumed request's replay
+longer than the budget, or a chunk the free-block budget cannot cover,
+must not deadlock the engine).
 
-When the engine runs a paged KV pool, admission is additionally planned
-against the pool's *free-block budget* (a :class:`KVBlockPlanner`):
+Given a :class:`KVBlockPlanner` (the engine always passes its pool's),
+admission is additionally planned against the *free-block budget*:
 a waiting request is only admitted when its prefill's block footprint —
 after prefix-cache sharing, and for a chunk only the chunk's growth —
 fits in what is free or reclaimable once the running requests' decode
@@ -55,7 +55,7 @@ decoding recipe is no longer an engine-wide setting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 
@@ -94,7 +94,7 @@ def validate_admission(
     * a per-request ``params.kv_format`` whose per-layer stack does not
       cover the model's layer count (bits-per-element costing and cache
       construction both need one format per layer);
-    * in paged mode (``pool`` given, duck-typed to
+    * when a ``pool`` is given (duck-typed to
       :class:`~repro.serve.kvpool.pool.KVPool`), a block footprint the
       pool could never guarantee even with every other request evicted.
     """
@@ -142,7 +142,7 @@ def validate_admission(
 
 
 class KVBlockPlanner:
-    """Block-budget view the engine hands the scheduler in pool mode.
+    """Block-budget view the engine hands the scheduler.
 
     ``available_blocks`` is the pool headroom admissions may claim
     (free plus reclaimable prefix-cache blocks, minus the running
@@ -248,9 +248,9 @@ class PrefillChunk:
 
     ``tokens`` is the scheduler's budget grant; the engine may execute
     fewer positions when a prefix-cache hit shortens the fresh request
-    (the grant is an upper bound, never a shortfall).  An unchunked
-    admission is simply a chunk spanning the request's whole remaining
-    prefill.
+    (the grant is an upper bound, never a shortfall).  A resumed
+    request's whole-replay admission is simply a chunk spanning its
+    whole remaining prefill.
     """
 
     state: RequestState
@@ -274,7 +274,7 @@ class StepPlan:
     Attributes:
         decodes: running requests decoding one token each.
         prefills: prefill chunks admitted this step (full prompts when
-            chunking is off or the budget covers them).
+            the budget covers them).
         budget_tokens: tokens of model work the plan consumes.
     """
 
@@ -297,7 +297,7 @@ def plan_step(
     max_batch_size: int,
     max_batch_tokens: int,
     blocks: KVBlockPlanner | None = None,
-    chunking: bool = False,
+    chunking: Literal[True] = True,
 ) -> StepPlan:
     """Plan one step: decodes keep their slots, prefills fill the rest.
 
@@ -310,15 +310,21 @@ def plan_step(
     request that does not fit (head-of-line blocking is deliberate:
     skipping over a big request forever would starve it).
 
-    With ``chunking`` on, a fresh request that does not fit whole is
-    admitted for a *partial* chunk — whatever token budget remains
-    after decodes — and continues across steps; a half-prefilled
-    request already holds its residency slot, so continuing it never
-    consumes a new one.  A resumed (previously preempted, mid-decode)
-    request is never chunked: its prefill cost covers its whole bitwise
-    replay — prompt plus already-emitted tokens
-    (``RequestState.prefill_tokens``) — in one admission.
+    A fresh request that does not fit whole is admitted for a
+    *partial* chunk — whatever token budget remains after decodes — and
+    continues across steps; a half-prefilled request already holds its
+    residency slot, so continuing it never consumes a new one.  A
+    resumed (previously preempted, mid-decode) request is never
+    chunked: its prefill cost covers its whole bitwise replay — prompt
+    plus already-emitted tokens (``RequestState.prefill_tokens``) — in
+    one admission.  ``chunking`` only accepts ``True``; a caller wanting
+    whole-prompt admissions sizes ``max_batch_tokens`` >= the prompt.
     """
+    if chunking is not True:
+        raise ModelError(
+            "chunking=False is no longer supported: set max_batch_tokens "
+            ">= the prompt length to prefill a prompt in one step"
+        )
     if max_batch_size < 1:
         raise ModelError(f"max_batch_size must be >= 1, got {max_batch_size}")
     if max_batch_tokens < 1:
@@ -341,7 +347,7 @@ def plan_step(
             # would pin its KV blocks while never progressing.
             continue
         remaining = state.prefill_tokens
-        chunkable = chunking and not state.generated
+        chunkable = not state.generated
         cost = min(remaining, budget) if chunkable else remaining
         if cost < 1:
             break  # decodes (or earlier chunks) consumed the budget

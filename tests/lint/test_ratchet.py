@@ -122,9 +122,9 @@ def test_json_stdout_stays_pure_json(make_repo, capsys):
 
 
 def test_explain_known_and_unknown_codes(capsys):
-    assert main(["--explain", "RPL005"]) == 0
+    assert main(["--explain", "RPL006"]) == 0
     out = capsys.readouterr().out
-    assert "RPL005" in out and "rationale:" in out and "invariant:" in out
+    assert "RPL006" in out and "rationale:" in out and "invariant:" in out
     assert main(["--explain", "RPL999"]) == 2
 
 

@@ -11,7 +11,6 @@ from repro.lint.findings import Baseline
 from repro.lint.rules import (
     RULES,
     AllMatchesBindings,
-    DeprecatedKnobsStayInShims,
     FrozenFieldsOnlyInPostInit,
     HotClassesDeclareSlots,
     MatmulsRouteThroughAttention,
@@ -248,41 +247,6 @@ def test_rpl004_allows_attention_internals(make_repo):
         )
     }
     result = lint_one(make_repo, files, StatsScopedToAttention())
-    assert codes(result) == []
-
-
-# ---------------------------------------------------------------- RPL005
-
-
-def test_rpl005_flags_deprecated_knobs_outside_shims(make_repo):
-    files = {
-        "serve/router.py": (
-            "def build(EngineConfig):\n"
-            "    return EngineConfig(kv_mode='anda')\n"
-        ),
-        "tools/bench.py": (
-            "from repro.serve.llm import serve_batch\n"
-            "def run():\n"
-            "    return serve_batch\n"
-        ),
-    }
-    result = lint_one(make_repo, files, DeprecatedKnobsStayInShims())
-    assert sorted(codes(result)) == ["RPL005", "RPL005", "RPL005"]
-
-
-def test_rpl005_allows_shim_modules_and_lookalikes(make_repo):
-    files = {
-        "serve/engine.py": (
-            "class EngineConfig:\n"
-            "    kv_mode = None\n"
-            "    def __init__(self):\n"
-            "        self.kv_mode = 'anda'\n"
-        ),
-        "serve/llm.py": "def serve_batch():\n    pass\n",
-        # validate_kv_mantissa_bits is a distinct identifier, not the knob.
-        "core/precision.py": "def validate_kv_mantissa_bits(b):\n    return b\n",
-    }
-    result = lint_one(make_repo, files, DeprecatedKnobsStayInShims())
     assert codes(result) == []
 
 
@@ -568,7 +532,7 @@ def test_every_rule_has_code_rationale_invariant_and_explain():
         assert rule.explain
         assert get_rule(rule.code) is rule
         assert get_rule(rule.code.lower()) is rule
-    assert len(seen) == 11
+    assert len(seen) == 10  # RPL001-RPL011, RPL005 retired
 
 
 def test_findings_are_sorted_and_keyed_stably(make_repo):

@@ -5,18 +5,33 @@ pytest's default (rootdir-prepend) import mode puts this directory on
 ``sys.path`` when collecting the suite.
 """
 
+import numpy as np
+
+from repro.llm.generation import generate
+from repro.llm.kv_quant import make_cache_factory
 from repro.serve import LLM, SamplingParams
 
 
 def serve(model, prompts, max_new_tokens, config=None, engine=None, **sampling):
-    """Batch-serve through the redesigned LLM facade.
+    """Batch-serve through the LLM facade.
 
-    The post-redesign spelling of what ``serve_batch`` used to do in
-    these suites: one recipe for the whole batch, results in input
-    order.  ``**sampling`` forwards recipe fields (``temperature``,
-    ``top_k``, ``seed``, ...) into :class:`SamplingParams`.
+    One recipe for the whole batch, results in input order.
+    ``**sampling`` forwards recipe fields (``temperature``, ``top_k``,
+    ``seed``, ...) into :class:`SamplingParams`.
     """
     llm = LLM(model=model, config=config, engine=engine)
     return llm.generate(
         prompts, SamplingParams(max_new_tokens=max_new_tokens, **sampling)
     )
+
+
+def assert_matches_generate(model, prompts, results, max_new_tokens, fmt=None, **kw):
+    """Served tokens equal sequential ``generate()`` with ``fmt``'s caches.
+
+    ``fmt`` None means the default fp16 caches; ``**kw`` forwards
+    sampling arguments (``temperature``, ``seed``, ...) to ``generate``.
+    """
+    factory = None if fmt is None else make_cache_factory(model, fmt)
+    for prompt, result in zip(prompts, results):
+        expected = generate(model, prompt, max_new_tokens, cache_factory=factory, **kw)
+        np.testing.assert_array_equal(result.tokens, expected.tokens)

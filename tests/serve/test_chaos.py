@@ -1,9 +1,10 @@
 """Chaos property suite: random fault plans never corrupt survivors.
 
-Hypothesis draws a workload (prompt set) and a seeded :class:`FaultPlan`
-across every serving mode — {fp16, anda} x {paged, unpaged} x
-{chunked, unchunked} — runs it next to a fault-free twin engine, and
-pins the failure-isolation invariants:
+Hypothesis draws a workload (prompt set), a seeded :class:`FaultPlan`,
+a KV format (fp16 or anda), a pool size and a chunk budget — the pool
+small enough to preempt, the budget small enough to chunk — runs it
+next to a fault-free twin engine, and pins the failure-isolation
+invariants:
 
 * every request the faults did **not** fail is token-bitwise identical
   to the twin (retried requests included — recompute-on-resume is
@@ -49,17 +50,15 @@ def model():
 PARAMS = SamplingParams(max_new_tokens=5)
 
 
-def make_config(paged, chunked, fmt, plan=None):
-    kwargs = dict(
-        chunked_prefill=chunked,
+def make_config(fmt, plan=None, kv_pool_blocks=128, max_batch_tokens=24):
+    return EngineConfig(
         kv_format=fmt,
         faults=plan,
         retry=RetryPolicy(max_retries=2, backoff_steps=1),
-        max_batch_tokens=24,
+        kv_pool_blocks=kv_pool_blocks,
+        kv_block_size=4,
+        max_batch_tokens=max_batch_tokens,
     )
-    if paged:
-        kwargs.update(kv_pool=True, kv_pool_blocks=128)
-    return EngineConfig(**kwargs)
 
 
 def run_batch(model, prompts, config):
@@ -109,8 +108,10 @@ def chaos_case(draw):
         "prompt_seed": draw(st.integers(min_value=0, max_value=2**16)),
         "rules": draw(rules_strategy()),
         "plan_seed": draw(st.integers(min_value=0, max_value=2**16)),
-        "paged": draw(st.booleans()),
-        "chunked": draw(st.booleans()),
+        # 12 blocks of 4 hold one full-length request (25 positions);
+        # a budget of 8 chunks every prompt longer than it.
+        "kv_pool_blocks": draw(st.sampled_from([12, 32, 128])),
+        "max_batch_tokens": draw(st.sampled_from([8, 24, 64])),
         "anda": draw(st.booleans()),
     }
 
@@ -131,14 +132,14 @@ def test_faults_never_corrupt_survivors(model, case):
         seed=case["plan_seed"],
     )
 
-    twin_engine, twin_handles = run_batch(
-        model, prompts, make_config(case["paged"], case["chunked"], fmt)
-    )
+    sizes = {
+        "kv_pool_blocks": case["kv_pool_blocks"],
+        "max_batch_tokens": case["max_batch_tokens"],
+    }
+    twin_engine, twin_handles = run_batch(model, prompts, make_config(fmt, **sizes))
     twin = [handle.result().tokens for handle in twin_handles]
 
-    engine, handles = run_batch(
-        model, prompts, make_config(case["paged"], case["chunked"], fmt, plan)
-    )
+    engine, handles = run_batch(model, prompts, make_config(fmt, plan, **sizes))
 
     # Every request reached a terminal state.
     for handle in handles:
@@ -150,8 +151,7 @@ def test_faults_never_corrupt_survivors(model, case):
             np.testing.assert_array_equal(handle.result().tokens, twin[index])
 
     # No block leaks whatever state the faults interrupted.
-    if engine._pool is not None:
-        assert engine._pool.leaked_blocks() == 0
+    assert engine._pool.leaked_blocks() == 0
 
     # Exact accounting: each injected fault was retried or failed.
     metrics = engine.metrics()
@@ -173,8 +173,7 @@ def test_faults_never_corrupt_survivors(model, case):
         np.testing.assert_array_equal(
             extra.result().tokens, twin_extra.result().tokens
         )
-    if engine._pool is not None:
-        assert engine._pool.leaked_blocks() == 0
+    assert engine._pool.leaked_blocks() == 0
 
 
 class TestAbortFaultRaces:
@@ -194,8 +193,7 @@ class TestAbortFaultRaces:
         self, model, order_flipped, victim
     ):
         prompts = self.sibling_prompts(model, order_flipped)
-        config = make_config(paged=True, chunked=True, fmt=None)
-        _, twin_handles = run_batch(model, prompts, config)
+        _, twin_handles = run_batch(model, prompts, make_config(None))
         twin = [handle.result().tokens for handle in twin_handles]
 
         plan = FaultPlan(
@@ -207,9 +205,7 @@ class TestAbortFaultRaces:
                 ),
             )
         )
-        engine, handles = run_batch(
-            model, prompts, make_config(True, True, None, plan)
-        )
+        engine, handles = run_batch(model, prompts, make_config(None, plan))
         assert handles[victim].status() is RequestStatus.FAILED
         for index, handle in enumerate(handles):
             if index != victim:
@@ -224,8 +220,7 @@ class TestAbortFaultRaces:
         # 4; request 2 — sharing the same prefix blocks as both — must
         # come out bitwise, and nothing may leak.
         prompts = self.sibling_prompts(model, order_flipped)
-        config = make_config(paged=True, chunked=True, fmt=None)
-        _, twin_handles = run_batch(model, prompts, config)
+        _, twin_handles = run_batch(model, prompts, make_config(None))
         twin = [handle.result().tokens for handle in twin_handles]
 
         plan = FaultPlan(
@@ -238,7 +233,7 @@ class TestAbortFaultRaces:
                 ),
             )
         )
-        engine = Engine(model, make_config(True, True, None, plan))
+        engine = Engine(model, make_config(None, plan))
         handles = [engine.submit(prompt, PARAMS) for prompt in prompts]
         for step in range(5):
             if step == 4:

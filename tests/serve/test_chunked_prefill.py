@@ -3,8 +3,9 @@
 The acceptance bar for chunked prefill: splitting a prompt into
 budget-sized chunks that ride along with the decode batch changes step
 composition — and therefore latency — but **never** changes a token.
-Parity is pinned across {fp16, anda} x {paged, unpaged}, greedy and
-sampled, tiny budgets (many chunks per prompt) and generous ones.  The
+Parity with sequential ``generate()`` is pinned across fp16 and anda
+formats, pool geometries, greedy and sampled decoding, tiny budgets
+(many chunks per prompt) and budgets covering every prompt.  The
 scheduler side is pinned too: mixed steps keep decoding while a long
 prompt prefills (no head-of-line starvation), half-prefilled requests
 hold their residency slot, can be preempted under pool pressure, and
@@ -17,7 +18,7 @@ import pytest
 from repro.errors import ModelError
 from repro.llm.config import tiny_test_config
 from repro.llm.generation import generate
-from repro.llm.kv_quant import make_cache_factory
+from repro.llm.kv_quant import KVFormat, make_cache_factory
 from repro.llm.transformer import build_model
 from repro.serve import (
     DecodeFirstPolicy,
@@ -49,48 +50,41 @@ def prompts():
 
 
 def chunked_config(**overrides):
-    defaults = dict(chunked_prefill=True, max_batch_tokens=16, max_batch_size=4)
+    defaults = dict(max_batch_tokens=16, max_batch_size=4)
     defaults.update(overrides)
     return EngineConfig(**defaults)
 
 
-def assert_parity(results, references):
-    for served, expected in zip(results, references):
-        np.testing.assert_array_equal(served.tokens, expected.tokens)
-
-
 class TestChunkedParity:
-    """Token-bitwise identity across every KV mode and storage layout."""
+    """Token-bitwise identity across formats, pools and chunk budgets."""
 
     @pytest.mark.parametrize("kv_mode", ["fp16", "anda"])
-    @pytest.mark.parametrize("paged", [False, True])
-    def test_chunked_matches_unchunked(self, model, prompts, kv_mode, paged):
-        pool = dict(kv_pool=True, kv_pool_blocks=64, kv_block_size=4) if paged else {}
-        chunked = serve(
-            model,
-            prompts,
-            max_new_tokens=8,
-            config=chunked_config(kv_mode=kv_mode, kv_mantissa_bits=6, **pool),
+    @pytest.mark.parametrize(
+        "pool",
+        [{}, dict(kv_pool_blocks=64, kv_block_size=4)],
+        ids=["default-pool", "blocks4x64"],
+    )
+    def test_whole_prompt_budget_matches_generate(self, model, prompts, kv_mode, pool):
+        # A budget covering every prompt prefills each in one step: the
+        # monolithic-prefill shape, on the same lane.
+        fmt = KVFormat(mode=kv_mode, mantissa_bits=6)
+        engine = Engine(
+            model, chunked_config(max_batch_tokens=128, kv_format=fmt, **pool)
         )
-        unchunked = serve(
-            model,
-            prompts,
-            max_new_tokens=8,
-            config=chunked_config(
-                chunked_prefill=False,
-                kv_mode=kv_mode,
-                kv_mantissa_bits=6,
-                **pool,
-            ),
-        )
-        assert_parity(chunked, unchunked)
+        results = serve(model, prompts, max_new_tokens=8, engine=engine)
+        assert engine.metrics().partial_prefills == 0
+        factory = make_cache_factory(model, fmt)
+        for prompt, result in zip(prompts, results):
+            expected = generate(model, prompt, 8, cache_factory=factory)
+            np.testing.assert_array_equal(result.tokens, expected.tokens)
 
     @pytest.mark.parametrize("kv_mode", ["fp16", "anda"])
     def test_chunked_matches_sequential_generate(self, model, prompts, kv_mode):
-        engine = Engine(model, chunked_config(kv_mode=kv_mode, kv_mantissa_bits=6))
+        fmt = KVFormat(mode=kv_mode, mantissa_bits=6)
+        engine = Engine(model, chunked_config(kv_format=fmt))
         results = serve(model, prompts, max_new_tokens=8, engine=engine)
         assert engine.metrics().partial_prefills > 0  # chunking actually ran
-        factory = make_cache_factory(model, kv_mode, 6)
+        factory = make_cache_factory(model, fmt)
         for prompt, result in zip(prompts, results):
             expected = generate(model, prompt, 8, cache_factory=factory)
             np.testing.assert_array_equal(result.tokens, expected.tokens)
@@ -98,18 +92,13 @@ class TestChunkedParity:
     @pytest.mark.parametrize("kv_mode", ["fp16", "anda"])
     def test_rotary_family_chunked_parity(self, llama, prompts, kv_mode):
         # Chunk positions offset into the rotary table via gather.
+        fmt = KVFormat(mode=kv_mode, mantissa_bits=6)
         chunked = serve(
-            llama,
-            prompts,
-            max_new_tokens=8,
-            config=chunked_config(kv_mode=kv_mode, kv_mantissa_bits=6),
+            llama, prompts, max_new_tokens=8, config=chunked_config(kv_format=fmt)
         )
         for prompt, result in zip(prompts, chunked):
             expected = generate(
-                llama,
-                prompt,
-                8,
-                cache_factory=make_cache_factory(llama, kv_mode, 6),
+                llama, prompt, 8, cache_factory=make_cache_factory(llama, fmt)
             )
             np.testing.assert_array_equal(result.tokens, expected.tokens)
 
@@ -150,12 +139,7 @@ class TestChunkedParity:
         ]
         engine = Engine(
             model,
-            chunked_config(
-                max_batch_tokens=64,
-                kv_pool=True,
-                kv_pool_blocks=32,
-                kv_block_size=4,
-            ),
+            chunked_config(max_batch_tokens=64, kv_pool_blocks=32, kv_block_size=4),
         )
         results = serve(model, prompts, max_new_tokens=6, engine=engine)
         for prompt, result in zip(prompts, results):
@@ -226,12 +210,7 @@ class TestMixedSteps:
         rng = np.random.default_rng(6)
         engine = Engine(
             model,
-            chunked_config(
-                max_batch_tokens=8,
-                kv_pool=True,
-                kv_pool_blocks=32,
-                kv_block_size=4,
-            ),
+            chunked_config(max_batch_tokens=8, kv_pool_blocks=32, kv_block_size=4),
         )
         engine.submit(rng.integers(0, 256, size=4), max_new_tokens=6)
         engine.step()
@@ -270,7 +249,6 @@ class TestMixedSteps:
             chunked_config(
                 max_batch_tokens=8,
                 max_batch_size=8,
-                kv_pool=True,
                 kv_pool_blocks=10,
                 kv_block_size=4,
                 prefix_caching=False,
@@ -311,25 +289,18 @@ class TestNoStarvation:
         assert stalled == 0
         assert not engine.has_work()
 
-    def test_unchunked_huge_prompt_does_stall(self, model):
-        # The contrast case.  Serving this workload unchunked requires
-        # a budget >= the longest prompt (a smaller budget would park
-        # the monster until the engine idles), and then the monolithic
-        # prefill shares one step with running decodes — stalling them
-        # for the whole 120-token forward.  Chunked steps never exceed
-        # their (much smaller) budget.
+    def test_whole_prompt_budget_huge_prompt_does_stall(self, model):
+        # The contrast case.  A budget >= the longest prompt prefills it
+        # monolithically, sharing one step with running decodes —
+        # stalling them for the whole 120-token forward.  A small
+        # budget's chunked steps never exceed it.
         rng = np.random.default_rng(9)
         short = rng.integers(0, 256, size=4)
         monster = rng.integers(0, 256, size=120)
         worst_step_work = {}
         for chunked, budget in ((False, 128), (True, 16)):
             engine = Engine(
-                model,
-                chunked_config(
-                    chunked_prefill=chunked,
-                    max_batch_tokens=budget,
-                    max_batch_size=4,
-                ),
+                model, chunked_config(max_batch_tokens=budget, max_batch_size=4)
             )
             engine.submit(short, 20)
             engine.step()
@@ -384,9 +355,7 @@ class TestDecodeFirstPolicy:
     def test_inflight_prefill_finishes_before_new_admissions(self):
         inflight = self.make_state(0, 50, prefill_pos=40)
         fresh = self.make_state(1, 4)
-        plan = plan_step(
-            [inflight, fresh], [], DecodeFirstPolicy(), 4, 16, chunking=True
-        )
+        plan = plan_step([inflight, fresh], [], DecodeFirstPolicy(), 4, 16)
         assert [c.state.request.request_id for c in plan.prefills] == [0, 1]
         assert plan.prefills[0].tokens == 10  # finishes the in-flight prompt
 

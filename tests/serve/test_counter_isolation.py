@@ -25,6 +25,7 @@ import pytest
 
 from repro.llm.attention import ATTENTION_STATS, HOT_PATH_STATS
 from repro.llm.config import tiny_test_config
+from repro.llm.kv_quant import KVFormat
 from repro.llm.transformer import build_model
 from repro.serve import LLM, Engine, EngineConfig, SamplingParams
 
@@ -64,9 +65,9 @@ def fingerprint(engine):
     return values
 
 
-def run_solo(model, seed, kv_mode="fp16"):
+def run_solo(model, seed, fmt=None):
     """Reference fingerprint: one engine alone in the process."""
-    engine = Engine(model, EngineConfig(max_batch_size=4, kv_mode=kv_mode))
+    engine = Engine(model, EngineConfig(max_batch_size=4, kv_format=fmt))
     llm = LLM(engine=engine)
     llm.generate(workload(model, seed), SamplingParams(max_new_tokens=5))
     return fingerprint(engine)
@@ -131,13 +132,13 @@ def test_interleaved_engine_steps_stay_isolated(model):
 
 
 def test_interleaved_engines_with_different_kv_modes(model):
-    # Different kv_modes produce different byte traffic; interleaving
+    # Different KV formats produce different byte traffic; interleaving
     # must not blend the two accounting streams.
-    solo_a = run_solo(model, seed=7, kv_mode="fp16")
-    solo_b = run_solo(model, seed=7, kv_mode="anda")
+    solo_a = run_solo(model, seed=7, fmt=KVFormat.fp16())
+    solo_b = run_solo(model, seed=7, fmt=KVFormat.anda(8))
 
-    engine_a = Engine(model, EngineConfig(max_batch_size=4, kv_mode="fp16"))
-    engine_b = Engine(model, EngineConfig(max_batch_size=4, kv_mode="anda"))
+    engine_a = Engine(model, EngineConfig(max_batch_size=4, kv_format=KVFormat.fp16()))
+    engine_b = Engine(model, EngineConfig(max_batch_size=4, kv_format=KVFormat.anda(8)))
     for prompt in workload(model, seed=7):
         engine_a.submit(prompt, SamplingParams(max_new_tokens=5))
         engine_b.submit(prompt.copy(), SamplingParams(max_new_tokens=5))

@@ -12,7 +12,7 @@ import pytest
 from repro.errors import ModelError
 from repro.llm.config import tiny_test_config
 from repro.llm.generation import generate
-from repro.llm.kv_quant import make_cache_factory
+from repro.llm.kv_quant import KVFormat, make_cache_factory
 from repro.llm.transformer import build_model
 from repro.llm.zoo import get_model
 from repro.serve import Engine, EngineConfig, RequestStatus
@@ -30,12 +30,12 @@ def prompts():
     return [rng.integers(0, 256, size=length) for length in (5, 11, 3, 17)]
 
 
-def reference(model, prompt, max_new_tokens, kv_mode="fp16", bits=8, **kwargs):
+def reference(model, prompt, max_new_tokens, fmt, **kwargs):
     return generate(
         model,
         prompt,
         max_new_tokens,
-        cache_factory=make_cache_factory(model, kv_mode, bits),
+        cache_factory=make_cache_factory(model, fmt),
         **kwargs,
     )
 
@@ -43,10 +43,11 @@ def reference(model, prompt, max_new_tokens, kv_mode="fp16", bits=8, **kwargs):
 class TestGreedyParity:
     @pytest.mark.parametrize("kv_mode", ["fp16", "anda"])
     def test_mixed_prompt_lengths_token_identical(self, model, prompts, kv_mode):
-        config = EngineConfig(kv_mode=kv_mode, kv_mantissa_bits=6)
+        fmt = KVFormat(mode=kv_mode, mantissa_bits=6)
+        config = EngineConfig(kv_format=fmt)
         results = serve(model, prompts, max_new_tokens=8, config=config)
         for prompt, result in zip(prompts, results):
-            expected = reference(model, prompt, 8, kv_mode=kv_mode, bits=6)
+            expected = reference(model, prompt, 8, fmt)
             np.testing.assert_array_equal(result.tokens, expected.tokens)
 
     def test_results_align_with_submission_order(self, model, prompts):
@@ -61,10 +62,11 @@ class TestGreedyParity:
         # LLaMA-style models gather per-request rotary phases in the
         # batched path; untrained weights suffice for token parity.
         llama = build_model(tiny_test_config("llama", d_model=32, n_layers=2))
-        config = EngineConfig(kv_mode=kv_mode, kv_mantissa_bits=6)
+        fmt = KVFormat(mode=kv_mode, mantissa_bits=6)
+        config = EngineConfig(kv_format=fmt)
         results = serve(llama, prompts, max_new_tokens=8, config=config)
         for prompt, result in zip(prompts, results):
-            expected = reference(llama, prompt, 8, kv_mode=kv_mode, bits=6)
+            expected = reference(llama, prompt, 8, fmt)
             np.testing.assert_array_equal(result.tokens, expected.tokens)
 
     def test_tiny_batch_budget_still_token_identical(self, model, prompts):
@@ -131,14 +133,14 @@ class TestLifecycle:
         with pytest.raises(ModelError):
             Engine(model, EngineConfig(policy="lifo"))
         with pytest.raises(ModelError):
-            EngineConfig(kv_mode="int4")
+            EngineConfig(kv_format=KVFormat(mode="int4"))
 
     def test_bad_kv_mantissa_fails_at_construction_not_mid_step(self):
         # A deferred failure here used to drop the request silently.
         with pytest.raises(ModelError):
-            EngineConfig(kv_mode="anda", kv_mantissa_bits=0)
+            EngineConfig(kv_format=KVFormat.anda(0))
         with pytest.raises(ModelError):
-            EngineConfig(kv_mode="anda", kv_mantissa_bits=17)
+            EngineConfig(kv_format=KVFormat.anda(17))
 
     def test_bad_batch_limits_fail_at_construction(self):
         with pytest.raises(ModelError):
@@ -245,7 +247,7 @@ class TestMetrics:
     def test_anda_kv_moves_less_traffic_than_fp16(self, model, prompts):
         totals = {}
         for kv_mode in ("fp16", "anda"):
-            engine = Engine(model, EngineConfig(kv_mode=kv_mode))
+            engine = Engine(model, EngineConfig(kv_format=KVFormat(mode=kv_mode)))
             for prompt in prompts:
                 engine.submit(prompt, 6)
             engine.drain()

@@ -266,7 +266,7 @@ class TestQuarantine:
         engine, handles = run_engine(
             model,
             prompts,
-            EngineConfig(faults=plan, kv_pool=True, kv_pool_blocks=256),
+            EngineConfig(faults=plan, kv_pool_blocks=256),
         )
         assert any(handle.failed for handle in handles)
         assert engine._pool.leaked_blocks() == 0
@@ -286,10 +286,10 @@ class TestTransientRetry:
         "overrides",
         [
             {},
-            {"kv_pool": True, "kv_pool_blocks": 256},
-            {"chunked_prefill": False},
+            {"kv_pool_blocks": 256, "kv_block_size": 4},
+            {"max_batch_tokens": 4},
         ],
-        ids=["unpaged", "paged", "unchunked"],
+        ids=["default", "blocks4x256", "budget4"],
     )
     def test_retried_request_stays_bitwise(
         self, model, prompts, baseline, overrides
@@ -312,8 +312,7 @@ class TestTransientRetry:
         assert metrics.failed == 0
         assert metrics.fault_retries == 1
         assert engine.fault_injector.fired_total == 1
-        if engine._pool is not None:
-            assert engine._pool.leaked_blocks() == 0
+        assert engine._pool.leaked_blocks() == 0
 
     def test_exhausted_retries_quarantine(self, model, prompts):
         plan = FaultPlan(
@@ -373,7 +372,7 @@ class TestPressure:
     def occupied_engine(self, model, prompts, pressure):
         engine = Engine(
             model,
-            EngineConfig(kv_pool=True, kv_pool_blocks=16, pressure=pressure),
+            EngineConfig(kv_pool_blocks=16, pressure=pressure),
         )
         first = engine.submit(prompts[0], PARAMS)
         for _ in range(3):

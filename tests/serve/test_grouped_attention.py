@@ -1,10 +1,10 @@
 """Grouped batched attention: bucket planning, parity, engine wiring.
 
-The bucketed dispatcher turns a decode step's attention from O(batch)
-launches per layer into O(buckets), under one non-negotiable contract:
-emitted tokens (and the logits behind them) stay **bitwise** identical
-to the per-request path.  These tests pin that contract across the
-places it could crack:
+The bucketed dispatcher runs a decode step's attention as O(buckets)
+launches per layer, under one non-negotiable contract: emitted tokens
+(and the logits behind them) stay **bitwise** identical to decoding
+each request alone through ``forward_step``.  These tests pin that
+contract across the places it could crack:
 
 * the planner's policy edges (all-equal, all-distinct, the pad-waste
   cap, degenerate inputs),
@@ -12,8 +12,8 @@ places it could crack:
   untouched (the M == 1 kernel-lane guarantee),
 * padded buckets, whose mask-don't-compute formulation must match the
   oracle bitwise for both KV modes and both storages,
-* the engine, whose grouped/ungrouped configurations must emit the
-  same tokens while the dispatch counters tell the O(buckets) story,
+* the engine, which must emit sequential ``generate()``'s tokens while
+  every decode step launches exactly ``layers x buckets`` dispatches,
 * the incremental gather workspace, which must re-sync only appended
   tails while memberships hold.
 
@@ -31,11 +31,12 @@ from repro.llm.attention import (
     plan_buckets,
 )
 from repro.llm.config import tiny_test_config
-from repro.llm.kv_quant import make_cache_factory, make_kv_codec
+from repro.llm.generation import generate
+from repro.llm.kv_quant import KVFormat, make_cache_factory, make_kv_codec
 from repro.llm.transformer import build_model
 from repro.serve import Engine, EngineConfig
 from repro.serve.kvpool.pool import KVPool
-from serving_helpers import serve
+from serving_helpers import assert_matches_generate, serve
 
 KV_MODES = ["fp16", "anda"]
 
@@ -125,13 +126,8 @@ class TestPlanBuckets:
             BucketedAttention(max_workspaces=2)
 
 
-def decode_batch_logits(model, factory, prompts, steps, dispatcher=None):
-    """Per-step decode-batch logits for a batch of prompts.
-
-    Prefills each prompt into its own caches, then runs ``steps``
-    greedy decode-batch steps, returning the per-step logits array —
-    the object whose bytes the grouped path must reproduce.
-    """
+def prefill_all(model, factory, prompts):
+    """Prefill each prompt into its own caches; return caches + greedy tokens."""
     request_caches = []
     tokens = []
     for prompt in prompts:
@@ -139,11 +135,36 @@ def decode_batch_logits(model, factory, prompts, steps, dispatcher=None):
         logits = model.forward_step(prompt.reshape(1, -1), caches)
         request_caches.append(caches)
         tokens.append(int(np.argmax(logits[0, -1])))
+    return request_caches, tokens
+
+
+def decode_batch_logits(model, factory, prompts, steps, dispatcher):
+    """Per-step decode-batch logits for a batch of prompts.
+
+    Prefills each prompt into its own caches, then runs ``steps``
+    greedy decode-batch steps, returning the per-step logits array —
+    the object whose bytes must match :func:`per_request_logits`.
+    """
+    request_caches, tokens = prefill_all(model, factory, prompts)
     history = []
     for _ in range(steps):
         batch = np.array(tokens).reshape(-1, 1)
-        logits = model.forward_decode_batch(
-            batch, request_caches, dispatcher=dispatcher
+        logits = model.forward_decode_batch(batch, request_caches, dispatcher)
+        history.append(logits)
+        tokens = [int(np.argmax(row[-1])) for row in logits]
+    return history
+
+
+def per_request_logits(model, factory, prompts, steps):
+    """The oracle: each request decoded alone through ``forward_step``."""
+    request_caches, tokens = prefill_all(model, factory, prompts)
+    history = []
+    for _ in range(steps):
+        logits = np.concatenate(
+            [
+                model.forward_step(np.array([[token]]), caches)
+                for token, caches in zip(tokens, request_caches)
+            ]
         )
         history.append(logits)
         tokens = [int(np.argmax(row[-1])) for row in logits]
@@ -190,7 +211,7 @@ class TestGroupedBitwiseParity:
             model, factory, prompts, steps=5, dispatcher=BucketedAttention()
         )
         factory = make_factory(model, kv_mode, paged)
-        per_request = decode_batch_logits(model, factory, prompts, steps=5)
+        per_request = per_request_logits(model, factory, prompts, steps=5)
         for step, (ours, reference) in enumerate(zip(grouped, per_request)):
             assert bitwise_equal(ours, reference), f"diverged at step {step}"
 
@@ -205,14 +226,14 @@ class TestGroupedBitwiseParity:
             llama, factory, prompts, steps=4, dispatcher=BucketedAttention()
         )
         factory = make_cache_factory(llama, kv_mode, 8)
-        per_request = decode_batch_logits(llama, factory, prompts, steps=4)
+        per_request = per_request_logits(llama, factory, prompts, steps=4)
         for ours, reference in zip(grouped, per_request):
             assert bitwise_equal(ours, reference)
 
     def test_singleton_buckets_stay_on_oracle_path(self, model):
         # All-distinct lengths: every bucket is a singleton, so the
         # grouped path must make zero grouped launches — each request
-        # goes through _attention_core exactly as without a dispatcher.
+        # goes through _attention_core exactly as decoding it alone.
         rng = np.random.default_rng(41)
         prompts = [rng.integers(0, 256, size=length) for length in (3, 12, 25)]
         factory = make_cache_factory(model, "fp16", 8)
@@ -225,26 +246,29 @@ class TestGroupedBitwiseParity:
         )
         assert grouped_requests == 0 and padded == 0
         factory = make_cache_factory(model, "fp16", 8)
-        per_request = decode_batch_logits(model, factory, prompts, steps=3)
+        per_request = per_request_logits(model, factory, prompts, steps=3)
         for ours, reference in zip(grouped, per_request):
             assert bitwise_equal(ours, reference)
 
-    def test_grouped_dispatch_counts_are_buckets_not_batch(self, model):
+    @pytest.mark.parametrize(
+        "lengths,buckets",
+        [((6,) * 8, 1), ((3, 12, 25), 3)],
+        ids=["exact", "singletons"],
+    )
+    def test_grouped_dispatch_counts_are_buckets_not_batch(
+        self, model, lengths, buckets
+    ):
         rng = np.random.default_rng(43)
-        prompts = [rng.integers(0, 256, size=6) for _ in range(8)]
+        prompts = [rng.integers(0, 256, size=length) for length in lengths]
         factory = make_cache_factory(model, "fp16", 8)
         caches = [factory() for _ in prompts]
         for prompt, request in zip(prompts, caches):
             model.forward_step(prompt.reshape(1, -1), request)
         token = np.full((len(prompts), 1), 5)
-        n_layers = len(model.blocks)
         before = ATTENTION_STATS.dispatches
-        model.forward_decode_batch(token, caches, dispatcher=BucketedAttention())
-        grouped_launches = ATTENTION_STATS.dispatches - before
-        assert grouped_launches == n_layers  # one bucket per layer
-        before = ATTENTION_STATS.dispatches
-        model.forward_decode_batch(token, caches)
-        assert ATTENTION_STATS.dispatches - before == n_layers * len(prompts)
+        model.forward_decode_batch(token, caches, BucketedAttention(0.0))
+        launches = ATTENTION_STATS.dispatches - before
+        assert launches == len(model.blocks) * buckets
 
     def test_length_mismatch_rejected(self, model):
         # A plan computed from stale lengths must fail loudly, not
@@ -259,6 +283,19 @@ class TestGroupedBitwiseParity:
         q = np.zeros((1, attention.n_heads, 1, attention.head_dim))
         with pytest.raises(ModelError, match="KV length"):
             dispatcher.run_bucket(attention, plan.buckets[0], q, views, caches[:1])
+
+
+    def test_decodes_require_a_dispatcher(self, model):
+        # One decode lane: the mixed step refuses decodes without a
+        # dispatcher before its chunk lane touches any cache.
+        factory = make_cache_factory(model, "fp16", 8)
+        chunk, decode = factory(), factory()
+        model.forward_step(np.arange(4).reshape(1, -1), decode)
+        with pytest.raises(ModelError, match="dispatcher"):
+            model.forward_mixed_step(
+                [np.arange(3)], [chunk], np.full((1, 1), 3), [decode]
+            )
+        assert chunk[0].length == 0 and decode[0].length == 4
 
 
 class TestWorkspaceReuse:
@@ -313,9 +350,10 @@ class TestWorkspaceReuse:
         assert set(dispatcher._workspaces) == second_keys
 
     def test_batch_draining_to_one_frees_the_pair_workspace(self, model):
-        # A singleton batch plans nothing, but it is still a step
-        # boundary: the pair's workspace goes the step after it was
-        # last used, not whenever a batch of two next shows up.
+        # A singleton batch plans one singleton bucket (no workspace),
+        # and is still a step boundary: the pair's workspace goes the
+        # step after it was last used, not whenever a batch of two next
+        # shows up.
         factory = make_cache_factory(model, "fp16", 8)
         caches = [factory() for _ in range(2)]
         for request in caches:
@@ -411,34 +449,17 @@ class TestWorkspaceReuse:
 
 
 class TestEngineGrouped:
-    def grouped_config(self, **overrides):
-        return EngineConfig(grouped_attention=True, **overrides)
-
     @pytest.mark.parametrize("kv_mode", KV_MODES)
-    def test_engine_tokens_match_ungrouped_engine(self, model, kv_mode):
+    def test_engine_grouped_tokens_match_sequential_generate(self, model, kv_mode):
         rng = np.random.default_rng(53)
         # Equal-length prompts decode at equal KV lengths: one exact
         # bucket per step, the engine's steady state.
         prompts = [rng.integers(0, 256, size=8) for _ in range(5)]
-        grouped_engine = Engine(
-            model, self.grouped_config(kv_mode=kv_mode, kv_mantissa_bits=6)
-        )
-        grouped = serve(model, prompts, max_new_tokens=8, engine=grouped_engine)
-        ungrouped_engine = Engine(
-            model,
-            EngineConfig(
-                grouped_attention=False, kv_mode=kv_mode, kv_mantissa_bits=6
-            ),
-        )
-        ungrouped = serve(model, prompts, max_new_tokens=8, engine=ungrouped_engine)
-        for ours, reference in zip(grouped, ungrouped):
-            np.testing.assert_array_equal(ours.tokens, reference.tokens)
-        with_groups = grouped_engine.metrics()
-        without = ungrouped_engine.metrics()
-        assert with_groups.attention_grouped_requests > 0
-        assert without.attention_grouped_requests == 0
-        # Fewer launches is the whole point.
-        assert with_groups.attention_dispatches < without.attention_dispatches
+        fmt = KVFormat(mode=kv_mode, mantissa_bits=6)
+        engine = Engine(model, EngineConfig(kv_format=fmt))
+        results = serve(model, prompts, max_new_tokens=8, engine=engine)
+        assert_matches_generate(model, prompts, results, 8, fmt)
+        assert engine.metrics().attention_grouped_requests > 0
 
     def test_padded_buckets_report_padded_reads(self, model):
         rng = np.random.default_rng(59)
@@ -447,17 +468,12 @@ class TestEngineGrouped:
         # must surface in the metrics (and, via traffic accounting,
         # in simulated KV-read bytes).
         prompts = [rng.integers(0, 256, size=size) for size in (30, 29, 28)]
-        engine = Engine(model, self.grouped_config(kv_pool=False))
+        engine = Engine(model)
         results = serve(model, prompts, max_new_tokens=6, engine=engine)
         metrics = engine.metrics()
         assert metrics.attention_grouped_requests > 0
         assert metrics.attention_padded_reads > 0
-        reference = serve(
-            model, prompts, max_new_tokens=6,
-            config=EngineConfig(grouped_attention=False),
-        )
-        for ours, expected in zip(results, reference):
-            np.testing.assert_array_equal(ours.tokens, expected.tokens)
+        assert_matches_generate(model, prompts, results, 6)
 
     def test_paged_engine_grouped_parity(self, model):
         rng = np.random.default_rng(61)
@@ -466,30 +482,54 @@ class TestEngineGrouped:
             model,
             prompts,
             max_new_tokens=8,
-            config=self.grouped_config(
-                kv_pool=True, kv_pool_blocks=64, kv_block_size=4
-            ),
+            config=EngineConfig(kv_pool_blocks=64, kv_block_size=4),
         )
-        reference = serve(
-            model,
-            prompts,
-            max_new_tokens=8,
-            config=EngineConfig(
-                grouped_attention=False,
-                kv_pool=True,
-                kv_pool_blocks=64,
-                kv_block_size=4,
-            ),
-        )
-        for ours, expected in zip(grouped, reference):
-            np.testing.assert_array_equal(ours.tokens, expected.tokens)
+        assert_matches_generate(model, prompts, grouped, 8)
+
+    def test_every_decode_step_dispatches_layers_times_buckets(self, model):
+        # The structural dispatch gate: on a mixed-length run (exact,
+        # padded and singleton buckets, requests joining and leaving),
+        # each step launches one attention pipeline per (layer, bucket)
+        # of its decode plan — singletons included — plus one per
+        # (layer, prefill chunk).
+        rng = np.random.default_rng(71)
+        lengths = (7, 7, 7, 10, 9, 3, 25, 16)
+        prompts = [rng.integers(0, 256, size=length) for length in lengths]
+        engine = Engine(model, EngineConfig(max_batch_tokens=32))
+        plans = []
+        planner = engine._dispatcher.plan
+
+        def recording_plan(step_lengths):
+            plans.append(planner(step_lengths))
+            return plans[-1]
+
+        engine._dispatcher.plan = recording_plan
+        counts = [4 + index % 5 for index in range(len(prompts))]
+        handles = [
+            engine.submit(prompt, max_new_tokens=count)
+            for prompt, count in zip(prompts, counts)
+        ]
+        n_layers = len(model.blocks)
+        sizes = set()
+        while engine.has_work():
+            planned = len(plans)
+            report = engine.step().report
+            step_plans = plans[planned:]
+            assert len(step_plans) == (1 if report.decodes else 0)
+            buckets = sum(plan.num_buckets for plan in step_plans)
+            sizes.update(b.size for plan in step_plans for b in plan.buckets)
+            assert report.attention_dispatches == n_layers * (buckets + report.prefills)
+        assert 1 in sizes and max(sizes) > 1  # singletons and groups both ran
+        for handle, prompt, count in zip(handles, prompts, counts):
+            expected = generate(model, prompt, count)
+            np.testing.assert_array_equal(handle.result().tokens, expected.tokens)
 
     def test_drained_engine_holds_no_workspaces(self, model):
         # No request left decoding means no next decode step to sweep:
         # the engine clears the dispatcher itself, on finish and abort.
         rng = np.random.default_rng(67)
         prompts = [rng.integers(0, 256, size=8) for _ in range(3)]
-        engine = Engine(model, self.grouped_config())
+        engine = Engine(model)
         handles = [engine.submit(prompt, max_new_tokens=6) for prompt in prompts]
         while not engine._dispatcher._workspaces:
             engine.step()

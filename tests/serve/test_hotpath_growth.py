@@ -25,12 +25,13 @@ let ``-0.0`` / ``+0.0`` slip through).
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.llm import attention as attention_module
 from repro.llm.attention import (
     HOT_PATH_STATS,
+    BucketedAttention,
     KVCache,
     ReferenceKVCache,
     causal_block,
@@ -227,6 +228,12 @@ class TestWriteThroughScratch:
         reserved=st.sampled_from([0, 6, 160]),
         seed=st.integers(0, 2**31 - 1),
     )
+    # A sharer truncated below its shared prefix, then a faulted step.
+    @example(
+        ops=[("append", 0, 1), ("fork", 0, 1), ("truncate", 1, 1), ("partial", 1, 1)],
+        reserved=0,
+        seed=0,
+    )
     @settings(max_examples=30, deadline=None)
     def test_scratch_equals_pool_readback_under_interleavings(
         self, mode, ops, reserved, seed
@@ -271,8 +278,10 @@ class TestWriteThroughScratch:
                 kept = floor + (pick * (length - floor)) // 8
                 sequence.rollback(kept)
                 oracle.truncate(kept)
-            elif op == "partial":
-                # A forward that faulted after layer 0 appended.
+            elif op == "partial" and length >= floor:
+                # A forward that faulted after layer 0 appended (the
+                # engine's pre-step watermark never sits below the
+                # shared prefix; a truncate above may have dipped in).
                 append(sequence, amount, [0])
                 sequence.rollback(length)
             elif op == "fork" and length and len(live) < 3:
@@ -445,9 +454,11 @@ class TestBatchedLogitsBitwise:
         prefill_b = model.forward_step(prompt, bat_caches)
         assert bitwise_equal(prefill_a, prefill_b)
         token = np.array([[7]])
+        dispatcher = BucketedAttention()
         for _ in range(6):
             sequential = model.forward_step(token, seq_caches)
-            batched = model.forward_decode_batch(token, [bat_caches])
+            # A batch of one: a singleton bucket on the M == 1 path.
+            batched = model.forward_decode_batch(token, [bat_caches], dispatcher)
             assert bitwise_equal(sequential[0, -1], batched[0, -1])
             token = np.array([[int(np.argmax(sequential[0, -1]))]])
 
@@ -474,13 +485,10 @@ class TestBatchedLogitsBitwise:
 
 
 class TestEngineHotPathCounters:
-    @pytest.mark.parametrize("kv_pool", [False, True])
-    def test_decode_dequant_bytes_amortize_flat(self, kv_pool):
+    def test_decode_dequant_bytes_amortize_flat(self):
         """Steady-state decode converts O(new tokens), not O(history)."""
         model = build_model(tiny_test_config(seed=13))
         config = EngineConfig(
-            chunked_prefill=False,
-            kv_pool=kv_pool,
             kv_pool_blocks=64,
             kv_block_size=8,
             prefix_caching=False,
@@ -503,17 +511,10 @@ class TestEngineHotPathCounters:
         assert dequant.pop() == (
             config.n_layers * config.n_heads * config.head_dim * (4 + 8)
         )
-        growth_steps = [r for r in decode_steps if r.kv_copy_bytes > 0]
-        if kv_pool:
-            # The engine reserves a paged sequence's scratch to prompt
-            # + max_new_tokens: no growth copy, ever.
-            assert not growth_steps
-        else:
-            # Unreserved buffers double: capacity crossings (5 prompt +
-            # 30 tokens passes 16 and 32) show up as growth copies on
-            # a few steps, not every step.
-            assert growth_steps
-            assert len(growth_steps) < len(decode_steps) / 2
+        # The engine reserves a sequence's scratch to prompt +
+        # max_new_tokens: no growth copy, ever.  (Unreserved KVCache
+        # doubling is pinned by TestUnpagedGrowthParity.)
+        assert not [r for r in decode_steps if r.kv_copy_bytes > 0]
         metrics = engine.metrics()
         assert metrics.kv_dequant_bytes == sum(
             report.kv_dequant_bytes for report in engine._reports

@@ -1,12 +1,10 @@
-"""The KVFormat API: spec semantics, config shim, per-request override.
+"""The KVFormat API: spec semantics, engine config, per-request override.
 
 Covers the format value object itself (modes, per-layer stacks,
-search-derived policies, labels, signatures), the ``EngineConfig``
-deprecation shim over the legacy ``kv_mode``/``kv_mantissa_bits``
-knobs, and admission-time validation of ``SamplingParams.kv_format``.
+search-derived policies, labels, signatures), ``EngineConfig.kv_format``
+resolution, and admission-time validation of
+``SamplingParams.kv_format``.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +13,7 @@ from repro.core.precision import PrecisionCombination
 from repro.core.search import SearchResult
 from repro.errors import ModelError, RequestError
 from repro.llm.config import tiny_test_config
+from repro.llm.generation import generate
 from repro.llm.kv_quant import (
     KVFormat,
     kv_bits_per_element,
@@ -155,52 +154,38 @@ class TestFromSearch:
         assert all(r.continuation().shape[0] == 4 for r in results)
 
 
-class TestEngineConfigShim:
-    def test_legacy_kwargs_warn_and_mirror(self):
-        with pytest.warns(DeprecationWarning):
-            config = EngineConfig(kv_mode="anda", kv_mantissa_bits=4)
-        assert config.kv_format == KVFormat.anda(4)
-        assert config.kv_mode == "anda"
-        assert config.kv_mantissa_bits == 4
-        assert config.kv_bits == KVFormat.anda(4).bits_per_element()
-
-    def test_partial_legacy_kwargs_fill_defaults(self):
-        with pytest.warns(DeprecationWarning):
-            config = EngineConfig(kv_mode="anda")
-        assert config.kv_format == KVFormat.anda(8)
-        with pytest.warns(DeprecationWarning):
-            config = EngineConfig(kv_mantissa_bits=5)
-        assert config.kv_format == KVFormat(mode="fp16", mantissa_bits=5)
-
+class TestEngineConfigFormat:
     def test_default_is_fp16(self):
         config = EngineConfig()
         assert config.kv_format == KVFormat.fp16()
-        assert config.kv_mode == "fp16"
         assert config.kv_bits == 16.0
 
-    def test_conflict_raises(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ModelError):
-                EngineConfig(kv_mode="anda", kv_format=KVFormat.anda(4))
+    def test_removed_scalar_knobs_rejected(self):
+        # kv_format is the only spelling; the scalar knobs are gone.
+        with pytest.raises(TypeError):
+            EngineConfig(kv_mode="anda")
+        with pytest.raises(TypeError):
+            EngineConfig(kv_mantissa_bits=4)
 
     def test_non_format_kv_format_raises(self):
         with pytest.raises(ModelError):
             EngineConfig(kv_format="anda")
 
-    def test_per_layer_config_mirrors_sentinel_mode(self):
+    def test_per_layer_config_bits_are_the_layer_mean(self):
         stack = KVFormat.per_layer([KVFormat.anda(4), KVFormat.fp16()])
         config = EngineConfig(kv_format=stack)
-        assert config.kv_mode == "per_layer"
+        assert config.kv_format.mode == "per_layer"
         assert config.kv_bits == stack.bits_per_element()
 
-    def test_legacy_and_new_spellings_serve_identically(self, model, prompts):
-        with pytest.warns(DeprecationWarning):
-            legacy = EngineConfig(kv_mode="anda", kv_mantissa_bits=6)
-        modern = EngineConfig(kv_format=KVFormat.anda(6))
-        old = serve(model, prompts, max_new_tokens=6, config=legacy)
-        new = serve(model, prompts, max_new_tokens=6, config=modern)
-        for a, b in zip(old, new):
-            np.testing.assert_array_equal(a.tokens, b.tokens)
+    def test_engine_format_serves_like_sequential_generate(self, model, prompts):
+        fmt = KVFormat.anda(6)
+        results = serve(
+            model, prompts, max_new_tokens=6, config=EngineConfig(kv_format=fmt)
+        )
+        factory = make_cache_factory(model, fmt)
+        for prompt, result in zip(prompts, results):
+            expected = generate(model, prompt, 6, cache_factory=factory)
+            np.testing.assert_array_equal(result.tokens, expected.tokens)
 
 
 class TestPerRequestValidation:

@@ -2,21 +2,18 @@
 
 The acceptance bar for the API redesign:
 
-* ``LLM.generate`` is token-bitwise identical to the pre-redesign
-  ``submit``/``drain`` engine path across {fp16, anda} x {paged,
-  unpaged} x {chunked, unchunked};
-* ``abort()`` leaks nothing in any of those modes — allocator free
+* ``LLM.generate`` is token-bitwise identical to the bare
+  ``submit``/``drain`` engine path and to sequential ``generate()``
+  across {fp16, anda} formats x pool geometries x chunk budgets;
+* ``abort()`` leaks nothing in any of those cells — allocator free
   counts are restored (modulo deliberately resident prefix-cache
   blocks, each reclaimable), including aborts mid-chunked-prefill and
   aborts of prefix-sharing requests under pool pressure;
-* the ``serve_batch`` shim warns and returns identical outputs;
 * invalid requests are rejected at submission with ``errors``-module
   exceptions, never deep in the scheduler;
 * handles stream tokens incrementally (per-step deltas), report
   status, and block for results.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +21,7 @@ import pytest
 from repro.errors import ModelError, RequestAbortedError, RequestError
 from repro.llm.config import tiny_test_config
 from repro.llm.generation import generate, generate_text
-from repro.llm.kv_quant import make_cache_factory
+from repro.llm.kv_quant import KVFormat, make_cache_factory
 from repro.llm.transformer import build_model
 from repro.serve import (
     LLM,
@@ -32,7 +29,6 @@ from repro.serve import (
     EngineConfig,
     RequestStatus,
     SamplingParams,
-    serve_batch,
 )
 
 
@@ -47,34 +43,34 @@ def prompts():
     return [rng.integers(0, 256, size=length) for length in (5, 19, 3, 11)]
 
 
-def mode_config(kv_mode, paged, chunked, **overrides):
-    """One cell of the {fp16,anda} x {paged,unpaged} x {chunked,unchunked} grid."""
+#: Pool geometries: the engine default, and small blocks in a small pool.
+POOLS = {
+    "default-pool": {},
+    "blocks4x32": dict(kv_pool_blocks=32, kv_block_size=4),
+}
+
+
+def mode_config(kv_mode, pool, budget, **overrides):
+    """One cell of the {fp16,anda} x pool geometry x chunk budget grid.
+
+    Budget 64 covers every prompt (whole-prompt prefills); budget 16
+    chunks the longer ones.
+    """
     settings = dict(
-        kv_mode=kv_mode,
-        kv_mantissa_bits=6,
-        chunked_prefill=chunked,
-        max_batch_tokens=16 if chunked else 64,
+        kv_format=KVFormat(mode=kv_mode, mantissa_bits=6),
+        max_batch_tokens=budget,
         max_batch_size=4,
+        **POOLS[pool],
     )
-    if paged:
-        settings.update(kv_pool=True, kv_pool_blocks=32, kv_block_size=4)
     settings.update(overrides)
     return EngineConfig(**settings)
 
 
 ALL_MODES = [
-    pytest.param(
-        kv_mode,
-        paged,
-        chunked,
-        id=(
-            f"{kv_mode}-{'paged' if paged else 'unpaged'}"
-            f"-{'chunked' if chunked else 'unchunked'}"
-        ),
-    )
+    pytest.param(kv_mode, pool, budget, id=f"{kv_mode}-{pool}-budget{budget}")
     for kv_mode in ("fp16", "anda")
-    for paged in (False, True)
-    for chunked in (False, True)
+    for pool in POOLS
+    for budget in (64, 16)
 ]
 
 
@@ -89,7 +85,6 @@ def old_path(model, prompts, max_new_tokens, config):
 def assert_no_leaks(engine):
     """Every pool block is free or a reclaimable prefix-cache resident."""
     pool = engine._pool
-    assert pool is not None
     assert pool.leaked_blocks() == 0
     cached = 0 if pool.prefix_cache is None else len(pool.prefix_cache)
     assert pool.free_blocks + cached == pool.num_blocks
@@ -99,21 +94,22 @@ def assert_no_leaks(engine):
 
 
 class TestNewApiParity:
-    """LLM.generate vs the pre-redesign engine path, all eight modes."""
+    """LLM.generate vs the bare engine path and sequential generate()."""
 
-    @pytest.mark.parametrize("kv_mode,paged,chunked", ALL_MODES)
-    def test_generate_matches_old_path(self, model, prompts, kv_mode, paged, chunked):
-        config = mode_config(kv_mode, paged, chunked)
+    @pytest.mark.parametrize("kv_mode,pool,budget", ALL_MODES)
+    def test_generate_matches_old_path(self, model, prompts, kv_mode, pool, budget):
+        config = mode_config(kv_mode, pool, budget)
         new = LLM(model, config).generate(prompts, SamplingParams(max_new_tokens=6))
         old = old_path(model, prompts, 6, config)
-        for new_result, old_result in zip(new, old):
+        factory = make_cache_factory(model, config.kv_format)
+        for prompt, new_result, old_result in zip(prompts, new, old):
             np.testing.assert_array_equal(new_result.tokens, old_result.tokens)
+            expected = generate(model, prompt, 6, cache_factory=factory)
+            np.testing.assert_array_equal(new_result.tokens, expected.tokens)
 
-    @pytest.mark.parametrize("kv_mode,paged,chunked", ALL_MODES)
-    def test_stream_deltas_match_old_path(
-        self, model, prompts, kv_mode, paged, chunked
-    ):
-        config = mode_config(kv_mode, paged, chunked)
+    @pytest.mark.parametrize("kv_mode,pool,budget", ALL_MODES)
+    def test_stream_deltas_match_old_path(self, model, prompts, kv_mode, pool, budget):
+        config = mode_config(kv_mode, pool, budget)
         streamed = {}
         llm = LLM(model, config)
         for delta in llm.stream(prompts, SamplingParams(max_new_tokens=6)):
@@ -142,8 +138,8 @@ class TestNewApiParity:
         np.testing.assert_array_equal(result.tokens, expected.tokens)
 
     def test_2d_ndarray_is_a_batch_of_row_prompts(self, model):
-        # serve_batch iterated a 2-D array row-wise; the facade must
-        # not flatten it into one concatenated request.
+        # A 2-D array is a batch of row prompts; the facade must not
+        # flatten it into one concatenated request.
         rows = np.arange(8, dtype=np.int64).reshape(2, 4) % 256
         results = LLM(model).generate(rows, SamplingParams(max_new_tokens=3))
         assert isinstance(results, list) and len(results) == 2
@@ -154,22 +150,6 @@ class TestNewApiParity:
     def test_params_count_mismatch_rejected(self, model, prompts):
         with pytest.raises(RequestError):
             LLM(model).generate(prompts, [SamplingParams()] * (len(prompts) - 1))
-
-
-class TestServeBatchShim:
-    def test_warns_and_matches_llm_generate(self, model, prompts):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = serve_batch(model, prompts, max_new_tokens=5)
-        assert any(
-            issubclass(warning.category, DeprecationWarning) for warning in caught
-        )
-        modern = LLM(model).generate(prompts, SamplingParams(max_new_tokens=5))
-        assert len(legacy) == len(modern)
-        for legacy_result, modern_result in zip(legacy, modern):
-            np.testing.assert_array_equal(
-                legacy_result.tokens, modern_result.tokens
-            )
 
 
 class TestSubmitValidation:
@@ -227,13 +207,11 @@ class TestSubmitValidation:
 
 
 class TestAbort:
-    """Cancellation must release KV residency in every serving mode."""
+    """Cancellation must release KV residency in every grid cell."""
 
-    @pytest.mark.parametrize("kv_mode,paged,chunked", ALL_MODES)
-    def test_abort_leaves_no_leaked_blocks(
-        self, model, prompts, kv_mode, paged, chunked
-    ):
-        config = mode_config(kv_mode, paged, chunked)
+    @pytest.mark.parametrize("kv_mode,pool,budget", ALL_MODES)
+    def test_abort_leaves_no_leaked_blocks(self, model, prompts, kv_mode, pool, budget):
+        config = mode_config(kv_mode, pool, budget)
         engine = Engine(model, config)
         handles = [
             engine.submit(prompt, SamplingParams(max_new_tokens=6))
@@ -244,9 +222,8 @@ class TestAbort:
         engine.step()
         assert handles[3].abort()
         engine.run_until_idle(max_steps=500)
-        if paged:
-            assert_no_leaks(engine)
-        factory = make_cache_factory(model, kv_mode, 6)
+        assert_no_leaks(engine)
+        factory = make_cache_factory(model, config.kv_format)
         survivors = [handles[0].result(), handles[2].result()]
         for index, result in zip((0, 2), survivors):
             expected = generate(model, prompts[index], 6, cache_factory=factory)
@@ -257,7 +234,7 @@ class TestAbort:
         rng = np.random.default_rng(4)
         engine = Engine(
             model,
-            mode_config("fp16", paged=True, chunked=True, max_batch_tokens=8),
+            mode_config("fp16", "blocks4x32", budget=8),
         )
         short = engine.submit(rng.integers(0, 256, size=4), 8)
         engine.step()
@@ -278,7 +255,7 @@ class TestAbort:
             np.concatenate([system, rng.integers(0, 256, size=3)])
             for _ in range(4)
         ]
-        engine = Engine(model, mode_config("anda", paged=True, chunked=True))
+        engine = Engine(model, mode_config("anda", "blocks4x32", budget=16))
         handles = [engine.submit(p, SamplingParams(max_new_tokens=5)) for p in prompts]
         engine.step()  # prompts register / map shared prefix blocks
         # Abort two sharers while the prefix blocks are multiply owned.
@@ -294,13 +271,7 @@ class TestAbort:
         prompts = [rng.integers(0, 256, size=6) for _ in range(5)]
         engine = Engine(
             model,
-            mode_config(
-                "fp16",
-                paged=True,
-                chunked=True,
-                kv_pool_blocks=8,
-                max_batch_tokens=64,
-            ),
+            mode_config("fp16", "blocks4x32", budget=64, kv_pool_blocks=8),
         )
         handles = [
             engine.submit(prompt, SamplingParams(max_new_tokens=10))
@@ -438,11 +409,11 @@ class TestStopTokens:
         assert result.continuation()[-1] == stop
         assert len(result.continuation()) < 8  # ended before the cap
 
-    @pytest.mark.parametrize("kv_mode,paged,chunked", ALL_MODES[:2] + ALL_MODES[-2:])
-    def test_stop_tokens_across_modes(self, model, prompts, kv_mode, paged, chunked):
+    @pytest.mark.parametrize("kv_mode,pool,budget", ALL_MODES[:2] + ALL_MODES[-2:])
+    def test_stop_tokens_across_modes(self, model, prompts, kv_mode, pool, budget):
         stop = self.choose_stop(model, prompts[1])
         params = SamplingParams(max_new_tokens=8, stop_token_ids=(stop,))
-        config = mode_config(kv_mode, paged, chunked)
+        config = mode_config(kv_mode, pool, budget)
         result = LLM(model, config).generate(prompts[1], params)
         expected = generate(model, prompts[1], params=params)
         np.testing.assert_array_equal(result.tokens, expected.tokens)

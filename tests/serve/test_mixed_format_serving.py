@@ -2,17 +2,18 @@
 
 The load-bearing guarantee of the format redesign: a batch whose
 requests override ``SamplingParams.kv_format`` emits, request for
-request, exactly the tokens each format's *solo* engine (configured
-engine-wide with that format) would emit — across paged/unpaged and
-chunked/unchunked serving.  On top: the prefix cache never mixes
-byte-incompatible formats, and telemetry splits KV traffic by format.
+request, exactly the tokens sequential ``generate()`` emits with that
+format's caches — across pool geometries and chunk budgets.  On top:
+the prefix cache never mixes byte-incompatible formats, and telemetry
+splits KV traffic by format.
 """
 
 import numpy as np
 import pytest
 
 from repro.llm.config import tiny_test_config
-from repro.llm.kv_quant import KVFormat
+from repro.llm.generation import generate
+from repro.llm.kv_quant import KVFormat, make_cache_factory
 from repro.llm.transformer import build_model
 from repro.llm.zoo import get_model
 from repro.serve import Engine, EngineConfig, SamplingParams
@@ -33,11 +34,14 @@ def prompts():
 #: default, anda6; fp16 and bfp5 are byte-incompatible overrides).
 REQUEST_FORMATS = [None, KVFormat.fp16(), KVFormat.bfp(5), KVFormat.anda(4)]
 
+#: Pool geometries x chunk budgets (64 covers every prompt; 16 chunks).
 MODES = [
-    pytest.param(kv_pool, chunked, id=f"{'paged' if kv_pool else 'unpaged'}-"
-                 f"{'chunked' if chunked else 'unchunked'}")
-    for kv_pool in (False, True)
-    for chunked in (False, True)
+    pytest.param(pool, budget, id=f"{label}-budget{budget}")
+    for label, pool in (
+        ("default-pool", {}),
+        ("blocks4x64", dict(kv_pool_blocks=64, kv_block_size=4)),
+    )
+    for budget in (64, 16)
 ]
 
 
@@ -55,77 +59,66 @@ def run_engine(model, prompts, formats, config, max_new_tokens=6):
     return engine, [handle.result().tokens for handle in handles]
 
 
-def make_config(kv_pool, chunked, **overrides):
+def make_config(pool=None, budget=16, **overrides):
     return EngineConfig(
         kv_format=overrides.pop("kv_format", KVFormat.anda(6)),
-        kv_pool=kv_pool,
-        chunked_prefill=chunked,
-        max_batch_tokens=overrides.pop("max_batch_tokens", 16),
+        max_batch_tokens=budget,
+        **(pool or {}),
         **overrides,
     )
 
 
-class TestMixedBatchParity:
-    @pytest.mark.parametrize("kv_pool,chunked", MODES)
-    def test_tokens_match_per_format_solo_engines(
-        self, model, prompts, kv_pool, chunked
-    ):
-        config = make_config(kv_pool, chunked)
-        _, mixed = run_engine(model, prompts, REQUEST_FORMATS, config)
-        for prompt, fmt, tokens in zip(prompts, REQUEST_FORMATS, mixed):
-            solo_config = make_config(
-                kv_pool, chunked, kv_format=fmt or KVFormat.anda(6)
-            )
-            _, solo = run_engine(model, [prompt], [None], solo_config)
-            np.testing.assert_array_equal(tokens, solo[0])
+def assert_matches_generate(model, prompts, formats, tokens, default, count=6):
+    """Each request's tokens equal sequential generate() in its format."""
+    for prompt, fmt, served in zip(prompts, formats, tokens):
+        factory = make_cache_factory(model, fmt or default)
+        expected = generate(model, prompt, count, cache_factory=factory)
+        np.testing.assert_array_equal(served, expected.tokens)
 
-    @pytest.mark.parametrize("kv_pool,chunked", MODES)
-    def test_per_layer_override_in_mixed_batch(self, prompts, kv_pool, chunked):
+
+class TestMixedBatchParity:
+    @pytest.mark.parametrize("pool,budget", MODES)
+    def test_tokens_match_per_format_sequential(self, model, prompts, pool, budget):
+        config = make_config(pool, budget)
+        _, mixed = run_engine(model, prompts, REQUEST_FORMATS, config)
+        assert_matches_generate(
+            model, prompts, REQUEST_FORMATS, mixed, KVFormat.anda(6)
+        )
+
+    @pytest.mark.parametrize("pool,budget", MODES)
+    def test_per_layer_override_in_mixed_batch(self, prompts, pool, budget):
         tiny = build_model(tiny_test_config("opt", d_model=32, n_layers=2))
         stack = KVFormat.per_layer([KVFormat.anda(4), KVFormat.fp16()])
         formats = [None, stack, None, stack]
-        config = make_config(kv_pool, chunked, kv_format=KVFormat.fp16())
+        config = make_config(pool, budget, kv_format=KVFormat.fp16())
         _, mixed = run_engine(tiny, prompts, formats, config)
-        for prompt, fmt, tokens in zip(prompts, formats, mixed):
-            solo_config = make_config(
-                kv_pool, chunked, kv_format=fmt or KVFormat.fp16()
-            )
-            _, solo = run_engine(tiny, [prompt], [None], solo_config)
-            np.testing.assert_array_equal(tokens, solo[0])
+        assert_matches_generate(tiny, prompts, formats, mixed, KVFormat.fp16())
 
-    def test_per_layer_engine_default_paged_matches_unpaged(self, prompts):
+    def test_per_layer_engine_default_matches_generate(self, prompts):
         # The pool's per-layer default codecs (pool.codecs) must write
-        # the same bytes the unpaged per-layer caches write.
+        # the same bytes the sequential per-layer caches write.
         tiny = build_model(tiny_test_config("opt", d_model=32, n_layers=2))
         stack = KVFormat.per_layer([KVFormat.anda(4), KVFormat.fp16()])
         formats = [None] * len(prompts)
-        _, unpaged = run_engine(
-            tiny, prompts, formats, make_config(False, False, kv_format=stack)
-        )
-        _, paged = run_engine(
-            tiny, prompts, formats, make_config(True, False, kv_format=stack)
-        )
-        for a, b in zip(unpaged, paged):
-            np.testing.assert_array_equal(a, b)
+        _, tokens = run_engine(tiny, prompts, formats, make_config(kv_format=stack))
+        assert_matches_generate(tiny, prompts, formats, tokens, stack)
 
 
 class TestFormatSplitTelemetry:
     def test_metrics_split_by_label(self, model, prompts):
-        engine, _ = run_engine(
-            model, prompts, REQUEST_FORMATS, make_config(True, True)
-        )
+        engine, _ = run_engine(model, prompts, REQUEST_FORMATS, make_config())
         split = dict(engine.metrics().kv_format_bytes)
         assert set(split) == {"anda6", "fp16", "bfp5", "anda4"}
         assert all(value > 0 for value in split.values())
 
     def test_split_sums_to_step_kv_traffic_without_padding(self, model, prompts):
-        # With grouped attention off there are no padded reads, so the
+        # With padded buckets off there are no padded reads, so the
         # per-format attribution covers the KV streams exactly.
         engine, _ = run_engine(
             model,
             prompts,
             REQUEST_FORMATS,
-            make_config(False, False, grouped_attention=False),
+            make_config(budget=64, attention_pad_waste=0.0),
         )
         metrics = engine.metrics()
         split_total = sum(dict(metrics.kv_format_bytes).values())
@@ -133,34 +126,24 @@ class TestFormatSplitTelemetry:
         assert split_total == pytest.approx(kv_total, rel=1e-9)
 
     def test_prometheus_counter_per_format(self, model, prompts):
-        engine, _ = run_engine(
-            model, prompts, REQUEST_FORMATS, make_config(True, False)
-        )
+        engine, _ = run_engine(model, prompts, REQUEST_FORMATS, make_config())
         text = engine.telemetry.prometheus()
         assert "repro_engine_kv_format_bytes_total" in text
         for label in ("anda6", "fp16", "bfp5", "anda4"):
             assert f'format="{label}"' in text
 
-    def test_uniform_traffic_unchanged_by_redesign(self, model, prompts):
-        # A single-format batch must charge exactly what the scalar
-        # kv_bits arithmetic always charged (no float re-association).
-        engine_new, _ = run_engine(
-            model, prompts, [None] * len(prompts), make_config(False, False)
-        )
-        with pytest.warns(DeprecationWarning):
-            legacy_config = EngineConfig(
-                kv_mode="anda",
-                kv_mantissa_bits=6,
-                kv_pool=False,
-                chunked_prefill=False,
-                max_batch_tokens=16,
-            )
-        engine_old, _ = run_engine(
-            model, prompts, [None] * len(prompts), legacy_config
+    def test_uniform_traffic_independent_of_format_spelling(self, model, prompts):
+        # A single-format batch charges the same bytes whether the
+        # format is the engine default or every request's (byte-equal)
+        # override: the per-request kv_bits arithmetic never
+        # re-associates.
+        inherited, _ = run_engine(model, prompts, [None] * len(prompts), make_config())
+        overridden, _ = run_engine(
+            model, prompts, [KVFormat.anda(6)] * len(prompts), make_config()
         )
         assert (
-            engine_new.metrics().traffic.total_bytes
-            == engine_old.metrics().traffic.total_bytes
+            inherited.metrics().traffic.total_bytes
+            == overridden.metrics().traffic.total_bytes
         )
 
 
@@ -175,9 +158,7 @@ class TestPrefixSharingGuard:
 
     def test_default_format_requests_still_share(self, model):
         prompts = self.shared_prompts()
-        engine, _ = run_engine(
-            model, prompts, [None, None], make_config(True, False)
-        )
+        engine, _ = run_engine(model, prompts, [None, None], make_config())
         assert engine.metrics().prefix_hit_tokens > 0
 
     def test_private_format_request_never_shares(self, model):
@@ -186,7 +167,7 @@ class TestPrefixSharingGuard:
             model,
             prompts,
             [None, KVFormat.fp16()],
-            make_config(True, False),
+            make_config(),
         )
         # The fp16 override must not read the anda6 donor's blocks...
         assert engine.metrics().prefix_hit_tokens == 0
@@ -195,7 +176,7 @@ class TestPrefixSharingGuard:
             model,
             [prompts[1]],
             [None],
-            make_config(True, False, kv_format=KVFormat.fp16()),
+            make_config(kv_format=KVFormat.fp16()),
         )
         np.testing.assert_array_equal(tokens[1], solo[0])
 
@@ -209,12 +190,10 @@ class TestPrefixSharingGuard:
             model,
             prompts,
             [KVFormat.fp16(), None],
-            make_config(True, False),
+            make_config(),
         )
         assert engine.metrics().prefix_hit_tokens == 0
-        _, solo = run_engine(
-            model, [prompts[1]], [None], make_config(True, False)
-        )
+        _, solo = run_engine(model, [prompts[1]], [None], make_config())
         np.testing.assert_array_equal(tokens[1], solo[0])
 
     def test_same_format_override_still_shares(self, model):
@@ -226,6 +205,6 @@ class TestPrefixSharingGuard:
             model,
             prompts,
             [None, KVFormat.anda(6)],
-            make_config(True, False),
+            make_config(),
         )
         assert engine.metrics().prefix_hit_tokens > 0

@@ -18,6 +18,7 @@ def make_state(
     prompt_length: int,
     running: bool = False,
     prefill_pos: int = 0,
+    generated: tuple[int, ...] = (),
 ):
     state = RequestState(
         request=Request(
@@ -31,6 +32,8 @@ def make_state(
     if prefill_pos:
         state.prefill_pos = prefill_pos
         state.status = RequestStatus.PREFILLING
+    # A resumed request: preempted mid-decode, replays prompt + tokens.
+    state.generated = list(generated)
     return state
 
 
@@ -73,15 +76,17 @@ class TestPlanStep:
 
     def test_token_budget_caps_admissions(self):
         waiting = [make_state(0, 5), make_state(1, 5), make_state(2, 5)]
-        plan = plan_step(waiting, [], FcfsPolicy(), 8, 11)
+        plan = plan_step(waiting, [], FcfsPolicy(), 8, 10)
         assert [s.request.request_id for s in plan.prefills] == [0, 1]
 
     def test_admission_stops_at_first_misfit(self):
-        # Head-of-line blocking is deliberate: request 1 does not fit,
-        # so request 2 (which would fit) must wait behind it.
+        # Head-of-line blocking is deliberate: request 1 only gets the
+        # budget's leftover as a partial chunk, so request 2 (which
+        # would fit whole) must wait behind it.
         waiting = [make_state(0, 4), make_state(1, 10), make_state(2, 1)]
         plan = plan_step(waiting, [], FcfsPolicy(), 8, 8)
-        assert [s.request.request_id for s in plan.prefills] == [0]
+        assert [s.request.request_id for s in plan.prefills] == [0, 1]
+        assert [chunk.tokens for chunk in plan.prefills] == [4, 4]
 
     def test_batch_size_caps_admissions(self):
         waiting = [make_state(i, 1) for i in range(5)]
@@ -95,15 +100,18 @@ class TestPlanStep:
         assert plan.prefills == []
         assert len(plan.decodes) == 4
 
-    def test_oversized_prompt_runs_alone(self):
-        waiting = [make_state(0, 50), make_state(1, 2)]
+    def test_oversized_replay_runs_alone(self):
+        # A resumed request's replay is never chunked: when it exceeds
+        # the budget with nothing running, it runs alone rather than
+        # deadlocking the queue.
+        waiting = [make_state(0, 48, generated=(1, 2, 3)), make_state(1, 2)]
         plan = plan_step(waiting, [], FcfsPolicy(), 8, 8)
         assert [s.request.request_id for s in plan.prefills] == [0]
         assert plan.budget_tokens == 50
 
-    def test_oversized_prompt_waits_while_decodes_run(self):
+    def test_oversized_replay_waits_while_decodes_run(self):
         running = [make_state(1, 2, running=True)]
-        waiting = [make_state(0, 50)]
+        waiting = [make_state(0, 48, generated=(1, 2, 3))]
         plan = plan_step(waiting, running, FcfsPolicy(), 8, 8)
         assert plan.prefills == []
 
@@ -111,8 +119,9 @@ class TestPlanStep:
         waiting = [make_state(0, 7), make_state(1, 3)]
         fcfs = plan_step(waiting, [], FcfsPolicy(), 8, 8)
         spf = plan_step(waiting, [], ShortestPromptFirstPolicy(), 8, 8)
-        assert [s.request.request_id for s in fcfs.prefills] == [0]
-        assert [s.request.request_id for s in spf.prefills] == [1]
+        assert [s.request.request_id for s in fcfs.prefills] == [0, 1]
+        assert [s.request.request_id for s in spf.prefills] == [1, 0]
+        assert fcfs.prefills[0].completes and not fcfs.prefills[1].completes
 
     def test_invalid_limits_rejected(self):
         with pytest.raises(ModelError):
@@ -129,7 +138,7 @@ class TestPlanStep:
 class TestChunkedPlanning:
     def test_oversized_prompt_gets_budget_sized_chunk(self):
         waiting = [make_state(0, 50)]
-        plan = plan_step(waiting, [], FcfsPolicy(), 8, 8, chunking=True)
+        plan = plan_step(waiting, [], FcfsPolicy(), 8, 8)
         assert len(plan.prefills) == 1
         chunk = plan.prefills[0]
         assert chunk.tokens == 8
@@ -138,7 +147,7 @@ class TestChunkedPlanning:
     def test_chunk_rides_with_decodes_on_leftover_budget(self):
         running = [make_state(0, 4, running=True), make_state(1, 4, running=True)]
         waiting = [make_state(2, 50)]
-        plan = plan_step(waiting, running, FcfsPolicy(), 8, 10, chunking=True)
+        plan = plan_step(waiting, running, FcfsPolicy(), 8, 10)
         assert len(plan.decodes) == 2
         assert plan.prefills[0].tokens == 8  # 10 budget - 2 decode tokens
         assert plan.budget_tokens == 10
@@ -146,7 +155,7 @@ class TestChunkedPlanning:
     def test_decodes_consuming_whole_budget_block_chunks(self):
         running = [make_state(index, 2, running=True) for index in range(4)]
         waiting = [make_state(9, 50)]
-        plan = plan_step(waiting, running, FcfsPolicy(), 8, 4, chunking=True)
+        plan = plan_step(waiting, running, FcfsPolicy(), 8, 4)
         assert plan.prefills == []
         assert len(plan.decodes) == 4
 
@@ -157,7 +166,7 @@ class TestChunkedPlanning:
         running = [make_state(index, 2, running=True) for index in range(3)]
         inflight = make_state(3, 40, prefill_pos=16)
         fresh = make_state(4, 4)
-        plan = plan_step([inflight, fresh], running, FcfsPolicy(), 4, 32, chunking=True)
+        plan = plan_step([inflight, fresh], running, FcfsPolicy(), 4, 32)
         assert [c.state.request.request_id for c in plan.prefills] == [3]
         assert plan.prefills[0].tokens == 24  # finishes the prompt
 
@@ -176,13 +185,12 @@ class TestChunkedPlanning:
             ShortestPromptFirstPolicy(),
             4,
             64,
-            chunking=True,
         )
         assert [c.state.request.request_id for c in plan.prefills] == [3]
 
     def test_final_chunk_marks_completion(self):
         inflight = make_state(0, 20, prefill_pos=16)
-        plan = plan_step([inflight], [], FcfsPolicy(), 8, 32, chunking=True)
+        plan = plan_step([inflight], [], FcfsPolicy(), 8, 32)
         chunk = plan.prefills[0]
         assert chunk.tokens == 4
         assert chunk.completes
@@ -191,13 +199,18 @@ class TestChunkedPlanning:
         # A preempted mid-decode request replays prompt + emitted
         # tokens in one admission (bitwise rebuild), even when the
         # budget only covers part of it.
-        resumed = make_state(0, 10)
-        resumed.generated = [5, 6, 7]
-        plan = plan_step([resumed], [], FcfsPolicy(), 8, 8, chunking=True)
+        resumed = make_state(0, 10, generated=(5, 6, 7))
+        plan = plan_step([resumed], [], FcfsPolicy(), 8, 8)
         # Forward-progress override admits the whole 12-token replay.
         assert plan.prefills[0].tokens == 12
 
-    def test_chunking_off_preserves_whole_prompt_admissions(self):
+    def test_budget_covering_the_prompt_admits_it_whole(self):
+        # Whole-prompt prefill is a budget size, not a mode.
         waiting = [make_state(0, 50), make_state(1, 2)]
-        plan = plan_step(waiting, [], FcfsPolicy(), 8, 8, chunking=False)
-        assert plan.prefills[0].tokens == 50  # oversized override, unchunked
+        plan = plan_step(waiting, [], FcfsPolicy(), 8, 64)
+        assert [chunk.tokens for chunk in plan.prefills] == [50, 2]
+        assert all(chunk.completes for chunk in plan.prefills)
+
+    def test_chunking_off_rejected_naming_the_budget(self):
+        with pytest.raises(ModelError, match="max_batch_tokens"):
+            plan_step([make_state(0, 4)], [], FcfsPolicy(), 8, 8, chunking=False)

@@ -301,7 +301,7 @@ class TestEngineTracing:
     def test_chunked_prefill_emits_chunk_lane_spans(self, model):
         engine = Engine(
             model,
-            traced_config(max_batch_tokens=8, chunked_prefill=True),
+            traced_config(max_batch_tokens=8),
         )
         llm = LLM(engine=engine)
         rng = np.random.default_rng(9)
@@ -363,7 +363,7 @@ class TestLifecycleEvents:
     def test_chunked_prompt_traces_prefilling_before_running(self, model):
         engine = Engine(
             model,
-            traced_config(max_batch_tokens=8, chunked_prefill=True),
+            traced_config(max_batch_tokens=8),
         )
         llm = LLM(engine=engine)
         rng = np.random.default_rng(13)
@@ -464,16 +464,15 @@ class TestStepLogging:
 
 
 class TestTelemetryNeutrality:
-    @pytest.mark.parametrize("chunked", [False, True])
-    def test_tokens_bitwise_identical_with_telemetry_on(self, model, chunked):
+    @pytest.mark.parametrize("budget", [64, 16])
+    def test_tokens_bitwise_identical_with_telemetry_on(self, model, budget):
         prompts = prompts_for(model, count=4, seed=21)
         params = SamplingParams(max_new_tokens=6, temperature=0.9, top_k=8, seed=5)
 
         def tokens(telemetry):
             config = EngineConfig(
                 max_batch_size=4,
-                max_batch_tokens=16 if chunked else 64,
-                chunked_prefill=chunked,
+                max_batch_tokens=budget,
                 telemetry=telemetry,
             )
             llm = LLM(model=model, config=config)
