@@ -97,7 +97,6 @@ def decode_step_traffic(
     context_lengths: Sequence[int],
     kv_bits_per_element: "float | Sequence[float]" = 16.0,
     batched: bool = True,
-    padded_read_positions: int = 0,
 ) -> StepTraffic:
     """Traffic of one decode step over a batch of requests.
 
@@ -109,24 +108,12 @@ def decode_step_traffic(
             FP16, :func:`repro.llm.kv_quant.kv_bits_per_element` for a
             compressed cache.  A *sequence* gives per-request widths
             (mixed-format serving: each request's history is read and
-            its appended position written at its own width; padded
-            reads, which belong to no single request, are charged at
-            the batch's mean width).
+            its appended position written at its own width).
         batched: if true, weights stream once for the whole batch
             (continuous batching); if false, once per request
             (one-at-a-time decode), which is the baseline the engine's
             speedup is measured against.
-        padded_read_positions: extra key/value positions scored beyond
-            the requests' real histories — the waste grouped attention's
-            padded buckets introduce (``Bucket.padded_slots`` summed
-            over the step, per layer group).  Charged as KV reads: a
-            padded slot streams the same K/V bytes as a real one, which
-            is exactly why the planner's pad-waste cap exists.
     """
-    if padded_read_positions < 0:
-        raise HardwareError(
-            f"padded read positions must be >= 0, got {padded_read_positions}"
-        )
     batch = len(context_lengths)
     uniform = isinstance(kv_bits_per_element, (int, float))
     if not uniform:
@@ -152,7 +139,7 @@ def decode_step_traffic(
             raise HardwareError("context lengths must be non-negative")
         kv_bytes_per_element = kv_bits_per_element / 8.0
         per_position = _kv_elements_per_position(config)
-        history = sum(context_lengths) + padded_read_positions
+        history = sum(context_lengths)
         return StepTraffic(
             weight_bytes=_weight_bytes(config) * (1 if batched else batch),
             kv_read_bytes=history * per_position * kv_bytes_per_element,
@@ -167,12 +154,11 @@ def decode_step_traffic(
         return StepTraffic()
     if min(context_lengths) < 0:
         raise HardwareError("context lengths must be non-negative")
-    mean_bits = sum(per_request_bits) / batch
     per_position = _kv_elements_per_position(config)
     kv_read = sum(
         context * bits / 8.0
         for context, bits in zip(context_lengths, per_request_bits)
-    ) + padded_read_positions * mean_bits / 8.0
+    )
     kv_write = sum(bits / 8.0 for bits in per_request_bits)
     return StepTraffic(
         weight_bytes=_weight_bytes(config) * (1 if batched else batch),
@@ -190,8 +176,7 @@ def decode_request_kv_bytes(
     The per-request share of :func:`decode_step_traffic`'s KV streams —
     its ``context_length`` history re-read plus the one appended
     position, at its own stored width — used by the engine to split a
-    mixed-format step's KV traffic by format (padded reads belong to no
-    request and are excluded from the split).
+    mixed-format step's KV traffic by format.
     """
     if context_length < 0:
         raise HardwareError(f"context length must be >= 0, got {context_length}")

@@ -704,15 +704,16 @@ class NoImportCycles(Rule):
 class MatmulsRouteThroughAttention(Rule):
     code = "RPL010"
     title = "no raw matmuls in serve/ (lane discipline)"
-    rationale = "decode-shaped GeMMs must go through BucketedAttention/_attention_core so the bitwise M=1 vs M>=2 OpenBLAS lane split is preserved"
-    invariant = "PR 6 lane discipline: serve/README.md 'Grouped attention' (bitwise kernel-lane contract)"
+    rationale = "attention math must go through _attention_core (one M=1 launch per decode row over its own history) so decode rows stay bitwise identical to sequential decode"
+    invariant = "lane discipline: serve/README.md 'Decode attention & lane discipline' (bitwise kernel-lane contract)"
     explain = (
         "src/repro/serve orchestrates; repro.llm.attention computes.  A raw\n"
         "@ / np.matmul / np.dot / np.einsum on decode-shaped operands inside\n"
         "serve/ would pick OpenBLAS kernels by shape, silently crossing the\n"
-        "M=1 (GeMV) vs M>=2 (GeMM) lane boundary that PR 6 pinned bitwise.\n"
-        "All attention math must flow through BucketedAttention /\n"
-        "_attention_core, where lane selection is explicit and parity-tested."
+        "M=1 (GeMV) vs M>=2 (GeMM) lane boundary that keeps every decode row\n"
+        "bitwise identical to sequential decode.  All attention math must\n"
+        "flow through _attention_core (BucketedAttention.run_bucket calls it\n"
+        "once per decode row), where the lane is explicit and parity-tested."
     )
 
     def check(self, index: ModuleIndex) -> list[Finding]:
@@ -733,7 +734,7 @@ class MatmulsRouteThroughAttention(Rule):
                             module,
                             node,
                             f"raw matmul via {spelled} in serve/ (route through "
-                            "BucketedAttention / _attention_core)",
+                            "MultiHeadAttention._attention_core)",
                             qual,
                         )
                     )

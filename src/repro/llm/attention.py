@@ -18,7 +18,6 @@ Two forward paths are provided:
 from __future__ import annotations
 
 import contextvars
-import itertools
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
@@ -87,39 +86,25 @@ HOT_PATH_STATS = KVHotPathStats()
 
 @dataclass
 class AttentionDispatchStats:
-    """Process-wide counters of attention kernel launches.
+    """Process-wide counter of attention kernel launches.
 
-    ``dispatches`` counts attention-pipeline launches: one per
-    :meth:`MultiHeadAttention._attention_core` call (the per-request
-    oracle — prefill segments and singleton decode buckets both land
-    here) plus one per multi-request bucket run by
-    :class:`BucketedAttention`, so a decode step costs exactly
-    ``layers x buckets`` dispatches (pinned in the grouped-attention
-    tests).
+    ``dispatches`` counts :meth:`MultiHeadAttention._attention_core`
+    calls — one per prefill segment and one per decode row, per layer —
+    so a step costs exactly ``layers x (decode rows + chunk segments)``
+    dispatches (pinned in the grouped-attention tests).
 
-    ``grouped_requests`` counts requests served through a multi-request
-    bucket (a measure of how much of the batch the planner managed to
-    group), and ``padded_slots`` counts wasted key positions scored in
-    padded buckets (``sum(bucket_len - request_len)`` — what the
-    pad-waste cap bounds, and what :func:`repro.hw.traffic.
-    decode_step_traffic` charges as padded reads).
-
-    The engine snapshots these around each step and reports the deltas
-    (``StepReport.attention_dispatches`` etc.), mirroring
+    The engine snapshots it around each step and reports the delta
+    (``StepReport.attention_dispatches``), mirroring
     :class:`KVHotPathStats`.
     """
 
     dispatches: int = 0
-    grouped_requests: int = 0
-    padded_slots: int = 0
 
-    def snapshot(self) -> tuple[int, int, int]:
-        return (self.dispatches, self.grouped_requests, self.padded_slots)
+    def snapshot(self) -> tuple[int]:
+        return (self.dispatches,)
 
     def reset(self) -> None:
         self.dispatches = 0
-        self.grouped_requests = 0
-        self.padded_slots = 0
 
 
 #: The process-wide instance every attention path reports into.
@@ -131,7 +116,7 @@ class StatScope:
     """Where hot-path counters (and optional trace spans) are routed.
 
     Every increment site on the decode hot path — buffer growth,
-    dequant views, bucket dispatches, the paged gather — reports into
+    dequant views, attention dispatches, the paged gather — reports into
     the *active* scope instead of naming the module globals directly.
     The default scope wraps :data:`HOT_PATH_STATS` /
     :data:`ATTENTION_STATS` (tracer ``None``), so direct model calls
@@ -192,10 +177,9 @@ def grow_buffer(
     """Allocate a larger cache buffer, carrying over its logical prefix.
 
     The one growth implementation shared by every growable buffer on
-    the hot path — float16 storage, the decode-ready dequant views,
-    the paged scratch and the bucket workspaces — so the prefix-copy
-    slicing and the ``copy_bytes`` accounting cannot drift apart
-    between them.
+    the hot path — float16 storage, the decode-ready dequant views and
+    the paged scratch — so the prefix-copy slicing and the
+    ``copy_bytes`` accounting cannot drift apart between them.
 
     Args:
         buffer: current buffer, or None for a first allocation.
@@ -290,33 +274,6 @@ def chunk_positions(starts: list[int], lengths: list[int]) -> np.ndarray:
     positions.setflags(write=False)
     _CHUNK_POS_MEMO = (key, positions)
     return positions
-
-
-_CONTEXT_SCRATCH: dict[tuple, np.ndarray] = {}
-_CONTEXT_SCRATCH_CAP = 8
-
-
-def _context_scratch(shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-    """Reusable attention-context buffer for one step shape.
-
-    ``step_batch`` / ``step_mixed`` previously concatenated per-request
-    context slices into a fresh array every layer; writing the slices
-    into a per-shape scratch reuses one allocation across all layers of
-    a step (the downstream transpose+reshape copies out of it before
-    the next layer runs).  The dtype is the attention core's own output
-    dtype — the scores pipeline runs in float64 (the float64 ``scale``
-    scalar promotes it), and storing the context any narrower would
-    round it before the output projection, breaking bitwise parity
-    with the unbatched ``step`` path.
-    """
-    key = (shape, dtype)
-    scratch = _CONTEXT_SCRATCH.get(key)
-    if scratch is None:
-        if len(_CONTEXT_SCRATCH) >= _CONTEXT_SCRATCH_CAP:
-            _CONTEXT_SCRATCH.clear()
-        scratch = np.empty(shape, dtype=dtype)
-        _CONTEXT_SCRATCH[key] = scratch
-    return scratch
 
 
 _ROTARY_BUILD_MEMO: dict[tuple[int, int, float], "RotaryTable"] = {}
@@ -421,9 +378,6 @@ def _rotate_half_np(x: np.ndarray) -> np.ndarray:
 #: every one of the first appends.
 _INITIAL_CAPACITY = 16
 
-#: Monotonic id source for cache identity (see :attr:`KVCache.uid`).
-_CACHE_UID_COUNTER = itertools.count()
-
 
 class KVCache:
     """Per-layer key/value history for incremental decoding (FP16).
@@ -482,7 +436,6 @@ class KVCache:
         "_deq_v",
         "_deq_len",
         "_deq_key",
-        "_uid",
     )
 
     def __init__(self) -> None:
@@ -493,28 +446,6 @@ class KVCache:
         self._deq_v: np.ndarray | None = None
         self._deq_len = 0
         self._deq_key: tuple | None = None
-        self._uid = next(_CACHE_UID_COUNTER)
-
-    @property
-    def uid(self) -> int:
-        """Process-unique cache identity, stable for the cache's lifetime.
-
-        :class:`BucketedAttention` keys its per-bucket gather
-        workspaces on member uid tuples, so a workspace is reused (and
-        synced incrementally) exactly as long as the same cache objects
-        stay grouped together, and can never be confused with a new
-        cache that reuses the same memory address.
-        """
-        return self._uid
-
-    @property
-    def reserved(self) -> int:
-        """Positions this cache is known to grow to at most (0: unknown).
-
-        Buffers sized from a reservation never regrow; without one
-        they fall back to capacity doubling.
-        """
-        return 0
 
     def compress(self, tensor: np.ndarray) -> np.ndarray:
         """Write-side transform; must be row-local along leading axes."""
@@ -696,51 +627,37 @@ class ReferenceKVCache(KVCache):
                 self._ref_v = self._ref_v[:, :, :length]
 
 
-# -- grouped batched attention ------------------------------------------------
+# -- grouped decode attention -------------------------------------------------
 #
-# PackInfer-style KV-length bucketing for the decode lane: instead of
-# one attention pipeline launch per (layer, request), requests whose
-# histories share a KV length run as one batched launch per
-# (layer, bucket).  Bitwise discipline mirrors the chunked-prefill lane
-# rules: stacked numpy matmuls apply BLAS per leading-axis slice, so a
-# fully batched exact-length bucket reproduces the per-request bits,
-# while a bucket of size 1 stays on the M == 1 kernel path through
-# ``_attention_core`` itself.  Padded buckets never feed padded
-# operands to a matmul (BLAS edge kernels change bits when the reduced
-# or written extent changes): per-member exact-length matmuls write
-# into a shared padded scores workspace whose pad tail is MASK_VALUE,
-# and only the alignment-insensitive elementwise softmax middle runs
-# batched.
+# Every decode row runs one M == 1 ``_attention_core`` launch over its
+# own decode-ready residency (``KVCache.view()`` / ``SequenceKV.gather()``),
+# read in place — the same launch sequential decode makes, so each row is
+# bitwise identical to decoding that request alone.  Rows sharing a KV
+# length form a bucket, the unit a ``decode.attention`` span covers.  A
+# stacked launch over a bucket would first have to copy its members'
+# histories side by side (12 B per K/V element pair, every step), and
+# even over an already-synced copy it measured within a few percent of
+# the per-row launches; padding operands to a common length changes
+# bits (BLAS edge kernels differ when the reduced or written extent
+# changes).
 
 
 @dataclass(frozen=True, slots=True)
 class Bucket:
-    """One dispatch group: request rows sharing a (target) KV length.
+    """Decode rows sharing one KV length.
 
     Attributes:
         indices: batch positions of the member requests.
-        lengths: each member's exact KV length (post-append, i.e. the
-            length attention reads), in ``indices`` order.
-        length: the bucket's target KV length — ``max(lengths)``; the
-            padded scores extent for mixed-length buckets.
+        length: the members' KV length (post-append, i.e. the length
+            attention reads).
     """
 
     indices: tuple[int, ...]
-    lengths: tuple[int, ...]
     length: int
 
     @property
     def size(self) -> int:
         return len(self.indices)
-
-    @property
-    def padded(self) -> bool:
-        return any(length != self.length for length in self.lengths)
-
-    @property
-    def padded_slots(self) -> int:
-        """Wasted key positions scored: ``sum(target - member length)``."""
-        return sum(self.length - length for length in self.lengths)
 
 
 @dataclass(frozen=True, slots=True)
@@ -753,168 +670,35 @@ class BucketPlan:
     def num_buckets(self) -> int:
         return len(self.buckets)
 
-    @property
-    def grouped_requests(self) -> int:
-        return sum(bucket.size for bucket in self.buckets if bucket.size > 1)
 
-    @property
-    def padded_slots(self) -> int:
-        return sum(bucket.padded_slots for bucket in self.buckets)
+def plan_buckets(lengths: list[int]) -> BucketPlan:
+    """Group request rows by KV length: one bucket per distinct length.
 
-
-def plan_buckets(lengths: list[int], pad_waste_cap: float = 0.125) -> BucketPlan:
-    """Group request rows by KV length into dispatch buckets.
-
-    Exact-length groups come first: every length shared by >= 2
-    requests becomes one unpadded bucket (the fully batched fast
-    path).  Leftover singletons are then greedily merged, longest
-    first, into padded buckets as long as the padded fraction
-    ``padded_slots / (size * target)`` stays within ``pad_waste_cap``
-    — the knob trading fewer dispatches against wasted key reads.
-    Whatever still stands alone stays a singleton bucket, which the
-    dispatcher routes through the per-request oracle so it keeps the
-    M == 1 kernel path (and its bitwise guarantee) untouched.
-
-    The plan depends only on the lengths, so one plan per step serves
-    every layer.
+    Buckets come in order of first appearance.  The plan depends only
+    on the lengths, so one plan per step serves every layer.
     """
-    if not 0.0 <= pad_waste_cap < 1.0:
-        raise ModelError(f"pad_waste_cap must lie in [0, 1), got {pad_waste_cap}")
     groups: dict[int, list[int]] = {}
     for index, length in enumerate(lengths):
         if length < 1:
             raise ModelError(f"request {index} has KV length {length}")
         groups.setdefault(length, []).append(index)
-
-    buckets: list[Bucket] = []
-    singles: list[tuple[int, int]] = []
-    for length, indices in groups.items():
-        if len(indices) >= 2:
-            buckets.append(
-                Bucket(
-                    indices=tuple(indices),
-                    lengths=(length,) * len(indices),
-                    length=length,
-                )
-            )
-        else:
-            singles.append((length, indices[0]))
-
-    singles.sort(reverse=True)
-    pending: list[tuple[int, int]] = []
-
-    def close(members: list[tuple[int, int]]) -> None:
-        if not members:
-            return
-        target = members[0][0]
-        buckets.append(
-            Bucket(
-                indices=tuple(index for _, index in members),
-                lengths=tuple(length for length, _ in members),
-                length=target,
-            )
+    return BucketPlan(
+        buckets=tuple(
+            Bucket(indices=tuple(indices), length=length)
+            for length, indices in groups.items()
         )
-
-    for length, index in singles:
-        if not pending:
-            pending = [(length, index)]
-            continue
-        target = pending[0][0]
-        candidate = pending + [(length, index)]
-        waste = sum(target - member_len for member_len, _ in candidate)
-        if pad_waste_cap > 0.0 and waste <= pad_waste_cap * len(candidate) * target:
-            pending = candidate
-        else:
-            close(pending)
-            pending = [(length, index)]
-    close(pending)
-    return BucketPlan(buckets=tuple(buckets))
-
-
-class _BucketWorkspace:
-    """Persistent stacked K/V buffers for one exact-bucket membership.
-
-    The members' decode-ready histories (:meth:`KVCache.view` — keys
-    float32, values float64) stacked along a leading bucket axis, in
-    the same dtypes, so the sync is a plain tail copy and the batched
-    context matmul is a straight dgemm over persistent memory.
-    Written only by :meth:`BucketedAttention._workspace`; sized from
-    the members' reservations when every member has one, so a bucket
-    that lives its whole decode never regrows.
-
-    ``synced`` is the shared copy watermark: exact buckets hold
-    equal-length members, and a workspace is only ever reused by the
-    identical member tuple, so one integer tracks all members.
-    """
-
-    __slots__ = ("keys", "values", "synced")
-
-    def __init__(self) -> None:
-        self.keys: np.ndarray | None = None
-        self.values: np.ndarray | None = None
-        self.synced = 0
+    )
 
 
 class BucketedAttention:
-    """KV-length-bucketed decode dispatcher (one instance per engine).
+    """Runs a decode step's attention one bucket at a time (stateless).
 
-    Owns the bucket planning policy (:meth:`plan` wraps
-    :func:`plan_buckets` with the configured pad-waste cap) and the
-    per-bucket gather workspaces.  Workspaces are keyed by the member
-    caches' uid tuples: as long as the same requests stay bucketed
-    together — the steady decode state — each step's sync copies only
-    the tail appended since the last step (O(new tokens), preserving
-    the hot-path contract), and a membership change simply starts a
-    fresh workspace.  :meth:`plan` opens a step by sweeping every
-    workspace the previous step did not touch — its membership no
-    longer exists — so residency tracks the live buckets instead of
-    accumulating dead ones; steps too small to plan call :meth:`sweep`
-    directly, and the owner calls :meth:`clear` when nothing is left
-    decoding.  The caches are assumed append-only, as on
-    the engine path; rewriting stored history through direct
-    ``write()`` calls would require a new cache (new uid) to stay
-    coherent.
-
-    Composes with both storage backends by construction: it reads
-    histories only through ``cache.view()``'s decode-ready
+    Reads histories only through ``cache.view()``'s decode-ready
     ``(1, H, len, hd)`` contract (keys float32, values float64), which
-    unpaged :class:`KVCache` and the paged sequence scratch both
-    satisfy.
+    :class:`KVCache` and the paged sequence scratch both satisfy.
     """
 
-    def __init__(self, pad_waste_cap: float = 0.125) -> None:
-        if not 0.0 <= pad_waste_cap < 1.0:
-            raise ModelError(f"pad_waste_cap must lie in [0, 1), got {pad_waste_cap}")
-        self.pad_waste_cap = pad_waste_cap
-        self._workspaces: dict[tuple[int, ...], _BucketWorkspace] = {}
-        #: Workspace keys used since the last :meth:`plan`.
-        self._touched: set[tuple[int, ...]] = set()
-
-    def plan(self, lengths: list[int]) -> BucketPlan:
-        """Bucket assignment for one decode step's post-append lengths.
-
-        Also a step boundary for workspace residency (:meth:`sweep`).
-        Direct :meth:`run_bucket` callers that never plan keep every
-        workspace they create.
-        """
-        self.sweep()
-        return plan_buckets(lengths, self.pad_waste_cap)
-
-    def sweep(self) -> None:
-        """Step boundary: drop workspaces untouched since the last one.
-
-        Every decode step is a boundary, including one whose batch is
-        too small to plan — a batch that drained from two requests to
-        one must still free the pair's workspace.
-        """
-        if len(self._touched) < len(self._workspaces):
-            self._workspaces = {key: self._workspaces[key] for key in self._touched}
-        self._touched.clear()
-
-    def clear(self) -> None:
-        """Drop every workspace (no decoder left, or histories rolled back)."""
-        self._workspaces = {}
-        self._touched.clear()
+    __slots__ = ()
 
     def run_bucket(
         self,
@@ -922,168 +706,37 @@ class BucketedAttention:
         bucket: Bucket,
         q: np.ndarray,
         views: list[tuple[np.ndarray, np.ndarray]],
-        caches: list["KVCache"],
-    ) -> np.ndarray:
-        """Attention context rows ``(bucket, H, 1, hd)`` for one bucket.
+        caches: list["KVCache"] | None = None,
+    ) -> list[np.ndarray]:
+        """Attention context for one bucket: a ``(1, H, 1, hd)`` row per member.
 
-        Singleton buckets fall through to the per-request oracle so
-        their rows stay on the M == 1 kernel path, bitwise identical
-        to sequential decode.
+        One :meth:`MultiHeadAttention._attention_core` launch per
+        member over ``views[index]`` in place, rows in
+        ``bucket.indices`` order.  ``caches`` is accepted for callers
+        that pass it positionally and is not read.
         """
-        for slot, index in enumerate(bucket.indices):
+        for index in bucket.indices:
             have = views[index][0].shape[2]
-            if have != bucket.lengths[slot]:
+            if have != bucket.length:
                 raise ModelError(
                     f"bucket expects request {index} at KV length "
-                    f"{bucket.lengths[slot]}, cache holds {have}"
+                    f"{bucket.length}, cache holds {have}"
                 )
-        if bucket.size == 1:
-            index = bucket.indices[0]
-            keys, values = views[index]
-            return attention._attention_core(
-                q[index : index + 1], keys, values, bucket.length - 1
+        tracer = _ACTIVE_SCOPE.get().tracer
+        span = (
+            nullcontext()
+            if tracer is None
+            else tracer.span(
+                "decode.attention", size=bucket.size, kv_length=bucket.length
             )
-        scope = _ACTIVE_SCOPE.get()
-        stats = scope.attention
-        stats.dispatches += 1
-        stats.grouped_requests += bucket.size
-        if bucket.padded:
-            stats.padded_slots += bucket.padded_slots
-        tracer = scope.tracer
-        if tracer is None:
-            if bucket.padded:
-                return self._run_padded(attention, bucket, q, views)
-            return self._run_exact(attention, bucket, q, views, caches)
-        with tracer.span(
-            "decode.attention",
-            size=bucket.size,
-            kv_length=bucket.length,
-            padded=bucket.padded,
-        ):
-            if bucket.padded:
-                return self._run_padded(attention, bucket, q, views)
-            return self._run_exact(attention, bucket, q, views, caches)
-
-    # -- exact-length buckets ---------------------------------------------
-
-    def _workspace(
-        self,
-        bucket: Bucket,
-        views: list[tuple[np.ndarray, np.ndarray]],
-        caches: list["KVCache"],
-    ) -> _BucketWorkspace:
-        """Sync (incrementally) and return the bucket's gather workspace."""
-        key = tuple(caches[index].uid for index in bucket.indices)
-        length = bucket.length
-        workspace = self._workspaces.get(key)
-        if workspace is None:
-            workspace = _BucketWorkspace()
-            self._workspaces[key] = workspace
-        self._touched.add(key)
-        if workspace.synced > length:
-            # History shrank under us (direct write() rollback): the
-            # cached prefix can no longer be trusted.
-            workspace.synced = 0
-        if workspace.keys is None or workspace.keys.shape[2] < length:
-            # The membership dissolves when its first member finishes,
-            # so the smallest reservation bounds the workspace's life.
-            capacity = buffer_capacity(
-                length,
-                min(caches[index].reserved for index in bucket.indices),
-                0 if workspace.keys is None else workspace.keys.shape[2],
-                _INITIAL_CAPACITY,
-            )
-            heads, head_dim = views[bucket.indices[0]][0].shape[1], views[
-                bucket.indices[0]
-            ][0].shape[3]
-            shape = (bucket.size, heads, capacity, head_dim)
-            workspace.keys = grow_buffer(
-                workspace.keys, shape, 2, workspace.synced, np.float32
-            )
-            workspace.values = grow_buffer(
-                workspace.values, shape, 2, workspace.synced, np.float64
-            )
-        if workspace.synced < length:
-            tail = slice(workspace.synced, length)
-            for slot, index in enumerate(bucket.indices):
-                keys, values = views[index]
-                workspace.keys[slot, :, tail] = keys[0, :, tail]
-                workspace.values[slot, :, tail] = values[0, :, tail]
-            _ACTIVE_SCOPE.get().hot.copy_bytes += bucket.size * (
-                workspace.keys[0, :, tail].nbytes + workspace.values[0, :, tail].nbytes
-            )
-            workspace.synced = length
-        return workspace
-
-    def _run_exact(
-        self,
-        attention: "MultiHeadAttention",
-        bucket: Bucket,
-        q: np.ndarray,
-        views: list[tuple[np.ndarray, np.ndarray]],
-        caches: list["KVCache"],
-    ) -> np.ndarray:
-        """Fully batched attention over equal-length histories.
-
-        One stacked pipeline — scores matmul, max, exp, sum, divide,
-        context matmul — over ``(bucket, H, ...)`` operands.  numpy
-        runs BLAS per leading-axis slice and every elementwise /
-        reduction op is row-local with an unchanged reduced extent, so
-        each row's bits match the per-request oracle exactly (verified
-        by the singleton/padded parity tests and the benchmark gate).
-        """
-        workspace = self._workspace(bucket, views, caches)
-        length = bucket.length
-        keys = workspace.keys[:, :, :length]
-        values = workspace.values[:, :, :length]
-        q_rows = q[list(bucket.indices)]
-        scores = (q_rows @ keys.swapaxes(-1, -2)) * attention.scale
-        scores -= scores.max(axis=-1, keepdims=True)
-        weights = np.exp(scores)
-        weights /= weights.sum(axis=-1, keepdims=True)
-        return weights @ values
-
-    # -- padded buckets ----------------------------------------------------
-
-    def _run_padded(
-        self,
-        attention: "MultiHeadAttention",
-        bucket: Bucket,
-        q: np.ndarray,
-        views: list[tuple[np.ndarray, np.ndarray]],
-    ) -> np.ndarray:
-        """Padded masked attention over near-equal-length histories.
-
-        Matmuls and sums run per member at the member's *exact* length
-        — padding an operand fed to BLAS, or widening a reduction,
-        changes bits at unaligned lengths — while the shared padded
-        scores workspace lets the elementwise softmax middle (max /
-        subtract / exp / divide, all row-local) run batched.  Pad
-        columns are assigned ``MASK_VALUE`` directly (never computed),
-        so ``exp`` maps them to 0.0 and they influence nothing; the
-        per-member sum reads only real columns regardless.
-        """
-        size, target = bucket.size, bucket.length
-        heads, head_dim = attention.n_heads, attention.head_dim
-        scores = np.empty((size, heads, 1, target))
-        for slot, (index, length) in enumerate(zip(bucket.indices, bucket.lengths)):
-            keys = views[index][0]
-            row = (q[index : index + 1] @ keys.swapaxes(-1, -2)) * attention.scale
-            scores[slot, :, :, :length] = row[0]
-            scores[slot, :, :, length:] = MASK_VALUE
-        scores -= scores.max(axis=-1, keepdims=True)
-        weights = np.exp(scores)
-        denominators = np.empty((size, heads, 1, 1))
-        for slot, length in enumerate(bucket.lengths):
-            denominators[slot] = weights[slot, :, :, :length].sum(
-                axis=-1, keepdims=True
-            )
-        weights /= denominators
-        context = np.empty((size, heads, 1, head_dim))
-        for slot, (index, length) in enumerate(zip(bucket.indices, bucket.lengths)):
-            values = views[index][1]
-            context[slot] = (weights[slot : slot + 1, :, :, :length] @ values)[0]
-        return context
+        )
+        with span:
+            return [
+                attention._attention_core(
+                    q[index : index + 1], *views[index], bucket.length - 1
+                )
+                for index in bucket.indices
+            ]
 
 
 class MultiHeadAttention(Module):
@@ -1212,11 +865,10 @@ class MultiHeadAttention(Module):
         request may sit at a different position; rotary/positional
         phases are gathered per request.
 
-        Attention is grouped and token-bitwise identical to sequential
-        decode: appends and views are collected first, then each
-        :class:`Bucket` of the plan runs as one launch — O(buckets)
-        dispatches per layer, with singleton buckets routed through
-        :meth:`_attention_core` to stay on the M == 1 kernel path.
+        Attention is token-bitwise identical to sequential decode:
+        appends and views are collected first, then every row runs one
+        M == 1 :meth:`_attention_core` launch over its own history,
+        bucket by bucket of the plan (:meth:`BucketedAttention.run_bucket`).
 
         Args:
             x: ``(batch, 1, d_model)`` activations, one row per request.
@@ -1289,22 +941,19 @@ class MultiHeadAttention(Module):
         # Land every request's append first (views of one request's
         # cache are never invalidated by another request's append —
         # per-request buffers, or per-sequence scratch in the paged
-        # pool), then launch once per bucket.
+        # pool), then run the plan bucket by bucket.
         views = [
             cache.append_precompressed(k[index : index + 1], v[index : index + 1])
             for index, cache in enumerate(caches)
         ]
-        # (B, H, 1, hd) scratch reused across the step's layers; the
-        # transpose+reshape below hands a fresh copy (or a view consumed
-        # before the next layer) to the output projection.
-        context: np.ndarray | None = None
+        # float64 is the core's output dtype (the float64 ``scale``
+        # promotes the scores); storing the context any narrower would
+        # round it before the output projection.
+        context = np.empty((batch, self.n_heads, 1, self.head_dim))
         for bucket in plan.buckets:
             rows = dispatcher.run_bucket(self, bucket, q, views, caches)
-            if context is None:
-                context = _context_scratch((batch,) + rows.shape[1:], rows.dtype)
-            for slot, index in enumerate(bucket.indices):
-                context[index] = rows[slot]
-        assert context is not None  # a plan covers every request
+            for index, row in zip(bucket.indices, rows):
+                context[index] = row[0]
         context = context.transpose(0, 2, 1, 3).reshape(batch, new_len, d_model)
         return self._project_out(context)
 
@@ -1323,14 +972,20 @@ class MultiHeadAttention(Module):
         cached): rotary phases are gathered per flattened position
         (:meth:`RotaryTable.gather`), and the causal mask spans
         ``cache_len + segment`` so chunk queries see the whole cached
-        history plus their own prefix.  Because multi-row GeMM results
-        are row-local (every ``M >= 2`` matmul kernel accumulates rows
-        identically), each segment is bitwise identical to the same
-        rows of a monolithic prefill — which is what makes chunked
-        prefill token-identical to unchunked prefill.  Single-token
+        history plus their own prefix.  A segment's logits are *not*
+        bitwise equal to the same rows of a monolithic prefill: BLAS
+        may accumulate a product of a few rows differently from the
+        same rows inside a taller one (OpenBLAS does for an FFN down
+        projection with K = 768 at 2–5 rows), and a segment's
+        attention reduces over ``cache_len + segment`` keys rather than
+        the whole prompt's, so chunk boundaries move logits in the low
+        bits (1e-6 to 1e-4 at logit scale ~4).  Tokens agree;
+        ``tests/serve/test_chunked_prefill.py`` pins token equality and
+        a logit tolerance across chunk budgets and tails.  Single-token
         decodes do *not* belong in this lane: OpenBLAS's ``M == 1``
-        kernel accumulates differently, so the engine keeps decodes on
-        :meth:`step_batch` to preserve their own bitwise guarantee.
+        kernel accumulates differently again, so the engine keeps
+        decodes on :meth:`step_batch`, whose rows are bitwise identical
+        to sequential decode.
 
         Args:
             x: ``(1, total, d_model)`` activations, segments
@@ -1358,18 +1013,14 @@ class MultiHeadAttention(Module):
             q = q * cos + _rotate_half_np(q) * sin
             k = k * cos + _rotate_half_np(k) * sin
 
-        # (1, H, total, hd) scratch reused across the step's layers.
-        context: np.ndarray | None = None
+        context = np.empty((1, self.n_heads, total, self.head_dim))
         offset = 0
         for cache, start, length in zip(caches, starts, lengths):
             stop = offset + length
             keys, values = cache.append(k[:, :, offset:stop], v[:, :, offset:stop])
-            segment = self._attention_core(q[:, :, offset:stop], keys, values, start)
-            if context is None:
-                context = _context_scratch(
-                    (1, self.n_heads, total, self.head_dim), segment.dtype
-                )
-            context[:, :, offset:stop] = segment
+            context[:, :, offset:stop] = self._attention_core(
+                q[:, :, offset:stop], keys, values, start
+            )
             offset = stop
         context = context.transpose(0, 2, 1, 3).reshape(batch, total, d_model)
         return self._project_out(context)

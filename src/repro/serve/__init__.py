@@ -31,8 +31,8 @@ shortest-prompt-first, decode-first) under a ``max_batch_tokens``
 budget (:mod:`repro.serve.scheduler`), the paged KV-cache memory
 subsystem sized by ``kv_pool_blocks`` — refcounted block allocator
 with copy-on-write, prefix-sharing radix cache, recompute-on-resume
-preemption (:mod:`repro.serve.kvpool`) — KV-length-bucketed decode
-attention, and per-request latency plus aggregate throughput/traffic
+preemption (:mod:`repro.serve.kvpool`) — per-request exact-length
+decode attention, and per-request latency plus aggregate throughput/traffic
 metrics (:mod:`repro.serve.metrics`).
 
 Failure semantics (:mod:`repro.serve.faults`) make the engine

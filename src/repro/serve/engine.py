@@ -23,7 +23,7 @@ usable on its own:
 * :meth:`Engine.drain` steps until the queue is empty and returns the
   finished requests.
 
-The engine has one serving lane, and three sizes shape it:
+The engine has one serving lane; two sizes shape it:
 
 * **Chunked prefill** under ``max_batch_tokens`` bounds latency under
   long-prompt traffic: instead of stalling the whole decode batch for
@@ -33,10 +33,13 @@ The engine has one serving lane, and three sizes shape it:
   prompt prefills it in one step).  ``RequestState.prefill_pos``
   tracks progress; a half-prefilled request waits in the queue holding
   its partial cache until its final chunk completes and emits its
-  first token.  Multi-row GeMMs are row-local and attention masks span
-  ``cache_len + chunk``, so chunk boundaries never change a token;
-  decode tokens keep their own batched lane (see
-  ``forward_mixed_step`` for why the lanes must not share one GeMM).
+  first token.  Attention masks span ``cache_len + chunk``, so a chunk
+  sees exactly the history a monolithic prefill would; chunk logits
+  still differ from monolithic ones in the low bits (BLAS blocks a
+  few-row product differently from the same rows of a taller one), and
+  the tests pin that tokens agree across chunk budgets.  Decode tokens
+  keep their own batched lane (see ``forward_mixed_step`` for why the
+  lanes must not share one GeMM).
 * **The paged KV pool** (:mod:`repro.serve.kvpool`, ``kv_pool_blocks``
   blocks of ``kv_block_size`` positions) holds every request's KV:
   requests sharing a prompt prefix map the same physical blocks
@@ -45,11 +48,11 @@ The engine has one serving lane, and three sizes shape it:
   chunk's block growth — and under pool pressure the engine preempts
   the latest-arrived request, running *or* half-prefilled
   (recompute-on-resume), so admission never deadlocks.
-* **Grouped decode attention** (``attention_pad_waste``): the decode
-  batch's GeMMs run once over a ``(batch, 1)`` token array while
-  attention runs one launch per KV-length bucket
-  (:class:`repro.llm.attention.BucketedAttention`), each request
-  reading its own exact-length history.
+
+The decode batch's GeMMs run once over a ``(batch, 1)`` token array
+while attention runs one ``M == 1`` launch per request over its own
+exact-length history, read in place
+(:class:`repro.llm.attention.BucketedAttention`).
 
 Every emitted token is bitwise identical to what a sequential
 :func:`repro.llm.generation.generate` call would produce — the parity
@@ -139,8 +142,8 @@ _REMOVED_LANES = (
     ),
     (
         "grouped_attention",
-        "grouping is token-bitwise identical; set attention_pad_waste=0 "
-        "to group exact KV lengths only",
+        "decode attention already runs one exact-length launch per "
+        "request over its own history; there is nothing to turn off",
     ),
 )
 
@@ -180,17 +183,11 @@ class EngineConfig:
             Anda group size (any size stays bitwise exact — grouping is
             per position along the head dimension).
         prefix_caching: share prompt-prefix blocks across requests.
-        grouped_attention: always ``True`` — the decode batch is
-            bucketed by KV length and runs one attention launch per
-            (layer, bucket)
+        grouped_attention: always ``True`` — the decode batch's
+            GeMMs run batched and its attention runs one exact-length
+            launch per (layer, request)
             (:class:`repro.llm.attention.BucketedAttention`).
-            ``False`` raises; ``attention_pad_waste=0`` limits grouping
-            to exact lengths.
-        attention_pad_waste: padded-bucket waste cap in [0, 1): the
-            maximum fraction of scored key positions that may be
-            padding when merging near-equal-length singletons into one
-            padded bucket.  0 disables padded merging (exact-length
-            grouping only).
+            ``False`` raises.
         telemetry: optional instruments
             (:class:`~repro.serve.telemetry.TelemetryConfig`) — phase
             span tracing for Chrome-trace export and per-step summary
@@ -220,7 +217,6 @@ class EngineConfig:
     kv_block_size: int = DEFAULT_BLOCK_SIZE
     prefix_caching: bool = True
     grouped_attention: Literal[True] = True
-    attention_pad_waste: float = 0.125
     telemetry: TelemetryConfig = TelemetryConfig()
     kv_format: KVFormat | None = None
     faults: FaultPlan | None = None
@@ -245,11 +241,6 @@ class EngineConfig:
             raise ModelError(f"kv_pool_blocks must be >= 2, got {self.kv_pool_blocks}")
         if self.kv_block_size < 1:
             raise ModelError(f"kv_block_size must be >= 1, got {self.kv_block_size}")
-        if not 0.0 <= self.attention_pad_waste < 1.0:
-            raise ModelError(
-                f"attention_pad_waste must lie in [0, 1), got "
-                f"{self.attention_pad_waste}"
-            )
         if self.faults is not None and not isinstance(self.faults, FaultPlan):
             raise ModelError(
                 "faults must be a repro.serve.faults.FaultPlan or None, "
@@ -323,9 +314,7 @@ class Engine:
             codecs=None if fmt.uniform else fmt.codecs(self._n_layers),
             enable_prefix_cache=self.config.prefix_caching,
         )
-        self._dispatcher = BucketedAttention(
-            pad_waste_cap=self.config.attention_pad_waste
-        )
+        self._dispatcher = BucketedAttention()
         # Per-engine hot-path stats: installed around every step via
         # stats_scope, so two engines in one process (or one per
         # thread) never bleed kv_copy_bytes / attention_dispatches into
@@ -544,7 +533,6 @@ class Engine:
         else:
             self._waiting.remove(state)
         self._release_residency(state)
-        self._clear_idle_workspaces()
         state.status = RequestStatus.ABORTED
         state.finish_reason = "abort"
         state.finish_step = self._step_index
@@ -604,9 +592,7 @@ class Engine:
             tracer.begin("step", ts=tracer.to_us(started), step=self._step_index)
         self._step_deltas = []
         copy_before, dequant_before = self._hot_stats.snapshot()
-        dispatches_before, grouped_before, _ = self._attn_stats.snapshot()
-        n_layers = self.model.config.n_layers
-        padded_reads = 0
+        dispatches_before = self._attn_stats.dispatches
         # Deadlines are enforced at step boundaries: sweep before
         # planning so an expired request never costs another forward.
         self._expire_deadlines(started)
@@ -642,8 +628,7 @@ class Engine:
         prefix_hit_tokens = 0
         saved = StepTraffic()
         evicted_before = self._pool.evicted_blocks
-        # Per-format attribution of the step's KV bytes.  Padded decode
-        # reads belong to no request and stay in the aggregate only.
+        # Per-format attribution of the step's KV bytes.
         fmt_bytes: dict[str, float] = {}
 
         def charge_format(state: RequestState, nbytes: float) -> None:
@@ -688,7 +673,6 @@ class Engine:
                 first_wave = False
                 continue
             decode_contexts = [state.context_length for state in wave_decodes]
-            padded_before = self._attn_stats.padded_slots
             try:
                 for state in wave_decodes:
                     inject("model.decode", state.request.request_id)
@@ -735,20 +719,11 @@ class Engine:
             executed_chunks += len(runs)
 
             if wave_decodes:
-                # Only the decode lane can pad (the chunk lane always
-                # runs per segment), so the step's padded-slot delta is
-                # the lane's waste; one layer group's worth is the unit
-                # the traffic model charges.
-                lane_padded = (self._attn_stats.padded_slots - padded_before) // (
-                    n_layers
-                )
-                padded_reads += lane_padded
                 traffic = traffic + decode_step_traffic(
                     self.model.config,
                     decode_contexts,
                     kv_bits_per_element=[state.kv_bits for state in wave_decodes],
                     batched=True,
-                    padded_read_positions=lane_padded,
                 )
                 weights_charged = True
                 for index, state in enumerate(wave_decodes):
@@ -816,7 +791,6 @@ class Engine:
             preemptions += evicted
             if decodes:
                 decode_contexts = [state.context_length for state in decodes]
-                padded_before = self._attn_stats.padded_slots
                 try:
                     for state in decodes:
                         inject("model.decode", state.request.request_id)
@@ -833,16 +807,11 @@ class Engine:
                     decodes = []
                     faulted = True
             if decodes:
-                lane_padded = (self._attn_stats.padded_slots - padded_before) // (
-                    n_layers
-                )
-                padded_reads += lane_padded
                 traffic = traffic + decode_step_traffic(
                     self.model.config,
                     decode_contexts,
                     kv_bits_per_element=[state.kv_bits for state in decodes],
                     batched=True,
-                    padded_read_positions=lane_padded,
                 )
                 for index, state in enumerate(decodes):
                     charge_format(
@@ -891,7 +860,6 @@ class Engine:
         if resumed and tracer is not None:
             tracer.end("step.prefill")
 
-        self._clear_idle_workspaces()
         ended = time.perf_counter()
         report = StepReport(
             step=self._step_index,
@@ -910,10 +878,6 @@ class Engine:
             kv_copy_bytes=self._hot_stats.copy_bytes - copy_before,
             kv_dequant_bytes=self._hot_stats.dequant_bytes - dequant_before,
             attention_dispatches=self._attn_stats.dispatches - dispatches_before,
-            attention_grouped_requests=(
-                self._attn_stats.grouped_requests - grouped_before
-            ),
-            attention_padded_reads=padded_reads,
             kv_format_bytes=tuple(sorted(fmt_bytes.items())),
         )
         self._reports.append(report)
@@ -954,8 +918,7 @@ class Engine:
         out of prefix sharing — cached blocks hold default-format
         bytes it can neither read nor contribute to.  The request's
         final length is known here, so the sequence's decode-ready
-        scratch (and the bucket workspaces built over it) are sized
-        once and never regrow.
+        scratch is sized once and never regrows.
         """
         codecs = None
         if state.kv_private:
@@ -1092,17 +1055,6 @@ class Engine:
         state.caches = None
         state.prefill_pos = 0
 
-    def _clear_idle_workspaces(self) -> None:
-        """Free the bucket workspaces once no request is decoding.
-
-        The dispatcher sweeps at each decode step; with the running set
-        empty there is no next decode step to do it, and the last
-        batch's stacked histories would sit resident while the engine
-        idles or only prefills.
-        """
-        if not self._running:
-            self._dispatcher.clear()
-
     def _rollback_chunk(self, state: RequestState) -> None:
         """Undo a chunk participant: release its cache, stay queued."""
         self._release_residency(state)
@@ -1225,13 +1177,11 @@ class Engine:
         """Batch-level rollback after a mid-forward injected fault.
 
         Every decode participant's KV is truncated back to its
-        pre-step watermark (captured before the forward), every chunk
-        participant returns to a clean waiting state, and the grouped-
-        attention dispatcher is cleared (its workspaces track synced
-        cache lengths that a truncation would invalidate; fresh
-        workspaces re-sync bitwise).  An attributed victim is then
-        quarantined or backed off; an unattributed fault counts as one
-        batch retry — the whole step simply replays next tick, bitwise.
+        pre-step watermark (captured before the forward) and every
+        chunk participant returns to a clean waiting state.  An
+        attributed victim is then quarantined or backed off; an
+        unattributed fault counts as one batch retry — the whole step
+        simply replays next tick, bitwise.
         """
         for state, length in zip(decodes, watermarks):
             assert state.kv is not None  # every decode holds its sequence
@@ -1247,7 +1197,6 @@ class Engine:
         for run in runs:
             if run.state is not victim:
                 self._rollback_chunk(run.state)
-        self._dispatcher.clear()
         if victim is None:
             self._fault_retries += 1
             return

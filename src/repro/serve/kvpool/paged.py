@@ -97,10 +97,6 @@ class PagedKVCache(KVCache):
     def length(self) -> int:
         return self._length
 
-    @property
-    def reserved(self) -> int:
-        return self._sequence.reserved
-
     def truncate(self, length: int) -> None:
         """Roll this layer back to ``length`` positions (fault rollback).
 

@@ -72,21 +72,12 @@ class StepReport:
         kv_dequant_bytes: host bytes materialised from stored float16
             into the decode-ready residency (float32 keys, float64
             values) this step (only the appended tail is converted).
-        attention_dispatches: attention pipeline launches this step —
-            one per per-request core call plus one per grouped bucket.
-            O(layers x batch) per decode step ungrouped, O(layers x
-            buckets) with grouped attention on.
-        attention_grouped_requests: decode requests served through a
-            multi-request bucket this step (summed over layers).
-        attention_padded_reads: wasted KV positions scored by padded
-            buckets this step (per layer group, i.e. divided by
-            n_layers — the unit ``decode_step_traffic`` charges
-            as padded KV reads).
+        attention_dispatches: attention launches this step — one per
+            (layer, decode row) plus one per (layer, prefill chunk).
         kv_format_bytes: per-format split of the step's simulated KV
             traffic — ``((format_label, bytes), ...)`` sorted by label,
             where each request's KV reads+writes are attributed to its
-            resolved :class:`~repro.llm.kv_quant.KVFormat` (padded
-            reads belong to no request and are excluded).  Empty when
+            resolved :class:`~repro.llm.kv_quant.KVFormat`.  Empty when
             the step moved no KV bytes.
     """
 
@@ -106,8 +97,6 @@ class StepReport:
     kv_copy_bytes: int = 0
     kv_dequant_bytes: int = 0
     attention_dispatches: int = 0
-    attention_grouped_requests: int = 0
-    attention_padded_reads: int = 0
     kv_format_bytes: tuple[tuple[str, float], ...] = ()
 
 
@@ -136,14 +125,13 @@ class EngineMetrics:
             float16 into the decode-ready residency (float32 keys,
             float64 values; each stored position is converted once,
             not once per step).
-        attention_dispatches: total attention pipeline launches —
-            grouped attention's headline metric, dropping from
-            O(layers x batch) to O(layers x buckets) per decode step.
-        attention_grouped_requests: total requests served through
-            multi-request buckets (summed over layers and steps).
-        attention_padded_reads: total wasted KV positions padded
-            buckets scored (per layer group; what the pad-waste cap
-            bounds).
+        attention_dispatches: total attention launches — one per
+            (layer, decode row) and per (layer, prefill chunk).
+        attention_grouped_requests: always 0.  Decode rows no longer
+            share a stacked launch; the field stays because the
+            serving ledger reads it.
+        attention_padded_reads: always 0.  No launch scores padding;
+            the field stays because the serving ledger reads it.
         kv_format_bytes: lifetime per-format split of simulated KV
             traffic, merged across steps (sorted by format label).
         aborted: requests cancelled via ``abort()`` (they release their
@@ -272,12 +260,6 @@ def summarize(
         kv_copy_bytes=sum(report.kv_copy_bytes for report in reports),
         kv_dequant_bytes=sum(report.kv_dequant_bytes for report in reports),
         attention_dispatches=sum(report.attention_dispatches for report in reports),
-        attention_grouped_requests=sum(
-            report.attention_grouped_requests for report in reports
-        ),
-        attention_padded_reads=sum(
-            report.attention_padded_reads for report in reports
-        ),
         kv_format_bytes=tuple(sorted(format_bytes.items())),
         aborted=aborted,
         failed=failed,

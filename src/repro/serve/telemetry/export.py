@@ -105,16 +105,6 @@ ENGINE_COUNTER_FIELDS: tuple[tuple[str, str, str], ...] = (
         "Attention pipeline launches",
     ),
     (
-        "attention_grouped_requests",
-        "repro_engine_attention_grouped_requests_total",
-        "Decode requests served through multi-request buckets",
-    ),
-    (
-        "attention_padded_reads",
-        "repro_engine_attention_padded_reads_total",
-        "Wasted KV positions scored by padded buckets (per layer group)",
-    ),
-    (
         "aborted",
         "repro_engine_aborted_requests_total",
         "Requests cancelled via abort()",

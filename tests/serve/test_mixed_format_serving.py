@@ -111,14 +111,11 @@ class TestFormatSplitTelemetry:
         assert set(split) == {"anda6", "fp16", "bfp5", "anda4"}
         assert all(value > 0 for value in split.values())
 
-    def test_split_sums_to_step_kv_traffic_without_padding(self, model, prompts):
-        # With padded buckets off there are no padded reads, so the
+    def test_split_sums_to_step_kv_traffic(self, model, prompts):
+        # Every KV byte read or written belongs to one request, so the
         # per-format attribution covers the KV streams exactly.
         engine, _ = run_engine(
-            model,
-            prompts,
-            REQUEST_FORMATS,
-            make_config(budget=64, attention_pad_waste=0.0),
+            model, prompts, REQUEST_FORMATS, make_config(budget=64)
         )
         metrics = engine.metrics()
         split_total = sum(dict(metrics.kv_format_bytes).values())

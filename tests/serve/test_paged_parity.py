@@ -304,7 +304,7 @@ class TestPoolConfigValidation:
         [
             ("kv_pool", "kv_pool_blocks"),
             ("chunked_prefill", "max_batch_tokens"),
-            ("grouped_attention", "attention_pad_waste"),
+            ("grouped_attention", "exact-length launch per request"),
         ],
     )
     def test_removed_lanes_raise_naming_the_size(self, lane, size):

@@ -277,9 +277,10 @@ class TestEngineTracing:
         assert {"step", "step.schedule", "step.decode_batch", "step.sample"} <= names
 
     def test_grouped_attention_bucket_spans_carry_args(self, model):
-        # Equal-length prompts decode at equal KV lengths, so the
-        # grouped dispatcher forms multi-request buckets — each launch
-        # must appear as a decode.attention span tagged with its shape.
+        # Equal-length prompts decode at equal KV lengths, so buckets
+        # hold several requests; every bucket of every layer appears as
+        # one decode.attention span tagged with its shape, and the
+        # spans cover each decode row once per layer.
         engine = Engine(model, traced_config())
         llm = LLM(engine=engine)
         rng = np.random.default_rng(5)
@@ -295,8 +296,17 @@ class TestEngineTracing:
             if event.name == "decode.attention" and event.phase == "B"
         ]
         assert buckets
-        assert all(event.args["size"] >= 2 for event in buckets)
+        assert all(set(event.args) == {"size", "kv_length"} for event in buckets)
+        assert max(event.args["size"] for event in buckets) >= 2
         assert all(event.args["kv_length"] >= 6 for event in buckets)
+        decode_rows = sum(
+            event.args["batch"]
+            for event in engine.telemetry.tracer.events
+            if event.name == "step.decode_batch" and event.phase == "B"
+        )
+        assert sum(event.args["size"] for event in buckets) == (
+            model.config.n_layers * decode_rows
+        )
 
     def test_chunked_prefill_emits_chunk_lane_spans(self, model):
         engine = Engine(
