@@ -22,30 +22,34 @@ Design notes
 from __future__ import annotations
 
 import contextlib
+import contextvars
 from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.errors import ModelError
 
-_GRAD_ENABLED = True
+#: Per-context (so per-thread) grad mode: two engines stepping on two
+#: threads each enter and leave ``no_grad`` without restoring the
+#: other's flag.
+_GRAD_ENABLED: contextvars.ContextVar[bool] = contextvars.ContextVar(
+    "repro_grad_enabled", default=True
+)
 
 
 def is_grad_enabled() -> bool:
     """Whether new operations record backward closures."""
-    return _GRAD_ENABLED
+    return _GRAD_ENABLED.get()
 
 
 @contextlib.contextmanager
 def no_grad():
     """Disable graph recording inside the context (inference mode)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    token = _GRAD_ENABLED.set(False)
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD_ENABLED.reset(token)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -88,7 +92,7 @@ class Tensor:
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
         tracked = tuple(p for p in parents if p.requires_grad)
-        if _GRAD_ENABLED and tracked:
+        if tracked and _GRAD_ENABLED.get():
             return Tensor(data, requires_grad=True, parents=tracked, backward=backward)
         return Tensor(data)
 

@@ -37,9 +37,9 @@ The engine has one serving lane; two sizes shape it:
   sees exactly the history a monolithic prefill would; chunk logits
   still differ from monolithic ones in the low bits (BLAS blocks a
   few-row product differently from the same rows of a taller one), and
-  the tests pin that tokens agree across chunk budgets.  Decode tokens
-  keep their own batched lane (see ``forward_mixed_step`` for why the
-  lanes must not share one GeMM).
+  the tests pin that tokens agree across chunk budgets.  Inside the
+  one model call, decode rows keep their own batched GeMMs (see
+  ``forward_mixed_step`` for why they must not share the chunks').
 * **The paged KV pool** (:mod:`repro.serve.kvpool`, ``kv_pool_blocks``
   blocks of ``kv_block_size`` positions) holds every request's KV:
   requests sharing a prompt prefix map the same physical blocks
@@ -48,6 +48,29 @@ The engine has one serving lane; two sizes shape it:
   chunk's block growth — and under pool pressure the engine preempts
   the latest-arrived request, running *or* half-prefilled
   (recompute-on-resume), so admission never deadlocks.
+
+Every step runs the same phases, in order:
+
+1. **expire** — requests past their deadline fail before they cost
+   another forward;
+2. **schedule** — the policy plans the step's decodes and prompt
+   chunks under the token, slot and block budgets;
+3. **forward waves** — the chunks split into prefix-ordered waves (a
+   step without chunks is one wave of decodes alone).  Each wave
+   reserves its block growth, preempting when the pool cannot cover
+   it; runs one ``forward_mixed_step`` (the decode batch rides the
+   first wave); commits its decode rows; then commits its chunks.  An
+   injected fault rolls the wave back and abandons the rest of the
+   step;
+4. **resumed replays** — previously preempted or retried mid-decode
+   requests rebuild their caches;
+5. **report** — what the step committed becomes its
+   :class:`~repro.serve.metrics.StepReport`.
+
+Phases open their trace spans and lifecycle instants through
+:meth:`Engine._span` and :meth:`Engine._lifecycle`, which do nothing
+when tracing is off; only the root ``step`` span is opened directly,
+because it shares the report's clock readings.
 
 The decode batch's GeMMs run once over a ``(batch, 1)`` token array
 while attention runs one ``M == 1`` launch per request over its own
@@ -65,7 +88,8 @@ import bisect
 import itertools
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from contextlib import AbstractContextManager, nullcontext
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
@@ -85,6 +109,7 @@ from repro.llm.attention import (
     KVHotPathStats,
     stats_scope,
 )
+from repro.llm.config import ModelConfig
 from repro.llm.generation import select_next_token
 from repro.llm.kv_quant import KVFormat, kv_bits_per_element
 from repro.llm.transformer import CausalLM
@@ -116,12 +141,16 @@ from repro.serve.request import (
 from repro.serve.scheduler import (
     PrefillChunk,
     SchedulerPolicy,
+    StepPlan,
     get_policy,
     plan_step,
     validate_admission,
 )
 from repro.serve.telemetry import EngineTelemetry, TelemetryConfig
 from repro.serve.telemetry.export import log_step_summary
+
+#: What :meth:`Engine._span` hands back when tracing is off.
+_NO_SPAN: AbstractContextManager[None] = nullcontext()
 
 #: Process-wide engine numbering for default telemetry labels.
 _ENGINE_LABELS = itertools.count()
@@ -295,6 +324,49 @@ class _ChunkRun:
     prefix_hit: int = 0
 
 
+@dataclass(slots=True)
+class _StepTally:
+    """What one step has committed so far, shared by its phases.
+
+    Every count is taken as its work commits, so a step a fault
+    abandons midway reports exactly the decode rows, chunks and
+    replays that ran before the fault.
+    """
+
+    traffic: StepTraffic = field(default_factory=StepTraffic)
+    #: Traffic the prefix cache saved (mapped instead of computed).
+    saved: StepTraffic = field(default_factory=StepTraffic)
+    new_tokens: int = 0
+    decodes: int = 0
+    prefills: int = 0
+    prefill_tokens: int = 0
+    partial_prefills: int = 0
+    preemptions: int = 0
+    prefix_hit_tokens: int = 0
+    #: The weight stream is charged once per *step*: the mixed step is
+    #: the fusion quantum of the analytic traffic model, so the decode
+    #: lane's charge covers every chunk riding along, and an
+    #: all-prefill step pays it exactly once however its waves fall.
+    weights_charged: bool = False
+    #: Per-format attribution of the step's KV bytes.
+    format_bytes: dict[str, float] = field(default_factory=dict)
+
+    def charge_format(self, state: RequestState, nbytes: float) -> None:
+        if nbytes <= 0.0:
+            return
+        label = state.kv_format.label if state.kv_format is not None else "fp16"
+        self.format_bytes[label] = self.format_bytes.get(label, 0.0) + nbytes
+
+    def credit_prefix_hit(
+        self, config: ModelConfig, state: RequestState, tokens: int
+    ) -> None:
+        """Count positions mapped from the prefix cache, not computed."""
+        self.prefix_hit_tokens += tokens
+        self.saved = self.saved + prefix_cache_savings(
+            config, tokens, kv_bits_per_element=state.kv_bits
+        )
+
+
 class Engine:
     """Continuous-batching serving engine over one :class:`CausalLM`."""
 
@@ -359,110 +431,52 @@ class Engine:
         """The engine's seeded injector (None without a fault plan)."""
         return self._injector
 
+    # -- tracing ----------------------------------------------------------
+
+    def _span(self, name: str, **args: object) -> AbstractContextManager[None]:
+        """A tracer span around a region; a no-op context when untraced."""
+        tracer = self._tracer
+        if tracer is None:
+            return _NO_SPAN
+        return tracer.span(name, **args)
+
+    def _lifecycle(self, request_id: int, status: str, **args: object) -> None:
+        """Record one request's lifecycle transition (when traced)."""
+        if self._tracer is not None:
+            self._tracer.lifecycle(request_id, status, **args)
+
     # -- admission --------------------------------------------------------
 
     def submit(
-        self,
-        prompt_tokens: np.ndarray,
-        params: "SamplingParams | int | None" = None,
-        *,
-        max_new_tokens: int | None = None,
-        temperature: float | None = None,
-        top_k: int | None = None,
-        seed: int | None = None,
+        self, prompt_tokens: np.ndarray, params: SamplingParams
     ) -> RequestHandle:
         """Enqueue one request; returns its :class:`RequestHandle`.
 
         The decoding recipe is a per-request
-        :class:`~repro.serve.params.SamplingParams`.  For migration, a
-        bare int in the ``params`` position (the pre-redesign
-        ``max_new_tokens`` argument) or the legacy scalar kwargs build
-        a default recipe; combining a full ``params`` with any scalar
-        kwarg is a contradiction and raises (nothing is silently
-        dropped).
+        :class:`~repro.serve.params.SamplingParams`; anything else
+        raises :class:`~repro.errors.RequestError`.
 
         Validation happens *here*, with ``errors``-module exceptions —
-        empty prompts, non-positive ``max_new_tokens``, out-of-vocab
-        ids and pool-overflowing requests are rejected before they can
-        fail deep in a scheduler step (mirroring what
-        :func:`repro.llm.generation.generate` would accept).
+        empty prompts, out-of-vocab ids and pool-overflowing requests
+        are rejected before they can fail deep in a scheduler step
+        (mirroring what :func:`repro.llm.generation.generate` would
+        accept).
         """
-        if params is not None and not isinstance(params, SamplingParams):
-            if not isinstance(params, (int, np.integer)):
-                raise RequestError(
-                    "params must be a SamplingParams (or a legacy "
-                    f"max_new_tokens int), got {type(params).__name__}"
-                )
-            if max_new_tokens is not None:
-                raise RequestError(
-                    "pass max_new_tokens positionally or by keyword, not both"
-                )
-            max_new_tokens = int(params)
-            params = None
-        if isinstance(params, SamplingParams):
-            conflicts = {
-                "max_new_tokens": max_new_tokens,
-                "temperature": temperature,
-                "top_k": top_k,
-                "seed": seed,
-            }
-            given = sorted(k for k, v in conflicts.items() if v is not None)
-            if given:
-                raise RequestError(
-                    f"scalar kwargs {given} conflict with the explicit "
-                    "SamplingParams; put them in the params instead"
-                )
-        else:
-            if max_new_tokens is None:
-                raise RequestError(
-                    "submit needs a SamplingParams (or max_new_tokens)"
-                )
-            params = SamplingParams(
-                max_new_tokens=max_new_tokens,
-                temperature=0.0 if temperature is None else temperature,
-                top_k=20 if top_k is None else top_k,
-                seed=0 if seed is None else seed,
+        if not isinstance(params, SamplingParams):
+            raise RequestError(
+                f"params must be a SamplingParams, got {type(params).__name__}"
             )
         prompt = np.asarray(prompt_tokens).reshape(-1)
         validate_admission(prompt, params, self.model.config, pool=self._pool)
-        # Resolve the request's KV format once at admission: an explicit
-        # per-request override, else the engine default.  A request is
-        # "private" when its resolved byte layout differs from the
-        # default — it then opts out of prefix sharing entirely.
-        fmt = params.kv_format if params.kv_format is not None else self.config.kv_format
-        # Graceful degradation under KV pressure: headroom below the
-        # shed threshold refuses the admission outright (a FAILED
-        # handle, not an exception — the caller still observes it);
-        # below the degrade threshold, a request without an explicit
-        # format override is admitted at the policy's lower-bit format
-        # instead (prefix-signature privacy keeps it out of shared
-        # prefixes automatically when the layouts differ).
-        shed = False
-        degraded = False
-        pressure = self.config.pressure
-        if pressure.active:
-            headroom = (
-                self._pool.free_blocks + self._pool.reclaimable_blocks
-            ) / self._pool.num_blocks
-            if headroom < pressure.shed_below_free_fraction:
-                shed = True
-            elif (
-                params.kv_format is None
-                and pressure.degrade_below_free_fraction > 0.0
-                and headroom < pressure.degrade_below_free_fraction
-            ):
-                assert pressure.degraded_format is not None  # validated
-                fmt = pressure.degraded_format
-                degraded = True
+        fmt, shed, degraded = self._admission_format(params)
+        # A request is "private" when its resolved byte layout differs
+        # from the default — it then opts out of prefix sharing entirely.
         kv_private = (
             (params.kv_format is not None or degraded)
             and fmt.signature(self._n_layers) != self._default_signature
         )
-        request = Request(
-            request_id=next(self._ids),
-            prompt=prompt,
-            params=params,
-        )
+        request = Request(request_id=next(self._ids), prompt=prompt, params=params)
+        request_id = request.request_id
         arrival = time.perf_counter()
         state = RequestState(
             request=request,
@@ -477,19 +491,13 @@ class Engine:
         )
         self._waiting.append(state)
         handle = RequestHandle(self, state)
-        self._handles[request.request_id] = handle
-        if self._tracer is not None:
-            self._tracer.lifecycle(
-                request.request_id, "QUEUED", prompt_tokens=int(prompt.shape[0])
-            )
+        self._handles[request_id] = handle
+        self._lifecycle(request_id, "QUEUED", prompt_tokens=int(prompt.shape[0]))
         if degraded:
             self._degraded += 1
-            if self._tracer is not None:
-                self._tracer.lifecycle(
-                    request.request_id, "DEGRADED", format=fmt.label
-                )
+            self._lifecycle(request_id, "DEGRADED", format=fmt.label)
         if shed:
-            self._waiting.remove(state)
+            self._detach(state)
             self._release_residency(state)
             self._shed += 1
             self._fail_terminal(state, None, reason="shed")
@@ -500,10 +508,41 @@ class Engine:
             # gate.  Either way the handle is returned to the caller.
             try:
                 self._injector.begin_step(self._step_index)
-                self._injector.probe("admission", request.request_id)
+                self._injector.probe("admission", request_id)
             except InjectedFault as fault:
                 self._handle_request_fault(state, fault)
         return handle
+
+    def _admission_format(self, params: SamplingParams) -> tuple[KVFormat, bool, bool]:
+        """Resolve a new request's KV format; returns ``(fmt, shed, degraded)``.
+
+        The format is the request's explicit override, else the engine
+        default.  Graceful degradation under KV pressure: pool headroom
+        below the shed threshold refuses the admission outright (a
+        FAILED handle, not an exception — the caller still observes
+        it); below the degrade threshold, a request without an explicit
+        override is admitted at the policy's lower-bit format instead
+        (prefix-signature privacy keeps it out of shared prefixes when
+        the layouts differ).
+        """
+        fmt = (
+            params.kv_format if params.kv_format is not None else self.config.kv_format
+        )
+        pressure = self.config.pressure
+        if not pressure.active:
+            return fmt, False, False
+        pool = self._pool
+        headroom = (pool.free_blocks + pool.reclaimable_blocks) / pool.num_blocks
+        if headroom < pressure.shed_below_free_fraction:
+            return fmt, True, False
+        if (
+            params.kv_format is None
+            and pressure.degrade_below_free_fraction > 0.0
+            and headroom < pressure.degrade_below_free_fraction
+        ):
+            assert pressure.degraded_format is not None  # validated
+            return pressure.degraded_format, False, True
+        return fmt, False, False
 
     # -- cancellation ------------------------------------------------------
 
@@ -528,10 +567,7 @@ class Engine:
         )
         if state is None:
             return False
-        if state in self._running:
-            self._running.remove(state)
-        else:
-            self._waiting.remove(state)
+        self._detach(state)
         self._release_residency(state)
         state.status = RequestStatus.ABORTED
         state.finish_reason = "abort"
@@ -539,10 +575,7 @@ class Engine:
         state.finish_time = time.perf_counter()
         self._aborted += 1
         self._handles.pop(request_id, None)
-        if self._tracer is not None:
-            self._tracer.lifecycle(
-                request_id, "ABORTED", tokens=len(state.generated)
-            )
+        self._lifecycle(request_id, "ABORTED", tokens=len(state.generated))
         return True
 
     # -- stepping ---------------------------------------------------------
@@ -553,17 +586,20 @@ class Engine:
     def step(self) -> StepOutputs:
         """Run one scheduler-planned mixed step (decodes + prompt chunks).
 
-        Fresh prompt chunks and the decode batch execute in one
+        The phases are expire → schedule → forward waves → resumed
+        replays → report (see the module docstring).  Fresh prompt
+        chunks and the decode batch execute in one
         :meth:`~repro.llm.transformer.CausalLM.forward_mixed_step`
-        invocation; a chunk that completes its prompt emits the
-        request's first token (that is the moment TTFT is recorded),
-        an incomplete chunk leaves the request half-prefilled in the
-        waiting queue.  Resumed (previously preempted or retried,
-        mid-decode) requests replay their whole call pattern in one
-        admission so the rebuilt cache stays bitwise.  The step first
-        reserves its block growth — preempting the latest-arrived
-        request, running or half-prefilled, when the pool cannot cover
-        it — and fresh prefills go through the prefix cache.
+        invocation per wave; a chunk that completes its prompt emits
+        the request's first token (that is the moment TTFT is
+        recorded), an incomplete chunk leaves the request
+        half-prefilled in the waiting queue.  Resumed (previously
+        preempted or retried, mid-decode) requests replay their whole
+        call pattern in one admission so the rebuilt cache stays
+        bitwise.  Each wave first reserves its block growth —
+        preempting the latest-arrived request, running or
+        half-prefilled, when the pool cannot cover it — and fresh
+        prefills go through the prefix cache.
 
         Returns a :class:`~repro.serve.handle.StepOutputs`: the step's
         aggregate :class:`StepReport` plus one
@@ -583,313 +619,279 @@ class Engine:
                 return self._step_scoped()
 
     def _step_scoped(self) -> StepOutputs:
+        """Run the step's phases under the root ``step`` span.
+
+        The root span reuses the exact ``perf_counter`` readings that
+        define ``StepReport.elapsed_seconds``, so its duration and the
+        report agree to the clock tick.
+        """
         started = time.perf_counter()  # include scheduling in step cost
         tracer = self._tracer
-        if tracer is not None:
-            # The root span reuses the exact perf_counter readings that
-            # define StepReport.elapsed_seconds, so its duration and
-            # the report agree to the clock tick.
-            tracer.begin("step", ts=tracer.to_us(started), step=self._step_index)
+        if tracer is None:
+            return self._run_phases(started)[0]
+        tracer.begin("step", ts=tracer.to_us(started), step=self._step_index)
+        outputs, ended = self._run_phases(started)
+        tracer.end("step", ts=tracer.to_us(ended))
+        return outputs
+
+    def _run_phases(self, started: float) -> tuple[StepOutputs, float]:
+        """expire → schedule → forward waves → resumed replays → report."""
         self._step_deltas = []
-        copy_before, dequant_before = self._hot_stats.snapshot()
-        dispatches_before = self._attn_stats.dispatches
+        before = self._counters()
         # Deadlines are enforced at step boundaries: sweep before
         # planning so an expired request never costs another forward.
         self._expire_deadlines(started)
-        if tracer is not None:
-            tracer.begin(
-                "step.schedule",
-                waiting=len(self._waiting),
-                running=len(self._running),
-            )
-        # Requests backing off after a transient fault keep their queue
-        # slot but are hidden from the planner until their retry step
-        # (they hold no residency, so inflight accounting is unchanged).
-        eligible = [
-            state
-            for state in self._waiting
-            if state.retry_at_step <= self._step_index
-        ]
-        plan = plan_step(
-            eligible,
-            self._running,
-            self._policy,
-            self.config.max_batch_size,
-            self.config.max_batch_tokens,
-            blocks=self._pool.planner(self._running),
-        )
-        if tracer is not None:
-            tracer.end("step.schedule")
-        traffic = StepTraffic()
-        new_tokens = 0
-        preemptions = 0
-        prefill_done = 0
-        partial = 0
-        prefix_hit_tokens = 0
-        saved = StepTraffic()
-        evicted_before = self._pool.evicted_blocks
-        # Per-format attribution of the step's KV bytes.
-        fmt_bytes: dict[str, float] = {}
-
-        def charge_format(state: RequestState, nbytes: float) -> None:
-            if nbytes <= 0.0:
-                return
-            label = state.kv_format.label if state.kv_format is not None else "fp16"
-            fmt_bytes[label] = fmt_bytes.get(label, 0.0) + nbytes
-
+        plan = self._schedule()
+        tally = _StepTally()
         # Fresh prompts prefill in chunks; a resumed request (one with
         # emitted tokens) replays prompt + tokens in one admission.
-        chunked: list[PrefillChunk] = []
-        resumed: list[PrefillChunk] = []
-        for chunk in plan.prefills:
-            if chunk.state.generated:
-                resumed.append(chunk)
-            else:
-                chunked.append(chunk)
+        fresh = [chunk for chunk in plan.prefills if not chunk.state.generated]
+        resumed = [chunk for chunk in plan.prefills if chunk.state.generated]
+        if self._forward_waves(plan.decodes, fresh, tally):
+            # A fault that abandons the step leaves the resumed replays
+            # queued; they run next step.
+            self._replay_all(resumed, tally)
+        return self._report(started, plan, tally, before)
 
-        decodes = list(plan.decodes)
-        waves = self._plan_waves(chunked)
-        executed_chunks = 0
-        first_wave = True
-        # Set when an injected fault aborts the forward lanes: the rest
-        # of the step (later waves, decode-only lane, resumed replays)
-        # is skipped; every participant was rolled back to its pre-step
-        # KV state, so the next step replays it bitwise.
-        faulted = False
-        # The weight stream is charged once per *step*: the mixed step
-        # is the fusion quantum of the analytic traffic model, so the
-        # decode lane's charge covers every chunk riding along, and an
-        # all-prefill step pays it exactly once however its waves fall.
-        weights_charged = False
-        for wave in waves:
-            runs = self._begin_chunks(wave)
-            wave_decodes, runs, evicted = self._reserve_step_blocks(
-                decodes if first_wave else [], runs
+    def _schedule(self) -> StepPlan:
+        """Plan this step's decodes and prompt chunks."""
+        with self._span(
+            "step.schedule", waiting=len(self._waiting), running=len(self._running)
+        ):
+            # Requests backing off after a transient fault keep their
+            # queue slot but are hidden from the planner until their
+            # retry step (they hold no residency, so inflight
+            # accounting is unchanged).
+            eligible = [
+                state
+                for state in self._waiting
+                if state.retry_at_step <= self._step_index
+            ]
+            return plan_step(
+                eligible,
+                self._running,
+                self._policy,
+                self.config.max_batch_size,
+                self.config.max_batch_tokens,
+                blocks=self._pool.planner(self._running),
             )
-            if first_wave:
-                decodes = wave_decodes
-            preemptions += evicted
-            if not runs and not wave_decodes:
-                first_wave = False
-                continue
-            decode_contexts = [state.context_length for state in wave_decodes]
-            try:
-                for state in wave_decodes:
-                    inject("model.decode", state.request.request_id)
-                chunk_logits, decode_logits = self.model.forward_mixed_step(
-                    [
-                        run.state.request.prompt[
-                            run.state.prefill_pos : run.state.prefill_pos + run.tokens
-                        ]
-                        for run in runs
-                    ],
-                    [run.state.caches for run in runs],
-                    decode_tokens=(
-                        self._decode_tokens(wave_decodes) if wave_decodes else None
-                    ),
-                    decode_caches=[state.caches for state in wave_decodes],
-                    dispatcher=self._dispatcher,
-                )
-            except InjectedFault as fault:
-                # Injected faults have precise rollback semantics: every
-                # participant's KV returns to its pre-step watermark, an
-                # attributed victim is quarantined or retried, and the
-                # step is abandoned (the survivors replay bitwise next
-                # step).  The engine stays serviceable.
-                self._recover_step_fault(fault, runs, wave_decodes, decode_contexts)
-                decodes = []
-                faulted = True
-                break
-            except Exception:
-                # Blanket-with-reraise, deliberately: an *unknown*
-                # failure class mid-forward may have corrupted shared
-                # engine state, so the engine must not absorb it — but
-                # it still rolls back what it provably can before
-                # propagating.  The chunk lane runs before the decode
-                # lane, so a failure there leaves decode caches
-                # untouched; releasing the chunk participants' partial
-                # caches puts them back to a clean un-prefilled waiting
-                # state (no pool blocks leak).  Earlier waves already
-                # committed consistent states (completed or
-                # half-prefilled).
-                for run in runs:
-                    self._rollback_chunk(run.state)
-                raise
-            first_wave = False
-            executed_chunks += len(runs)
 
-            if wave_decodes:
-                traffic = traffic + decode_step_traffic(
-                    self.model.config,
-                    decode_contexts,
-                    kv_bits_per_element=[state.kv_bits for state in wave_decodes],
-                    batched=True,
-                )
-                weights_charged = True
-                for index, state in enumerate(wave_decodes):
-                    charge_format(
-                        state,
-                        decode_request_kv_bytes(
-                            self.model.config, decode_contexts[index], state.kv_bits
-                        ),
-                    )
-                    self._emit(state, decode_logits[index, -1, :])
-                    new_tokens += 1
+    def _forward_waves(
+        self,
+        decodes: list[RequestState],
+        chunks: list[PrefillChunk],
+        tally: _StepTally,
+    ) -> bool:
+        """Run the step's waves; False when a fault abandoned the step.
 
-            for run, logits in zip(runs, chunk_logits):
-                state = run.state
-                chunk_traffic = prefill_chunk_traffic(
-                    self.model.config,
-                    run.tokens,
-                    cached_context_tokens=state.prefill_pos,
-                    kv_bits_per_element=state.kv_bits,
-                    include_weights=not weights_charged,
-                )
-                traffic = traffic + chunk_traffic
-                charge_format(
-                    state,
-                    chunk_traffic.kv_read_bytes + chunk_traffic.kv_write_bytes,
-                )
-                weights_charged = True
-                state.prefill_pos += run.tokens
-                prefill_done += run.tokens
-                if run.prefix_hit:
-                    prefix_hit_tokens += run.prefix_hit
-                    saved = saved + prefix_cache_savings(
-                        self.model.config,
-                        run.prefix_hit,
-                        kv_bits_per_element=state.kv_bits,
-                    )
-                if state.prefill_pos >= state.request.prompt_length:
-                    self._waiting.remove(state)
-                    state.status = RequestStatus.RUNNING
-                    if self._tracer is not None:
-                        self._tracer.lifecycle(
-                            state.request.request_id, "RUNNING"
-                        )
-                    self._pool.register_prefix(state.kv, state.request.prompt)
-                    self._running.append(state)
-                    self._emit(state, logits[-1, :], first=True)
-                    new_tokens += 1
-                else:
-                    if (
-                        self._tracer is not None
-                        and state.status is not RequestStatus.PREFILLING
-                    ):
-                        self._tracer.lifecycle(
-                            state.request.request_id,
-                            "PREFILLING",
-                            prefill_pos=state.prefill_pos,
-                        )
-                    state.status = RequestStatus.PREFILLING
-                    partial += 1
+        Each wave reserves its block growth, runs the model once, then
+        commits its decode rows and its chunks.  The decode batch rides
+        the first wave; a step without chunks is one wave of decodes.
+        """
+        if not (decodes or chunks):
+            return True
+        for wave in self._plan_waves(chunks):
+            decodes, runs = self._reserve_step_blocks(
+                decodes, self._begin_chunks(wave), tally
+            )
+            if (runs or decodes) and not self._forward_wave(decodes, runs, tally):
+                return False
+            decodes = []
+        return True
 
-        if first_wave and decodes and not faulted:
-            # No chunks this step: plain batched decode (still reserving
-            # its block growth first).
-            decodes, _, evicted = self._reserve_step_blocks(decodes, [])
-            preemptions += evicted
-            if decodes:
-                decode_contexts = [state.context_length for state in decodes]
-                try:
-                    for state in decodes:
-                        inject("model.decode", state.request.request_id)
-                    decode_logits = self.model.forward_decode_batch(
-                        self._decode_tokens(decodes),
-                        [state.caches for state in decodes],
-                        dispatcher=self._dispatcher,
-                    )
-                except InjectedFault as fault:
-                    # Same recovery as the mixed lane: caches back to
-                    # their pre-step watermarks, victim handled, step
-                    # abandoned.
-                    self._recover_step_fault(fault, [], decodes, decode_contexts)
-                    decodes = []
-                    faulted = True
-            if decodes:
-                traffic = traffic + decode_step_traffic(
-                    self.model.config,
-                    decode_contexts,
-                    kv_bits_per_element=[state.kv_bits for state in decodes],
-                    batched=True,
-                )
-                for index, state in enumerate(decodes):
-                    charge_format(
-                        state,
-                        decode_request_kv_bytes(
-                            self.model.config, decode_contexts[index], state.kv_bits
-                        ),
-                    )
-                    self._emit(state, decode_logits[index, -1, :])
-                    new_tokens += 1
+    def _forward_wave(
+        self, decodes: list[RequestState], runs: list[_ChunkRun], tally: _StepTally
+    ) -> bool:
+        """Forward one wave and commit it; False when a fault hit it.
 
-        if faulted:
-            # A batch-level rollback already abandoned this step; the
-            # resumed replays stay queued and run next step.
-            resumed = []
-        if resumed and tracer is not None:
-            tracer.begin("step.prefill", requests=len(resumed))
-        for chunk in resumed:
-            state = chunk.state
+        The decode rows' pre-step context lengths are the rollback
+        watermarks.  Injected faults have precise rollback semantics:
+        every participant's KV returns to its pre-step watermark, an
+        attributed victim is quarantined or retried, and the step is
+        abandoned (the survivors replay bitwise next step).  The engine
+        stays serviceable.
+        """
+        watermarks = [state.context_length for state in decodes]
+        try:
+            for state in decodes:
+                inject("model.decode", state.request.request_id)
+            chunk_logits, decode_logits = self.model.forward_mixed_step(
+                [
+                    run.state.request.prompt[
+                        run.state.prefill_pos : run.state.prefill_pos + run.tokens
+                    ]
+                    for run in runs
+                ],
+                [run.state.caches for run in runs],
+                decode_tokens=self._decode_tokens(decodes) if decodes else None,
+                decode_caches=[state.caches for state in decodes],
+                dispatcher=self._dispatcher,
+            )
+        except InjectedFault as fault:
+            self._recover_step_fault(fault, runs, decodes, watermarks)
+            return False
+        except Exception:
+            # Blanket-with-reraise, deliberately: an *unknown* failure
+            # class mid-forward may have corrupted shared engine state,
+            # so the engine must not absorb it — but it still rolls
+            # back what it provably can before propagating.  The chunk
+            # lane runs before the decode lane, so a failure there
+            # leaves decode caches untouched; releasing the chunk
+            # participants' partial caches puts them back to a clean
+            # un-prefilled waiting state (no pool blocks leak).  Earlier
+            # waves already committed consistent states (completed or
+            # half-prefilled).
+            for run in runs:
+                self._rollback_chunk(run.state)
+            raise
+        if decode_logits is not None:
+            self._commit_decodes(decodes, watermarks, decode_logits, tally)
+        self._commit_chunks(runs, chunk_logits, tally)
+        return True
+
+    def _commit_decodes(
+        self,
+        decodes: list[RequestState],
+        contexts: list[int],
+        logits: np.ndarray,
+        tally: _StepTally,
+    ) -> None:
+        """Charge the decode batch's traffic and emit one token per row."""
+        config = self.model.config
+        tally.traffic = tally.traffic + decode_step_traffic(
+            config,
+            contexts,
+            kv_bits_per_element=[state.kv_bits for state in decodes],
+            batched=True,
+        )
+        tally.weights_charged = True
+        for index, state in enumerate(decodes):
+            tally.charge_format(
+                state, decode_request_kv_bytes(config, contexts[index], state.kv_bits)
+            )
+            self._emit(state, logits[index, -1, :])
+            tally.decodes += 1
+            tally.new_tokens += 1
+
+    def _commit_chunks(
+        self, runs: list[_ChunkRun], logits: list[np.ndarray], tally: _StepTally
+    ) -> None:
+        """Advance each chunk's prefill; a completed prompt starts decoding."""
+        config = self.model.config
+        for run, chunk_logits in zip(runs, logits):
+            state = run.state
             request_id = state.request.request_id
-            try:
-                # Replays are per-request, so faults here are always
-                # attributable; the ambient scope additionally
-                # attributes pool/codec/gather probes fired inside.
-                with request_scope(request_id):
-                    inject("model.prefill", request_id)
-                    cost = state.prefill_tokens
-                    hit, replay = self._replay_resumed(state)
-                    traffic = traffic + replay
-                    charge_format(state, replay.kv_read_bytes + replay.kv_write_bytes)
-                    prefix_hit_tokens += hit
-                    prefill_done += cost - hit
-                    if hit:
-                        saved = saved + prefix_cache_savings(
-                            self.model.config,
-                            hit,
-                            kv_bits_per_element=state.kv_bits,
-                        )
-            except InjectedFault as fault:
-                # Per-request isolation: the inner rollback paths have
-                # already released this request's partial residency
-                # (release is idempotent); quarantine or back off just
-                # this request and keep serving the rest of the lane.
-                self._release_residency(state)
-                self._handle_request_fault(state, fault)
-        if resumed and tracer is not None:
-            tracer.end("step.prefill")
+            traffic = prefill_chunk_traffic(
+                config,
+                run.tokens,
+                cached_context_tokens=state.prefill_pos,
+                kv_bits_per_element=state.kv_bits,
+                include_weights=not tally.weights_charged,
+            )
+            tally.traffic = tally.traffic + traffic
+            tally.charge_format(state, traffic.kv_read_bytes + traffic.kv_write_bytes)
+            tally.weights_charged = True
+            tally.prefills += 1
+            state.prefill_pos += run.tokens
+            tally.prefill_tokens += run.tokens
+            if run.prefix_hit:
+                tally.credit_prefix_hit(config, state, run.prefix_hit)
+            if state.prefill_pos >= state.request.prompt_length:
+                self._waiting.remove(state)
+                state.status = RequestStatus.RUNNING
+                self._lifecycle(request_id, "RUNNING")
+                self._pool.register_prefix(state.kv, state.request.prompt)
+                self._running.append(state)
+                self._emit(state, chunk_logits[-1, :], first=True)
+                tally.new_tokens += 1
+            else:
+                if state.status is not RequestStatus.PREFILLING:
+                    self._lifecycle(
+                        request_id, "PREFILLING", prefill_pos=state.prefill_pos
+                    )
+                state.status = RequestStatus.PREFILLING
+                tally.partial_prefills += 1
 
+    def _replay_all(self, resumed: list[PrefillChunk], tally: _StepTally) -> None:
+        """Rebuild every resumed request's cache, isolating faults."""
+        if not resumed:
+            return
+        config = self.model.config
+        with self._span("step.prefill", requests=len(resumed)):
+            for chunk in resumed:
+                state = chunk.state
+                request_id = state.request.request_id
+                cost = state.prefill_tokens
+                try:
+                    # Replays are per-request, so faults here are always
+                    # attributable; the ambient scope additionally
+                    # attributes pool/codec/gather probes fired inside.
+                    with request_scope(request_id):
+                        inject("model.prefill", request_id)
+                        hit, replay = self._replay_resumed(state)
+                except InjectedFault as fault:
+                    # Per-request isolation: the inner rollback paths
+                    # have already released this request's partial
+                    # residency (release is idempotent); quarantine or
+                    # back off just this request and keep replaying the
+                    # rest.
+                    self._release_residency(state)
+                    self._handle_request_fault(state, fault)
+                    continue
+                tally.traffic = tally.traffic + replay
+                tally.charge_format(state, replay.kv_read_bytes + replay.kv_write_bytes)
+                tally.prefills += 1
+                tally.prefill_tokens += cost - hit
+                if hit:
+                    tally.credit_prefix_hit(config, state, hit)
+
+    def _counters(self) -> tuple[int, int, int, int]:
+        """Lifetime counters whose per-step deltas the report carries."""
+        return (
+            *self._hot_stats.snapshot(),
+            *self._attn_stats.snapshot(),
+            self._pool.evicted_blocks,
+        )
+
+    def _report(
+        self,
+        started: float,
+        plan: StepPlan,
+        tally: _StepTally,
+        before: tuple[int, int, int, int],
+    ) -> tuple[StepOutputs, float]:
+        """Freeze the tally into the step's report; returns it and the end time."""
         ended = time.perf_counter()
+        copy_bytes, dequant_bytes, dispatches, evicted = (
+            now - then for now, then in zip(self._counters(), before)
+        )
         report = StepReport(
             step=self._step_index,
-            prefills=executed_chunks + len(resumed),
-            decodes=len(decodes),
-            new_tokens=new_tokens,
-            batch_tokens=len(decodes) + sum(chunk.tokens for chunk in plan.prefills),
-            prefill_tokens=prefill_done,
-            partial_prefills=partial,
+            prefills=tally.prefills,
+            decodes=tally.decodes,
+            new_tokens=tally.new_tokens,
+            batch_tokens=tally.decodes + sum(chunk.tokens for chunk in plan.prefills),
+            prefill_tokens=tally.prefill_tokens,
+            partial_prefills=tally.partial_prefills,
             elapsed_seconds=ended - started,
-            traffic=traffic,
-            preemptions=preemptions,
-            evicted_blocks=self._pool.evicted_blocks - evicted_before,
-            prefix_hit_tokens=prefix_hit_tokens,
-            prefix_saved_bytes=saved.total_bytes,
-            kv_copy_bytes=self._hot_stats.copy_bytes - copy_before,
-            kv_dequant_bytes=self._hot_stats.dequant_bytes - dequant_before,
-            attention_dispatches=self._attn_stats.dispatches - dispatches_before,
-            kv_format_bytes=tuple(sorted(fmt_bytes.items())),
+            traffic=tally.traffic,
+            preemptions=tally.preemptions,
+            evicted_blocks=evicted,
+            prefix_hit_tokens=tally.prefix_hit_tokens,
+            prefix_saved_bytes=tally.saved.total_bytes,
+            kv_copy_bytes=copy_bytes,
+            kv_dequant_bytes=dequant_bytes,
+            attention_dispatches=dispatches,
+            kv_format_bytes=tuple(sorted(tally.format_bytes.items())),
         )
         self._reports.append(report)
         self._step_index += 1
-        if tracer is not None:
-            tracer.end("step", ts=tracer.to_us(ended))
         telemetry_config = self.config.telemetry
         if telemetry_config.log_steps and (
             report.step % telemetry_config.log_every == 0
         ):
             log_step_summary(self.telemetry.engine_label, report)
-        return StepOutputs(report=report, deltas=tuple(self._step_deltas))
+        return StepOutputs(report=report, deltas=tuple(self._step_deltas)), ended
 
     def _decode_tokens(self, states: list[RequestState]) -> np.ndarray:
         """Gather the decode batch's next-token ids into reused scratch.
@@ -946,10 +948,11 @@ class Engine:
         deferred to a later wave: the earlier prompt registers first,
         and the deferred request maps its blocks instead of recomputing
         them (exactly what the sequential admission order used to
-        give).  Requests with distinct prompts all land in wave one.
+        give).  Requests with distinct prompts all land in wave one, and
+        no chunks at all is one empty wave (the decode batch alone).
         """
         if self._pool.prefix_cache is None or len(chunks) <= 1:
-            return [chunks] if chunks else []
+            return [chunks]
         block = self._pool.block_size
         waves: list[list[PrefillChunk]] = []
         committed: list[PrefillChunk] = []
@@ -1060,6 +1063,25 @@ class Engine:
         self._release_residency(state)
         state.status = RequestStatus.WAITING
 
+    def _detach(self, state: RequestState) -> None:
+        """Take a request out of the running set or the waiting queue."""
+        if state in self._running:
+            self._running.remove(state)
+        elif state in self._waiting:
+            self._waiting.remove(state)
+
+    def _requeue(self, state: RequestState) -> None:
+        """Re-enter the waiting queue in arrival order.
+
+        The queue stays sorted by request id (arrival), so FCFS resumes
+        the oldest preempted or retried request first.
+        """
+        index = bisect.bisect_left(
+            [waiting.request.request_id for waiting in self._waiting],
+            state.request.request_id,
+        )
+        self._waiting.insert(index, state)
+
     # -- failure semantics ------------------------------------------------
 
     def _expire_deadlines(self, now: float) -> None:
@@ -1070,10 +1092,7 @@ class Engine:
             if state.deadline is not None and now >= state.deadline
         ]
         for state in expired:
-            if state in self._running:
-                self._running.remove(state)
-            else:
-                self._waiting.remove(state)
+            self._detach(state)
             self._release_residency(state)
             self._deadline_expired += 1
             self._fail_terminal(
@@ -1107,13 +1126,8 @@ class Engine:
         its cache bitwise, so a retried request's tokens are identical
         to an unfaulted run's.
         """
-        if state in self._running:
-            self._running.remove(state)
-            index = bisect.bisect_left(
-                [waiting.request.request_id for waiting in self._waiting],
-                state.request.request_id,
-            )
-            self._waiting.insert(index, state)
+        self._detach(state)
+        self._requeue(state)
         self._release_residency(state)
         state.status = RequestStatus.WAITING
         state.failure = fault
@@ -1122,14 +1136,13 @@ class Engine:
             self._step_index + 1 + self.config.retry.delay_steps(state.retries)
         )
         self._fault_retries += 1
-        if self._tracer is not None:
-            self._tracer.lifecycle(
-                state.request.request_id,
-                "RETRY",
-                site=fault.site,
-                retries=state.retries,
-                at_step=state.retry_at_step,
-            )
+        self._lifecycle(
+            state.request.request_id,
+            "RETRY",
+            site=fault.site,
+            retries=state.retries,
+            at_step=state.retry_at_step,
+        )
 
     def _quarantine(self, state: RequestState, fault: InjectedFault) -> None:
         """Terminal isolation of one faulted request.
@@ -1139,10 +1152,7 @@ class Engine:
         untouched (the caller already rolled any shared step work back
         to the pre-step watermarks).
         """
-        if state in self._running:
-            self._running.remove(state)
-        elif state in self._waiting:
-            self._waiting.remove(state)
+        self._detach(state)
         self._release_residency(state)
         self._fail_terminal(state, fault, reason="error")
 
@@ -1159,13 +1169,12 @@ class Engine:
         # The handle keeps its state reference, so result() raises the
         # typed failure; like aborts, the id leaves the live-handle map.
         self._handles.pop(state.request.request_id, None)
-        if self._tracer is not None:
-            self._tracer.lifecycle(
-                state.request.request_id,
-                "FAILED",
-                reason=reason,
-                tokens=len(state.generated),
-            )
+        self._lifecycle(
+            state.request.request_id,
+            "FAILED",
+            reason=reason,
+            tokens=len(state.generated),
+        )
 
     def _recover_step_fault(
         self,
@@ -1206,9 +1215,12 @@ class Engine:
     # -- paged KV pool paths ----------------------------------------------
 
     def _reserve_step_blocks(
-        self, decodes: list[RequestState], runs: list[_ChunkRun]
-    ) -> tuple[list[RequestState], list[_ChunkRun], int]:
-        """Shrink the step until its block growth fits the pool.
+        self,
+        decodes: list[RequestState],
+        runs: list[_ChunkRun],
+        tally: _StepTally,
+    ) -> tuple[list[RequestState], list[_ChunkRun]]:
+        """Shrink a wave until its block growth fits the pool.
 
         Every surviving decode appends one position and every chunk its
         token count; when the pool (free plus reclaimable prefix-cache
@@ -1217,28 +1229,24 @@ class Engine:
         unscheduled — is preempted: its blocks return to the pool and
         it recomputes from scratch on re-admission.
         """
-        preemptions = 0
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.begin("step.preempt", decodes=len(decodes), chunks=len(runs))
-        while decodes or runs:
-            demand = sum(state.kv.blocks_for_append(1) for state in decodes) + sum(
-                run.state.kv.blocks_for_append(run.tokens) for run in runs
-            )
-            if demand <= self._pool.free_blocks + self._pool.reclaimable_blocks:
-                break
-            holders = [state for state in self._waiting if state.kv is not None]
-            victim = self._preemptor.select_victim(decodes + holders)
-            if victim in decodes:
-                decodes.remove(victim)
-                self._preempt(victim)
-            else:
-                runs = [run for run in runs if run.state is not victim]
-                self._preempt_prefill(victim)
-            preemptions += 1
-        if tracer is not None:
-            tracer.end("step.preempt")
-        return decodes, runs, preemptions
+        with self._span("step.preempt", decodes=len(decodes), chunks=len(runs)):
+            while decodes or runs:
+                demand = sum(state.kv.blocks_for_append(1) for state in decodes)
+                demand += sum(
+                    run.state.kv.blocks_for_append(run.tokens) for run in runs
+                )
+                if demand <= self._pool.free_blocks + self._pool.reclaimable_blocks:
+                    break
+                holders = [state for state in self._waiting if state.kv is not None]
+                victim = self._preemptor.select_victim(decodes + holders)
+                if victim in decodes:
+                    decodes = [state for state in decodes if state is not victim]
+                    self._preempt(victim)
+                else:
+                    runs = [run for run in runs if run.state is not victim]
+                    self._preempt_prefill(victim)
+                tally.preemptions += 1
+        return decodes, runs
 
     def _preempt(self, state: RequestState) -> None:
         """Evict a running request's KV residency (recompute-on-resume)."""
@@ -1246,15 +1254,8 @@ class Engine:
         self._release_residency(state)
         state.status = RequestStatus.WAITING
         state.preemptions += 1
-        if self._tracer is not None:
-            self._tracer.lifecycle(state.request.request_id, "PREEMPTED")
-        # Re-enter the waiting queue in arrival order so FCFS resumes
-        # the oldest preempted request first.
-        index = bisect.bisect_left(
-            [waiting.request.request_id for waiting in self._waiting],
-            state.request.request_id,
-        )
-        self._waiting.insert(index, state)
+        self._lifecycle(state.request.request_id, "PREEMPTED")
+        self._requeue(state)
 
     def _preempt_prefill(self, state: RequestState) -> None:
         """Evict a half-prefilled request's partial cache.
@@ -1267,8 +1268,7 @@ class Engine:
         self._release_residency(state)
         state.status = RequestStatus.WAITING
         state.preemptions += 1
-        if self._tracer is not None:
-            self._tracer.lifecycle(state.request.request_id, "PREEMPTED")
+        self._lifecycle(state.request.request_id, "PREEMPTED")
 
     def _replay_resumed(self, state: RequestState) -> tuple[int, StepTraffic]:
         """Rebuild a resumed request's cache and rejoin the decode batch.
@@ -1314,8 +1314,7 @@ class Engine:
             raise
         self._waiting.remove(state)
         state.status = RequestStatus.RUNNING
-        if self._tracer is not None:
-            self._tracer.lifecycle(request.request_id, "RUNNING", resumed=True)
+        self._lifecycle(request.request_id, "RUNNING", resumed=True)
         state.prefill_pos = request.prompt_length
         self._pool.register_prefix(seq, prompt)
         self._running.append(state)
@@ -1335,8 +1334,7 @@ class Engine:
         """
         request = state.request
         params = request.params
-        tracer = self._tracer
-        if tracer is None:
+        with self._span("step.sample", request=request.request_id):
             token = select_next_token(
                 logits,
                 params.temperature,
@@ -1344,15 +1342,6 @@ class Engine:
                 state.rng,
                 top_p=params.top_p,
             )
-        else:
-            with tracer.span("step.sample", request=request.request_id):
-                token = select_next_token(
-                    logits,
-                    params.temperature,
-                    params.top_k,
-                    state.rng,
-                    top_p=params.top_p,
-                )
         now = time.perf_counter()
         state.generated.append(token)
         state.token_times.append(now)
@@ -1380,24 +1369,20 @@ class Engine:
             state.status = RequestStatus.FINISHED
             state.finish_step = self._step_index
             state.finish_time = now
-            if tracer is not None:
-                tracer.lifecycle(
-                    request.request_id,
-                    "FINISHED",
-                    reason=state.finish_reason,
-                    tokens=len(state.generated),
-                )
-            if state.kv is not None:
-                # Drop the request's block references; blocks shared
-                # through the prefix cache stay resident for future hits.
-                state.kv.release()
-                state.kv = None
-            state.caches = None  # release KV memory
-            # Leave the running set immediately (not at end of step): if
-            # a later prefill in the same step raises, the request must
-            # not linger in _running with its caches already released.
-            if state in self._running:
-                self._running.remove(state)
+            self._lifecycle(
+                request.request_id,
+                "FINISHED",
+                reason=state.finish_reason,
+                tokens=len(state.generated),
+            )
+            # Drop the request's block references (blocks shared
+            # through the prefix cache stay resident for future hits)
+            # and leave the running set immediately, not at end of
+            # step: if a later prefill in the same step raises, the
+            # request must not linger in _running with its caches
+            # already released.
+            self._release_residency(state)
+            self._detach(state)
             done = complete(state)
             self._finished[request.request_id] = done
             self._request_records.append(done.metrics)

@@ -66,30 +66,15 @@ class Request:
     Identity semantics (``eq=False``): the ndarray prompt makes field
     equality ill-defined, and ids are only unique per engine.
 
-    ``params`` is the canonical recipe.  The scalar fields
-    (``max_new_tokens``, ``temperature``, ``top_k``, ``seed``) are
-    retained as a construction convenience and as read mirrors of the
-    params — legacy callers building ``Request(..., max_new_tokens=4)``
-    get a default recipe around that cap, and scheduler/engine code may
-    read either spelling and see the same values.
-
     Args:
         request_id: engine-assigned, unique within an engine instance.
         prompt: 1-D prompt token ids.
-        params: the per-request :class:`SamplingParams`; when omitted,
-            one is built from the scalar fields.
+        params: the per-request :class:`SamplingParams`.
     """
 
     request_id: int
     prompt: np.ndarray
-    # Declared non-optional: __post_init__ builds a recipe from the
-    # legacy scalars when the caller omits one, so every constructed
-    # Request carries a SamplingParams.
-    params: SamplingParams = None  # type: ignore[assignment]
-    max_new_tokens: int | None = None
-    temperature: float = 0.0
-    top_k: int = 20
-    seed: int = 0
+    params: SamplingParams
 
     def __post_init__(self) -> None:
         # Copy: prefill may run many steps after submit, and the caller
@@ -98,28 +83,10 @@ class Request:
         object.__setattr__(self, "prompt", prompt)
         if prompt.shape[0] < 1:
             raise RequestError("prompt must contain at least one token")
-        params = self.params
-        if params is None:
-            if self.max_new_tokens is None:
-                raise RequestError(
-                    "a Request needs params (or legacy max_new_tokens)"
-                )
-            params = SamplingParams(
-                max_new_tokens=self.max_new_tokens,
-                temperature=self.temperature,
-                top_k=self.top_k,
-                seed=self.seed,
-            )
-        elif not isinstance(params, SamplingParams):
+        if not isinstance(self.params, SamplingParams):
             raise RequestError(
-                f"params must be a SamplingParams, got {type(params).__name__}"
+                f"params must be a SamplingParams, got {type(self.params).__name__}"
             )
-        object.__setattr__(self, "params", params)
-        # Mirror the canonical recipe into the legacy scalar fields.
-        object.__setattr__(self, "max_new_tokens", params.max_new_tokens)
-        object.__setattr__(self, "temperature", params.temperature)
-        object.__setattr__(self, "top_k", params.top_k)
-        object.__setattr__(self, "seed", params.seed)
 
     @property
     def prompt_length(self) -> int:

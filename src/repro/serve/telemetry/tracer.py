@@ -9,10 +9,13 @@ Perfetto-loadable timeline afterwards, assigning one track per span
 name (phase) and one per request.
 
 Disabled tracing is represented by *absence*: the engine holds
-``tracer = None`` and every instrumented site guards with ``is not
-None``, so the disabled cost is one attribute/contextvar load per
-region — the property the CI overhead gate (<= 2% step latency)
-measures.
+``tracer = None``.  It opens every phase span through one helper
+(``Engine._span``, a shared no-op context manager when untraced) and
+records every lifecycle instant through another
+(``Engine._lifecycle``), so the disabled cost is one method call per
+region; the model layers read the tracer from the active
+:func:`~repro.llm.attention.stats_scope` and skip their spans when it
+is absent.
 
 ``begin``/``end`` accept an explicit pre-captured ``ts`` (a raw
 ``perf_counter`` reading mapped through :meth:`StepTracer.to_us`) so a

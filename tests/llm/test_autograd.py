@@ -1,5 +1,7 @@
 """Numerical gradient checks for the autograd engine."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,46 @@ class TestGraphMechanics:
         with no_grad():
             y = x * 2.0
         assert not y.requires_grad
+        assert is_grad_enabled()
+
+    def test_no_grad_is_per_thread(self):
+        # Interleave two threads' no_grad regions as A enters, B
+        # enters, A exits, B exits.  A process-global flag with
+        # save/restore would leave grad disabled after B restores the
+        # False it saved while A was inside.
+        a_entered, b_entered = threading.Event(), threading.Event()
+        a_exited, b_exited = threading.Event(), threading.Event()
+        inside, after = {}, {}
+
+        def wait(event):
+            assert event.wait(timeout=30)
+
+        def thread_a():
+            with no_grad():
+                a_entered.set()
+                wait(b_entered)
+                inside["a"] = is_grad_enabled()
+            a_exited.set()
+            wait(b_exited)
+            after["a"] = is_grad_enabled()
+
+        def thread_b():
+            wait(a_entered)
+            with no_grad():
+                b_entered.set()
+                wait(a_exited)
+                inside["b"] = is_grad_enabled()
+            b_exited.set()
+            after["b"] = is_grad_enabled()
+
+        threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert inside == {"a": False, "b": False}
+        assert after == {"a": True, "b": True}
         assert is_grad_enabled()
 
     def test_backward_without_grad_raises(self):

@@ -29,6 +29,7 @@ from repro.serve import (
     Engine,
     EngineConfig,
     RequestStatus,
+    SamplingParams,
     get_policy,
     plan_step,
 )
@@ -212,9 +213,9 @@ class TestMixedSteps:
     def test_long_prompt_chunks_ride_with_decodes(self, model):
         rng = np.random.default_rng(1)
         engine = Engine(model, chunked_config(max_batch_tokens=8))
-        engine.submit(rng.integers(0, 256, size=4), 12)
+        engine.submit(rng.integers(0, 256, size=4), SamplingParams(max_new_tokens=12))
         engine.step()  # short prompt prefills whole, starts decoding
-        engine.submit(rng.integers(0, 256, size=40), 4)
+        engine.submit(rng.integers(0, 256, size=40), SamplingParams(max_new_tokens=4))
         mixed = engine.step().report
         # One decode and one partial chunk share the step.
         assert mixed.decodes == 1
@@ -231,7 +232,7 @@ class TestMixedSteps:
         rng = np.random.default_rng(2)
         prompt = rng.integers(0, 256, size=30)
         engine = Engine(model, chunked_config(max_batch_tokens=8))
-        engine.submit(prompt, 2)
+        engine.submit(prompt, SamplingParams(max_new_tokens=2))
         positions = []
         state = engine._waiting[0]
         while state.status is not RequestStatus.RUNNING:
@@ -252,7 +253,7 @@ class TestMixedSteps:
         ttfts = {}
         for budget in (8, 48):
             engine = Engine(model, chunked_config(max_batch_tokens=budget))
-            engine.submit(prompt, 2)
+            engine.submit(prompt, SamplingParams(max_new_tokens=2))
             engine.drain()
             ttfts[budget] = engine.metrics().requests[0].ttft_steps
         assert ttfts[48] == 0
@@ -267,10 +268,10 @@ class TestMixedSteps:
             model,
             chunked_config(max_batch_tokens=8, kv_pool_blocks=32, kv_block_size=4),
         )
-        engine.submit(rng.integers(0, 256, size=4), max_new_tokens=6)
+        engine.submit(rng.integers(0, 256, size=4), SamplingParams(max_new_tokens=6))
         engine.step()
         free_before = engine._pool.free_blocks
-        engine.submit(rng.integers(0, 256, size=30), max_new_tokens=2)
+        engine.submit(rng.integers(0, 256, size=30), SamplingParams(max_new_tokens=2))
 
         real = engine.model.forward_mixed_step
 
@@ -310,8 +311,8 @@ class TestMixedSteps:
             ),
         )
         for prompt in shorts:
-            engine.submit(prompt, 12)
-        engine.submit(long_prompt, 2)
+            engine.submit(prompt, SamplingParams(max_new_tokens=12))
+        engine.submit(long_prompt, SamplingParams(max_new_tokens=2))
         done = {r.request_id: r for r in engine.drain(max_steps=200)}
         assert engine.metrics().preemptions > 0
         for index, prompt in enumerate(shorts + [long_prompt]):
@@ -329,9 +330,10 @@ class TestNoStarvation:
         # advancing toward a first token, or both).
         rng = np.random.default_rng(9)
         engine = Engine(model, chunked_config(max_batch_tokens=8, max_batch_size=4))
-        engine.submit(rng.integers(0, 256, size=4), 20)
+        engine.submit(rng.integers(0, 256, size=4), SamplingParams(max_new_tokens=20))
         engine.step()
-        engine.submit(rng.integers(0, 256, size=120), 2)  # the monster
+        monster = rng.integers(0, 256, size=120)
+        engine.submit(monster, SamplingParams(max_new_tokens=2))
         stalled = 0
         steps = 0
         while engine.has_work() and steps < 200:
@@ -357,9 +359,9 @@ class TestNoStarvation:
             engine = Engine(
                 model, chunked_config(max_batch_tokens=budget, max_batch_size=4)
             )
-            engine.submit(short, 20)
+            engine.submit(short, SamplingParams(max_new_tokens=20))
             engine.step()
-            engine.submit(monster, 2)
+            engine.submit(monster, SamplingParams(max_new_tokens=2))
             worst = 0
             steps = 0
             while engine.has_work() and steps < 300:
@@ -378,9 +380,11 @@ class TestNoStarvation:
         # stop).
         rng = np.random.default_rng(10)
         engine = Engine(model, chunked_config(max_batch_tokens=12, max_batch_size=4))
-        first = engine.submit(rng.integers(0, 256, size=4), 30).request_id
+        first = engine.submit(
+            rng.integers(0, 256, size=4), SamplingParams(max_new_tokens=30)
+        ).request_id
         engine.step()
-        engine.submit(rng.integers(0, 256, size=100), 2)
+        engine.submit(rng.integers(0, 256, size=100), SamplingParams(max_new_tokens=2))
         for _ in range(4):
             engine.step()
         done = {r.request_id for r in engine.drain(max_steps=100)}
@@ -393,7 +397,7 @@ class TestDecodeFirstPolicy:
             request=Request(
                 request_id=request_id,
                 prompt=np.arange(prompt_length) % 256,
-                max_new_tokens=4,
+                params=SamplingParams(max_new_tokens=4),
             )
         )
         state.prefill_pos = prefill_pos
@@ -446,10 +450,9 @@ class TestLatencyMetrics:
 class TestDrainDiagnostics:
     def test_drain_timeout_names_stuck_request_ids(self, model):
         engine = Engine(model, EngineConfig())
-        first = engine.submit(np.arange(4, dtype=np.int64), max_new_tokens=8).request_id
-        second = engine.submit(
-            np.arange(6, dtype=np.int64), max_new_tokens=8
-        ).request_id
+        params = SamplingParams(max_new_tokens=8)
+        first = engine.submit(np.arange(4, dtype=np.int64), params).request_id
+        second = engine.submit(np.arange(6, dtype=np.int64), params).request_id
         with pytest.raises(ModelError, match=rf"{first}, {second}"):
             engine.drain(max_steps=2)
 
@@ -458,7 +461,9 @@ class TestDrainDiagnostics:
         from repro.serve.scheduler import StepPlan
 
         engine = Engine(model, EngineConfig())
-        stuck = engine.submit(np.arange(4, dtype=np.int64), 4).request_id
+        stuck = engine.submit(
+            np.arange(4, dtype=np.int64), SamplingParams(max_new_tokens=4)
+        ).request_id
         monkeypatch.setattr(
             engine_module,
             "plan_step",

@@ -15,7 +15,7 @@ from repro.llm.generation import generate
 from repro.llm.kv_quant import KVFormat, make_cache_factory
 from repro.llm.transformer import build_model
 from repro.llm.zoo import get_model
-from repro.serve import Engine, EngineConfig, RequestStatus
+from repro.serve import Engine, EngineConfig, RequestStatus, SamplingParams
 from serving_helpers import serve
 
 
@@ -82,11 +82,13 @@ class TestGreedyParity:
 class TestMidStreamArrival:
     def test_late_submission_token_identical(self, model, prompts):
         engine = Engine(model, EngineConfig(max_batch_tokens=64))
-        early_a = engine.submit(prompts[0], 10).request_id
-        early_b = engine.submit(prompts[1], 6).request_id
+        early_a = engine.submit(
+            prompts[0], SamplingParams(max_new_tokens=10)
+        ).request_id
+        early_b = engine.submit(prompts[1], SamplingParams(max_new_tokens=6)).request_id
         for _ in range(3):
             engine.step()
-        late = engine.submit(prompts[2], 12).request_id
+        late = engine.submit(prompts[2], SamplingParams(max_new_tokens=12)).request_id
         done = {result.request_id: result for result in engine.drain()}
         for request_id, prompt, count in [
             (early_a, prompts[0], 10),
@@ -98,9 +100,9 @@ class TestMidStreamArrival:
 
     def test_late_arrival_joins_running_batch(self, model, prompts):
         engine = Engine(model)
-        engine.submit(prompts[0], 12)
+        engine.submit(prompts[0], SamplingParams(max_new_tokens=12))
         engine.step()
-        engine.submit(prompts[1], 4)
+        engine.submit(prompts[1], SamplingParams(max_new_tokens=4))
         report = engine.step().report
         # One running decode plus the late arrival's prefill share a step.
         assert report.decodes == 1
@@ -121,13 +123,14 @@ class TestLifecycle:
     def test_submit_validation_mirrors_generate(self, model):
         engine = Engine(model)
         with pytest.raises(ModelError):
-            engine.submit(np.array([], dtype=np.int64), 4)
+            engine.submit(np.array([], dtype=np.int64), SamplingParams())
+        too_long = SamplingParams(max_new_tokens=model.config.max_seq_len)
         with pytest.raises(ModelError):
-            engine.submit(np.array([1, 2]), 0)
+            engine.submit(np.array([1, 2]), too_long)
         with pytest.raises(ModelError):
-            engine.submit(np.array([1, 2]), model.config.max_seq_len)
+            SamplingParams(max_new_tokens=0)
         with pytest.raises(ModelError):
-            engine.submit(np.array([1, 2]), 4, temperature=1.0, top_k=0)
+            SamplingParams(max_new_tokens=4, temperature=1.0, top_k=0)
 
     def test_unknown_policy_and_kv_mode_rejected(self, model):
         with pytest.raises(ModelError):
@@ -158,7 +161,7 @@ class TestLifecycle:
         self, model, prompts
     ):
         engine = Engine(model)
-        foreign = engine.submit(prompts[0], 4).request_id
+        foreign = engine.submit(prompts[0], SamplingParams(max_new_tokens=4)).request_id
         results = serve(model, [prompts[1]], 3, engine=engine)
         assert [len(r.continuation()) for r in results] == [3]
         leftover = engine.pop_finished()
@@ -168,13 +171,13 @@ class TestLifecycle:
 
     def test_drain_collects_once_and_engine_is_reusable(self, model, prompts):
         engine = Engine(model)
-        engine.submit(prompts[0], 3)
+        engine.submit(prompts[0], SamplingParams(max_new_tokens=3))
         assert len(engine.drain()) == 1
         # Collect-once: already-returned results are released, so a
         # reused engine does not accumulate token arrays forever.
         assert engine.drain() == []
         assert not engine.has_work()
-        engine.submit(prompts[1], 3)
+        engine.submit(prompts[1], SamplingParams(max_new_tokens=3))
         assert engine.has_work()
         assert len(engine.drain()) == 1
         assert engine.metrics().total_new_tokens == 6
@@ -182,21 +185,23 @@ class TestLifecycle:
     def test_out_of_vocab_prompt_rejected_at_submit(self, model):
         engine = Engine(model)
         with pytest.raises(ModelError):
-            engine.submit(np.array([0, model.config.vocab_size]), 2)
+            engine.submit(
+                np.array([0, model.config.vocab_size]), SamplingParams(max_new_tokens=2)
+            )
         with pytest.raises(ModelError):
-            engine.submit(np.array([-1, 3]), 2)
+            engine.submit(np.array([-1, 3]), SamplingParams(max_new_tokens=2))
         assert not engine.has_work()
 
     def test_finished_requests_release_kv_memory(self, model, prompts):
         engine = Engine(model)
-        engine.submit(prompts[0], 2)
+        engine.submit(prompts[0], SamplingParams(max_new_tokens=2))
         done = engine.drain()
         assert done[0].metrics.generated_tokens == 2
         assert engine._running == []
 
     def test_pop_finished_clears(self, model, prompts):
         engine = Engine(model)
-        engine.submit(prompts[0], 2)
+        engine.submit(prompts[0], SamplingParams(max_new_tokens=2))
         while engine.has_work():
             engine.step()
         assert len(engine.pop_finished()) == 1
@@ -204,7 +209,7 @@ class TestLifecycle:
 
     def test_metrics_survive_pop_finished(self, model, prompts):
         engine = Engine(model)
-        engine.submit(prompts[0], 2)
+        engine.submit(prompts[0], SamplingParams(max_new_tokens=2))
         engine.drain()
         engine.pop_finished()
         metrics = engine.metrics()
@@ -216,7 +221,7 @@ class TestLifecycle:
         # submit must not change what gets served.
         buffer = np.arange(6, dtype=np.int64) % 256
         engine = Engine(model)
-        engine.submit(buffer, 3)
+        engine.submit(buffer, SamplingParams(max_new_tokens=3))
         expected = generate(model, buffer.copy(), 3)
         buffer[:] = 0
         done = engine.drain()[0]
@@ -226,7 +231,7 @@ class TestLifecycle:
 class TestMetrics:
     def test_request_metrics_ordering(self, model, prompts):
         engine = Engine(model)
-        engine.submit(prompts[0], 5)
+        engine.submit(prompts[0], SamplingParams(max_new_tokens=5))
         engine.drain()
         metrics = engine.metrics()
         record = metrics.requests[0]
@@ -240,7 +245,7 @@ class TestMetrics:
         config = EngineConfig(max_batch_tokens=64)
         engine = Engine(model, config)
         for prompt in prompts:
-            engine.submit(prompt, 6)
+            engine.submit(prompt, SamplingParams(max_new_tokens=6))
         engine.drain()
         assert engine.metrics().mean_batch_size > 1.0
 
@@ -249,7 +254,7 @@ class TestMetrics:
         for kv_mode in ("fp16", "anda"):
             engine = Engine(model, EngineConfig(kv_format=KVFormat(mode=kv_mode)))
             for prompt in prompts:
-                engine.submit(prompt, 6)
+                engine.submit(prompt, SamplingParams(max_new_tokens=6))
             engine.drain()
             totals[kv_mode] = engine.metrics().traffic
         assert (
@@ -263,7 +268,7 @@ class TestMetrics:
 class TestStatusTransitions:
     def test_waiting_running_finished(self, model, prompts):
         engine = Engine(model)
-        engine.submit(prompts[0], 2)
+        engine.submit(prompts[0], SamplingParams(max_new_tokens=2))
         state = engine._waiting[0]
         assert state.status is RequestStatus.WAITING
         engine.step()

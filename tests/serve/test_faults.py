@@ -422,6 +422,72 @@ class TestPressure:
         assert engine._pool.leaked_blocks() == 0
 
 
+class TestStepReportCounts:
+    """A faulted step's report counts exactly the work that committed."""
+
+    def test_late_wave_fault_keeps_first_wave_decodes(self, model):
+        # Request 0 decodes while requests 1 and 2 prefill; 2 shares a
+        # whole 4-position block with 1, so it is deferred to a second
+        # wave.  A fault in that wave abandons the rest of the step, but
+        # request 0's decode row already emitted in wave one.
+        rng = np.random.default_rng(7)
+        vocab = model.config.vocab_size
+        shared = rng.integers(0, vocab, size=8)
+        late = [
+            np.concatenate([shared, rng.integers(0, vocab, size=3)])
+            for _ in range(2)
+        ]
+        plan = FaultPlan(
+            rules=(FaultRule(site="paged.gather", request_id=2, step=2),)
+        )
+        config = EngineConfig(faults=plan, kv_block_size=4)
+        engine = Engine(model, config)
+        engine.submit(rng.integers(0, vocab, size=5), PARAMS)
+        engine.step()
+        engine.step()
+        for prompt in late:
+            engine.submit(prompt, PARAMS)
+        outputs = engine.step()
+        assert engine.fault_injector.fired_total == 1
+        decoded = [delta for delta in outputs.deltas if delta.index > 0]
+        assert [delta.request_id for delta in decoded] == [0]
+        report = outputs.report
+        assert report.decodes == 1
+        assert report.new_tokens == 2
+        # One decode row plus the two planned prompt chunks.
+        assert report.batch_tokens == 1 + sum(len(prompt) for prompt in late)
+        engine.run_until_idle(max_steps=500)
+        assert engine._pool.leaked_blocks() == 0
+
+    def test_faulted_replay_is_not_counted_as_a_prefill(self, model, prompts):
+        # The decode fault backs request 0 off mid-decode; its resumed
+        # replay then faults too and is backed off again, so the step
+        # that attempted the replay committed no prefill.
+        plan = FaultPlan(
+            rules=(
+                FaultRule(site="model.decode", request_id=0, step=2),
+                FaultRule(site="model.prefill", request_id=0),
+            )
+        )
+        engine = Engine(
+            model, EngineConfig(faults=plan, retry=RetryPolicy(max_retries=3))
+        )
+        handle = engine.submit(prompts[0], PARAMS)
+        injector = engine.fault_injector
+        report = None
+        for _ in range(20):
+            report = engine.step().report
+            if injector.fired_by_site.get("model.prefill"):
+                break
+        assert injector.fired_by_site == {"model.decode": 1, "model.prefill": 1}
+        assert handle.status() is RequestStatus.WAITING
+        assert report.prefills == 0
+        assert report.prefill_tokens == 0
+        engine.run_until_idle(max_steps=500)
+        assert handle.result().tokens is not None
+        assert engine.metrics().fault_retries == 2
+
+
 class TestAccountingSurfaces:
     def test_drain_stuck_message_names_status_and_failure(
         self, model, prompts

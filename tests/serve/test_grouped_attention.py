@@ -34,7 +34,7 @@ from repro.llm.config import tiny_test_config
 from repro.llm.generation import generate
 from repro.llm.kv_quant import KVFormat, make_cache_factory, make_kv_codec
 from repro.llm.transformer import build_model
-from repro.serve import Engine, EngineConfig
+from repro.serve import Engine, EngineConfig, SamplingParams
 from repro.serve.kvpool.pool import KVPool
 from serving_helpers import assert_matches_generate, serve
 
@@ -303,7 +303,7 @@ class TestNoHistoryCopies:
         fmt = KVFormat(mode=kv_mode, mantissa_bits=6)
         engine = Engine(model, EngineConfig(kv_format=fmt))
         for prompt in prompts:
-            engine.submit(prompt, max_new_tokens=12)
+            engine.submit(prompt, SamplingParams(max_new_tokens=12))
         decoding = []
         while engine.has_work():
             report = engine.step().report
@@ -351,7 +351,7 @@ class TestEngineGrouped:
         engine = Engine(model, EngineConfig(max_batch_tokens=32))
         counts = [4 + index % 5 for index in range(len(prompts))]
         handles = [
-            engine.submit(prompt, max_new_tokens=count)
+            engine.submit(prompt, SamplingParams(max_new_tokens=count))
             for prompt, count in zip(prompts, counts)
         ]
         n_layers = len(model.blocks)

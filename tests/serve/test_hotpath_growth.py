@@ -40,7 +40,7 @@ from repro.llm.attention import (
 from repro.llm.config import tiny_test_config
 from repro.llm.kv_quant import AndaKVCache, make_kv_codec
 from repro.llm.transformer import build_model
-from repro.serve import Engine, EngineConfig
+from repro.serve import Engine, EngineConfig, SamplingParams
 from repro.serve.kvpool.paged import SequenceKV
 from repro.serve.kvpool.pool import KVPool
 
@@ -494,7 +494,7 @@ class TestEngineHotPathCounters:
             prefix_caching=False,
         )
         engine = Engine(model, config)
-        engine.submit(np.array([5, 6, 7, 8, 9]), max_new_tokens=30)
+        engine.submit(np.array([5, 6, 7, 8, 9]), SamplingParams(max_new_tokens=30))
         engine.drain(max_steps=64)
         decode_steps = [
             report

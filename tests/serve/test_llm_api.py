@@ -77,7 +77,8 @@ ALL_MODES = [
 def old_path(model, prompts, max_new_tokens, config):
     """The pre-redesign lifecycle: bare submit + drain, results by id."""
     engine = Engine(model, config)
-    ids = [engine.submit(prompt, max_new_tokens).request_id for prompt in prompts]
+    params = SamplingParams(max_new_tokens=max_new_tokens)
+    ids = [engine.submit(prompt, params).request_id for prompt in prompts]
     done = {result.request_id: result for result in engine.drain(max_steps=500)}
     return [done[request_id] for request_id in ids]
 
@@ -156,17 +157,15 @@ class TestSubmitValidation:
     def test_empty_prompt_rejected_with_request_error(self, model):
         engine = Engine(model)
         with pytest.raises(RequestError):
-            engine.submit(np.array([], dtype=np.int64), 4)
+            engine.submit(
+                np.array([], dtype=np.int64), SamplingParams(max_new_tokens=4)
+            )
         assert not engine.has_work()
 
-    def test_nonpositive_max_new_tokens_rejected(self, model):
-        engine = Engine(model)
+    def test_nonpositive_max_new_tokens_rejected(self):
         for bad in (0, -3):
             with pytest.raises(RequestError):
-                engine.submit(np.array([1, 2]), bad)
-        with pytest.raises(RequestError):
-            SamplingParams(max_new_tokens=0)
-        assert not engine.has_work()
+                SamplingParams(max_new_tokens=bad)
 
     def test_request_error_is_a_model_error(self):
         # Pre-redesign callers catch ModelError; the new exception must
@@ -185,24 +184,16 @@ class TestSubmitValidation:
         with pytest.raises(RequestError):
             SamplingParams(stop_token_ids=(-1,))
 
-    def test_submit_rejects_params_and_max_new_tokens_together(self, model):
+    def test_submit_rejects_non_sampling_params(self, model):
+        # The recipe is a SamplingParams and nothing else: a bare
+        # max_new_tokens int, a string or None raises at the boundary,
+        # and there are no scalar recipe kwargs to contradict it.
         engine = Engine(model)
-        with pytest.raises(RequestError):
-            engine.submit(np.array([1, 2]), 4, max_new_tokens=4)
-        with pytest.raises(RequestError):
-            engine.submit(np.array([1, 2]))
-        with pytest.raises(RequestError):
-            engine.submit(np.array([1, 2]), "greedy")
-
-    def test_submit_rejects_scalar_kwargs_alongside_full_params(self, model):
-        # A contradictory double-specification must raise, never be
-        # silently dropped in favor of the params.
-        engine = Engine(model)
-        params = SamplingParams(max_new_tokens=4)
-        with pytest.raises(RequestError, match="temperature"):
-            engine.submit(np.array([1, 2]), params, temperature=1.0)
-        with pytest.raises(RequestError, match="seed"):
-            engine.submit(np.array([1, 2]), params, seed=3)
+        for bad in (4, "greedy", None):
+            with pytest.raises(RequestError, match="SamplingParams"):
+                engine.submit(np.array([1, 2]), bad)
+        with pytest.raises(TypeError):
+            engine.submit(np.array([1, 2]), SamplingParams(), temperature=1.0)
         assert not engine.has_work()
 
 
@@ -236,9 +227,13 @@ class TestAbort:
             model,
             mode_config("fp16", "blocks4x32", budget=8),
         )
-        short = engine.submit(rng.integers(0, 256, size=4), 8)
+        short = engine.submit(
+            rng.integers(0, 256, size=4), SamplingParams(max_new_tokens=8)
+        )
         engine.step()
-        big = engine.submit(rng.integers(0, 256, size=40), 4)
+        big = engine.submit(
+            rng.integers(0, 256, size=40), SamplingParams(max_new_tokens=4)
+        )
         engine.step()  # first chunk only
         assert big.status() is RequestStatus.PREFILLING
         assert 0 < big._state.prefill_pos < 40
@@ -291,7 +286,7 @@ class TestAbort:
 
     def test_abort_waiting_request_before_any_compute(self, model, prompts):
         engine = Engine(model)
-        handle = engine.submit(prompts[0], 4)
+        handle = engine.submit(prompts[0], SamplingParams(max_new_tokens=4))
         assert handle.status() is RequestStatus.WAITING
         assert handle.abort()
         assert handle.aborted
@@ -300,7 +295,7 @@ class TestAbort:
 
     def test_abort_is_idempotent_and_too_late_after_finish(self, model, prompts):
         engine = Engine(model)
-        handle = engine.submit(prompts[0], 2)
+        handle = engine.submit(prompts[0], SamplingParams(max_new_tokens=2))
         engine.run_until_idle()
         assert handle.finished
         assert not handle.abort()  # finished: nothing to cancel
@@ -309,7 +304,7 @@ class TestAbort:
 
     def test_result_on_aborted_handle_raises(self, model, prompts):
         engine = Engine(model)
-        handle = engine.submit(prompts[0], 8)
+        handle = engine.submit(prompts[0], SamplingParams(max_new_tokens=8))
         engine.step()
         handle.abort()
         with pytest.raises(RequestAbortedError):
@@ -328,8 +323,8 @@ class TestAbort:
 class TestRequestHandle:
     def test_token_iteration_is_incremental_and_complete(self, model, prompts):
         engine = Engine(model, EngineConfig(max_batch_tokens=64))
-        handle = engine.submit(prompts[0], 6)
-        other = engine.submit(prompts[1], 6)
+        handle = engine.submit(prompts[0], SamplingParams(max_new_tokens=6))
+        other = engine.submit(prompts[1], SamplingParams(max_new_tokens=6))
         seen = []
         for delta in handle:
             seen.append(delta.token)
@@ -346,7 +341,7 @@ class TestRequestHandle:
 
     def test_status_transitions_and_first_delta_marks_ttft(self, model, prompts):
         engine = Engine(model)
-        handle = engine.submit(prompts[0], 3)
+        handle = engine.submit(prompts[0], SamplingParams(max_new_tokens=3))
         assert handle.status() is RequestStatus.WAITING
         outputs = engine.step()
         assert handle.status() is RequestStatus.RUNNING
@@ -360,7 +355,7 @@ class TestRequestHandle:
 
     def test_result_collects_once_alongside_drain(self, model, prompts):
         engine = Engine(model)
-        handle = engine.submit(prompts[0], 3)
+        handle = engine.submit(prompts[0], SamplingParams(max_new_tokens=3))
         result = handle.result()
         assert result.metrics.generated_tokens == 3
         # Already claimed through the handle: drain has nothing left.
@@ -371,7 +366,7 @@ class TestRequestHandle:
     def test_token_iteration_max_steps_guards_stalls(self, model, prompts):
         # tokens(max_steps=...) bounds each wait like drain/result do.
         engine = Engine(model)
-        handle = engine.submit(prompts[0], 4)
+        handle = engine.submit(prompts[0], SamplingParams(max_new_tokens=4))
         with pytest.raises(ModelError, match="max_steps must be"):
             # The bound is validated like drain's before any stepping.
             for _ in handle.tokens(max_steps=0):
@@ -383,7 +378,7 @@ class TestRequestHandle:
     def test_step_outputs_carry_every_emission(self, model, prompts):
         engine = Engine(model, EngineConfig(max_batch_tokens=64))
         for prompt in prompts[:3]:
-            engine.submit(prompt, 4)
+            engine.submit(prompt, SamplingParams(max_new_tokens=4))
         total = 0
         while engine.has_work():
             outputs = engine.step()

@@ -17,7 +17,14 @@ from repro.llm.config import tiny_test_config
 from repro.llm.generation import generate
 from repro.llm.kv_quant import KVFormat
 from repro.llm.transformer import build_model
-from repro.serve import Engine, EngineConfig, FaultPlan, FaultRule, RetryPolicy
+from repro.serve import (
+    Engine,
+    EngineConfig,
+    FaultPlan,
+    FaultRule,
+    RetryPolicy,
+    SamplingParams,
+)
 from serving_helpers import assert_matches_generate, serve
 
 
@@ -191,9 +198,10 @@ class TestPreemption:
         rng = np.random.default_rng(17)
         prompts = [rng.integers(0, 256, size=6) for _ in range(4)]
         engine = Engine(model, paged_config(kv_pool_blocks=8))
-        first = engine.submit(prompts[0], 10).request_id
+        params = SamplingParams(max_new_tokens=10)
+        first = engine.submit(prompts[0], params).request_id
         for prompt in prompts[1:]:
-            engine.submit(prompt, 10)
+            engine.submit(prompt, SamplingParams(max_new_tokens=10))
         # Step until the first preemption: the earliest arrival must
         # still be resident (latest-arrival-first victim selection).
         for _ in range(200):
@@ -210,7 +218,9 @@ class TestPreemption:
         engine = Engine(model, paged_config(kv_pool_blocks=4))
         with pytest.raises(ModelError):
             # 4 blocks x 4 tokens = 16 slots, minus one CoW slack block.
-            engine.submit(np.arange(10, dtype=np.int64), 6)
+            engine.submit(
+                np.arange(10, dtype=np.int64), SamplingParams(max_new_tokens=6)
+            )
         assert not engine.has_work()
 
 
@@ -230,8 +240,8 @@ class TestMidStepFailureRecovery:
             paged_config(faults=plan, retry=RetryPolicy(backoff_steps=0)),
         )
         prompts = [np.arange(4, dtype=np.int64), np.arange(6, dtype=np.int64)]
-        engine.submit(prompts[0], max_new_tokens=2)
-        resumed = engine.submit(prompts[1], max_new_tokens=3)
+        engine.submit(prompts[0], SamplingParams(max_new_tokens=2))
+        resumed = engine.submit(prompts[1], SamplingParams(max_new_tokens=3))
         engine.step()  # both prefill and emit token 1
         engine.step()  # decode faults on request 1: step abandoned, 1 backs off
         assert resumed._state.generated and resumed._state.kv is None
@@ -261,7 +271,7 @@ class TestMidStepFailureRecovery:
 class TestDrainGuard:
     def test_drain_max_steps_raises_instead_of_spinning(self, model):
         engine = Engine(model, EngineConfig())
-        engine.submit(np.arange(4, dtype=np.int64), max_new_tokens=8)
+        engine.submit(np.arange(4, dtype=np.int64), SamplingParams(max_new_tokens=8))
         with pytest.raises(ModelError):
             engine.drain(max_steps=2)
 
@@ -272,7 +282,7 @@ class TestDrainGuard:
 
     def test_generous_max_steps_drains_normally(self, model, prompts):
         engine = Engine(model, EngineConfig())
-        engine.submit(prompts[0], 3)
+        engine.submit(prompts[0], SamplingParams(max_new_tokens=3))
         done = engine.drain(max_steps=50)
         assert len(done) == 1
 
@@ -282,7 +292,7 @@ class TestDrainGuard:
         from repro.serve.scheduler import StepPlan
 
         engine = Engine(model, EngineConfig())
-        engine.submit(np.arange(4, dtype=np.int64), 4)
+        engine.submit(np.arange(4, dtype=np.int64), SamplingParams(max_new_tokens=4))
         monkeypatch.setattr(
             engine_module,
             "plan_step",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError
+from repro.serve.params import SamplingParams
 from repro.serve.request import Request, RequestState, RequestStatus
 from repro.serve.scheduler import (
     FcfsPolicy,
@@ -24,7 +25,7 @@ def make_state(
         request=Request(
             request_id=request_id,
             prompt=np.arange(prompt_length) % 256,
-            max_new_tokens=4,
+            params=SamplingParams(max_new_tokens=4),
         )
     )
     if running:

@@ -22,17 +22,22 @@ The observability acceptance bar:
 import json
 import logging
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.errors import ModelError
 from repro.llm.config import tiny_test_config
+from repro.llm.kv_quant import KVFormat
 from repro.llm.transformer import build_model
 from repro.serve import (
     LLM,
     Engine,
     EngineConfig,
+    FaultPlan,
+    FaultRule,
+    PressurePolicy,
     RequestStatus,
     SamplingParams,
 )
@@ -322,6 +327,130 @@ class TestEngineTracing:
         engine.run_until_idle(max_steps=200)
         names = {event.name for event in engine.telemetry.tracer.events}
         assert "step.prefill_chunks" in names
+
+    def test_span_and_lifecycle_taxonomy_is_pinned(self, model):
+        # One traced run whose steps cover decode-only, mixed,
+        # multi-wave (a prefix-deferred chunk), preempting (small pool)
+        # and resumed-replay steps, plus every failure instant.  The
+        # exact taxonomy is pinned: span names, each span's arg keys
+        # and parent span, and the multiset of lifecycle instants.
+        rng = np.random.default_rng(0)
+        vocab = model.config.vocab_size
+        plan = FaultPlan(
+            rules=(
+                FaultRule(site="model.decode", request_id=1, step=6),
+                FaultRule(site="model.decode", kind="permanent", request_id=4),
+            )
+        )
+        engine = Engine(
+            model,
+            traced_config(
+                max_batch_tokens=16,
+                kv_block_size=4,
+                kv_pool_blocks=12,
+                pressure=PressurePolicy(
+                    degrade_below_free_fraction=0.75,
+                    degraded_format=KVFormat.anda(4),
+                ),
+                faults=plan,
+            ),
+        )
+        params = SamplingParams(max_new_tokens=10)
+        shared = rng.integers(0, vocab, size=8)
+        reports = []
+        engine.submit(rng.integers(0, vocab, size=6), params)
+        reports += [engine.step().report, engine.step().report]
+        for _ in range(2):
+            tail = rng.integers(0, vocab, size=3)
+            engine.submit(np.concatenate([shared, tail]), params)
+        reports.append(engine.step().report)
+        engine.submit(rng.integers(0, vocab, size=30), params)
+        engine.submit(rng.integers(0, vocab, size=5), params)
+        reports += [engine.step().report, engine.step().report]
+        doomed = engine.submit(rng.integers(0, vocab, size=4), params)
+        reports.append(engine.step().report)
+        doomed.abort()
+        while engine.has_work():
+            reports.append(engine.step().report)
+
+        span_args, span_parents, instants, instant_args = {}, {}, [], {}
+        preempt_spans_per_step: dict[int, int] = {}
+        stack = []
+        for event in engine.telemetry.tracer.events:
+            keys = tuple(sorted(event.args or ()))
+            if event.phase == "B":
+                span_args.setdefault(event.name, set()).add(keys)
+                span_parents.setdefault(event.name, set()).add(
+                    stack[-1][0] if stack else None
+                )
+                if event.name == "step":
+                    step = event.args["step"]
+                elif event.name == "step.preempt":
+                    preempt_spans_per_step[step] = (
+                        preempt_spans_per_step.get(step, 0) + 1
+                    )
+                stack.append((event.name, event.track))
+            elif event.phase == "E":
+                assert stack.pop() == (event.name, event.track)
+            else:
+                assert event.track.startswith("request ")
+                instants.append(event.name)
+                instant_args.setdefault(event.name, set()).add(keys)
+        assert not stack
+
+        # The run covers every step shape the pin is meant to guard.
+        assert any(r.decodes and not r.prefills for r in reports)
+        assert any(r.decodes and r.prefills for r in reports)
+        assert max(preempt_spans_per_step.values()) >= 2
+        assert any(r.preemptions for r in reports)
+
+        assert span_args == {
+            "step": {("step",)},
+            "step.schedule": {("running", "waiting")},
+            "step.preempt": {("chunks", "decodes")},
+            "step.prefill_chunks": {("chunks", "tokens")},
+            "step.decode_batch": {("batch", "buckets")},
+            "decode.attention": {("kv_length", "size")},
+            "decode.codec": {("batch",)},
+            "step.sample": {("request",)},
+            "step.prefill": {("requests",)},
+        }
+        lane_phases = (
+            "step.schedule",
+            "step.preempt",
+            "step.prefill_chunks",
+            "step.decode_batch",
+            "step.sample",
+            "step.prefill",
+        )
+        assert span_parents == {
+            "step": {None},
+            **{name: {"step"} for name in lane_phases},
+            "decode.attention": {"step.decode_batch"},
+            "decode.codec": {"step.decode_batch"},
+        }
+        assert Counter(instants) == Counter(
+            QUEUED=6,
+            DEGRADED=3,
+            PREFILLING=3,
+            RUNNING=6,
+            PREEMPTED=2,
+            RETRY=1,
+            FAILED=1,
+            ABORTED=1,
+            FINISHED=4,
+        )
+        assert instant_args == {
+            "QUEUED": {("prompt_tokens",)},
+            "DEGRADED": {("format",)},
+            "PREFILLING": {("prefill_pos",)},
+            "RUNNING": {(), ("resumed",)},
+            "PREEMPTED": {()},
+            "RETRY": {("at_step", "retries", "site")},
+            "FAILED": {("reason", "tokens")},
+            "ABORTED": {("tokens",)},
+            "FINISHED": {("reason", "tokens")},
+        }
 
     def test_disabled_telemetry_records_nothing(self, model):
         engine = Engine(model, EngineConfig(max_batch_size=4))
