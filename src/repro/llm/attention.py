@@ -58,8 +58,8 @@ class KVHotPathStats:
       O(1) per token for the preallocated path; O(history) per step
       for the reference path.
     * ``dequant_bytes`` — bytes actually materialized in the
-      decode-ready residency for attention reads (float32 keys,
-      float64 values — 12 bytes per stored float16 pair).
+      decode-ready residency for attention reads (float32 keys and
+      values — 8 bytes per stored float16 pair).
       Incremental views convert only the tail appended since the last
       step; the reference path re-converts the whole history (to
       float32) every layer every step.
@@ -397,14 +397,12 @@ class KVCache:
       ``step`` / ``step_batch``.
 
     **One decode-ready residency.**  :meth:`view` is the only form in
-    which attention ever reads history, so it is held in exactly the
-    dtypes its consumers compute in: keys **float32** (the scores
-    matmul must run in float32 and be upcast by the float64 scale
-    afterwards, as the oracle does) and values **float64** (their only
-    consumer is ``float64 weights @ values``, which numpy would
-    otherwise promote to float64 — the *whole* history, per launch —
-    before BLAS sees it).  Both conversions from the stored float16
-    are exact, so pre-promoting is bitwise invisible; no attention
+    which attention ever reads history, so it is held in the dtype
+    attention computes in: keys and values **float32** (8 bytes per
+    stored float16 pair).  Float32 is the training path's dtype, and
+    the inference core keeps scores, softmax and ``weights @ values``
+    in it end to end, so nothing promotes the history inside a launch.
+    The conversion from the stored float16 is exact; no attention
     launch converts history again.
 
     Storage here is the decode hot path, so per-step cost must be
@@ -500,7 +498,7 @@ class KVCache:
         self._len = end
 
     def view(self) -> tuple[np.ndarray, np.ndarray]:
-        """Decode-ready history ``(batch, heads, time, hd)``: K float32, V float64.
+        """Decode-ready history ``(batch, heads, time, hd)``: K and V float32.
 
         Memoized: only positions appended since the last call are
         converted; the returned arrays are read-mostly slices of the
@@ -517,7 +515,7 @@ class KVCache:
         if self._deq_k is None or self._deq_k.shape[2] != capacity:
             shape = tuple(self._k16.shape)
             self._deq_k = grow_buffer(self._deq_k, shape, 2, self._deq_len, np.float32)
-            self._deq_v = grow_buffer(self._deq_v, shape, 2, self._deq_len, np.float64)
+            self._deq_v = grow_buffer(self._deq_v, shape, 2, self._deq_len, np.float32)
         if self._deq_len < self._len:
             tail = slice(self._deq_len, self._len)
             self._deq_k[:, :, tail] = self._k16[:, :, tail]
@@ -562,9 +560,8 @@ class ReferenceKVCache(KVCache):
 
     Appends by whole-array concatenate and dequantizes the full
     history on every :meth:`view` — exactly what :class:`KVCache` did
-    before preallocated buffers and incremental views, float32 values
-    included.  The growth property tests pin the optimized storage
-    bitwise against this (values against its exact float64 upcast).
+    before preallocated buffers and incremental views.  The growth
+    property tests pin the optimized storage bitwise against this.
     An optional ``codec`` delegates the write-side compression,
     so one reference class covers FP16 and Anda storage.
     """
@@ -635,7 +632,7 @@ class ReferenceKVCache(KVCache):
 # bitwise identical to decoding that request alone.  Rows sharing a KV
 # length form a bucket, the unit a ``decode.attention`` span covers.  A
 # stacked launch over a bucket would first have to copy its members'
-# histories side by side (12 B per K/V element pair, every step), and
+# histories side by side (8 B per K/V element pair, every step), and
 # even over an already-synced copy it measured within a few percent of
 # the per-row launches; padding operands to a common length changes
 # bits (BLAS edge kernels differ when the reduced or written extent
@@ -694,7 +691,7 @@ class BucketedAttention:
     """Runs a decode step's attention one bucket at a time (stateless).
 
     Reads histories only through ``cache.view()``'s decode-ready
-    ``(1, H, len, hd)`` contract (keys float32, values float64), which
+    ``(1, H, len, hd)`` contract (keys and values float32), which
     :class:`KVCache` and the paged sequence scratch both satisfy.
     """
 
@@ -750,7 +747,9 @@ class MultiHeadAttention(Module):
         self.out_proj = Linear(config.d_model, config.d_model, rng, bias=bias)
         self.n_heads = config.n_heads
         self.head_dim = config.head_dim
-        self.scale = 1.0 / np.sqrt(config.head_dim)
+        # A float32 scalar: under NumPy >= 2 (NEP 50) a float64 one
+        # would promote every inference score, softmax and context.
+        self.scale = np.float32(1.0 / np.sqrt(config.head_dim))
         self.tap = tap
         self.rotary = (
             RotaryTable.build(config.head_dim, config.max_seq_len)
@@ -801,23 +800,25 @@ class MultiHeadAttention(Module):
         """Masked softmax attention over one request's exact history.
 
         ``q`` is ``(batch, heads, new, head_dim)``; ``keys``/``values``
-        hold ``start + new`` cached positions in the decode-ready
-        dtypes of :meth:`KVCache.view` (float32 / float64 — the weights
-        are float64, so float32 values would be re-promoted whole, per
-        call).  No padding is involved: scores span exactly the
-        request's history, which is what makes batched decode
-        token-identical to sequential decode.
+        hold ``start + new`` cached positions as :meth:`KVCache.view`
+        returns them (float32 / float32).  The whole pipeline — scores,
+        softmax, ``weights @ values`` — runs in float32 in place on the
+        one scores buffer, so no launch promotes or copies the history.
+        No padding is involved: scores span exactly the request's
+        history, which is what makes batched decode token-identical to
+        sequential decode.
         """
         new_len = q.shape[2]
         _ACTIVE_SCOPE.get().attention.dispatches += 1
-        scores = (q @ keys.swapaxes(-1, -2)) * self.scale
+        scores = q @ keys.swapaxes(-1, -2)
+        scores *= self.scale
         block = causal_block(new_len)
         if block is not None:
             scores[..., start:] += block
         scores -= scores.max(axis=-1, keepdims=True)
-        weights_np = np.exp(scores)
-        weights_np /= weights_np.sum(axis=-1, keepdims=True)
-        return weights_np @ values
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=-1, keepdims=True)
+        return scores @ values
 
     def _project_out(self, context: np.ndarray) -> np.ndarray:
         """O-tap + output projection for ``(B, T, D)`` attention context."""
@@ -826,7 +827,7 @@ class MultiHeadAttention(Module):
         out = context @ self.out_proj.weight.data
         if self.out_proj.bias is not None:
             out = out + self.out_proj.bias.data
-        return out.astype(np.float32)
+        return out.astype(np.float32, copy=False)
 
     def step(self, x: np.ndarray, cache: KVCache) -> np.ndarray:
         """Process new tokens with cached history (plain numpy).
@@ -946,10 +947,8 @@ class MultiHeadAttention(Module):
             cache.append_precompressed(k[index : index + 1], v[index : index + 1])
             for index, cache in enumerate(caches)
         ]
-        # float64 is the core's output dtype (the float64 ``scale``
-        # promotes the scores); storing the context any narrower would
-        # round it before the output projection.
-        context = np.empty((batch, self.n_heads, 1, self.head_dim))
+        # float32 is the core's output dtype, so the rows land unchanged.
+        context = np.empty((batch, self.n_heads, 1, self.head_dim), dtype=np.float32)
         for bucket in plan.buckets:
             rows = dispatcher.run_bucket(self, bucket, q, views, caches)
             for index, row in zip(bucket.indices, rows):
@@ -1013,7 +1012,7 @@ class MultiHeadAttention(Module):
             q = q * cos + _rotate_half_np(q) * sin
             k = k * cos + _rotate_half_np(k) * sin
 
-        context = np.empty((1, self.n_heads, total, self.head_dim))
+        context = np.empty((1, self.n_heads, total, self.head_dim), dtype=np.float32)
         offset = 0
         for cache, start, length in zip(caches, starts, lengths):
             stop = offset + length

@@ -12,8 +12,8 @@ is bitwise identical to unpaged decode.
 Reading is the decode hot path: every layer of every step reads a
 request's whole history.  Each sequence therefore keeps **one
 decode-ready residency** per layer — a contiguous scratch holding keys
-as float32 and values as float64, the dtypes attention computes in
-(see :class:`~repro.llm.attention.KVCache`) — and every launch reads it
+and values as float32, the dtype attention computes in (see
+:class:`~repro.llm.attention.KVCache`) — and every launch reads it
 without conversion:
 
 * **who writes it** — :meth:`SequenceKV.write`, write-through: an
@@ -126,7 +126,7 @@ class SequenceKV:
 
     ``reserved`` is the most positions the request can ever hold
     (``prompt + max_new_tokens``; 0 when unknown): the per-layer
-    decode-ready scratch — keys float32, values float64, see the module
+    decode-ready scratch — keys and values float32, see the module
     docstring for who writes it and when the pool is re-read — is sized
     from it once and never regrows.
     """
@@ -175,8 +175,8 @@ class SequenceKV:
         self.caches = [PagedKVCache(self, layer) for layer in range(pool.n_layers)]
         self._released = False
         # Per-layer decode-ready scratch: history prefix
-        # [0, _deq_len[layer]) lives in _deq_k (float32) / _deq_v
-        # (float64)[layer], shaped (heads, capacity, head_dim).
+        # [0, _deq_len[layer]) lives in _deq_k / _deq_v[layer] (float32),
+        # shaped (heads, capacity, head_dim).
         self._deq_k: list[np.ndarray | None] = [None] * pool.n_layers
         self._deq_v: list[np.ndarray | None] = [None] * pool.n_layers
         self._deq_len = [0] * pool.n_layers
@@ -293,13 +293,13 @@ class SequenceKV:
             )
             shape = (self.pool.keys.shape[2], capacity, self.pool.keys.shape[4])
             k = grow_buffer(k, shape, 1, kept, np.float32)
-            v = grow_buffer(v, shape, 1, kept, np.float64)
+            v = grow_buffer(v, shape, 1, kept, np.float32)
             self._deq_k[layer] = k
             self._deq_v[layer] = v
         return k, v
 
     def gather(self, layer: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-        """Decode-ready ``(1, H, length, hd)`` history: K float32, V float64.
+        """Decode-ready ``(1, H, length, hd)`` history: K and V float32.
 
         Positions below the layer's dequant watermark — everything this
         sequence wrote itself — are served straight from the scratch.

@@ -70,8 +70,9 @@ class StepReport:
             the reference storage, amortized O(new tokens) on the
             preallocated path).
         kv_dequant_bytes: host bytes materialised from stored float16
-            into the decode-ready residency (float32 keys, float64
-            values) this step (only the appended tail is converted).
+            into the decode-ready residency (float32 keys and values,
+            8 bytes per pair) this step (only the appended tail is
+            converted).
         attention_dispatches: attention launches this step — one per
             (layer, decode row) plus one per (layer, prefill chunk).
         kv_format_bytes: per-format split of the step's simulated KV
@@ -122,9 +123,9 @@ class EngineMetrics:
             history (the decode hot path's waste metric — amortized
             O(1) per token on the preallocated storage).
         kv_dequant_bytes: total host bytes materialised from stored
-            float16 into the decode-ready residency (float32 keys,
-            float64 values; each stored position is converted once,
-            not once per step).
+            float16 into the decode-ready residency (float32 keys and
+            values, 8 bytes per pair; each stored position is converted
+            once, not once per step).
         attention_dispatches: total attention launches — one per
             (layer, decode row) and per (layer, prefill chunk).
         attention_grouped_requests: always 0.  Decode rows no longer

@@ -4,12 +4,11 @@ The optimized KV storage (preallocated buffers + incremental
 decode-ready views, and the paged write-through scratch) must be
 **bitwise** indistinguishable from the pre-optimization reference
 (per-append concatenate + full re-astype, kept alive as
-``ReferenceKVCache`` / ``SequenceKV.gather_reference``).  The one
-representation difference is deliberate: the decode-ready residency
-holds keys float32 and values **float64** (what ``float64 weights @
-values`` computes in), so values are pinned against the reference's
-exact float32 -> float64 upcast.  These tests pin that across the edges
-where the optimized storage does something structurally different:
+``ReferenceKVCache`` / ``SequenceKV.gather_reference``).  Both hold
+the decode-ready history as float32 keys and values — the dtype the
+attention core computes in — so residency and oracle compare byte for
+byte.  These tests pin that across the edges where the optimized
+storage does something structurally different:
 
 * capacity-doubling boundaries (buffer growth copies) and reserved
   capacity (no growth copies at all),
@@ -33,6 +32,7 @@ from repro.llm.attention import (
     HOT_PATH_STATS,
     BucketedAttention,
     KVCache,
+    MultiHeadAttention,
     ReferenceKVCache,
     causal_block,
     causal_mask,
@@ -55,22 +55,11 @@ def bitwise_equal(left: np.ndarray, right: np.ndarray) -> bool:
     return left.shape == right.shape and left.tobytes() == right.tobytes()
 
 
-def values_equal(values: np.ndarray, reference: np.ndarray) -> bool:
-    """Decode-ready values: float64, equal to the float32 oracle upcast."""
-    assert reference.dtype == np.float32
-    return values.dtype == np.float64 and bitwise_equal(
-        values, reference.astype(np.float64)
-    )
-
-
 def history_equal(history, reference) -> bool:
-    """A decode-ready ``(keys, values)`` pair against the float32 oracle."""
-    keys, values = history
-    ref_k, ref_v = reference
-    return (
-        keys.dtype == np.float32
-        and bitwise_equal(keys, ref_k)
-        and values_equal(values, ref_v)
+    """A decode-ready ``(keys, values)`` pair, float32 and bitwise the oracle's."""
+    return all(
+        array.dtype == expected.dtype == np.float32 and bitwise_equal(array, expected)
+        for array, expected in zip(history, reference)
     )
 
 
@@ -385,22 +374,22 @@ class TestMaskMemo:
         # the older positions, the causal triangle among the new ones.
         start, new_len = 3, 4
         total = start + new_len
-        scores = np.zeros((2, new_len, total))
+        scores = np.zeros((2, new_len, total), dtype=np.float32)
         scores[..., start:] += causal_block(new_len)
         positions = np.arange(start, total)[:, None]
         history = np.arange(total)[None, :]
         expected = np.where(history > positions, -1e9, 0.0).astype(np.float32)
-        assert bitwise_equal(scores[0], expected.astype(np.float64))
+        assert bitwise_equal(scores[0], expected)
         assert bitwise_equal(scores[1], scores[0])
 
     @pytest.mark.parametrize("start", [0, 5])
     def test_attention_core_matches_the_materialised_mask(self, start):
         """In-place block vs ``scores + full_mask``: same weights, bitwise.
 
-        Also pins the dtype contract the one-residency design leans on
-        (NumPy >= 2 promotion): float32 scores times the float64 scale
-        make float64 weights, so the context comes back float64 even
-        from float32 values.
+        Also pins the dtype contract the one-residency design leans on:
+        the scale is a float32 scalar (under NumPy >= 2 a float64 one
+        would promote the scores), so scores, weights and context all
+        stay float32 from float32 inputs.
         """
         model = build_model(tiny_test_config(seed=3))
         attention = model.blocks[0].attention
@@ -411,7 +400,8 @@ class TestMaskMemo:
         keys = rng.normal(size=shape).astype(np.float32)
         values = rng.normal(size=shape).astype(np.float32)
         context = attention._attention_core(q, keys, values, start)
-        assert context.dtype == np.float64
+        assert context.dtype == np.float32
+        assert attention.scale.dtype == np.float32
         positions = np.arange(start, total)[:, None]
         mask = np.where(np.arange(total)[None, :] > positions, -1e9, 0.0)
         scores = (q @ keys.swapaxes(-1, -2)) * attention.scale + mask.astype(
@@ -420,11 +410,8 @@ class TestMaskMemo:
         scores -= scores.max(axis=-1, keepdims=True)
         weights = np.exp(scores)
         weights /= weights.sum(axis=-1, keepdims=True)
+        assert weights.dtype == np.float32
         assert bitwise_equal(context, weights @ values)
-        assert bitwise_equal(
-            context,
-            attention._attention_core(q, keys, values.astype(np.float64), start),
-        )
 
 
 class TestBatchedLogitsBitwise:
@@ -432,10 +419,10 @@ class TestBatchedLogitsBitwise:
 
     Token parity can mask sub-ULP drift (argmax/sampling rarely flip on
     a 1e-6 logit change); comparing raw logits bytes catches it.  This
-    pinned a real bug during this refactor: the reused context scratch
-    was float32 while the attention core's score pipeline runs in
-    float64 (the float64 ``scale`` scalar promotes it), silently
-    rounding batched-decode contexts before the output projection.
+    pinned a real bug once: a reused context scratch narrower than the
+    attention core's output dtype silently rounded batched-decode
+    contexts before the output projection.  The core now computes in
+    float32 end to end and the context buffers are float32 to match.
     """
 
     @pytest.mark.parametrize("family", ["opt", "llama"])
@@ -484,6 +471,83 @@ class TestBatchedLogitsBitwise:
         assert bitwise_equal(tail_logits[0], mono[0, 8:])
 
 
+class TestFloat32Pipeline:
+    """Inference attention is float32 from the scores to the logits.
+
+    NEP 50 makes numpy scalars strongly typed, so one ``np.float64``
+    scalar in the core (a scale, a mask constant) silently promotes
+    every score, softmax and ``weights @ values`` of every launch —
+    and a float64 residency or context buffer would keep it there.
+    Every launch of every serving entry point is checked here.
+    """
+
+    @pytest.mark.parametrize("storage", ["unpaged", "paged"])
+    @pytest.mark.parametrize("family", ["opt", "llama"])
+    @pytest.mark.parametrize("mode", KV_MODES)
+    def test_every_launch_and_residency_is_float32(
+        self, monkeypatch, storage, family, mode
+    ):
+        model = build_model(tiny_test_config(family=family, n_layers=2, seed=37))
+        launches = []
+        core = MultiHeadAttention._attention_core
+
+        def recording_core(self, q, keys, values, start):
+            context = core(self, q, keys, values, start)
+            launches.append((q.dtype, keys.dtype, values.dtype, context.dtype))
+            return context
+
+        monkeypatch.setattr(MultiHeadAttention, "_attention_core", recording_core)
+        pool = KVPool(
+            model.config,
+            num_blocks=64,
+            block_size=4,
+            codec=make_kv_codec(mode, 8),
+            enable_prefix_cache=False,
+        )
+        sequences = []
+
+        def new_caches() -> list[KVCache]:
+            if storage == "paged":
+                sequences.append(pool.create_sequence(np.array([1]), reserved=32))
+                return sequences[-1].caches
+            if mode == "fp16":
+                return model.new_cache()
+            return [AndaKVCache(8) for _ in model.blocks]
+
+        rng = np.random.default_rng(41)
+        first, second, third = new_caches(), new_caches(), new_caches()
+        logits = [model.forward_step(rng.integers(0, 255, size=(1, 7)), first)]
+        chunk_logits, _ = model.forward_mixed_step(
+            [rng.integers(0, 255, size=5)], [second]
+        )
+        logits += chunk_logits
+        dispatcher = BucketedAttention()
+        tokens = np.array([[3], [4]])
+        chunk_logits, decode_logits = model.forward_mixed_step(
+            [rng.integers(0, 255, size=6)],
+            [third],
+            decode_tokens=tokens,
+            decode_caches=[first, second],
+            dispatcher=dispatcher,
+        )
+        logits += [*chunk_logits, decode_logits]
+        logits.append(model.forward_decode_batch(tokens, [first, third], dispatcher))
+        logits.append(model.forward_step(np.array([[5]]), second))
+
+        assert [array.dtype for array in logits] == [np.float32] * len(logits)
+        # forward_step x2, chunk segments x2, decode rows x4: per layer.
+        assert len(launches) == model.config.n_layers * 8
+        assert set(launches) == {(np.dtype(np.float32),) * 4}
+        for caches in (first, second, third):
+            for cache in caches:
+                keys, values = cache.view()
+                assert (keys.dtype, values.dtype) == (np.float32, np.float32)
+        for sequence in sequences:
+            for layer in range(model.config.n_layers):
+                keys, values = sequence.gather(layer, sequence.length)
+                assert (keys.dtype, values.dtype) == (np.float32, np.float32)
+
+
 class TestEngineHotPathCounters:
     def test_decode_dequant_bytes_amortize_flat(self):
         """Steady-state decode converts O(new tokens), not O(history)."""
@@ -505,11 +569,11 @@ class TestEngineHotPathCounters:
         dequant = {report.kv_dequant_bytes for report in decode_steps}
         # Incremental views dequantize exactly the appended tail every
         # step, so the per-step byte count is one constant: the bytes
-        # materialised, float32 keys plus float64 values.
+        # materialised, float32 keys plus float32 values.
         assert len(dequant) == 1
         config = model.config
         assert dequant.pop() == (
-            config.n_layers * config.n_heads * config.head_dim * (4 + 8)
+            config.n_layers * config.n_heads * config.head_dim * (4 + 4)
         )
         # The engine reserves a sequence's scratch to prompt +
         # max_new_tokens: no growth copy, ever.  (Unreserved KVCache
