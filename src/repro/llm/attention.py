@@ -53,16 +53,16 @@ class KVHotPathStats:
     decode hot path:
 
     * ``copy_bytes`` — bytes memcpy'd moving *already-stored* history
-      around: capacity-doubling buffer growth, scratch growth, and the
-      reference implementations' per-append concatenates.  Amortized
-      O(1) per token for the preallocated path; O(history) per step
-      for the reference path.
-    * ``dequant_bytes`` — bytes actually materialized in the
-      decode-ready residency for attention reads (float32 keys and
-      values — 8 bytes per stored float16 pair).
-      Incremental views convert only the tail appended since the last
-      step; the reference path re-converts the whole history (to
-      float32) every layer every step.
+      around: residency growth and the reference implementations'
+      per-append concatenates.  Amortized O(1) per token for the
+      residency (zero under a reservation); O(history) per step for
+      the reference path.
+    * ``dequant_bytes`` — bytes materialized in the decode-ready
+      residency (float32 keys and values — 8 bytes per stored float16
+      pair), counted when rows land there — at write-through, or at a
+      paged cache's pool fetch — never at ``view()``, so a step costs
+      its appended tail.  The reference path re-converts the whole
+      history every layer every step.
 
     The engine snapshots these around each step and reports the deltas
     (``StepReport.kv_copy_bytes`` / ``kv_dequant_bytes``), which is
@@ -115,8 +115,8 @@ ATTENTION_STATS = AttentionDispatchStats()
 class StatScope:
     """Where hot-path counters (and optional trace spans) are routed.
 
-    Every increment site on the decode hot path — buffer growth,
-    dequant views, attention dispatches, the paged gather — reports into
+    Every increment site on the decode hot path — residency growth and
+    write-through, attention dispatches — reports into
     the *active* scope instead of naming the module globals directly.
     The default scope wraps :data:`HOT_PATH_STATS` /
     :data:`ATTENTION_STATS` (tracer ``None``), so direct model calls
@@ -176,10 +176,9 @@ def grow_buffer(
 ) -> np.ndarray:
     """Allocate a larger cache buffer, carrying over its logical prefix.
 
-    The one growth implementation shared by every growable buffer on
-    the hot path — float16 storage, the decode-ready dequant views and
-    the paged scratch — so the prefix-copy slicing and the
-    ``copy_bytes`` accounting cannot drift apart between them.
+    The decode-ready residency's growth (:meth:`KVCache.write_through`),
+    kept apart so the prefix-copy slicing and the ``copy_bytes``
+    accounting live in one place.
 
     Args:
         buffer: current buffer, or None for a first allocation.
@@ -373,77 +372,62 @@ def _rotate_half_np(x: np.ndarray) -> np.ndarray:
     return np.concatenate([-x[..., half:], x[..., :half]], axis=-1)
 
 
-#: Smallest time-axis capacity a cache buffer is allocated with; single
+#: Smallest time-axis capacity a residency is allocated with; single
 #: -token decode growth doubles from here instead of reallocating at
 #: every one of the first appends.
 _INITIAL_CAPACITY = 16
 
 
 class KVCache:
-    """Per-layer key/value history for incremental decoding (FP16).
+    """Per-layer key/value history for incremental decoding.
 
-    Two subclass seams keep every cache variant on one append path:
+    **One decode-ready residency.**  The history lives in exactly one
+    form: a float32 K/V buffer ``(batch, heads, capacity, hd)`` filled
+    up to a watermark — 8 bytes per element pair, in the dtype attention
+    computes in.  Float32 is the training path's dtype, and the
+    inference core keeps scores, softmax and ``weights @ values`` in it
+    end to end, so no launch promotes, converts or copies the history:
+    :meth:`view` hands out read-only slices.  Rows pass through float16
+    (the stored form) on the way in and widen exactly, so every value
+    attention reads is a stored float16 value.
 
-    * **compression** — :meth:`compress` (a row-local transform applied
-      on write) and :meth:`compression_key`; the batched decode path
-      uses those to compress a whole batch's K/V in one call and then
-      append per request via :meth:`append_precompressed`.
-    * **storage** — :meth:`_store` (persist float16 rows) and
-      :meth:`view` (return the full decode-ready history).  The paged
-      subclass (:class:`repro.serve.kvpool.paged.PagedKVCache`)
-      scatters rows into pool blocks on write and keeps the same
-      decode-ready history per sequence.  Because both store the same
-      float16 bytes, the two are bitwise interchangeable under
-      ``step`` / ``step_batch``.
+    This class owns the residency's whole life cycle for unpaged and
+    paged caches alike, at O(new tokens) per step:
 
-    **One decode-ready residency.**  :meth:`view` is the only form in
-    which attention ever reads history, so it is held in the dtype
-    attention computes in: keys and values **float32** (8 bytes per
-    stored float16 pair).  Float32 is the training path's dtype, and
-    the inference core keeps scores, softmax and ``weights @ values``
-    in it end to end, so nothing promotes the history inside a launch.
-    The conversion from the stored float16 is exact; no attention
-    launch converts history again.
+    * **write-through** — :meth:`write_through` lands appended rows at
+      the watermark; nothing is ever read back;
+    * **growth** — a reservation (``_reserved``, set by the paged
+      subclass to ``prompt + max_new_tokens``) sizes the buffer once;
+      without one, capacity doubles from :data:`_INITIAL_CAPACITY` so
+      growth copies amortize to O(1) per token;
+    * **truncate / release** — :meth:`truncate` drops positions and
+      clamps the watermark (re-appending the same rows reproduces the
+      same bytes); :meth:`release` frees the buffer.
 
-    Storage here is the decode hot path, so per-step cost must be
-    proportional to *new* tokens, not history length:
-
-    * float16 rows land in preallocated, capacity-doubling buffers
-      with a logical length (``_len``) — appending a token is one row
-      write, and buffer-growth copies amortize to O(1) per token;
-    * :meth:`view` keeps the decode-ready twin of the storage and
-      converts only the tail appended since the last call, returning
-      zero-copy slices of it.  The twin is written by :meth:`view`
-      alone and invalidated if :meth:`compression_key` ever changes
-      (defensive — compression is applied at write time, so stored
-      bytes never change under it).
-
-    Stored float16 bytes are identical to the old concatenate storage,
-    and numpy matmuls buffer strided views to contiguous memory before
-    BLAS sees them.
-    :class:`ReferenceKVCache` keeps the O(history)-per-step storage
-    alive as the parity oracle the growth property tests and the
-    decode hot-path benchmark compare against.
+    Two subclass seams keep every cache variant on this one path:
+    **compression** (:meth:`compress`, a row-local transform applied on
+    write, and :meth:`compression_key`, which lets the batched decode
+    path compress a whole batch in one call and append per request via
+    :meth:`append_precompressed`) and **storage** (:meth:`_store`: the
+    unpaged residency *is* the storage, while
+    :class:`repro.serve.kvpool.paged.PagedKVCache` scatters rows into
+    pool blocks and fetches what it did not write — a shared prefix —
+    on first read).  Both land the same float16 values, so they are
+    bitwise interchangeable under ``step`` / ``step_batch``.
+    :class:`ReferenceKVCache` keeps the O(history)-per-step storage as
+    the parity oracle.
     """
 
-    __slots__ = (
-        "_k16",
-        "_v16",
-        "_len",
-        "_deq_k",
-        "_deq_v",
-        "_deq_len",
-        "_deq_key",
-    )
+    __slots__ = ("_k", "_v", "length", "_filled", "_reserved")
 
     def __init__(self) -> None:
-        self._k16: np.ndarray | None = None
-        self._v16: np.ndarray | None = None
-        self._len = 0
-        self._deq_k: np.ndarray | None = None
-        self._deq_v: np.ndarray | None = None
-        self._deq_len = 0
-        self._deq_key: tuple | None = None
+        self._k: np.ndarray | None = None
+        self._v: np.ndarray | None = None
+        #: Logical positions stored (a paged cache counts a shared
+        #: prefix it has not read yet); the residency holds ``_filled``.
+        self.length = 0
+        self._filled = 0
+        self._reserved = 0
 
     def compress(self, tensor: np.ndarray) -> np.ndarray:
         """Write-side transform; must be row-local along leading axes."""
@@ -460,110 +444,88 @@ class KVCache:
         self, k: np.ndarray, v: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Append K/V already passed through :meth:`compress`."""
-        self._store(
-            k.astype(np.float16, copy=False), v.astype(np.float16, copy=False)
-        )
+        k16 = k.astype(np.float16, copy=False)
+        self._store(self.length, k16, v.astype(np.float16, copy=False))
+        self.length += k16.shape[2]
         return self.view()
 
-    @property
-    def keys(self) -> np.ndarray | None:
-        """Stored float16 keys ``(batch, heads, length, hd)`` (a view)."""
-        return None if self._k16 is None else self._k16[:, :, : self._len]
+    def _store(self, start: int, k16: np.ndarray, v16: np.ndarray) -> None:
+        """Persist float16 rows at ``start``: here, into the residency."""
+        self.write_through(start, k16, v16)
 
-    @property
-    def values(self) -> np.ndarray | None:
-        """Stored float16 values ``(batch, heads, length, hd)`` (a view)."""
-        return None if self._v16 is None else self._v16[:, :, : self._len]
+    def write_through(self, start: int, k16: np.ndarray, v16: np.ndarray) -> None:
+        """Land float16 ``(batch, heads, T, hd)`` rows at ``start``.
 
-    def _store(self, k16: np.ndarray, v16: np.ndarray) -> None:
-        """Persist new float16 rows into the preallocated buffers."""
-        new_len = k16.shape[2]
-        end = self._len + new_len
-        if self._k16 is None:
-            shape = list(k16.shape)
-            shape[2] = max(new_len, _INITIAL_CAPACITY)
-            self._k16 = np.empty(shape, dtype=np.float16)
-            self._v16 = np.empty(shape, dtype=np.float16)
-        elif end > self._k16.shape[2]:
-            capacity = self._k16.shape[2]
-            while capacity < end:
-                capacity *= 2
-            shape = list(self._k16.shape)
-            shape[2] = capacity
-            grown = tuple(shape)
-            self._k16 = grow_buffer(self._k16, grown, 2, self._len, np.float16)
-            self._v16 = grow_buffer(self._v16, grown, 2, self._len, np.float16)
-        self._k16[:, :, self._len : end] = k16
-        self._v16[:, :, self._len : end] = v16
-        self._len = end
+        Rows at (or below) the watermark extend the residency from
+        ``start``; rows above it leave a gap, which only a paged cache
+        can have and which its next read fills from the pool.
+        """
+        if start > self._filled:
+            return
+        end = start + k16.shape[2]
+        k, v = self._k, self._v
+        if k is None or v is None or k.shape[2] < end:
+            current = 0 if k is None else k.shape[2]
+            capacity = buffer_capacity(end, self._reserved, current, _INITIAL_CAPACITY)
+            shape = (k16.shape[0], k16.shape[1], capacity, k16.shape[3])
+            k = self._k = grow_buffer(k, shape, 2, start, np.float32)
+            v = self._v = grow_buffer(v, shape, 2, start, np.float32)
+        keys = k[:, :, start:end]
+        values = v[:, :, start:end]
+        keys[...] = k16
+        values[...] = v16
+        _ACTIVE_SCOPE.get().hot.dequant_bytes += keys.nbytes + values.nbytes
+        self._filled = end
 
     def view(self) -> tuple[np.ndarray, np.ndarray]:
-        """Decode-ready history ``(batch, heads, time, hd)``: K and V float32.
+        """Decode-ready history ``(batch, heads, length, hd)``: K and V float32."""
+        return self.read(self.length)
 
-        Memoized: only positions appended since the last call are
-        converted; the returned arrays are read-mostly slices of the
-        persistent buffers (valid until the next append forces a
-        growth reallocation, i.e. for the current layer step).
+    def read(self, length: int) -> tuple[np.ndarray, np.ndarray]:
+        """The first ``length`` resident positions as read-only views.
+
+        Zero-copy slices of the residency, valid until the next append
+        forces a growth reallocation (i.e. for the current layer step).
         """
-        if self._len == 0 or self._k16 is None:
-            raise ModelError("view() on an empty KV cache")
-        key = self.compression_key()
-        if self._deq_key is not None and self._deq_key != key:
-            self._deq_len = 0  # compression changed: re-dequantize
-        self._deq_key = key
-        capacity = self._k16.shape[2]
-        if self._deq_k is None or self._deq_k.shape[2] != capacity:
-            shape = tuple(self._k16.shape)
-            self._deq_k = grow_buffer(self._deq_k, shape, 2, self._deq_len, np.float32)
-            self._deq_v = grow_buffer(self._deq_v, shape, 2, self._deq_len, np.float32)
-        if self._deq_len < self._len:
-            tail = slice(self._deq_len, self._len)
-            self._deq_k[:, :, tail] = self._k16[:, :, tail]
-            self._deq_v[:, :, tail] = self._v16[:, :, tail]
-            _ACTIVE_SCOPE.get().hot.dequant_bytes += (
-                self._deq_k[:, :, tail].nbytes + self._deq_v[:, :, tail].nbytes
-            )
-            self._deq_len = self._len
-        keys = self._deq_k[:, :, : self._len]
-        values = self._deq_v[:, :, : self._len]
-        # The old view() returned private copies; these alias the
-        # persistent buffers, so hand out read-only views (the buffers
-        # themselves stay writable for the next tail dequant).
+        if not 0 < length <= self._filled or self._k is None or self._v is None:
+            raise ModelError(f"read({length}) of a cache holding {self._filled}")
+        keys = self._k[:, :, :length]
+        values = self._v[:, :, :length]
+        # The buffers stay writable for the next write-through.
         keys.setflags(write=False)
         values.setflags(write=False)
         return keys, values
 
-    @property
-    def length(self) -> int:
-        return self._len
-
     def truncate(self, length: int) -> None:
-        """Roll the cache back to ``length`` stored positions.
+        """Roll the cache back to ``length`` positions (fault rollback).
 
-        The engine's batch-level fault rollback: positions beyond
-        ``length`` are logically dropped (the preallocated buffers keep
-        their capacity) and the decode-ready twin is clamped so the next
-        :meth:`view` re-dequantizes nothing stale.  Re-appending the
-        same rows afterwards reproduces the pre-truncation bytes
-        exactly.
+        Later positions are logically dropped — the buffer keeps its
+        capacity, a paged cache's blocks stay for
+        :meth:`~repro.serve.kvpool.paged.SequenceKV.rollback` to trim —
+        and the watermark is clamped, so re-appending the same rows
+        reproduces the pre-truncation bytes exactly.
         """
-        if not 0 <= length <= self._len:
-            raise ModelError(
-                f"truncate({length}) outside stored length {self._len}"
-            )
-        self._len = length
-        self._deq_len = min(self._deq_len, length)
+        if not 0 <= length <= self.length:
+            raise ModelError(f"truncate({length}) outside stored length {self.length}")
+        self.length = length
+        self._filled = min(self._filled, length)
+
+    def release(self) -> None:
+        """Free the residency (a paged cache's blocks outlive it)."""
+        self._k = None
+        self._v = None
+        self._filled = 0
 
 
 class ReferenceKVCache(KVCache):
     """The pre-optimization O(history)-per-step storage, kept as oracle.
 
-    Appends by whole-array concatenate and dequantizes the full
-    history on every :meth:`view` — exactly what :class:`KVCache` did
-    before preallocated buffers and incremental views.  The growth
-    property tests pin the optimized storage bitwise against this.
-    An optional ``codec`` delegates the write-side compression,
-    so one reference class covers FP16 and Anda storage.
+    Appends float16 rows by whole-array concatenate and converts the
+    full history to float32 on every :meth:`view` — what
+    :class:`KVCache` did before its preallocated residency.  The growth
+    property tests pin the optimized storage bitwise against this.  An
+    optional ``codec`` delegates the write-side compression, so one
+    reference class covers FP16 and Anda storage.
     """
 
     __slots__ = ("_codec", "_ref_k", "_ref_v")
@@ -582,13 +544,15 @@ class ReferenceKVCache(KVCache):
 
     @property
     def keys(self) -> np.ndarray | None:
+        """Stored float16 keys ``(batch, heads, length, hd)``."""
         return self._ref_k
 
     @property
     def values(self) -> np.ndarray | None:
+        """Stored float16 values ``(batch, heads, length, hd)``."""
         return self._ref_v
 
-    def _store(self, k16: np.ndarray, v16: np.ndarray) -> None:
+    def _store(self, start: int, k16: np.ndarray, v16: np.ndarray) -> None:
         if self._ref_k is None:
             self._ref_k, self._ref_v = k16, v16
         else:
@@ -606,15 +570,8 @@ class ReferenceKVCache(KVCache):
         _ACTIVE_SCOPE.get().hot.dequant_bytes += keys.nbytes + values.nbytes
         return keys, values
 
-    @property
-    def length(self) -> int:
-        return 0 if self._ref_k is None else self._ref_k.shape[2]
-
     def truncate(self, length: int) -> None:
-        if not 0 <= length <= self.length:
-            raise ModelError(
-                f"truncate({length}) outside stored length {self.length}"
-            )
+        super().truncate(length)
         if self._ref_k is not None:
             if length == 0:
                 self._ref_k = None
@@ -627,8 +584,7 @@ class ReferenceKVCache(KVCache):
 # -- grouped decode attention -------------------------------------------------
 #
 # Every decode row runs one M == 1 ``_attention_core`` launch over its
-# own decode-ready residency (``KVCache.view()`` / ``SequenceKV.gather()``),
-# read in place — the same launch sequential decode makes, so each row is
+# own decode-ready residency (``KVCache.view()``), read in place — the same launch sequential decode makes, so each row is
 # bitwise identical to decoding that request alone.  Rows sharing a KV
 # length form a bucket, the unit a ``decode.attention`` span covers.  A
 # stacked launch over a bucket would first have to copy its members'
@@ -691,8 +647,8 @@ class BucketedAttention:
     """Runs a decode step's attention one bucket at a time (stateless).
 
     Reads histories only through ``cache.view()``'s decode-ready
-    ``(1, H, len, hd)`` contract (keys and values float32), which
-    :class:`KVCache` and the paged sequence scratch both satisfy.
+    ``(1, H, len, hd)`` contract (keys and values float32), which every
+    :class:`KVCache` satisfies.
     """
 
     __slots__ = ()
@@ -941,8 +897,8 @@ class MultiHeadAttention(Module):
 
         # Land every request's append first (views of one request's
         # cache are never invalidated by another request's append —
-        # per-request buffers, or per-sequence scratch in the paged
-        # pool), then run the plan bucket by bucket.
+        # each cache owns its residency), then run the plan bucket by
+        # bucket.
         views = [
             cache.append_precompressed(k[index : index + 1], v[index : index + 1])
             for index, cache in enumerate(caches)

@@ -54,47 +54,10 @@ def anda_kv_bits_per_element(mantissa_bits: int) -> float:
     return 1 + mantissa_bits + 8 / 64
 
 
-def _fp16_factory(model: CausalLM, mantissa_bits: int) -> Callable[[], list[KVCache]]:
-    return model.new_cache
-
-
-def _fp16_bits(mantissa_bits: int) -> float:
-    return 16.0
-
-
-def _fp16_codec(mantissa_bits: int) -> KVCache:
-    return KVCache()
-
-
-def _anda_factory(model: CausalLM, mantissa_bits: int) -> Callable[[], list[KVCache]]:
-    validate_kv_mantissa_bits(mantissa_bits)  # fail eagerly, not mid-step
-    return lambda: quantized_cache_factory(model, mantissa_bits)
-
-
-def _anda_bits(mantissa_bits: int) -> float:
-    return anda_kv_bits_per_element(mantissa_bits)
-
-
-def _anda_codec(mantissa_bits: int) -> KVCache:
-    return AndaKVCache(mantissa_bits=mantissa_bits)
-
-
-def _uniform_factory(codec_builder: Callable) -> Callable:
-    def build(model: CausalLM, mantissa_bits: int) -> Callable[[], list[KVCache]]:
-        codec_builder(mantissa_bits)  # fail eagerly, not mid-step
-        return lambda: [codec_builder(mantissa_bits) for _ in model.blocks]
-
-    return build
-
-
 def bfp_kv_bits_per_element(mantissa_bits: int) -> float:
     """Stored bits per BFP-cached element (element layout, group 64)."""
     validate_kv_mantissa_bits(mantissa_bits)
     return 1 + mantissa_bits + 8 / 64
-
-
-def _bfp_codec(mantissa_bits: int) -> KVCache:
-    return BfpKVCache(mantissa_bits=mantissa_bits)
 
 
 def mx_kv_bits_per_element(mantissa_bits: int) -> float:
@@ -108,34 +71,6 @@ def mx_kv_bits_per_element(mantissa_bits: int) -> float:
         + 8 / config.group_size
         + config.micro_bits / config.subgroup_size
     )
-
-
-def _mx_codec(mantissa_bits: int) -> KVCache:
-    return MxKVCache(mantissa_bits=mantissa_bits)
-
-
-#: Single dispatch table: mode -> (cache factory builder, bits-per-element,
-#: block codec).  Registering a new KV mode here is the only edit needed
-#: for make_cache_factory, kv_bits_per_element, make_kv_codec,
-#: :class:`KVFormat` validation, and EngineConfig validation.
-_KV_MODE_REGISTRY: dict[str, tuple[Callable, Callable, Callable]] = {
-    "fp16": (_fp16_factory, _fp16_bits, _fp16_codec),
-    "anda": (_anda_factory, _anda_bits, _anda_codec),
-    "bfp": (_uniform_factory(_bfp_codec), bfp_kv_bits_per_element, _bfp_codec),
-    "mx": (_uniform_factory(_mx_codec), mx_kv_bits_per_element, _mx_codec),
-}
-
-#: KV-cache modes the serving engine understands.
-KV_MODES = tuple(_KV_MODE_REGISTRY)
-
-
-def _lookup_mode(mode: str) -> tuple[Callable, Callable, Callable]:
-    try:
-        return _KV_MODE_REGISTRY[mode]
-    except KeyError:
-        raise ModelError(
-            f"unknown KV mode {mode!r}; known: {', '.join(KV_MODES)}"
-        ) from None
 
 
 class AndaKVCache(KVCache):
@@ -237,6 +172,31 @@ def kv_compression_ratio(mantissa_bits: int) -> float:
     return 16.0 / cache.storage_bits_per_element()
 
 
+#: Single dispatch table: mode -> (bits-per-element, codec builder), both
+#: taking the mantissa length (fp16 ignores it).  A codec instance is a
+#: complete unpaged cache, so registering a new KV mode here is the only
+#: edit needed for cache factories, kv_bits_per_element, make_kv_codec,
+#: :class:`KVFormat` validation, and EngineConfig validation.
+_KV_MODE_REGISTRY: dict[str, tuple[Callable[[int], float], Callable[[int], KVCache]]] = {
+    "fp16": (lambda mantissa_bits: 16.0, lambda mantissa_bits: KVCache()),
+    "anda": (anda_kv_bits_per_element, AndaKVCache),
+    "bfp": (bfp_kv_bits_per_element, BfpKVCache),
+    "mx": (mx_kv_bits_per_element, MxKVCache),
+}
+
+#: KV-cache modes the serving engine understands.
+KV_MODES = tuple(_KV_MODE_REGISTRY)
+
+
+def _lookup_mode(mode: str) -> tuple[Callable[[int], float], Callable[[int], KVCache]]:
+    try:
+        return _KV_MODE_REGISTRY[mode]
+    except KeyError:
+        raise ModelError(
+            f"unknown KV mode {mode!r}; known: {', '.join(KV_MODES)}"
+        ) from None
+
+
 #: Sentinel mode naming a heterogeneous per-layer format stack.
 PER_LAYER_MODE = "per_layer"
 
@@ -290,7 +250,7 @@ class KVFormat:
                     f"{PER_LAYER_MODE!r}; use KVFormat.per_layer(...)"
                 )
             # Validates both the mode name and the mantissa length.
-            _lookup_mode(self.mode)[1](self.mantissa_bits)
+            _lookup_mode(self.mode)[0](self.mantissa_bits)
 
     # -- constructors --------------------------------------------------
 
@@ -371,7 +331,7 @@ class KVFormat:
     def bits_per_element(self, n_layers: int | None = None) -> float:
         """Stored bits per cached K/V element (mean across layers)."""
         if self.uniform:
-            return _lookup_mode(self.mode)[1](self.mantissa_bits)
+            return _lookup_mode(self.mode)[0](self.mantissa_bits)
         if n_layers is not None and n_layers != len(self.layers):
             raise ModelError(
                 f"per-layer KVFormat covers {len(self.layers)} layers, "
@@ -399,7 +359,7 @@ class KVFormat:
             raise ModelError(
                 "per-layer KVFormat has no single codec; use .codecs(n_layers)"
             )
-        return _lookup_mode(self.mode)[2](self.mantissa_bits)
+        return _lookup_mode(self.mode)[1](self.mantissa_bits)
 
     def codecs(self, n_layers: int) -> list[KVCache]:
         """One write-side codec per model layer."""
@@ -409,10 +369,11 @@ class KVFormat:
         ]
 
     def cache_factory(self, model: CausalLM) -> Callable[[], list[KVCache]]:
-        """Zero-argument per-request cache builder for ``model``."""
-        if self.uniform:
-            factory_builder, _, _ = _lookup_mode(self.mode)
-            return factory_builder(model, self.mantissa_bits)
+        """Zero-argument per-request cache builder for ``model``.
+
+        A codec instance is a complete unpaged cache, so each call
+        builds fresh per-layer codecs.
+        """
         n_layers = self._check_layers(len(model.blocks))
         return lambda: self.codecs(n_layers)
 
@@ -437,6 +398,11 @@ class KVFormat:
         return n_layers
 
 
+def _as_format(mode: "str | KVFormat", mantissa_bits: int) -> KVFormat:
+    """The :class:`KVFormat` a ``(mode, mantissa_bits)`` pair names."""
+    return mode if isinstance(mode, KVFormat) else KVFormat(mode, mantissa_bits)
+
+
 def make_cache_factory(
     model: CausalLM,
     mode: "str | KVFormat" = "fp16",
@@ -454,10 +420,7 @@ def make_cache_factory(
     path.  Raises :class:`~repro.errors.ModelError` for unknown modes
     or out-of-range mantissa lengths.
     """
-    if isinstance(mode, KVFormat):
-        return mode.cache_factory(model)
-    factory_builder, _, _ = _lookup_mode(mode)
-    return factory_builder(model, mantissa_bits)
+    return _as_format(mode, mantissa_bits).cache_factory(model)
 
 
 def kv_bits_per_element(
@@ -471,10 +434,7 @@ def kv_bits_per_element(
     double as the engine's construct-time validation of its KV
     configuration.
     """
-    if isinstance(mode, KVFormat):
-        return mode.bits_per_element()
-    _, bits_fn, _ = _lookup_mode(mode)
-    return bits_fn(mantissa_bits)
+    return _as_format(mode, mantissa_bits).bits_per_element()
 
 
 def make_kv_codec(
@@ -489,7 +449,4 @@ def make_kv_codec(
     in place of the pair; per-layer stacks raise (use
     :meth:`KVFormat.codecs`).
     """
-    if isinstance(mode, KVFormat):
-        return mode.codec()
-    _, _, codec_builder = _lookup_mode(mode)
-    return codec_builder(mantissa_bits)
+    return _as_format(mode, mantissa_bits).codec()

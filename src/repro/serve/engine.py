@@ -919,8 +919,8 @@ class Engine:
         A private request carries per-layer codec overrides and opts
         out of prefix sharing — cached blocks hold default-format
         bytes it can neither read nor contribute to.  The request's
-        final length is known here, so the sequence's decode-ready
-        scratch is sized once and never regrows.
+        final length is known here, so each layer's decode-ready
+        residency is sized once and never regrows.
         """
         codecs = None
         if state.kv_private:

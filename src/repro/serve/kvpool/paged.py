@@ -10,30 +10,27 @@ forking as needed).  Stored bytes are identical to the unpaged
 is bitwise identical to unpaged decode.
 
 Reading is the decode hot path: every layer of every step reads a
-request's whole history.  Each sequence therefore keeps **one
-decode-ready residency** per layer — a contiguous scratch holding keys
-and values as float32, the dtype attention computes in (see
-:class:`~repro.llm.attention.KVCache`) — and every launch reads it
-without conversion:
+request's whole history.  Each layer cache therefore holds the same
+**one decode-ready residency** as an unpaged cache — the float32 K/V
+buffer :class:`~repro.llm.attention.KVCache` owns, writes through,
+grows, truncates and releases — and adds only what paging needs:
 
-* **who writes it** — :meth:`SequenceKV.write`, write-through: an
-  append landing at (or below) the layer's dequant watermark extends
-  the scratch from the float16 rows in hand, so a decode step costs
-  O(new tokens) and never re-reads what it just stored;
-* **when the pool is read back** — only for positions the sequence did
-  not write itself: :meth:`SequenceKV.gather` fetches a shared prefix
-  (or anything else above the watermark) with one vectorized
-  fancy-index gather over the block table.  ``truncate`` / ``rollback``
-  clamp the watermark; the scratch below it stays valid;
-* **how big it is** — reserved to the request's final length
-  (``prompt + max_new_tokens``, passed by the engine at creation), so it
-  never regrows; sequences created without a reservation fall back to
-  capacity doubling.  It is allocated at first use and freed with the
-  residency it mirrors (:meth:`SequenceKV.release`).
+* **the pool read** — :meth:`PagedKVCache._fetch` fills the positions
+  above the residency's watermark (a shared prefix on first read) with
+  one vectorized fancy-index gather over the block table.  Everything
+  the sequence writes itself lands through :meth:`SequenceKV.write`'s
+  write-through, so a decode step costs O(new tokens) and never reads
+  the pool back;
+* **the reservation** — the residency is sized to the request's final
+  length (``prompt + max_new_tokens``, passed by the engine at
+  creation), so it never regrows; sequences created without one fall
+  back to capacity doubling.
 
-Copy-on-write forks copy bytes verbatim, so they never invalidate the
-scratch.  :meth:`SequenceKV.gather_reference` keeps the original
-per-block-loop float32 gather as the parity oracle.
+``truncate`` / ``rollback`` clamp the watermark (the residency below it
+stays valid); :meth:`SequenceKV.release` frees every layer's residency
+with the blocks it mirrors.  Copy-on-write forks copy bytes verbatim,
+so they never invalidate it.  :meth:`SequenceKV.gather_reference` keeps
+the original per-block-loop float32 gather as the parity oracle.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import ModelError
-from repro.llm.attention import KVCache, active_scope, buffer_capacity, grow_buffer
+from repro.llm.attention import KVCache, active_scope
 from repro.serve.faults.injector import inject
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (pool -> paged)
@@ -54,23 +51,21 @@ class PagedKVCache(KVCache):
     """One layer's KV history stored in pool blocks.
 
     Drop-in for :class:`~repro.llm.attention.KVCache`: ``append`` /
-    ``append_precompressed`` write through the sequence's block table
-    and return its decode-ready history, and ``compress`` /
-    ``compression_key`` delegate to the pool's codec so the batched
+    ``append_precompressed`` scatter through the sequence's block table
+    and return the decode-ready history, and ``compress`` /
+    ``compression_key`` delegate to the sequence's codec so the batched
     decode path can precompress a whole batch in one call exactly as it
     does for unpaged caches.
     """
 
-    __slots__ = ("_sequence", "_layer", "_length")
+    __slots__ = ("_sequence", "_layer")
 
     def __init__(self, sequence: "SequenceKV", layer: int) -> None:
-        # Initialize the base storage slots (left empty — rows live in
-        # pool blocks) so the inherited keys/values properties keep
-        # returning None, as the pre-paged cache did for no history.
         super().__init__()
         self._sequence = sequence
         self._layer = layer
-        self._length = sequence.shared_tokens
+        self.length = sequence.shared_tokens
+        self._reserved = sequence.reserved
 
     def compress(self, tensor: np.ndarray) -> np.ndarray:
         # Attribution caveat: a stacked-group compress call reaches
@@ -84,34 +79,48 @@ class PagedKVCache(KVCache):
     def compression_key(self) -> tuple:
         return self._sequence.codec_for(self._layer).compression_key()
 
-    def _store(self, k16: np.ndarray, v16: np.ndarray) -> None:
+    def _store(self, start: int, k16: np.ndarray, v16: np.ndarray) -> None:
         if k16.shape[0] != 1:
             raise ModelError(f"paged caches hold one request, got batch {k16.shape[0]}")
-        self._sequence.write(self._layer, self._length, k16, v16)
-        self._length += k16.shape[2]
+        self._sequence.write(self._layer, start, k16, v16)
 
     def view(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._sequence.gather(self._layer, self._length)
+        # Defined here rather than inherited: the benchmark ledger
+        # times the paged read under this name.
+        return self.read(self.length)
 
-    @property
-    def length(self) -> int:
-        return self._length
+    def read(self, length: int) -> tuple[np.ndarray, np.ndarray]:
+        """Decode-ready ``(1, H, length, hd)`` history: K and V float32.
 
-    def truncate(self, length: int) -> None:
-        """Roll this layer back to ``length`` positions (fault rollback).
-
-        Positions beyond ``length`` stay in their blocks but are
-        logically dropped; the sequence-level dequant watermark is
-        clamped so re-appended positions overwrite the scratch.  Block
-        trimming is the sequence's job (:meth:`SequenceKV.rollback`).
+        Resident positions are served in place; anything above the
+        watermark is fetched from the pool first.
         """
-        if not 0 <= length <= self._length:
-            raise ModelError(
-                f"truncate({length}) outside stored length {self._length}"
-            )
-        self._length = length
-        deq = self._sequence._deq_len
-        deq[self._layer] = min(deq[self._layer], length)
+        inject("paged.gather", self._sequence.owner)
+        if self._filled < length:
+            self._fetch(self._filled, length)
+        return super().read(length)
+
+    def _fetch(self, start: int, stop: int) -> None:
+        """Land pool positions ``[start, stop)`` in the residency.
+
+        One fancy-index gather over the block-table slice the positions
+        span (``O(fetched positions)``, never the whole table), written
+        through like any other float16 rows.
+        """
+        sequence = self._sequence
+        pool = sequence.pool
+        size = pool.block_size
+        positions = np.arange(start, stop)
+        first = start // size
+        table = np.asarray(sequence.block_table[first : -(-stop // size)], dtype=np.intp)
+        blocks = table[positions // size - first]
+        rows = positions % size
+        # (T, H, hd) gathers, landed as (1, H, T, hd) rows.
+        self.write_through(
+            start,
+            pool.keys[self._layer, blocks, :, rows].transpose(1, 0, 2)[None],
+            pool.values[self._layer, blocks, :, rows].transpose(1, 0, 2)[None],
+        )
 
 
 class SequenceKV:
@@ -125,10 +134,9 @@ class SequenceKV:
     the first time this request writes into it.
 
     ``reserved`` is the most positions the request can ever hold
-    (``prompt + max_new_tokens``; 0 when unknown): the per-layer
-    decode-ready scratch — keys and values float32, see the module
-    docstring for who writes it and when the pool is re-read — is sized
-    from it once and never regrows.
+    (``prompt + max_new_tokens``; 0 when unknown): every layer cache
+    sizes its decode-ready residency from it once (see the module
+    docstring), so it never regrows.
     """
 
     __slots__ = (
@@ -140,9 +148,6 @@ class SequenceKV:
         "owner",
         "reserved",
         "_released",
-        "_deq_k",
-        "_deq_v",
-        "_deq_len",
     )
 
     def __init__(
@@ -174,12 +179,6 @@ class SequenceKV:
         self.owner: int | None = None
         self.caches = [PagedKVCache(self, layer) for layer in range(pool.n_layers)]
         self._released = False
-        # Per-layer decode-ready scratch: history prefix
-        # [0, _deq_len[layer]) lives in _deq_k / _deq_v[layer] (float32),
-        # shaped (heads, capacity, head_dim).
-        self._deq_k: list[np.ndarray | None] = [None] * pool.n_layers
-        self._deq_v: list[np.ndarray | None] = [None] * pool.n_layers
-        self._deq_len = [0] * pool.n_layers
 
     def codec_for(self, layer: int) -> KVCache:
         """The write-side codec governing one layer of this sequence."""
@@ -240,15 +239,14 @@ class SequenceKV:
         self.pool.cow_forks += 1
 
     def write(self, layer: int, start: int, k16: np.ndarray, v16: np.ndarray) -> None:
-        """Scatter ``(1, H, T, hd)`` float16 rows into blocks.
+        """Scatter ``(1, H, T, hd)`` float16 rows into blocks, then write through.
 
-        Write-through: rows landing at the layer's dequant watermark —
-        every engine append once the scratch is seeded — also extend
-        the decode-ready scratch straight from ``k16`` / ``v16``, so
-        the following :meth:`gather` has nothing to read back.  Rows
-        landing below it (direct ``write()`` callers only; the engine
-        path is append-only) overwrite the scratch from there; rows
-        landing above it leave the gap for :meth:`gather` to fetch.
+        The layer cache's
+        :meth:`~repro.llm.attention.KVCache.write_through` extends its
+        residency straight from ``k16`` / ``v16`` when the rows land at
+        (or below) its watermark — every engine append once the
+        residency is seeded — so the next read has nothing to fetch.
+        Rows landing above it leave the gap for that read to fetch.
         """
         new_len = k16.shape[2]
         end = start + new_len
@@ -267,80 +265,17 @@ class SequenceKV:
             ]
             position += count
             offset += count
-        if start <= self._deq_len[layer]:
-            k, v = self._scratch(layer, start, end)
-            k[:, start:end] = k16[0]
-            v[:, start:end] = v16[0]
-            active_scope().hot.dequant_bytes += (
-                k[:, start:end].nbytes + v[:, start:end].nbytes
-            )
-            self._deq_len[layer] = end
+        self.caches[layer].write_through(start, k16, v16)
 
     # -- read path --------------------------------------------------------
 
-    def _scratch(
-        self, layer: int, kept: int, length: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The layer's scratch with room for ``length``, keeping ``[0, kept)``."""
-        k = self._deq_k[layer]
-        v = self._deq_v[layer]
-        if k is None or v is None or k.shape[1] < length:
-            capacity = buffer_capacity(
-                length,
-                self.reserved,
-                0 if k is None else k.shape[1],
-                self.pool.block_size,
-            )
-            shape = (self.pool.keys.shape[2], capacity, self.pool.keys.shape[4])
-            k = grow_buffer(k, shape, 1, kept, np.float32)
-            v = grow_buffer(v, shape, 1, kept, np.float32)
-            self._deq_k[layer] = k
-            self._deq_v[layer] = v
-        return k, v
-
     def gather(self, layer: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-        """Decode-ready ``(1, H, length, hd)`` history: K and V float32.
+        """Decode-ready ``(1, H, length, hd)`` history of one layer.
 
-        Positions below the layer's dequant watermark — everything this
-        sequence wrote itself — are served straight from the scratch.
-        Anything above it (a shared prefix on first read) is fetched
-        with one fancy-index gather over the block table
-        (``O(fetched positions)``, including the table slice converted
-        — never the whole table), not a per-block Python loop over the
-        whole history.
+        The layer cache's read (:meth:`PagedKVCache.read`): resident
+        positions in place, the rest fetched from the pool first.
         """
-        if length < 1:
-            raise ModelError("gather needs at least one cached position")
-        inject("paged.gather", self.owner)
-        kept = self._deq_len[layer]
-        k, v = self._scratch(layer, kept, length)
-        if kept < length:
-            size = self.pool.block_size
-            positions = np.arange(kept, length)
-            first = kept // size
-            table = np.asarray(
-                self.block_table[first : -(-length // size)], dtype=np.intp
-            )
-            blocks = table[positions // size - first]
-            rows = positions % size
-            # (tail, H, hd) fancy gather, dequantized on assignment.
-            k[:, kept:length] = self.pool.keys[layer, blocks, :, rows].transpose(
-                1, 0, 2
-            )
-            v[:, kept:length] = self.pool.values[layer, blocks, :, rows].transpose(
-                1, 0, 2
-            )
-            active_scope().hot.dequant_bytes += (
-                k[:, kept:length].nbytes + v[:, kept:length].nbytes
-            )
-            self._deq_len[layer] = length
-        keys = k[None, :, :length]
-        values = v[None, :, :length]
-        # Read-only views: these alias the persistent scratch (the old
-        # gather returned private copies).
-        keys.setflags(write=False)
-        values.setflags(write=False)
-        return keys, values
+        return self.caches[layer].read(length)
 
     def gather_reference(
         self, layer: int, length: int
@@ -405,7 +340,6 @@ class SequenceKV:
             self.pool.allocator.decref(block)
         self.block_table = []
         self._released = True
-        # Free the decode-ready scratch with the blocks it mirrors.
-        self._deq_k = [None] * self.pool.n_layers
-        self._deq_v = [None] * self.pool.n_layers
-        self._deq_len = [0] * self.pool.n_layers
+        # Free each layer's residency with the blocks it mirrors.
+        for cache in self.caches:
+            cache.release()

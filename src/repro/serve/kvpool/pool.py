@@ -222,7 +222,7 @@ class KVPool:
         matching — cached blocks hold the *default* format's bytes,
         which a different format must neither read nor contribute to.
         ``reserved`` is the most positions the sequence will ever hold
-        (0: unknown); its decode-ready scratch is sized from it once.
+        (0: unknown); its decode-ready residency is sized from it once.
         """
         blocks: list[int] = []
         shared_tokens = 0

@@ -66,8 +66,8 @@ class StepReport:
         prefix_hit_tokens: prompt positions served from shared blocks.
         prefix_saved_bytes: simulated DRAM bytes those hits avoided.
         kv_copy_bytes: host bytes memcpy'd re-materializing KV history
-            this step (buffer/scratch growth; O(history) per step on
-            the reference storage, amortized O(new tokens) on the
+            this step (residency growth; O(history) per step on the
+            reference storage, amortized O(new tokens) on the
             preallocated path).
         kv_dequant_bytes: host bytes materialised from stored float16
             into the decode-ready residency (float32 keys and values,

@@ -1,7 +1,7 @@
 """Growth property tests for the zero-copy decode hot path.
 
-The optimized KV storage (preallocated buffers + incremental
-decode-ready views, and the paged write-through scratch) must be
+The optimized KV storage (one write-through decode-ready residency per
+layer cache, unpaged or paged) must be
 **bitwise** indistinguishable from the pre-optimization reference
 (per-append concatenate + full re-astype, kept alive as
 ``ReferenceKVCache`` / ``SequenceKV.gather_reference``).  Both hold
@@ -21,6 +21,9 @@ for both KV modes (fp16, anda) and both storages (unpaged, paged).
 Comparisons use ``tobytes()`` — bit equality, not ``==`` (which would
 let ``-0.0`` / ``+0.0`` slip through).
 """
+
+import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -98,9 +101,13 @@ class TestUnpagedGrowthParity:
             k, v = random_kv(rng, length), random_kv(rng, length)
             assert history_equal(optimized.append(k, v), reference.append(k, v))
             assert optimized.length == reference.length
-            # The stored float16 bytes are the parity bedrock.
-            assert bitwise_equal(optimized.keys, reference.keys)
-            assert bitwise_equal(optimized.values, reference.values)
+            assert history_equal(optimized.view(), reference.view())
+            # The residency holds exactly the stored float16 values (the
+            # parity bedrock): it round-trips through float16 unchanged.
+            for resident, stored in zip(optimized.view(), reference.view()):
+                narrowed = resident.astype(np.float16)
+                assert bitwise_equal(narrowed.astype(np.float32), resident)
+                assert bitwise_equal(narrowed, stored.astype(np.float16))
 
     @pytest.mark.parametrize("mode", KV_MODES)
     def test_view_is_memoized_and_stable_across_calls(self, mode):
@@ -331,14 +338,72 @@ class TestWriteThroughScratch:
                 sequence.caches[0].append(random_kv(rng, 1), random_kv(rng, 1))
             grown[name] = HOT_PATH_STATS.copy_bytes - before
         assert grown["reserved"] == 0
-        assert grown["unreserved"] > 0  # doubling: 4 -> 8 -> 16 -> 32 -> 64
-        assert reserved._deq_k[0].shape[1] == 40
+        assert grown["unreserved"] > 0  # doubling: 16 -> 32 -> 64
+        # The residency was sized to the reservation: the view's
+        # backing buffer holds exactly 40 positions.
+        keys, values = reserved.caches[0].view()
+        assert keys.base.shape[2] == values.base.shape[2] == 40
         # A reservation is a hint, not a limit: outgrowing it falls
         # back to doubling and stays bitwise right.
         reserved.caches[0].append(random_kv(rng, 3), random_kv(rng, 3))
         assert history_equal(
             reserved.gather(0, 43), reserved.gather_reference(0, 43)
         )
+
+
+@contextmanager
+def tracing():
+    """Trace allocations; yields a reader of the bytes currently held."""
+    tracemalloc.start()
+    try:
+        yield lambda: tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+class TestResidencyFootprint:
+    """One decode-ready residency: 8 B per K/V element pair, no twin."""
+
+    APPENDS = 128
+
+    def rows(self, heads: int, head_dim: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        rng = np.random.default_rng(43)
+        shape = (1, heads, 1, head_dim)
+        return [
+            (rng.normal(size=shape).astype(np.float32),
+             rng.normal(size=shape).astype(np.float32))
+            for _ in range(self.APPENDS)
+        ]
+
+    @pytest.mark.parametrize("mode", KV_MODES)
+    def test_unpaged_cache_holds_eight_bytes_per_pair(self, mode):
+        heads, head_dim = 4, 64
+        rows = self.rows(heads, head_dim)
+        make_unpaged(mode).append(*rows[0])  # warm any codec-side memos
+        with tracing() as held_bytes:
+            before = held_bytes()
+            cache = make_unpaged(mode)
+            for k, v in rows:
+                cache.append(k, v)
+            held = held_bytes() - before
+        pairs = heads * self.APPENDS * head_dim
+        # Float32 keys + float32 values; a float16 copy beside them
+        # would add 4 B per pair (12 B in all).
+        assert held / pairs <= 8.5
+
+    def test_sequence_release_frees_every_layer_residency(self):
+        pool = make_pool("fp16")
+        rows = self.rows(HEADS, HEAD_DIM)
+        with tracing() as held_bytes:
+            sequence = pool.create_sequence(np.array([1]), reserved=self.APPENDS)
+            for k, v in rows:
+                for cache in sequence.caches:
+                    cache.append(k, v)
+            held = held_bytes()
+            sequence.release()
+            freed = held - held_bytes()
+        residency = pool.n_layers * HEADS * self.APPENDS * HEAD_DIM * 8
+        assert freed >= residency
 
 
 class TestMaskMemo:

@@ -167,7 +167,7 @@ class TestSequenceStorage:
         sharer = pool.create_sequence(np.arange(4))
         sharer.block_table.append(shared_block)
         sharer.shared_tokens = 3
-        sharer.caches[0]._length = 3
+        sharer.caches[0].length = 3
         forks_before = pool.cow_forks
         k_new, v_new = self.rows(sharer, 0, 1, seed=6)
         sharer.write(0, 3, k_new, v_new)
@@ -303,10 +303,10 @@ class TestPlanning:
         rng = np.random.default_rng(0)
         k16 = rng.standard_normal((1, 2, 4, 16)).astype(np.float16)
         seq.write(0, 0, k16, k16)
-        seq.caches[0]._length = 4
+        seq.caches[0].length = 4
         assert seq.blocks_for_append(1) == 1  # at capacity: new block
         pool.allocator.incref(seq.block_table[0])
-        seq.caches[0]._length = 3
+        seq.caches[0].length = 3
         assert seq.blocks_for_append(1) == 1  # shared tail: CoW fork
         assert seq.blocks_for_append(2) == 2  # fork + growth
 
