@@ -168,73 +168,69 @@ def _fake_quantize_reference(
     return from_groups(signed, bfp.layout).astype(np.float32)
 
 
-#: Memoized scratch rows for ragged channel counts, keyed by padded 2-D
-#: shape.  Distinct channel counts can pad to the same shape, so both
-#: the data region and the pad tail are rewritten every call (the tail
-#: must be zero — it participates in the group max).  Bounded so
-#: pathological shape churn cannot grow it without limit.
-_PAD_SCRATCH: dict[tuple[int, int], np.ndarray] = {}
-_PAD_SCRATCH_LIMIT = 16
-
-
 def _fake_quantize_rows_vectorized(rows: np.ndarray, mantissa_bits: int) -> np.ndarray:
     """Fused truncate-mode codec over ``(rows, channels)`` float rows.
 
     Bitwise identical to :func:`_fake_quantize_reference` (pinned by the
-    hypothesis parity suite) but collapses its ~35 numpy dispatches to
-    ~15 by staying in the float domain:
+    hypothesis parity suite) but stays in float32 / uint32 passes — no
+    float16 cast, which NumPy runs one element at a time:
 
-    * after FP16 rounding, the shared exponent of a group is just
-      ``frexp(max |v|) - 1``, clamped to the subnormal convention;
+    * the group peak is the uint32 max of the raw magnitude bits
+      (:data:`repro.core.fp16.MAGNITUDE_MASK`); FP16 rounding is
+      monotone, so it rounds to the peak of the rounded group, and a
+      peak at or above the infinity pattern flags a non-finite input;
+    * every value is rounded to FP16 precision, saturating, by
+      :func:`repro.core.fp16.round_magnitude_bits`;
+    * the shared exponent is the rounded peak's float32 exponent field,
+      clamped to the subnormal convention (all-zero groups land there
+      too, where the value is irrelevant — every mantissa truncates to
+      zero); rounding an 11-bit significand carries into the exponent
+      exactly when the dropped float32 bits are at least ``0x7FF000``,
+      so adding ``0x1000`` before masking rounds the exponent;
     * aligning and truncating an 11-bit significand to ``M`` kept bits
-      is ``trunc(|v| * 2**(M - 1 - shared))`` — exact, because FP16
-      values scaled by powers of two carry at most 11 significant bits
-      and every intermediate stays inside float32's exact range;
-    * dequantization is the inverse ``ldexp``; adding ``+0.0`` restores
-      the canonical positive zero the reference's sign-canonicalization
-      produces for truncated-to-zero negatives.
+      is ``trunc(v * 2**(M - 1 - shared))``, and dequantizing multiplies
+      back by ``2**(shared + 1 - M)`` — per-group powers of two built as
+      float32 bit patterns, so both products are exact; adding ``+0.0``
+      restores the canonical positive zero the reference produces for
+      truncated-to-zero negatives.
 
-    The recurring decode shape — the stacked K+V single-position batch —
-    hits the no-pad branch (head dims are multiples of the 64-wide
-    group), so the group decomposition is a plain reshape; ragged rows
-    reuse a memoized zero-padded scratch instead of ``np.pad``-ing a
-    fresh array per call.
+    Ragged rows are zero-padded into a fresh per-call array (the pad
+    takes part in the group max, so it must be zero).
     """
     # float32 first, exactly like fp16.to_fp16_bits: float64 inputs
     # double-round through float32, and values overflowing float32
     # become non-finite and raise, matching the reference path bitwise.
     rows = np.asarray(rows, dtype=np.float32)
-    if not np.all(np.isfinite(rows)):
-        raise FormatError("cannot encode non-finite values as FP16")
-    halves = np.clip(rows, -fp16.MAX_FINITE, fp16.MAX_FINITE).astype(np.float16)
     n_rows, cols = rows.shape
     pad = (-cols) % ANDA_GROUP_SIZE
     if pad:
-        key = (n_rows, cols + pad)
-        padded = _PAD_SCRATCH.get(key)
-        if padded is None:
-            if len(_PAD_SCRATCH) >= _PAD_SCRATCH_LIMIT:
-                _PAD_SCRATCH.clear()
-            padded = np.zeros(key, dtype=np.float32)
-            _PAD_SCRATCH[key] = padded
-        padded[:, :cols] = halves
-        padded[:, cols:] = 0.0
-        flat = padded
-    else:
-        flat = halves.astype(np.float32)
-    grouped = flat.reshape(-1, ANDA_GROUP_SIZE)
-    peak = np.abs(grouped).max(axis=1)
-    # frexp exponent of the group max, shifted into the unbiased
-    # integer-significand convention; a subnormal max clamps to the
-    # fixed subnormal exponent (all-zero groups land there too, where
-    # the value is irrelevant — every mantissa truncates to zero).
-    shared = np.maximum(np.frexp(peak)[1] - 1, fp16.SUBNORMAL_EXPONENT)
-    up = (mantissa_bits - 1) - shared
-    quantized = np.trunc(np.ldexp(grouped, up[:, None]))
-    out = np.ldexp(quantized, -up[:, None]) + np.float32(0.0)
+        padded = np.zeros((n_rows, cols + pad), dtype=np.float32)
+        padded[:, :cols] = rows
+        rows = padded
+    magnitude = rows.view(np.uint32) & fp16.MAGNITUDE_MASK
+    peak = magnitude.reshape(-1, ANDA_GROUP_SIZE).max(axis=1)
+    top = peak.max(initial=0)
+    grouped = fp16.round_magnitude_bits(rows, magnitude, top).reshape(
+        -1, ANDA_GROUP_SIZE
+    )
+    if top > fp16.MAX_FINITE_BITS:
+        np.minimum(peak, fp16.MAX_FINITE_BITS, out=peak)
+    # The rounded peak's float32 exponent field E (in place, as bits):
+    # shared = E - 127, so 2**(M - 1 - shared) has biased exponent
+    # M + 253 - E and its inverse E + 1 - M.
+    peak += np.uint32(0x1000)
+    peak &= fp16.EXPONENT_MASK
+    np.maximum(peak, fp16.MIN_NORMAL_BITS, out=peak)
+    scale = np.uint32((mantissa_bits + 253) << 23) - peak
+    unscale = peak - np.uint32((mantissa_bits - 1) << 23)
+    grouped *= scale.view(np.float32)[:, None]
+    np.trunc(grouped, out=grouped)
+    grouped *= unscale.view(np.float32)[:, None]
+    grouped += np.float32(0.0)
+    out = grouped.reshape(n_rows, cols + pad)
     if pad:
-        return np.ascontiguousarray(out.reshape(n_rows, cols + pad)[:, :cols])
-    return out.reshape(n_rows, cols)
+        return np.ascontiguousarray(out[:, :cols])
+    return out
 
 
 def fake_quantize(

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core import fp16
 from repro.core.precision import TensorKind
 from repro.errors import ModelError
 from repro.llm.autograd import Tensor, concat, softmax
@@ -387,9 +388,13 @@ class KVCache:
     computes in.  Float32 is the training path's dtype, and the
     inference core keeps scores, softmax and ``weights @ values`` in it
     end to end, so no launch promotes, converts or copies the history:
-    :meth:`view` hands out read-only slices.  Rows pass through float16
-    (the stored form) on the way in and widen exactly, so every value
-    attention reads is a stored float16 value.
+    :meth:`view` hands out read-only slices.  Every value attention
+    reads is a stored float16 value: :meth:`compress` returns float32
+    rows that are exact in float16, which land here unchanged (float16
+    rows — the decode lane's bulk cast, a pool fetch — widen exactly).
+    A row crosses float16 once, where the paged pool narrows it
+    (NumPy's float16 casts run one element at a time, so the write path
+    avoids them; see :mod:`repro.core.fp16`).
 
     This class owns the residency's whole life cycle for unpaged and
     paged caches alike, at O(new tokens) per step:
@@ -430,8 +435,14 @@ class KVCache:
         self._reserved = 0
 
     def compress(self, tensor: np.ndarray) -> np.ndarray:
-        """Write-side transform; must be row-local along leading axes."""
-        return tensor
+        """Write-side transform; must be row-local along leading axes.
+
+        Returns float32 rows exact in float16 (what :meth:`_store` and
+        :func:`repro.core.fp16.pack_half` rely on).  The identity codec
+        rounds to the nearest half, saturating at ``±65504`` like every
+        other codec (:func:`repro.core.fp16.round_to_half`).
+        """
+        return fp16.round_to_half(tensor)
 
     def compression_key(self) -> tuple:
         """Caches with equal keys share one batched compress call."""
@@ -443,37 +454,43 @@ class KVCache:
     def append_precompressed(
         self, k: np.ndarray, v: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Append K/V already passed through :meth:`compress`."""
-        k16 = k.astype(np.float16, copy=False)
-        self._store(self.length, k16, v.astype(np.float16, copy=False))
-        self.length += k16.shape[2]
+        """Append K/V already passed through :meth:`compress`.
+
+        The rows go to :meth:`_store` as they are: float32 rows exact in
+        float16 (a compress output) or float16 rows (the decode lane's
+        bulk cast).  No cast happens here.
+        """
+        self._store(self.length, k, v)
+        self.length += k.shape[2]
         return self.view()
 
-    def _store(self, start: int, k16: np.ndarray, v16: np.ndarray) -> None:
-        """Persist float16 rows at ``start``: here, into the residency."""
-        self.write_through(start, k16, v16)
+    def _store(self, start: int, k: np.ndarray, v: np.ndarray) -> None:
+        """Persist stored-form rows at ``start``: here, into the residency."""
+        self.write_through(start, k, v)
 
-    def write_through(self, start: int, k16: np.ndarray, v16: np.ndarray) -> None:
-        """Land float16 ``(batch, heads, T, hd)`` rows at ``start``.
+    def write_through(self, start: int, k: np.ndarray, v: np.ndarray) -> None:
+        """Land stored-form ``(batch, heads, T, hd)`` rows at ``start``.
 
-        Rows at (or below) the watermark extend the residency from
-        ``start``; rows above it leave a gap, which only a paged cache
-        can have and which its next read fills from the pool.
+        ``k`` / ``v`` hold float16 values, as float32 (copied) or float16
+        (widened exactly).  Rows at (or below) the watermark extend the
+        residency from ``start``; rows above it leave a gap, which only
+        a paged cache can have and which its next read fills from the
+        pool.
         """
         if start > self._filled:
             return
-        end = start + k16.shape[2]
-        k, v = self._k, self._v
-        if k is None or v is None or k.shape[2] < end:
-            current = 0 if k is None else k.shape[2]
+        end = start + k.shape[2]
+        keys, values = self._k, self._v
+        if keys is None or values is None or keys.shape[2] < end:
+            current = 0 if keys is None else keys.shape[2]
             capacity = buffer_capacity(end, self._reserved, current, _INITIAL_CAPACITY)
-            shape = (k16.shape[0], k16.shape[1], capacity, k16.shape[3])
-            k = self._k = grow_buffer(k, shape, 2, start, np.float32)
-            v = self._v = grow_buffer(v, shape, 2, start, np.float32)
-        keys = k[:, :, start:end]
-        values = v[:, :, start:end]
-        keys[...] = k16
-        values[...] = v16
+            shape = (k.shape[0], k.shape[1], capacity, k.shape[3])
+            keys = self._k = grow_buffer(keys, shape, 2, start, np.float32)
+            values = self._v = grow_buffer(values, shape, 2, start, np.float32)
+        keys = keys[:, :, start:end]
+        values = values[:, :, start:end]
+        keys[...] = k
+        values[...] = v
         _ACTIVE_SCOPE.get().hot.dequant_bytes += keys.nbytes + values.nbytes
         self._filled = end
 
@@ -552,7 +569,11 @@ class ReferenceKVCache(KVCache):
         """Stored float16 values ``(batch, heads, length, hd)``."""
         return self._ref_v
 
-    def _store(self, start: int, k16: np.ndarray, v16: np.ndarray) -> None:
+    def _store(self, start: int, k: np.ndarray, v: np.ndarray) -> None:
+        # Saturating float16 casts: the oracle for fp16.round_to_half /
+        # pack_half, which the optimized write path uses instead.
+        k16 = np.clip(k, -fp16.MAX_FINITE, fp16.MAX_FINITE).astype(np.float16)
+        v16 = np.clip(v, -fp16.MAX_FINITE, fp16.MAX_FINITE).astype(np.float16)
         if self._ref_k is None:
             self._ref_k, self._ref_v = k16, v16
         else:
@@ -844,14 +865,18 @@ class MultiHeadAttention(Module):
             )
         starts = np.array([cache.length for cache in caches])
         qkv = self._project_qkv(x)
-        q, k, v = qkv[0], qkv[1], qkv[2]  # (B, H, 1, hd)
+        # q is (B, H, 1, hd); K and V stay stacked as one (2, B, H, 1, hd)
+        # view, so the codec and the float16 cast below each make one
+        # call over both.
+        q, kv = qkv[0], qkv[1:]
 
         if self.rotary is not None:
             cos, sin = self.rotary.gather(starts)
             cos = cos[:, None, None, :]  # (B, 1, 1, hd) -> broadcasts over heads
             sin = sin[:, None, None, :]
             q = q * cos + _rotate_half_np(q) * sin
-            k = k * cos + _rotate_half_np(k) * sin
+            k = kv[0]
+            np.add(k * cos, _rotate_half_np(k) * sin, out=k)
 
         # Group the batch by compression scheme and compress each
         # group's K *and* V in a single stacked call per scheme — the
@@ -860,11 +885,11 @@ class MultiHeadAttention(Module):
         # inside append() while paying the codec's fixed overhead once
         # per (layer, scheme) instead of 2x batch times.  A uniform
         # batch (the engine's common case) degenerates to exactly one
-        # stacked call over the whole k/v arrays; fp16 rows are the
-        # identity and skip the stack entirely.  Afterwards every row
-        # holds its stored form: one float16 cast per layer covers the
-        # whole batch, and the per-request appends below store the
-        # rows as-is.
+        # stacked call over the whole K/V stack; fp16 rows skip the
+        # codec entirely.  Afterwards one saturating float16 cast per
+        # layer covers the whole stack (the clip is the fp16 codec's
+        # saturation; the other codecs' rows are already in range), and
+        # the per-request appends below store the rows as-is.
         groups: dict[tuple, list[int]] = {}
         for index, cache in enumerate(caches):
             key = cache.compression_key()
@@ -880,27 +905,24 @@ class MultiHeadAttention(Module):
             with span:
                 for indices in groups.values():
                     n = len(indices)
+                    rows = kv if n == batch else kv[:, indices]
+                    # (2, n, ...) -> (2n, ...): every K row, then every V row.
+                    stacked = caches[indices[0]].compress(
+                        rows.reshape(2 * n, *rows.shape[2:])
+                    ).reshape(rows.shape)
                     if n == batch:
-                        stacked = caches[indices[0]].compress(
-                            np.concatenate([k, v], axis=0)
-                        )
-                        k = stacked[:n]
-                        v = stacked[n:]
+                        kv = stacked
                     else:
-                        stacked = caches[indices[0]].compress(
-                            np.concatenate([k[indices], v[indices]], axis=0)
-                        )
-                        k[indices] = stacked[:n]
-                        v[indices] = stacked[n:]
-        k = k.astype(np.float16)
-        v = v.astype(np.float16)
+                        kv[:, indices] = stacked
+        kv16 = np.clip(kv, -fp16.MAX_FINITE, fp16.MAX_FINITE).astype(np.float16)
+        k16, v16 = kv16[0], kv16[1]
 
         # Land every request's append first (views of one request's
         # cache are never invalidated by another request's append —
         # each cache owns its residency), then run the plan bucket by
         # bucket.
         views = [
-            cache.append_precompressed(k[index : index + 1], v[index : index + 1])
+            cache.append_precompressed(k16[index : index + 1], v16[index : index + 1])
             for index, cache in enumerate(caches)
         ]
         # float32 is the core's output dtype, so the rows land unchanged.

@@ -91,7 +91,10 @@ class AndaKVCache(KVCache):
 
     def compress(self, tensor: np.ndarray) -> np.ndarray:
         """Round-trip K/V through the Anda format (row-local, so the
-        batched decode path may apply it across a whole batch at once)."""
+        batched decode path may apply it across a whole batch at once).
+
+        Returns float32 rows exact in float16, the form every codec's
+        ``compress`` hands to the caches."""
         return fake_quantize_batch(tensor, self.mantissa_bits)
 
     def compression_key(self) -> tuple:

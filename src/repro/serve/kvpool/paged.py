@@ -5,9 +5,13 @@ block table (shared across layers — a block holds every layer's K/V
 for its token positions) plus one :class:`PagedKVCache` per layer that
 plugs into the existing attention ``step`` / ``step_batch`` paths.
 Writes scatter new positions into blocks (allocating or copy-on-write
-forking as needed).  Stored bytes are identical to the unpaged
-``KVCache`` — float16 rows, compressed per position — so paged decode
-is bitwise identical to unpaged decode.
+forking as needed).  The pool stores float16: a codec's ``compress``
+returns float32 rows exact in float16, narrowed once on the way into
+the blocks by :func:`repro.core.fp16.pack_half` (NumPy's float16 casts
+run one element at a time; the helper is a shift and a table gather),
+while the residency takes the float32 rows as they are.  Stored values
+are identical to the unpaged ``KVCache`` — float16 values, compressed
+per position — so paged decode is bitwise identical to unpaged decode.
 
 Reading is the decode hot path: every layer of every step reads a
 request's whole history.  Each layer cache therefore holds the same
@@ -39,6 +43,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core import fp16
 from repro.errors import ModelError
 from repro.llm.attention import KVCache, active_scope
 from repro.serve.faults.injector import inject
@@ -79,10 +84,10 @@ class PagedKVCache(KVCache):
     def compression_key(self) -> tuple:
         return self._sequence.codec_for(self._layer).compression_key()
 
-    def _store(self, start: int, k16: np.ndarray, v16: np.ndarray) -> None:
-        if k16.shape[0] != 1:
-            raise ModelError(f"paged caches hold one request, got batch {k16.shape[0]}")
-        self._sequence.write(self._layer, start, k16, v16)
+    def _store(self, start: int, k: np.ndarray, v: np.ndarray) -> None:
+        if k.shape[0] != 1:
+            raise ModelError(f"paged caches hold one request, got batch {k.shape[0]}")
+        self._sequence.write(self._layer, start, k, v)
 
     def view(self) -> tuple[np.ndarray, np.ndarray]:
         # Defined here rather than inherited: the benchmark ledger
@@ -238,16 +243,25 @@ class SequenceKV:
         self.block_table[index] = new
         self.pool.cow_forks += 1
 
-    def write(self, layer: int, start: int, k16: np.ndarray, v16: np.ndarray) -> None:
-        """Scatter ``(1, H, T, hd)`` float16 rows into blocks, then write through.
+    def write(self, layer: int, start: int, k: np.ndarray, v: np.ndarray) -> None:
+        """Scatter ``(1, H, T, hd)`` stored-form rows into blocks, then write through.
 
-        The layer cache's
-        :meth:`~repro.llm.attention.KVCache.write_through` extends its
-        residency straight from ``k16`` / ``v16`` when the rows land at
-        (or below) its watermark — every engine append once the
-        residency is seeded — so the next read has nothing to fetch.
-        Rows landing above it leave the gap for that read to fetch.
+        ``k`` / ``v`` are float16 rows (the decode lane's bulk cast) or
+        float32 rows exact in float16 (a codec's ``compress`` output,
+        the chunk lane).  Float32 rows are narrowed once, before the
+        block loop, by :func:`repro.core.fp16.pack_half` — a shift and
+        a table gather rather than NumPy's element-at-a-time float16
+        cast — and that narrowing is the only float16 crossing they
+        make.  The layer cache's
+        :meth:`~repro.llm.attention.KVCache.write_through` then extends
+        its residency straight from ``k`` / ``v`` (a copy for float32
+        rows) when the rows land at (or below) its watermark — every
+        engine append once the residency is seeded — so the next read
+        has nothing to fetch.  Rows landing above it leave the gap for
+        that read to fetch.
         """
+        k16 = k if k.dtype == np.float16 else fp16.pack_half(k)
+        v16 = v if v.dtype == np.float16 else fp16.pack_half(v)
         new_len = k16.shape[2]
         end = start + new_len
         self._ensure_writable(start, end)
@@ -265,7 +279,7 @@ class SequenceKV:
             ]
             position += count
             offset += count
-        self.caches[layer].write_through(start, k16, v16)
+        self.caches[layer].write_through(start, k, v)
 
     # -- read path --------------------------------------------------------
 

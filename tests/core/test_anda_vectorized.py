@@ -9,6 +9,9 @@ within rounding.  These tests pin that down across group-boundary
 shapes, mantissa widths, denormals, zeros and mixed magnitudes.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,12 +40,14 @@ def assert_bitwise(vectorized: np.ndarray, reference: np.ndarray) -> None:
         vectorized.astype(np.float16).tobytes()
         == reference.astype(np.float16).tobytes()
     )
-    # And in the float32 working domain (covers -0.0 vs +0.0 too).
-    assert np.array_equal(vectorized, reference)
+    # And in the float32 working domain, as bits: value equality would
+    # call -0.0 and +0.0 equal.
+    assert vectorized.dtype == reference.dtype == np.float32
+    assert np.array_equal(vectorized.view(np.uint32), reference.view(np.uint32))
 
 
 # Channel counts straddling the 64-wide group boundary, including
-# ragged tails the vectorized path zero-pads through scratch buffers.
+# ragged tails the vectorized path zero-pads.
 BOUNDARY_CHANNELS = [1, 2, 63, 64, 65, 127, 128, 129, 192]
 
 
@@ -145,3 +150,38 @@ class TestFallbacksAndErrors:
         x[0, 3] = np.inf
         with pytest.raises(FormatError):
             fake_quantize_batch(x, 6)
+
+
+class TestThreadSafety:
+    def test_concurrent_ragged_encodes_match_reference(self):
+        # Ragged rows are zero-padded before grouping.  A pad buffer
+        # shared across calls (a process-global scratch) lets one
+        # thread's rows leak into another's encode between numpy calls;
+        # the pad must be per call.
+        threads, encodes, mantissa = 8, 300, 6
+        inputs = [random_rows(seed, (4, 100)) for seed in range(threads)]
+        expected = [fake_quantize_batch_reference(x, mantissa) for x in inputs]
+        mismatches = [0] * threads
+
+        def worker(index: int) -> None:
+            want = expected[index].view(np.uint32)
+            for _ in range(encodes):
+                got = fake_quantize_batch(inputs[index], mantissa)
+                if not np.array_equal(got.view(np.uint32), want):
+                    mismatches[index] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=worker, args=(index,))
+                for index in range(threads)
+            ]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in workers)
+        assert mismatches == [0] * threads

@@ -6,8 +6,10 @@ import pytest
 from repro.errors import ModelError
 from repro.llm.config import tiny_test_config
 from repro.llm.kv_quant import (
+    KV_MODES,
     AndaKVCache,
     kv_compression_ratio,
+    make_kv_codec,
     quantized_cache_factory,
 )
 from repro.llm.transformer import build_model
@@ -41,6 +43,30 @@ class TestAndaKVCache:
 
     def test_compression_monotone(self):
         assert kv_compression_ratio(4) > kv_compression_ratio(8) > 1.0
+
+
+class TestCompressContract:
+    """Every codec's ``compress`` returns float32 rows exact in float16.
+
+    The write path relies on it: the paged pool narrows those rows with
+    ``fp16.pack_half`` (exact only on float16 values) and the residency
+    keeps them unconverted.
+    """
+
+    @pytest.mark.parametrize("mode", KV_MODES)
+    @pytest.mark.parametrize("mantissa_bits", range(1, 17))
+    def test_output_is_exact_in_float16(self, mode, mantissa_bits):
+        rng = np.random.default_rng(mantissa_bits)
+        # Rows spanning 1e-7 (float16 subnormals) to 1e6 (saturation).
+        magnitudes = 10.0 ** rng.uniform(-7, 6, size=(2, 3, 8, 64))
+        signs = rng.choice([-1.0, 1.0], size=magnitudes.shape)
+        rows = (signs * magnitudes).astype(np.float32)
+        out = make_kv_codec(mode, mantissa_bits).compress(rows)
+        assert out.dtype == np.float32
+        assert out.shape == rows.shape
+        assert np.isfinite(out).all()
+        widened = out.astype(np.float16).astype(np.float32)
+        assert np.array_equal(widened.view(np.uint32), out.view(np.uint32))
 
 
 class TestGenerationWithQuantizedCache:

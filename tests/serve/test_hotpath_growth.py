@@ -39,8 +39,10 @@ from repro.llm.attention import (
     ReferenceKVCache,
     causal_block,
     causal_mask,
+    plan_buckets,
 )
 from repro.llm.config import tiny_test_config
+from repro.llm.kv_quant import KV_MODES as REGISTERED_KV_MODES
 from repro.llm.kv_quant import AndaKVCache, make_kv_codec
 from repro.llm.transformer import build_model
 from repro.serve import Engine, EngineConfig, SamplingParams
@@ -404,6 +406,92 @@ class TestResidencyFootprint:
             freed = held - held_bytes()
         residency = pool.n_layers * HEADS * self.APPENDS * HEAD_DIM * 8
         assert freed >= residency
+
+
+class TestStoredFormCrossing:
+    """An appended row crosses float16 once, saturating like the codecs.
+
+    ``compress`` hands float32 rows exact in float16 to the caches: the
+    unpaged residency keeps them as they are, the paged pool narrows
+    them (``fp16.pack_half``) and its residency copies them; the decode
+    lane lands one saturating bulk float16 cast.  Every path must store
+    the same float16 values, in range.
+    """
+
+    @staticmethod
+    def layer_caches(mode: str) -> tuple[SequenceKV, KVCache]:
+        """A paged sequence and an unpaged cache of one KV mode."""
+        sequence = make_pool(mode).create_sequence(np.array([1]))
+        return sequence, make_kv_codec(mode, 8)
+
+    @staticmethod
+    def attention(seed: int = 0) -> MultiHeadAttention:
+        config = tiny_test_config(d_model=HEADS * HEAD_DIM, seed=seed)
+        return build_model(config).blocks[0].attention
+
+    @staticmethod
+    def huge_rows(length: int) -> np.ndarray:
+        rows = np.full((1, HEADS, length, HEAD_DIM), 1e5, dtype=np.float32)
+        rows[..., 1::2] = -1e5
+        return rows
+
+    @staticmethod
+    def decode(
+        attention: MultiHeadAttention, x: np.ndarray, caches: list[KVCache]
+    ) -> np.ndarray:
+        plan = plan_buckets([cache.length + 1 for cache in caches])
+        return attention.step_batch(x, caches, plan, BucketedAttention())
+
+    def assert_saturated(self, history, length: int) -> None:
+        for array in history:
+            assert array.shape[2] == length
+            assert set(np.unique(array)) == {-65504.0, 65504.0}
+
+    def test_fp16_chunk_append_saturates(self):
+        sequence, unpaged = self.layer_caches("fp16")
+        attention = self.attention()
+        q = np.ones((1, HEADS, 3, HEAD_DIM), dtype=np.float32)
+        for cache in (unpaged, sequence.caches[0]):
+            history = cache.append(self.huge_rows(3), self.huge_rows(3))
+            self.assert_saturated(history, 3)
+            assert np.isfinite(attention._attention_core(q, *history, 0)).all()
+        self.assert_saturated(sequence.gather_reference(0, 3), 3)
+
+    def test_fp16_decode_append_saturates(self, monkeypatch):
+        sequence, unpaged = self.layer_caches("fp16")
+        attention = self.attention()
+        # Projections the layer cannot produce from small weights:
+        # K and V rows of +-1e5, which overflow float16.
+        huge = np.concatenate([self.huge_rows(1)] * 2)
+        qkv = np.stack([np.ones_like(huge), huge, huge])
+        monkeypatch.setattr(attention, "_project_qkv", lambda x: qkv)
+        x = np.zeros((2, 1, HEADS * HEAD_DIM), dtype=np.float32)
+        out = self.decode(attention, x, [unpaged, sequence.caches[0]])
+        assert np.isfinite(out).all()
+        for cache in (unpaged, sequence.caches[0]):
+            self.assert_saturated(cache.view(), 1)
+        self.assert_saturated(sequence.gather_reference(0, 1), 1)
+
+    @pytest.mark.parametrize("mode", REGISTERED_KV_MODES)
+    def test_residency_equals_widened_pool_bytes(self, mode):
+        sequence, unpaged = self.layer_caches(mode)
+        attention = self.attention(seed=4)
+        rng = np.random.default_rng(23)
+        paged = sequence.caches[0]
+        # Chunk appends (step_mixed: compress, then the float32 rows),
+        # then decode appends (step_batch: the bulk float16 cast).
+        for length in (5, 3):
+            x = rng.normal(size=(1, length, HEADS * HEAD_DIM)).astype(np.float32)
+            for cache in (paged, unpaged):
+                attention.step_mixed(x, [cache], [length])
+        for _ in range(3):
+            x = rng.normal(size=(1, 1, HEADS * HEAD_DIM)).astype(np.float32)
+            self.decode(attention, np.repeat(x, 2, axis=0), [paged, unpaged])
+        length = paged.length
+        assert length == unpaged.length == 11
+        pool_bytes = sequence.gather_reference(0, length)
+        assert history_equal(paged.view(), pool_bytes)
+        assert history_equal(unpaged.view(), pool_bytes)
 
 
 class TestMaskMemo:
