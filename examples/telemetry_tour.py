@@ -6,7 +6,7 @@ instruments to every engine, toured here over one mixed workload:
 
 1. **step tracing** — ``TelemetryConfig(trace=True)`` records every
    phase of every engine step (schedule, chunked-prefill lane, decode
-   batch, per-bucket grouped attention, KV codec, sampling) plus each
+   batch, per-layer decode attention, KV codec, sampling) plus each
    request's lifecycle transitions (QUEUED -> PREFILLING -> RUNNING ->
    FINISHED / ABORTED) as spans and instants;
 2. **Chrome trace export** — the recorded spans serialize to a

@@ -712,8 +712,9 @@ class MatmulsRouteThroughAttention(Rule):
         "serve/ would pick OpenBLAS kernels by shape, silently crossing the\n"
         "M=1 (GeMV) vs M>=2 (GeMM) lane boundary that keeps every decode row\n"
         "bitwise identical to sequential decode.  All attention math must\n"
-        "flow through _attention_core (BucketedAttention.run_bucket calls it\n"
-        "once per decode row), where the lane is explicit and parity-tested."
+        "flow through _attention_core (MultiHeadAttention.step_batch calls it\n"
+        "once per decode row per layer, in one loop, writing each row's\n"
+        "context in place), where the lane is explicit and parity-tested."
     )
 
     def check(self, index: ModuleIndex) -> list[Finding]:

@@ -423,11 +423,14 @@ class KVCache:
     the parity oracle.
     """
 
-    __slots__ = ("_k", "_v", "length", "_filled", "_reserved")
+    __slots__ = ("_k", "_v", "_readable", "length", "_filled", "_reserved")
 
     def __init__(self) -> None:
         self._k: np.ndarray | None = None
         self._v: np.ndarray | None = None
+        #: Read-only aliases of ``_k`` / ``_v``: :meth:`read` slices
+        #: them, so its views are read-only without a flag call each.
+        self._readable: tuple[np.ndarray, np.ndarray] | None = None
         #: Logical positions stored (a paged cache counts a shared
         #: prefix it has not read yet); the residency holds ``_filled``.
         self.length = 0
@@ -464,6 +467,24 @@ class KVCache:
         self.length += k.shape[2]
         return self.view()
 
+    @classmethod
+    def append_batch(
+        cls, caches: list["KVCache"], k: np.ndarray, v: np.ndarray
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Append one decode row per cache; return each cache's history.
+
+        The batched decode lane's seam: ``caches`` are one layer's
+        caches, row ``i`` of the stacked ``(B, H, 1, hd)`` stored-form
+        ``k`` / ``v`` belongs to ``caches[i]``.  Called on
+        ``type(caches[0])``.  Here it loops :meth:`append_precompressed`;
+        :class:`repro.serve.kvpool.paged.PagedKVCache` lands a whole
+        batch in the pool with one scatter per tensor.
+        """
+        return [
+            cache.append_precompressed(k[index : index + 1], v[index : index + 1])
+            for index, cache in enumerate(caches)
+        ]
+
     def _store(self, start: int, k: np.ndarray, v: np.ndarray) -> None:
         """Persist stored-form rows at ``start``: here, into the residency."""
         self.write_through(start, k, v)
@@ -487,11 +508,15 @@ class KVCache:
             shape = (k.shape[0], k.shape[1], capacity, k.shape[3])
             keys = self._k = grow_buffer(keys, shape, 2, start, np.float32)
             values = self._v = grow_buffer(values, shape, 2, start, np.float32)
-        keys = keys[:, :, start:end]
-        values = values[:, :, start:end]
-        keys[...] = k
-        values[...] = v
-        _ACTIVE_SCOPE.get().hot.dequant_bytes += keys.nbytes + values.nbytes
+            readable = (keys.view(), values.view())
+            # The buffers stay writable for the next write-through.
+            readable[0].setflags(write=False)
+            readable[1].setflags(write=False)
+            self._readable = readable
+        keys[:, :, start:end] = k
+        values[:, :, start:end] = v
+        # float32 residency: 4 bytes per landed key and value element.
+        _ACTIVE_SCOPE.get().hot.dequant_bytes += 4 * (k.size + v.size)
         self._filled = end
 
     def view(self) -> tuple[np.ndarray, np.ndarray]:
@@ -504,14 +529,10 @@ class KVCache:
         Zero-copy slices of the residency, valid until the next append
         forces a growth reallocation (i.e. for the current layer step).
         """
-        if not 0 < length <= self._filled or self._k is None or self._v is None:
+        readable = self._readable
+        if not 0 < length <= self._filled or readable is None:
             raise ModelError(f"read({length}) of a cache holding {self._filled}")
-        keys = self._k[:, :, :length]
-        values = self._v[:, :, :length]
-        # The buffers stay writable for the next write-through.
-        keys.setflags(write=False)
-        values.setflags(write=False)
-        return keys, values
+        return readable[0][:, :, :length], readable[1][:, :, :length]
 
     def truncate(self, length: int) -> None:
         """Roll the cache back to ``length`` positions (fault rollback).
@@ -531,6 +552,7 @@ class KVCache:
         """Free the residency (a paged cache's blocks outlive it)."""
         self._k = None
         self._v = None
+        self._readable = None
         self._filled = 0
 
 
@@ -604,16 +626,23 @@ class ReferenceKVCache(KVCache):
 
 # -- grouped decode attention -------------------------------------------------
 #
-# Every decode row runs one M == 1 ``_attention_core`` launch over its
-# own decode-ready residency (``KVCache.view()``), read in place — the same launch sequential decode makes, so each row is
-# bitwise identical to decoding that request alone.  Rows sharing a KV
-# length form a bucket, the unit a ``decode.attention`` span covers.  A
-# stacked launch over a bucket would first have to copy its members'
-# histories side by side (8 B per K/V element pair, every step), and
-# even over an already-synced copy it measured within a few percent of
-# the per-row launches; padding operands to a common length changes
-# bits (BLAS edge kernels differ when the reduced or written extent
-# changes).
+# A decode step works per layer, not per row.  The K/V rows of every
+# decode row land through one ``KVCache.append_batch`` call (one pool
+# scatter per tensor for paged caches), then every row runs one M == 1
+# ``_attention_core`` launch over its own decode-ready residency, read
+# in place, writing its context row straight into the layer's context
+# buffer — the same launch sequential decode makes, so each row is
+# bitwise identical to decoding that request alone.  One
+# ``decode.attention`` span covers a layer's launches.  Fusing rows does
+# not pay: a stacked launch must first copy the histories side by side
+# (8 B per K/V element pair, every step) and measured within a few
+# percent of the per-row launches; padding to a common length, one 2-D
+# GEMM over the rows, or one ragged softmax buffer (``np.add.reduceat``
+# sums sequentially, not pairwise) each change bits.
+#
+# ``plan_buckets`` / ``BucketedAttention`` group rows by KV length.  The
+# engine does not use them; the benchmark ledger's bucket probe does,
+# timing ``run_bucket`` on the same per-row kernel.
 
 
 @dataclass(frozen=True, slots=True)
@@ -636,7 +665,7 @@ class Bucket:
 
 @dataclass(frozen=True, slots=True)
 class BucketPlan:
-    """One decode step's bucket assignment (shared by every layer)."""
+    """Decode rows grouped by KV length (shared by every layer)."""
 
     buckets: tuple[Bucket, ...]
 
@@ -649,7 +678,7 @@ def plan_buckets(lengths: list[int]) -> BucketPlan:
     """Group request rows by KV length: one bucket per distinct length.
 
     Buckets come in order of first appearance.  The plan depends only
-    on the lengths, so one plan per step serves every layer.
+    on the lengths, so one plan serves every layer.
     """
     groups: dict[int, list[int]] = {}
     for index, length in enumerate(lengths):
@@ -665,7 +694,7 @@ def plan_buckets(lengths: list[int]) -> BucketPlan:
 
 
 class BucketedAttention:
-    """Runs a decode step's attention one bucket at a time (stateless).
+    """Runs one bucket's attention (stateless; the ledger probe's entry).
 
     Reads histories only through ``cache.view()``'s decode-ready
     ``(1, H, len, hd)`` contract (keys and values float32), which every
@@ -684,10 +713,11 @@ class BucketedAttention:
     ) -> list[np.ndarray]:
         """Attention context for one bucket: a ``(1, H, 1, hd)`` row per member.
 
-        One :meth:`MultiHeadAttention._attention_core` launch per
-        member over ``views[index]`` in place, rows in
-        ``bucket.indices`` order.  ``caches`` is accepted for callers
-        that pass it positionally and is not read.
+        The decode lane's per-row kernel: one
+        :meth:`MultiHeadAttention._attention_core` launch per member
+        over ``views[index]`` in place, rows in ``bucket.indices``
+        order.  ``caches`` is accepted for callers that pass it
+        positionally and is not read.
         """
         for index in bucket.indices:
             have = views[index][0].shape[2]
@@ -696,21 +726,12 @@ class BucketedAttention:
                     f"bucket expects request {index} at KV length "
                     f"{bucket.length}, cache holds {have}"
                 )
-        tracer = _ACTIVE_SCOPE.get().tracer
-        span = (
-            nullcontext()
-            if tracer is None
-            else tracer.span(
-                "decode.attention", size=bucket.size, kv_length=bucket.length
+        return [
+            attention._attention_core(
+                q[index : index + 1], *views[index], bucket.length - 1
             )
-        )
-        with span:
-            return [
-                attention._attention_core(
-                    q[index : index + 1], *views[index], bucket.length - 1
-                )
-                for index in bucket.indices
-            ]
+            for index in bucket.indices
+        ]
 
 
 class MultiHeadAttention(Module):
@@ -772,7 +793,12 @@ class MultiHeadAttention(Module):
         return qkv.transpose(2, 0, 3, 1, 4)
 
     def _attention_core(
-        self, q: np.ndarray, keys: np.ndarray, values: np.ndarray, start: int
+        self,
+        q: np.ndarray,
+        keys: np.ndarray,
+        values: np.ndarray,
+        start: int,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Masked softmax attention over one request's exact history.
 
@@ -783,19 +809,24 @@ class MultiHeadAttention(Module):
         one scores buffer, so no launch promotes or copies the history.
         No padding is involved: scores span exactly the request's
         history, which is what makes batched decode token-identical to
-        sequential decode.
+        sequential decode.  ``out`` (a C-contiguous float32 buffer of
+        the context's shape) receives the context in place of a fresh
+        array; BLAS computes the same bits either way.
+
+        The reductions call the ufuncs directly: ``ndarray.max`` /
+        ``sum`` are the same reductions behind an extra Python frame,
+        which a decode step pays once per (row, layer).
         """
         new_len = q.shape[2]
         _ACTIVE_SCOPE.get().attention.dispatches += 1
         scores = q @ keys.swapaxes(-1, -2)
         scores *= self.scale
-        block = causal_block(new_len)
-        if block is not None:
-            scores[..., start:] += block
-        scores -= scores.max(axis=-1, keepdims=True)
+        if new_len > 1:
+            scores[..., start:] += causal_block(new_len)
+        scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
         np.exp(scores, out=scores)
-        scores /= scores.sum(axis=-1, keepdims=True)
-        return scores @ values
+        scores /= np.add.reduce(scores, axis=-1, keepdims=True)
+        return np.matmul(scores, values, out=out)
 
     def _project_out(self, context: np.ndarray) -> np.ndarray:
         """O-tap + output projection for ``(B, T, D)`` attention context."""
@@ -828,13 +859,7 @@ class MultiHeadAttention(Module):
         context = context.transpose(0, 2, 1, 3).reshape(batch, new_len, d_model)
         return self._project_out(context)
 
-    def step_batch(
-        self,
-        x: np.ndarray,
-        caches: list[KVCache],
-        plan: BucketPlan,
-        dispatcher: BucketedAttention,
-    ) -> np.ndarray:
+    def step_batch(self, x: np.ndarray, caches: list[KVCache]) -> np.ndarray:
         """Single-token decode for many independent requests at once.
 
         The projections (QKV, output) run as one batched ``(B, 1, D)``
@@ -843,18 +868,17 @@ class MultiHeadAttention(Module):
         request may sit at a different position; rotary/positional
         phases are gathered per request.
 
-        Attention is token-bitwise identical to sequential decode:
-        appends and views are collected first, then every row runs one
-        M == 1 :meth:`_attention_core` launch over its own history,
-        bucket by bucket of the plan (:meth:`BucketedAttention.run_bucket`).
+        The layer's work is one call per layer, not per row: every
+        row's K/V lands through one :meth:`KVCache.append_batch`, then
+        one loop runs every row's M == 1 :meth:`_attention_core` launch
+        over its own history, writing the context row in place — the
+        launch sequential decode makes, so attention is bitwise
+        identical to it.
 
         Args:
             x: ``(batch, 1, d_model)`` activations, one row per request.
             caches: one :class:`KVCache` per request for *this* layer,
                 each extended in place.
-            plan: the step's bucket assignment (computed once from the
-                post-append lengths, shared across layers).
-            dispatcher: the engine's :class:`BucketedAttention`.
         """
         batch, new_len, d_model = x.shape
         if new_len != 1:
@@ -874,9 +898,10 @@ class MultiHeadAttention(Module):
             cos, sin = self.rotary.gather(starts)
             cos = cos[:, None, None, :]  # (B, 1, 1, hd) -> broadcasts over heads
             sin = sin[:, None, None, :]
-            q = q * cos + _rotate_half_np(q) * sin
-            k = kv[0]
-            np.add(k * cos, _rotate_half_np(k) * sin, out=k)
+            # Q and K rotate in place as one (2, B, H, 1, hd) stack: the
+            # same elementwise arithmetic, half the numpy calls.
+            qk = qkv[:2]
+            np.add(qk * cos, _rotate_half_np(qk) * sin, out=qk)
 
         # Group the batch by compression scheme and compress each
         # group's K *and* V in a single stacked call per scheme — the
@@ -889,7 +914,7 @@ class MultiHeadAttention(Module):
         # codec entirely.  Afterwards one saturating float16 cast per
         # layer covers the whole stack (the clip is the fp16 codec's
         # saturation; the other codecs' rows are already in range), and
-        # the per-request appends below store the rows as-is.
+        # the batch append below stores the rows as-is.
         groups: dict[tuple, list[int]] = {}
         for index, cache in enumerate(caches):
             key = cache.compression_key()
@@ -915,22 +940,28 @@ class MultiHeadAttention(Module):
                     else:
                         kv[:, indices] = stacked
         kv16 = np.clip(kv, -fp16.MAX_FINITE, fp16.MAX_FINITE).astype(np.float16)
-        k16, v16 = kv16[0], kv16[1]
 
-        # Land every request's append first (views of one request's
-        # cache are never invalidated by another request's append —
-        # each cache owns its residency), then run the plan bucket by
-        # bucket.
-        views = [
-            cache.append_precompressed(k16[index : index + 1], v16[index : index + 1])
-            for index, cache in enumerate(caches)
-        ]
-        # float32 is the core's output dtype, so the rows land unchanged.
+        views = type(caches[0]).append_batch(caches, kv16[0], kv16[1])
+        # float32 is the core's output dtype, so each row lands unchanged.
         context = np.empty((batch, self.n_heads, 1, self.head_dim), dtype=np.float32)
-        for bucket in plan.buckets:
-            rows = dispatcher.run_bucket(self, bucket, q, views, caches)
-            for index, row in zip(bucket.indices, rows):
-                context[index] = row[0]
+        core = self._attention_core
+        tracer = _ACTIVE_SCOPE.get().tracer
+        span = (
+            nullcontext()
+            if tracer is None
+            else tracer.span(
+                "decode.attention", size=batch, kv_length=int(starts.max()) + 1
+            )
+        )
+        with span:
+            for index, (keys, values) in enumerate(views):
+                core(
+                    q[index : index + 1],
+                    keys,
+                    values,
+                    keys.shape[2] - 1,
+                    out=context[index : index + 1],
+                )
         context = context.transpose(0, 2, 1, 3).reshape(batch, new_len, d_model)
         return self._project_out(context)
 

@@ -28,12 +28,10 @@ from repro.core.precision import TensorKind
 from repro.errors import ModelError
 from repro.llm.attention import (
     BucketedAttention,
-    BucketPlan,
     KVCache,
     MultiHeadAttention,
     active_scope,
     chunk_positions,
-    plan_buckets,
 )
 from repro.llm.autograd import Tensor, no_grad, softmax_cross_entropy
 from repro.llm.config import ModelConfig
@@ -124,21 +122,15 @@ class TransformerBlock(Module):
         x = x + self.attention.step(self.attn_norm(x), cache)
         return x + self.ffn.step(self.ffn_norm(x))
 
-    def step_batch(
-        self,
-        x: np.ndarray,
-        caches: list[KVCache],
-        plan: BucketPlan,
-        dispatcher: BucketedAttention,
-    ) -> np.ndarray:
+    def step_batch(self, x: np.ndarray, caches: list[KVCache]) -> np.ndarray:
         """One decode step for a batch of requests with per-request caches.
 
         Norms and the feed-forward reduce along the last axis only, so
         they batch row-identically as-is; attention routes through
         :meth:`~repro.llm.attention.MultiHeadAttention.step_batch`,
-        one launch per request, bucket by bucket of ``plan``.
+        one launch per request.
         """
-        x = x + self.attention.step_batch(self.attn_norm(x), caches, plan, dispatcher)
+        x = x + self.attention.step_batch(self.attn_norm(x), caches)
         return x + self.ffn.step(self.ffn_norm(x))
 
     def step_mixed(
@@ -242,7 +234,7 @@ class CausalLM(Module):
         self,
         tokens: np.ndarray,
         request_caches: list[list[KVCache]],
-        dispatcher: BucketedAttention,
+        dispatcher: BucketedAttention | None = None,
     ) -> np.ndarray:
         """Decode one token for many requests in a single batched step.
 
@@ -254,19 +246,17 @@ class CausalLM(Module):
         of the result is bitwise identical to running that request alone
         through :meth:`forward_step`.
 
-        The step's post-append KV lengths are bucketed once
-        (:func:`~repro.llm.attention.plan_buckets` — all layers sit at
-        the same lengths, so the plan is shared); each layer then runs
-        one ``M == 1`` attention launch per request over its own
-        history, bucket by bucket.
+        Each layer lands every request's K/V row in one batch append
+        and runs one ``M == 1`` attention launch per request over its
+        own history, in one loop.
 
         Args:
             tokens: ``(batch, 1)`` next-token ids, one row per request.
             request_caches: per request, the per-layer cache list that
                 earlier :meth:`forward_step` / ``forward_decode_batch``
                 calls extended.
-            dispatcher: the :class:`BucketedAttention` that runs
-                each bucket.
+            dispatcher: accepted for callers that pass one and not
+                read (attention needs no dispatcher).
 
         Returns:
             Plain-numpy logits ``(batch, 1, vocab)``.
@@ -286,23 +276,16 @@ class CausalLM(Module):
             raise ModelError(
                 f"a request would exceed max_seq_len {self.config.max_seq_len}"
             )
-        # Post-append lengths: each cache gains one position this step
-        # before attention reads it.
-        plan = plan_buckets([int(start) + 1 for start in starts])
         tracer = active_scope().tracer
         if tracer is not None:
-            tracer.begin(
-                "step.decode_batch",
-                batch=tokens.shape[0],
-                buckets=plan.num_buckets,
-            )
+            tracer.begin("step.decode_batch", batch=tokens.shape[0])
         with no_grad():
             hidden = self.token_embedding(tokens).data
             if self.position_embedding is not None:
                 hidden = hidden + self.position_embedding(starts[:, None]).data
             for layer_index, block in enumerate(self.blocks):
                 layer_caches = [caches[layer_index] for caches in request_caches]
-                hidden = block.step_batch(hidden, layer_caches, plan, dispatcher)
+                hidden = block.step_batch(hidden, layer_caches)
             logits = self.final_norm(hidden) @ self.lm_head.weight.data
         if tracer is not None:
             tracer.end("step.decode_batch")
@@ -314,7 +297,6 @@ class CausalLM(Module):
         chunk_caches: list[list[KVCache]],
         decode_tokens: np.ndarray | None = None,
         decode_caches: list[list[KVCache]] | None = None,
-        dispatcher: BucketedAttention | None = None,
     ) -> tuple[list[np.ndarray], np.ndarray | None]:
         """Run prompt chunks and decodes for many requests in one step.
 
@@ -350,9 +332,6 @@ class CausalLM(Module):
                 the decode lane.
             decode_caches: per decode request, the per-layer cache
                 list (required when ``decode_tokens`` is given).
-            dispatcher: the :class:`BucketedAttention` for the decode
-                lane (required when ``decode_tokens`` is given; the
-                chunk lane always runs per segment).
 
         Returns:
             ``(chunk_logits, decode_logits)`` — per chunk, plain-numpy
@@ -361,13 +340,11 @@ class CausalLM(Module):
         """
         if not chunk_groups and decode_tokens is None:
             raise ModelError("mixed step needs at least one chunk or decode")
-        if decode_tokens is not None and dispatcher is None:
-            raise ModelError("mixed step decodes need a BucketedAttention dispatcher")
         chunk_logits = self._forward_chunk_lane(chunk_groups, chunk_caches)
         decode_logits = None
-        if decode_tokens is not None and dispatcher is not None:
+        if decode_tokens is not None:
             decode_logits = self.forward_decode_batch(
-                decode_tokens, decode_caches or [], dispatcher
+                decode_tokens, decode_caches or []
             )
         return chunk_logits, decode_logits
 

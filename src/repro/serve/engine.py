@@ -72,10 +72,11 @@ Phases open their trace spans and lifecycle instants through
 when tracing is off; only the root ``step`` span is opened directly,
 because it shares the report's clock readings.
 
-The decode batch's GeMMs run once over a ``(batch, 1)`` token array
-while attention runs one ``M == 1`` launch per request over its own
+The decode batch's GeMMs run once over a ``(batch, 1)`` token array;
+per layer, every request's K/V row lands in one batch append and
+attention runs one ``M == 1`` launch per request over its own
 exact-length history, read in place
-(:class:`repro.llm.attention.BucketedAttention`).
+(:meth:`repro.llm.attention.MultiHeadAttention.step_batch`).
 
 Every emitted token is bitwise identical to what a sequential
 :func:`repro.llm.generation.generate` call would produce — the parity
@@ -105,7 +106,6 @@ from repro.hw.traffic import (
 )
 from repro.llm.attention import (
     AttentionDispatchStats,
-    BucketedAttention,
     KVHotPathStats,
     stats_scope,
 )
@@ -215,7 +215,7 @@ class EngineConfig:
         grouped_attention: always ``True`` — the decode batch's
             GeMMs run batched and its attention runs one exact-length
             launch per (layer, request)
-            (:class:`repro.llm.attention.BucketedAttention`).
+            (:meth:`repro.llm.attention.MultiHeadAttention.step_batch`).
             ``False`` raises.
         telemetry: optional instruments
             (:class:`~repro.serve.telemetry.TelemetryConfig`) — phase
@@ -386,7 +386,6 @@ class Engine:
             codecs=None if fmt.uniform else fmt.codecs(self._n_layers),
             enable_prefix_cache=self.config.prefix_caching,
         )
-        self._dispatcher = BucketedAttention()
         # Per-engine hot-path stats: installed around every step via
         # stats_scope, so two engines in one process (or one per
         # thread) never bleed kv_copy_bytes / attention_dispatches into
@@ -725,7 +724,6 @@ class Engine:
                 [run.state.caches for run in runs],
                 decode_tokens=self._decode_tokens(decodes) if decodes else None,
                 decode_caches=[state.caches for state in decodes],
-                dispatcher=self._dispatcher,
             )
         except InjectedFault as fault:
             self._recover_step_fault(fault, runs, decodes, watermarks)

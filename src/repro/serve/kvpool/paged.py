@@ -22,9 +22,11 @@ grows, truncates and releases — and adds only what paging needs:
 * **the pool read** — :meth:`PagedKVCache._fetch` fills the positions
   above the residency's watermark (a shared prefix on first read) with
   one vectorized fancy-index gather over the block table.  Everything
-  the sequence writes itself lands through :meth:`SequenceKV.write`'s
-  write-through, so a decode step costs O(new tokens) and never reads
-  the pool back;
+  the sequence writes itself lands through a write-through — the chunk
+  lane's :meth:`SequenceKV.write`, the decode lane's
+  :meth:`PagedKVCache.append_batch` (one pool scatter per tensor for a
+  whole layer's decode rows) — so a decode step costs O(new tokens) and
+  never reads the pool back;
 * **the reservation** — the residency is sized to the request's final
   length (``prompt + max_new_tokens``, passed by the engine at
   creation), so it never regrows; sequences created without one fall
@@ -63,12 +65,16 @@ class PagedKVCache(KVCache):
     does for unpaged caches.
     """
 
-    __slots__ = ("_sequence", "_layer")
+    __slots__ = ("_sequence", "_layer", "_codec", "_key")
 
     def __init__(self, sequence: "SequenceKV", layer: int) -> None:
         super().__init__()
         self._sequence = sequence
         self._layer = layer
+        # A sequence's codecs are fixed at creation: resolve this
+        # layer's once rather than on every decode step.
+        self._codec = sequence.codec_for(layer)
+        self._key = self._codec.compression_key()
         self.length = sequence.shared_tokens
         self._reserved = sequence.reserved
 
@@ -79,10 +85,68 @@ class PagedKVCache(KVCache):
         # engine rolls the entire step back on any mid-forward fault
         # before quarantining/retrying the attributed request.
         inject("codec.encode", self._sequence.owner)
-        return self._sequence.codec_for(self._layer).compress(tensor)
+        return self._codec.compress(tensor)
 
     def compression_key(self) -> tuple:
-        return self._sequence.codec_for(self._layer).compression_key()
+        return self._key
+
+    @classmethod
+    def append_batch(
+        cls, caches: list[KVCache], k: np.ndarray, v: np.ndarray
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Land one decode row per cache with one pool scatter per tensor.
+
+        ``k`` / ``v`` are the decode lane's float16 rows (float32 rows
+        exact in float16 also land exactly, through NumPy's slower
+        cast).  Every cache must be one layer of a sequence in one pool (else
+        the base per-cache loop runs).  Each sequence first grows and
+        copy-on-write forks its block table exactly as
+        :meth:`SequenceKV.write` would; then ``pool.keys[layer, blocks,
+        :, rows]`` lands every row's K (and likewise V) in one
+        fancy-index assignment; then each residency is written through
+        and read back via :meth:`view`, so the ``paged.gather`` probe
+        fires once per cache.  The scatter lands every row before any
+        row's probe fires; a fault after it leaves rows above some
+        caches' lengths, which rollback trims like any aborted write.
+        :meth:`SequenceKV.write`'s per-block loop stays the chunk lane's
+        path: for one sequence's many positions it is the faster one.
+        """
+        first = caches[0]
+        if not isinstance(first, PagedKVCache) or k.shape[2] != 1:
+            return super().append_batch(caches, k, v)
+        pool, layer = first._sequence.pool, first._layer
+        paged = [
+            cache
+            for cache in caches
+            if isinstance(cache, PagedKVCache)
+            and cache._sequence.pool is pool
+            and cache._layer == layer
+        ]
+        if len(paged) != len(caches):
+            return super().append_batch(caches, k, v)
+        size, allocator = pool.block_size, pool.allocator
+        blocks, rows = [], []
+        for cache in paged:
+            sequence = cache._sequence
+            table = sequence.block_table
+            start = cache.length
+            index = start // size
+            # The common step writes into an owned block: nothing to do.
+            if index >= len(table) or allocator.is_shared(table[index]):
+                sequence._ensure_writable(start, start + 1)
+            blocks.append(table[index])
+            rows.append(start % size)
+        # (B, H, hd) on both sides: the two index arrays are split by a
+        # slice, so their broadcast axis leads.
+        pool.keys[layer, blocks, :, rows] = k[:, :, 0]
+        pool.values[layer, blocks, :, rows] = v[:, :, 0]
+        views = []
+        for index, cache in enumerate(paged):
+            row = slice(index, index + 1)
+            cache.write_through(cache.length, k[row], v[row])
+            cache.length += 1
+            views.append(cache.view())
+        return views
 
     def _store(self, start: int, k: np.ndarray, v: np.ndarray) -> None:
         if k.shape[0] != 1:

@@ -1,15 +1,14 @@
-"""Grouped decode attention: bucket planning, parity, engine wiring.
+"""Grouped decode attention: parity, launch counts, engine wiring.
 
 A decode step's attention runs one ``M == 1`` ``_attention_core``
-launch per request over its own decode-ready history, read in place;
-requests sharing a KV length form a bucket, the unit one
-``decode.attention`` span covers.  The contract: emitted tokens (and
-the logits behind them) stay **bitwise** identical to decoding each
-request alone through ``forward_step``.  These tests pin it across the
-places it could crack:
+launch per request over its own decode-ready history, read in place,
+in one loop per layer.  The contract: emitted tokens (and the logits
+behind them) stay **bitwise** identical to decoding each request alone
+through ``forward_step``.  These tests pin it across the places it
+could crack:
 
-* the planner (equal lengths group, distinct lengths never merge,
-  degenerate inputs),
+* the bucket planner the benchmark ledger's probe still calls (equal
+  lengths group, distinct lengths never merge, degenerate inputs),
 * grouped decode parity for both KV modes and both storages, and the
   rotary family,
 * the launch count — one per (layer, decode row) plus one per
@@ -24,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError
+from repro.llm import attention as attention_module
 from repro.llm.attention import (
     ATTENTION_STATS,
     HOT_PATH_STATS,
@@ -114,7 +114,7 @@ def prefill_all(model, factory, prompts):
     return request_caches, tokens
 
 
-def decode_batch_logits(model, factory, prompts, steps, dispatcher):
+def decode_batch_logits(model, factory, prompts, steps):
     """Per-step decode-batch logits for a batch of prompts.
 
     Prefills each prompt into its own caches, then runs ``steps``
@@ -125,7 +125,7 @@ def decode_batch_logits(model, factory, prompts, steps, dispatcher):
     history = []
     for _ in range(steps):
         batch = np.array(tokens).reshape(-1, 1)
-        logits = model.forward_decode_batch(batch, request_caches, dispatcher)
+        logits = model.forward_decode_batch(batch, request_caches)
         history.append(logits)
         tokens = [int(np.argmax(row[-1])) for row in logits]
     return history
@@ -180,9 +180,7 @@ class TestGroupedBitwiseParity:
             rng.integers(0, 256, size=length) for length in self.MIXED_LENGTHS
         ]
         factory = make_factory(model, kv_mode, paged)
-        grouped = decode_batch_logits(
-            model, factory, prompts, steps=5, dispatcher=BucketedAttention()
-        )
+        grouped = decode_batch_logits(model, factory, prompts, steps=5)
         factory = make_factory(model, kv_mode, paged)
         per_request = per_request_logits(model, factory, prompts, steps=5)
         for step, (ours, reference) in enumerate(zip(grouped, per_request)):
@@ -195,9 +193,7 @@ class TestGroupedBitwiseParity:
             rng.integers(0, 256, size=length) for length in self.MIXED_LENGTHS
         ]
         factory = make_cache_factory(llama, kv_mode, 8)
-        grouped = decode_batch_logits(
-            llama, factory, prompts, steps=4, dispatcher=BucketedAttention()
-        )
+        grouped = decode_batch_logits(llama, factory, prompts, steps=4)
         factory = make_cache_factory(llama, kv_mode, 8)
         per_request = per_request_logits(llama, factory, prompts, steps=4)
         for ours, reference in zip(grouped, per_request):
@@ -207,8 +203,8 @@ class TestGroupedBitwiseParity:
         "lengths", [(6,) * 8, (3, 12, 25)], ids=["shared", "singletons"]
     )
     def test_decode_dispatches_one_launch_per_row(self, model, lengths):
-        # However the plan groups the batch, each layer launches one
-        # attention pipeline per decode row.
+        # Shared or distinct lengths, each layer launches one attention
+        # pipeline per decode row.
         rng = np.random.default_rng(43)
         prompts = [rng.integers(0, 256, size=length) for length in lengths]
         factory = make_cache_factory(model, "fp16", 8)
@@ -217,7 +213,7 @@ class TestGroupedBitwiseParity:
             model.forward_step(prompt.reshape(1, -1), request)
         token = np.full((len(prompts), 1), 5)
         before = ATTENTION_STATS.dispatches
-        model.forward_decode_batch(token, caches, BucketedAttention())
+        model.forward_decode_batch(token, caches)
         launches = ATTENTION_STATS.dispatches - before
         assert launches == len(model.blocks) * len(prompts)
 
@@ -261,17 +257,24 @@ class TestGroupedBitwiseParity:
                 attention, plan.buckets[0], q, views, caches[:1]
             )
 
-    def test_decodes_require_a_dispatcher(self, model):
-        # One decode lane: the mixed step refuses decodes without a
-        # dispatcher before its chunk lane touches any cache.
+    def test_decodes_need_no_dispatcher(self, model):
+        # The mixed step runs its decode lane without a dispatcher, and
+        # a dispatcher passed positionally to forward_decode_batch (the
+        # ledger's decode probe does) is accepted and changes nothing.
         factory = make_cache_factory(model, "fp16", 8)
-        chunk, decode = factory(), factory()
-        model.forward_step(np.arange(4).reshape(1, -1), decode)
-        with pytest.raises(ModelError, match="dispatcher"):
-            model.forward_mixed_step(
-                [np.arange(3)], [chunk], np.full((1, 1), 3), [decode]
-            )
-        assert chunk[0].length == 0 and decode[0].length == 4
+        chunk, decode, twin, oracle = factory(), factory(), factory(), factory()
+        for caches in (decode, twin, oracle):
+            model.forward_step(np.arange(4).reshape(1, -1), caches)
+        _, logits = model.forward_mixed_step(
+            [np.arange(3)], [chunk], np.full((1, 1), 3), [decode]
+        )
+        assert chunk[0].length == 3 and decode[0].length == 5
+        probed = model.forward_decode_batch(
+            np.full((1, 1), 3), [twin], BucketedAttention()
+        )
+        expected = model.forward_step(np.full((1, 1), 3), oracle)
+        assert bitwise_equal(logits, expected)
+        assert bitwise_equal(probed, expected)
 
 
 class TestNoHistoryCopies:
@@ -291,7 +294,7 @@ class TestNoHistoryCopies:
         token = np.full((3, 1), 3)
         for _ in range(8):
             before = HOT_PATH_STATS.copy_bytes
-            model.forward_decode_batch(token, caches, BucketedAttention())
+            model.forward_decode_batch(token, caches)
             assert HOT_PATH_STATS.copy_bytes == before
 
     @pytest.mark.parametrize("kv_mode", KV_MODES)
@@ -366,6 +369,32 @@ class TestEngineGrouped:
         for handle, prompt, count in zip(handles, prompts, counts):
             expected = generate(model, prompt, count)
             np.testing.assert_array_equal(handle.result().tokens, expected.tokens)
+
+    def test_engine_builds_no_dispatcher_and_plans_no_buckets(
+        self, model, monkeypatch
+    ):
+        # Bucket plumbing is off the engine path: a run that decodes
+        # constructs no BucketedAttention, plans no buckets and runs no
+        # bucket.
+        calls = []
+
+        def forbidden(name):
+            def record(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"engine called {name}")
+
+            return record
+
+        monkeypatch.setattr(attention_module, "plan_buckets", forbidden("plan_buckets"))
+        monkeypatch.setattr(
+            BucketedAttention, "__new__", forbidden("BucketedAttention")
+        )
+        monkeypatch.setattr(BucketedAttention, "run_bucket", forbidden("run_bucket"))
+        rng = np.random.default_rng(73)
+        prompts = [rng.integers(0, 256, size=length) for length in (5, 9, 9)]
+        results = serve(model, prompts, max_new_tokens=4)
+        assert_matches_generate(model, prompts, results, 4)
+        assert calls == []
 
     def test_pad_waste_knob_removed(self):
         with pytest.raises(TypeError):

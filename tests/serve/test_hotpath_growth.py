@@ -33,13 +33,11 @@ from hypothesis import strategies as st
 from repro.llm import attention as attention_module
 from repro.llm.attention import (
     HOT_PATH_STATS,
-    BucketedAttention,
     KVCache,
     MultiHeadAttention,
     ReferenceKVCache,
     causal_block,
     causal_mask,
-    plan_buckets,
 )
 from repro.llm.config import tiny_test_config
 from repro.llm.kv_quant import KV_MODES as REGISTERED_KV_MODES
@@ -439,8 +437,7 @@ class TestStoredFormCrossing:
     def decode(
         attention: MultiHeadAttention, x: np.ndarray, caches: list[KVCache]
     ) -> np.ndarray:
-        plan = plan_buckets([cache.length + 1 for cache in caches])
-        return attention.step_batch(x, caches, plan, BucketedAttention())
+        return attention.step_batch(x, caches)
 
     def assert_saturated(self, history, length: int) -> None:
         for array in history:
@@ -594,11 +591,10 @@ class TestBatchedLogitsBitwise:
         prefill_b = model.forward_step(prompt, bat_caches)
         assert bitwise_equal(prefill_a, prefill_b)
         token = np.array([[7]])
-        dispatcher = BucketedAttention()
         for _ in range(6):
             sequential = model.forward_step(token, seq_caches)
-            # A batch of one: a singleton bucket on the M == 1 path.
-            batched = model.forward_decode_batch(token, [bat_caches], dispatcher)
+            # A batch of one: one row on the M == 1 path.
+            batched = model.forward_decode_batch(token, [bat_caches])
             assert bitwise_equal(sequential[0, -1], batched[0, -1])
             token = np.array([[int(np.argmax(sequential[0, -1]))]])
 
@@ -644,8 +640,11 @@ class TestFloat32Pipeline:
         launches = []
         core = MultiHeadAttention._attention_core
 
-        def recording_core(self, q, keys, values, start):
-            context = core(self, q, keys, values, start)
+        def recording_core(self, q, keys, values, start, out=None):
+            # The decode lane hands each row its slot of the layer's
+            # context buffer; record the buffer the row lands in.
+            context = core(self, q, keys, values, start, out=out)
+            assert out is None or context is out
             launches.append((q.dtype, keys.dtype, values.dtype, context.dtype))
             return context
 
@@ -674,17 +673,15 @@ class TestFloat32Pipeline:
             [rng.integers(0, 255, size=5)], [second]
         )
         logits += chunk_logits
-        dispatcher = BucketedAttention()
         tokens = np.array([[3], [4]])
         chunk_logits, decode_logits = model.forward_mixed_step(
             [rng.integers(0, 255, size=6)],
             [third],
             decode_tokens=tokens,
             decode_caches=[first, second],
-            dispatcher=dispatcher,
         )
         logits += [*chunk_logits, decode_logits]
-        logits.append(model.forward_decode_batch(tokens, [first, third], dispatcher))
+        logits.append(model.forward_decode_batch(tokens, [first, third]))
         logits.append(model.forward_step(np.array([[5]]), second))
 
         assert [array.dtype for array in logits] == [np.float32] * len(logits)

@@ -281,37 +281,40 @@ class TestEngineTracing:
         names = {event.name for event in engine.telemetry.tracer.events}
         assert {"step", "step.schedule", "step.decode_batch", "step.sample"} <= names
 
-    def test_grouped_attention_bucket_spans_carry_args(self, model):
-        # Equal-length prompts decode at equal KV lengths, so buckets
-        # hold several requests; every bucket of every layer appears as
-        # one decode.attention span tagged with its shape, and the
+    def test_decode_attention_spans_one_per_layer(self, model):
+        # Each layer of a decode step runs every row's attention in one
+        # loop under one decode.attention span: its size is the step's
+        # decode rows, its kv_length the longest row's history, and the
         # spans cover each decode row once per layer.
         engine = Engine(model, traced_config())
         llm = LLM(engine=engine)
         rng = np.random.default_rng(5)
-        for _ in range(4):
+        for length in (6, 6, 9, 4):
             llm.submit(
-                rng.integers(0, model.config.vocab_size, size=6),
+                rng.integers(0, model.config.vocab_size, size=length),
                 SamplingParams(max_new_tokens=5),
             )
         engine.run_until_idle(max_steps=200)
-        buckets = [
-            event
-            for event in engine.telemetry.tracer.events
-            if event.name == "decode.attention" and event.phase == "B"
-        ]
-        assert buckets
-        assert all(set(event.args) == {"size", "kv_length"} for event in buckets)
-        assert max(event.args["size"] for event in buckets) >= 2
-        assert all(event.args["kv_length"] >= 6 for event in buckets)
-        decode_rows = sum(
-            event.args["batch"]
-            for event in engine.telemetry.tracer.events
-            if event.name == "step.decode_batch" and event.phase == "B"
-        )
-        assert sum(event.args["size"] for event in buckets) == (
-            model.config.n_layers * decode_rows
-        )
+        events = engine.telemetry.tracer.events
+        spans = [e for e in events if e.name == "decode.attention" and e.phase == "B"]
+        steps = [e for e in events if e.name == "step.decode_batch" and e.phase == "B"]
+        assert spans and steps
+        assert all(set(event.args) == {"size", "kv_length"} for event in spans)
+        assert all(set(event.args) == {"batch"} for event in steps)
+        n_layers = model.config.n_layers
+        assert len(spans) == n_layers * len(steps)
+        # Spans nest in their decode batch, layer after layer.
+        for index, step in enumerate(steps):
+            layer_spans = spans[index * n_layers : (index + 1) * n_layers]
+            assert {event.args["size"] for event in layer_spans} == {step.args["batch"]}
+            assert len({event.args["kv_length"] for event in layer_spans}) == 1
+        assert max(event.args["size"] for event in spans) >= 2
+        assert all(event.args["kv_length"] >= 5 for event in spans)
+        # The mixed prompt lengths put rows at different lengths in one
+        # step: kv_length is the longest.
+        assert max(event.args["kv_length"] for event in spans) >= 10
+        decode_rows = sum(event.args["batch"] for event in steps)
+        assert sum(event.args["size"] for event in spans) == n_layers * decode_rows
 
     def test_chunked_prefill_emits_chunk_lane_spans(self, model):
         engine = Engine(
@@ -409,7 +412,7 @@ class TestEngineTracing:
             "step.schedule": {("running", "waiting")},
             "step.preempt": {("chunks", "decodes")},
             "step.prefill_chunks": {("chunks", "tokens")},
-            "step.decode_batch": {("batch", "buckets")},
+            "step.decode_batch": {("batch",)},
             "decode.attention": {("kv_length", "size")},
             "decode.codec": {("batch",)},
             "step.sample": {("request",)},
