@@ -24,7 +24,7 @@ import numpy as np
 from repro.core.precision import PrecisionCombination
 from repro.experiments.reporting import format_table
 from repro.hw.roofline import decode_vs_prefill_summary
-from repro.llm.kv_quant import kv_compression_ratio, quantized_cache_factory
+from repro.llm.kv_quant import KVFormat
 from repro.llm.zoo import get_model
 from repro.quant.deploy import deploy_anda, deploy_uniform
 
@@ -102,9 +102,10 @@ def kv_analysis(model_name: str = "opt-1.3b") -> dict[int, dict[str, float]]:
     scale = float(np.abs(exact).max())
     out: dict[int, dict[str, float]] = {}
     for bits in KV_MANTISSAS:
-        logits = model.forward_step(prompt, quantized_cache_factory(model, bits))
+        fmt = KVFormat.anda(bits)
+        logits = model.forward_step(prompt, fmt.cache_factory(model)())
         out[bits] = {
-            "compression": kv_compression_ratio(bits),
+            "compression": 16 / fmt.bits_per_element(),
             "logit_rel_error": float(np.abs(logits - exact).max()) / scale,
         }
     return out

@@ -12,7 +12,8 @@ batching actually optimizes:
 * **KV cache** — each request re-reads its entire key/value history
   every step and appends one position.  This term scales with context
   length and is where the Anda KV format's compression
-  (:func:`repro.llm.kv_quant.kv_bits_per_element`) multiplies through.
+  (:meth:`repro.llm.kv_quant.KVFormat.bits_per_element`) multiplies
+  through.
 * **activations** — per-token hidden-state traffic; small next to the
   other two but kept for honest totals.
 
@@ -105,8 +106,8 @@ def decode_step_traffic(
         context_lengths: per-request cached positions *before* the step
             (each request reads that history and appends one position).
         kv_bits_per_element: stored bits per cached element — 16 for
-            FP16, :func:`repro.llm.kv_quant.kv_bits_per_element` for a
-            compressed cache.  A *sequence* gives per-request widths
+            FP16, :meth:`repro.llm.kv_quant.KVFormat.bits_per_element`
+            for a compressed cache.  A *sequence* gives per-request widths
             (mixed-format serving: each request's history is read and
             its appended position written at its own width).
         batched: if true, weights stream once for the whole batch

@@ -41,7 +41,7 @@ from repro.llm.generation import (
     select_next_token,
 )
 from repro.llm.hooks import ActivationStatsRecorder, anda_quantizer, per_kind_quantizer
-from repro.llm.kv_quant import AndaKVCache, kv_compression_ratio, quantized_cache_factory
+from repro.llm.kv_quant import AndaKVCache, KVFormat
 from repro.llm.perplexity import (
     accuracy_drop_percent,
     evaluate_perplexity,
@@ -56,11 +56,10 @@ __all__ = [
     "ActivationStatsRecorder",
     "AndaKVCache",
     "BENCHMARK_MODELS",
-    "kv_compression_ratio",
-    "quantized_cache_factory",
     "ByteTokenizer",
     "CausalLM",
     "DATASETS",
+    "KVFormat",
     "ModelConfig",
     "PAPER_CONFIGS",
     "SIM_CONFIGS",

@@ -451,6 +451,10 @@ class KVCache:
         """Caches with equal keys share one batched compress call."""
         return ("fp16",)
 
+    def storage_bits_per_element(self) -> float:
+        """Stored bits per cached element; the identity codec keeps FP16."""
+        return 16.0
+
     def append(self, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.append_precompressed(self.compress(k), self.compress(v))
 

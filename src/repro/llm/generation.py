@@ -128,7 +128,7 @@ def generate(
         seed: sampling seed.
         cache_factory: optional builder for the per-layer KV caches
             (default FP16 via ``model.new_cache``; pass e.g.
-            ``lambda: quantized_cache_factory(model, 8)`` for Anda KV).
+            ``KVFormat.anda(8).cache_factory(model)`` for Anda KV).
         params: a full :class:`repro.serve.SamplingParams` recipe; when
             given it overrides the scalar decoding kwargs and adds
             nucleus ``top_p`` and early-``stop_token_ids`` support.

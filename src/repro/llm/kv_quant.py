@@ -10,6 +10,14 @@ cache footprint exactly like the activation path does.
 Because keys/values are written once and read at every subsequent
 decode step, the compression multiplies through the decode-phase memory
 traffic — the regime :mod:`repro.hw.roofline` shows is bandwidth-bound.
+
+:class:`KVFormat` is the one way to name a KV format: its codecs
+(``fmt.codec()`` / ``fmt.codecs(n_layers)``), unpaged cache factory
+(``fmt.cache_factory(model)``) and stored width
+(``fmt.bits_per_element()``) all resolve through
+:data:`_KV_MODE_REGISTRY`.  Each width formula lives once, in its
+codec's ``storage_bits_per_element``; FP16's 16 bits come from the base
+:class:`~repro.llm.attention.KVCache`.
 """
 
 from __future__ import annotations
@@ -48,31 +56,6 @@ def validate_kv_mantissa_bits(mantissa_bits: int) -> None:
         )
 
 
-def anda_kv_bits_per_element(mantissa_bits: int) -> float:
-    """Stored bits per Anda-cached element: sign + mantissa + shared exp."""
-    validate_kv_mantissa_bits(mantissa_bits)
-    return 1 + mantissa_bits + 8 / 64
-
-
-def bfp_kv_bits_per_element(mantissa_bits: int) -> float:
-    """Stored bits per BFP-cached element (element layout, group 64)."""
-    validate_kv_mantissa_bits(mantissa_bits)
-    return 1 + mantissa_bits + 8 / 64
-
-
-def mx_kv_bits_per_element(mantissa_bits: int) -> float:
-    """Stored bits per MX-cached element: sign + mantissa + both exponent
-    levels (coarse per 64-group, microexponent per subgroup), amortized."""
-    validate_kv_mantissa_bits(mantissa_bits)
-    config = _mx_module().MxConfig(mantissa_bits=mantissa_bits)
-    return (
-        1
-        + mantissa_bits
-        + 8 / config.group_size
-        + config.micro_bits / config.subgroup_size
-    )
-
-
 class AndaKVCache(KVCache):
     """KV cache whose entries round-trip through the Anda format.
 
@@ -101,19 +84,8 @@ class AndaKVCache(KVCache):
         return self._key
 
     def storage_bits_per_element(self) -> float:
-        """Cache footprint per element vs FP16's 16 bits."""
-        return anda_kv_bits_per_element(self.mantissa_bits)
-
-
-def quantized_cache_factory(model: CausalLM, mantissa_bits: int) -> list[KVCache]:
-    """Build per-layer Anda KV caches for ``model.forward_step``.
-
-    Example::
-
-        caches = quantized_cache_factory(model, mantissa_bits=8)
-        logits = model.forward_step(prompt, caches)
-    """
-    return [AndaKVCache(mantissa_bits=mantissa_bits) for _ in model.blocks]
+        """Stored bits per element: sign + mantissa + shared exponent."""
+        return 1 + self.mantissa_bits + 8 / 64
 
 
 class BfpKVCache(KVCache):
@@ -141,7 +113,8 @@ class BfpKVCache(KVCache):
         return self._key
 
     def storage_bits_per_element(self) -> float:
-        return bfp_kv_bits_per_element(self.mantissa_bits)
+        """Stored bits per element (element layout, group 64)."""
+        return 1 + self.mantissa_bits + 8 / 64
 
 
 class MxKVCache(KVCache):
@@ -166,32 +139,36 @@ class MxKVCache(KVCache):
         return self._key
 
     def storage_bits_per_element(self) -> float:
-        return mx_kv_bits_per_element(self.mantissa_bits)
+        """Stored bits per element: sign + mantissa + both exponent
+        levels (coarse per 64-group, microexponent per subgroup),
+        amortized."""
+        config = self._config
+        return (
+            1
+            + self.mantissa_bits
+            + 8 / config.group_size
+            + config.micro_bits / config.subgroup_size
+        )
 
 
-def kv_compression_ratio(mantissa_bits: int) -> float:
-    """FP16 cache bits over Anda cache bits per element."""
-    cache = AndaKVCache(mantissa_bits=mantissa_bits)
-    return 16.0 / cache.storage_bits_per_element()
-
-
-#: Single dispatch table: mode -> (bits-per-element, codec builder), both
-#: taking the mantissa length (fp16 ignores it).  A codec instance is a
-#: complete unpaged cache, so registering a new KV mode here is the only
-#: edit needed for cache factories, kv_bits_per_element, make_kv_codec,
-#: :class:`KVFormat` validation, and EngineConfig validation.
-_KV_MODE_REGISTRY: dict[str, tuple[Callable[[int], float], Callable[[int], KVCache]]] = {
-    "fp16": (lambda mantissa_bits: 16.0, lambda mantissa_bits: KVCache()),
-    "anda": (anda_kv_bits_per_element, AndaKVCache),
-    "bfp": (bfp_kv_bits_per_element, BfpKVCache),
-    "mx": (mx_kv_bits_per_element, MxKVCache),
+#: Single dispatch table: mode -> codec builder taking the mantissa
+#: length (fp16 ignores it).  A codec instance is a complete unpaged
+#: cache that also answers its storage width
+#: (``storage_bits_per_element``), so registering a new KV mode here is
+#: the only edit :class:`KVFormat` needs for codecs, cache factories,
+#: widths and validation.
+_KV_MODE_REGISTRY: dict[str, Callable[[int], KVCache]] = {
+    "fp16": lambda mantissa_bits: KVCache(),
+    "anda": AndaKVCache,
+    "bfp": BfpKVCache,
+    "mx": MxKVCache,
 }
 
 #: KV-cache modes the serving engine understands.
 KV_MODES = tuple(_KV_MODE_REGISTRY)
 
 
-def _lookup_mode(mode: str) -> tuple[Callable[[int], float], Callable[[int], KVCache]]:
+def _lookup_mode(mode: str) -> Callable[[int], KVCache]:
     try:
         return _KV_MODE_REGISTRY[mode]
     except KeyError:
@@ -252,8 +229,9 @@ class KVFormat:
                     "layers are only valid with mode "
                     f"{PER_LAYER_MODE!r}; use KVFormat.per_layer(...)"
                 )
-            # Validates both the mode name and the mantissa length.
-            _lookup_mode(self.mode)[0](self.mantissa_bits)
+            # Building the codec validates both the mode name and the
+            # mantissa length.
+            _lookup_mode(self.mode)(self.mantissa_bits)
 
     # -- constructors --------------------------------------------------
 
@@ -334,7 +312,7 @@ class KVFormat:
     def bits_per_element(self, n_layers: int | None = None) -> float:
         """Stored bits per cached K/V element (mean across layers)."""
         if self.uniform:
-            return _lookup_mode(self.mode)[0](self.mantissa_bits)
+            return self.codec().storage_bits_per_element()
         if n_layers is not None and n_layers != len(self.layers):
             raise ModelError(
                 f"per-layer KVFormat covers {len(self.layers)} layers, "
@@ -357,12 +335,18 @@ class KVFormat:
         )
 
     def codec(self) -> KVCache:
-        """Write-side codec instance for a uniform format."""
+        """Write-side codec instance for a uniform format.
+
+        An *unpaged* cache of the mode's class: paged caches delegate
+        ``compress`` / ``compression_key`` to it, so pool storage
+        round-trips bytes through exactly the unpaged transform.
+        Per-layer stacks raise (use :meth:`codecs`).
+        """
         if not self.uniform:
             raise ModelError(
                 "per-layer KVFormat has no single codec; use .codecs(n_layers)"
             )
-        return _lookup_mode(self.mode)[1](self.mantissa_bits)
+        return _lookup_mode(self.mode)(self.mantissa_bits)
 
     def codecs(self, n_layers: int) -> list[KVCache]:
         """One write-side codec per model layer."""
@@ -375,7 +359,10 @@ class KVFormat:
         """Zero-argument per-request cache builder for ``model``.
 
         A codec instance is a complete unpaged cache, so each call
-        builds fresh per-layer codecs.
+        builds fresh per-layer codecs;
+        :func:`repro.llm.generation.generate` accepts the builder as
+        its ``cache_factory``.  Raises for a per-layer stack that does
+        not cover ``model``'s layers.
         """
         n_layers = self._check_layers(len(model.blocks))
         return lambda: self.codecs(n_layers)
@@ -400,56 +387,3 @@ class KVFormat:
             )
         return n_layers
 
-
-def _as_format(mode: "str | KVFormat", mantissa_bits: int) -> KVFormat:
-    """The :class:`KVFormat` a ``(mode, mantissa_bits)`` pair names."""
-    return mode if isinstance(mode, KVFormat) else KVFormat(mode, mantissa_bits)
-
-
-def make_cache_factory(
-    model: CausalLM,
-    mode: "str | KVFormat" = "fp16",
-    mantissa_bits: int = 8,
-) -> Callable[[], list[KVCache]]:
-    """Per-request cache builder for a KV mode (engine plumbing).
-
-    Returns a zero-argument callable producing fresh per-layer caches:
-    plain FP16 for ``"fp16"``, Anda-compressed for ``"anda"``, and so
-    on through the registry; a :class:`KVFormat` (including per-layer
-    stacks) may be passed in place of the ``(mode, mantissa_bits)``
-    pair.  The serving engine calls it once per admitted request, and
-    :func:`repro.llm.generation.generate` accepts it directly as its
-    ``cache_factory`` so sequential references use the identical cache
-    path.  Raises :class:`~repro.errors.ModelError` for unknown modes
-    or out-of-range mantissa lengths.
-    """
-    return _as_format(mode, mantissa_bits).cache_factory(model)
-
-
-def kv_bits_per_element(
-    mode: "str | KVFormat" = "fp16", mantissa_bits: int = 8
-) -> float:
-    """Stored bits per cached K/V element for a KV mode (for traffic).
-
-    Accepts a :class:`KVFormat` in place of the pair (per-layer stacks
-    report their mean).  Raises :class:`~repro.errors.ModelError` for
-    unknown modes or out-of-range mantissa lengths, which makes it
-    double as the engine's construct-time validation of its KV
-    configuration.
-    """
-    return _as_format(mode, mantissa_bits).bits_per_element()
-
-
-def make_kv_codec(
-    mode: "str | KVFormat" = "fp16", mantissa_bits: int = 8
-) -> KVCache:
-    """Write-side codec for the paged KV pool.
-
-    Returns an *unpaged* cache instance of the mode's class; the pool's
-    block-backed caches delegate ``compress`` / ``compression_key`` to
-    it, so paged storage round-trips bytes through exactly the transform
-    the unpaged path applies.  A uniform :class:`KVFormat` may be passed
-    in place of the pair; per-layer stacks raise (use
-    :meth:`KVFormat.codecs`).
-    """
-    return _as_format(mode, mantissa_bits).codec()

@@ -111,7 +111,7 @@ from repro.llm.attention import (
 )
 from repro.llm.config import ModelConfig
 from repro.llm.generation import select_next_token
-from repro.llm.kv_quant import KVFormat, kv_bits_per_element
+from repro.llm.kv_quant import KVFormat
 from repro.llm.transformer import CausalLM
 from repro.serve.faults import (
     FaultInjector,
@@ -293,15 +293,6 @@ class EngineConfig:
                 f"{type(self.kv_format).__name__}"
             )
 
-    @property
-    def kv_bits(self) -> float:
-        """Stored bits per cached K/V element under this config.
-
-        For a per-layer format this is the mean across layers — the
-        width the analytic traffic model charges per element.
-        """
-        return kv_bits_per_element(self.kv_format)
-
 
 def _common_prefix(first: np.ndarray, second: np.ndarray) -> int:
     """Length of the shared leading run of two token arrays."""
@@ -374,16 +365,19 @@ class Engine:
         self.model = model
         self.config = config or EngineConfig()
         self._policy: SchedulerPolicy = get_policy(self.config.policy)
-        fmt = self.config.kv_format
         self._n_layers = model.config.n_layers
-        self._default_signature = fmt.signature(self._n_layers)
+        # Both formats must fit the model here, not inside submit():
+        # a per-layer stack of the wrong depth raises now.
+        self._default_signature = self.config.kv_format.signature(self._n_layers)
+        degraded = self.config.pressure.degraded_format
+        if degraded is not None:
+            degraded.signature(self._n_layers)
         self._preemptor = Preemptor()
+        # No pool codec: every sequence brings its request's codecs.
         self._pool = KVPool(
             model.config,
             num_blocks=self.config.kv_pool_blocks,
             block_size=self.config.kv_block_size,
-            codec=fmt.codec() if fmt.uniform else None,
-            codecs=None if fmt.uniform else fmt.codecs(self._n_layers),
             enable_prefix_cache=self.config.prefix_caching,
         )
         # Per-engine hot-path stats: installed around every step via
@@ -721,9 +715,9 @@ class Engine:
                     ]
                     for run in runs
                 ],
-                [run.state.caches for run in runs],
+                [run.state.kv.caches for run in runs],
                 decode_tokens=self._decode_tokens(decodes) if decodes else None,
-                decode_caches=[state.caches for state in decodes],
+                decode_caches=[state.kv.caches for state in decodes],
             )
         except InjectedFault as fault:
             self._recover_step_fault(fault, runs, decodes, watermarks)
@@ -914,21 +908,18 @@ class Engine:
     ) -> "SequenceKV":
         """Paged sequence for one request, honoring its KV format.
 
-        A private request carries per-layer codec overrides and opts
-        out of prefix sharing — cached blocks hold default-format
-        bytes it can neither read nor contribute to.  The request's
-        final length is known here, so each layer's decode-ready
-        residency is sized once and never regrows.
+        Every sequence gets its codecs once, from its request's format.
+        A private request opts out of prefix sharing — cached blocks
+        hold default-format bytes it can neither read nor contribute
+        to.  The request's final length is known here, so each layer's
+        decode-ready residency is sized once and never regrows.
         """
-        codecs = None
-        if state.kv_private:
-            assert state.kv_format is not None  # kv_private implies an override
-            codecs = state.kv_format.codecs(self._n_layers)
         request = state.request
+        assert state.kv_format is not None  # resolved at submit
         return self._pool.create_sequence(
             request.prompt,
             reserve_logits=reserve_logits,
-            codecs=codecs,
+            codecs=state.kv_format.codecs(self._n_layers),
             shareable=not state.kv_private,
             reserved=request.prompt_length + request.params.max_new_tokens,
         )
@@ -959,7 +950,7 @@ class Engine:
             wave: list[PrefillChunk] = []
             deferred: list[PrefillChunk] = []
             for chunk in remaining:
-                if chunk.state.caches is not None:
+                if chunk.state.kv is not None:
                     # A continuation already holds its cache; its hit
                     # opportunity has passed.
                     wave.append(chunk)
@@ -1017,11 +1008,10 @@ class Engine:
             try:
                 with request_scope(request_id):
                     hit = 0
-                    if state.caches is None:
+                    if state.kv is None:
                         seq = self._sequence_for(state)
                         seq.owner = request_id
                         state.kv = seq
-                        state.caches = seq.caches
                         state.prefill_pos = seq.shared_tokens
                         hit = seq.shared_tokens
                     inject("model.chunk", request_id)
@@ -1053,7 +1043,6 @@ class Engine:
         if state.kv is not None:
             state.kv.release()
             state.kv = None
-        state.caches = None
         state.prefill_pos = 0
 
     def _rollback_chunk(self, state: RequestState) -> None:
@@ -1286,11 +1275,10 @@ class Engine:
         hit = seq.shared_tokens
         try:
             state.kv = seq
-            state.caches = seq.caches
             traffic = StepTraffic()
             suffix = prompt[hit:]
             if suffix.size:
-                self.model.forward_step(suffix.reshape(1, -1), state.caches)
+                self.model.forward_step(suffix.reshape(1, -1), seq.caches)
                 traffic = traffic + prefill_traffic(
                     self.model.config,
                     request.prompt_length,
@@ -1299,7 +1287,7 @@ class Engine:
                 )
             for token in state.generated[:-1]:
                 context = state.context_length
-                self.model.forward_step(np.array([[token]]), state.caches)
+                self.model.forward_step(np.array([[token]]), seq.caches)
                 traffic = traffic + decode_step_traffic(
                     self.model.config,
                     [context],

@@ -71,9 +71,9 @@ class PagedKVCache(KVCache):
         super().__init__()
         self._sequence = sequence
         self._layer = layer
-        # A sequence's codecs are fixed at creation: resolve this
-        # layer's once rather than on every decode step.
-        self._codec = sequence.codec_for(layer)
+        # A sequence's codecs are fixed at creation: bind this layer's
+        # once rather than on every decode step.
+        self._codec = sequence.codecs[layer]
         self._key = self._codec.compression_key()
         self.length = sequence.shared_tokens
         self._reserved = sequence.reserved
@@ -202,6 +202,13 @@ class SequenceKV:
     copy-on-write fork that replaces a shared block with a private copy
     the first time this request writes into it.
 
+    ``codecs`` holds one write-side codec per layer, fixed at creation:
+    the engine passes its request's ``kv_format.codecs(n_layers)``, and
+    a free-standing sequence (``codecs=None``) uses the pool's default
+    ``codec`` on every layer.  ``shareable`` says whether those codecs
+    write the engine default's bytes: only then may the sequence map
+    or register prefix-cache blocks.
+
     ``reserved`` is the most positions the request can ever hold
     (``prompt + max_new_tokens``; 0 when unknown): every layer cache
     sizes its decode-ready residency from it once (see the module
@@ -214,6 +221,7 @@ class SequenceKV:
         "shared_tokens",
         "caches",
         "codecs",
+        "shareable",
         "owner",
         "reserved",
         "_released",
@@ -225,37 +233,28 @@ class SequenceKV:
         block_table: list[int],
         shared_tokens: int,
         codecs: "list[KVCache] | None" = None,
+        shareable: bool = True,
         reserved: int = 0,
     ) -> None:
         self.pool = pool
         self.block_table = block_table
         self.shared_tokens = shared_tokens
         self.reserved = reserved
-        #: Per-layer write-side codec overrides for requests whose KV
-        #: format differs from the pool's engine-wide default; None
-        #: delegates every layer to ``pool.codec``.  A sequence with
-        #: overrides stores bytes other sequences cannot interpret, so
-        #: the pool refuses to register its blocks for prefix sharing.
-        if codecs is not None and len(codecs) != pool.n_layers:
+        if codecs is None:
+            codecs = [pool.codec] * pool.n_layers
+        elif len(codecs) != pool.n_layers:
             raise ModelError(
                 f"per-layer codecs cover {len(codecs)} layers, pool has "
                 f"{pool.n_layers}"
             )
         self.codecs = codecs
+        self.shareable = shareable
         #: Owning request id for fault attribution; set by the engine
         #: when it binds this sequence to a request, None for
         #: free-standing sequences (tests, benchmarks).
         self.owner: int | None = None
         self.caches = [PagedKVCache(self, layer) for layer in range(pool.n_layers)]
         self._released = False
-
-    def codec_for(self, layer: int) -> KVCache:
-        """The write-side codec governing one layer of this sequence."""
-        if self.codecs is not None:
-            return self.codecs[layer]
-        if self.pool.codecs is not None:
-            return self.pool.codecs[layer]
-        return self.pool.codec
 
     @property
     def length(self) -> int:

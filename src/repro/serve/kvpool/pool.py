@@ -47,17 +47,19 @@ class KVPool:
         config: model architecture (layer/head geometry of the blocks).
         num_blocks: physical blocks in the pool.
         block_size: token positions per block.
-        codec: write-side compressor — an unpaged cache instance
-            (:class:`~repro.llm.attention.KVCache` for FP16,
-            :class:`~repro.llm.kv_quant.AndaKVCache` for Anda) whose
-            ``compress`` / ``compression_key`` the paged caches
-            delegate to, keeping stored bytes identical to the unpaged
-            path.
-        codecs: per-layer default codecs for a pool whose engine runs a
-            per-layer :class:`~repro.llm.kv_quant.KVFormat`; overrides
-            ``codec`` layer-by-layer for every sequence that does not
-            carry its own per-request overrides.
+        codec: default write-side compressor for sequences created
+            without their own ``codecs`` (free-standing sequences in
+            probes and tests) — an unpaged cache instance such as
+            ``KVFormat.anda(8).codec()``; FP16 when omitted.  The
+            engine passes every request's per-layer codecs to
+            :meth:`create_sequence` instead, resolved once from the
+            request's :class:`~repro.llm.kv_quant.KVFormat`.
         enable_prefix_cache: share prompt-prefix blocks across requests.
+
+    The pool stores bytes, not formats: which codec wrote a sequence's
+    blocks is the sequence's business, and only sequences created
+    ``shareable`` (all of one byte layout, the engine default's) meet
+    in the prefix cache.
     """
 
     def __init__(
@@ -66,21 +68,14 @@ class KVPool:
         num_blocks: int,
         block_size: int = DEFAULT_BLOCK_SIZE,
         codec: KVCache | None = None,
-        codecs: list[KVCache] | None = None,
         enable_prefix_cache: bool = True,
     ) -> None:
         if block_size < 1:
             raise ModelError(f"block_size must be >= 1, got {block_size}")
-        if codecs is not None and len(codecs) != config.n_layers:
-            raise ModelError(
-                f"pool codecs must cover all {config.n_layers} layers, "
-                f"got {len(codecs)}"
-            )
         self.n_layers = config.n_layers
         self.block_size = block_size
         self.num_blocks = num_blocks
         self.codec = codec if codec is not None else KVCache()
-        self.codecs = codecs
         self.allocator = BlockAllocator(num_blocks)
         shape = (
             config.n_layers,
@@ -216,11 +211,13 @@ class KVPool:
     ) -> SequenceKV:
         """New request view, seeded with any cached prompt prefix.
 
-        ``codecs`` installs per-layer write-side codec overrides for a
-        request whose KV format differs from the pool default;
+        ``codecs`` are the sequence's per-layer write-side codecs (the
+        engine passes its request's ``kv_format.codecs(n_layers)``);
+        omitted, every layer uses the pool's ``codec``.
         ``shareable=False`` opts the sequence out of prefix-cache
-        matching — cached blocks hold the *default* format's bytes,
-        which a different format must neither read nor contribute to.
+        matching and registration — cached blocks hold the engine
+        default format's bytes, which a different format must neither
+        read nor contribute to.
         ``reserved`` is the most positions the sequence will ever hold
         (0: unknown); its decode-ready residency is sized from it once.
         """
@@ -233,18 +230,23 @@ class KVPool:
                 prompt_tokens, cap, self._clock
             )
         return SequenceKV(
-            self, list(blocks), shared_tokens, codecs=codecs, reserved=reserved
+            self,
+            list(blocks),
+            shared_tokens,
+            codecs=codecs,
+            shareable=shareable,
+            reserved=reserved,
         )
 
     def register_prefix(self, sequence: SequenceKV, prompt_tokens: np.ndarray) -> int:
         """Cache a prefilled prompt's full blocks for future sharing.
 
-        Sequences carrying per-layer codec overrides are refused (they
+        Sequences created with ``shareable=False`` are refused (they
         return 0 registered blocks): their bytes are not what the
-        pool's default codec would have written, so a later sharer
+        engine's default format would have written, so a later sharer
         would silently read the wrong format.
         """
-        if self.prefix_cache is None or sequence.codecs is not None:
+        if self.prefix_cache is None or not sequence.shareable:
             return 0
         self._clock += 1
         return self.prefix_cache.insert(
@@ -272,13 +274,25 @@ class KVPool:
         so it must be charged against the same budget.
 
         ``shareable=False`` (a request whose KV format differs from the
-        pool default) prices the prefill with no prefix sharing at all
+        engine default) prices the prefill with no prefix sharing at all
         — its full fresh-block footprint — matching what
         :meth:`create_sequence` will actually allocate for it.
         """
-        return self._admission_cost(
-            prompt_tokens, total_positions, reserve_logits, shareable
+        shared_blocks: list[int] = []
+        shared = 0
+        if self.prefix_cache is not None and shareable:
+            self._clock += 1
+            cap = self._shared_cap(prompt_tokens, reserve_logits)
+            shared_blocks, shared = self.prefix_cache.peek_blocks(
+                prompt_tokens, cap, self._clock
+            )
+        fresh = max(0, self.blocks_for_tokens(total_positions) - len(shared_blocks))
+        if shared % self.block_size:
+            fresh += 1
+        pinned = sum(
+            1 for block in shared_blocks if self.allocator.refcount(block) == 1
         )
+        return fresh + pinned
 
     def chunk_block_cost(
         self,
@@ -299,32 +313,9 @@ class KVPool:
             prompt_tokens, reserve_logits=True, shareable=shareable
         )
         end = min(int(len(prompt_tokens)), shared + chunk_tokens)
-        return self._admission_cost(
+        return self.prefill_block_cost(
             prompt_tokens, end, reserve_logits=True, shareable=shareable
         )
-
-    def _admission_cost(
-        self,
-        prompt_tokens: np.ndarray,
-        total_positions: int,
-        reserve_logits: bool,
-        shareable: bool = True,
-    ) -> int:
-        shared_blocks: list[int] = []
-        shared = 0
-        if self.prefix_cache is not None and shareable:
-            self._clock += 1
-            cap = self._shared_cap(prompt_tokens, reserve_logits)
-            shared_blocks, shared = self.prefix_cache.peek_blocks(
-                prompt_tokens, cap, self._clock
-            )
-        fresh = max(0, self.blocks_for_tokens(total_positions) - len(shared_blocks))
-        if shared % self.block_size:
-            fresh += 1
-        pinned = sum(
-            1 for block in shared_blocks if self.allocator.refcount(block) == 1
-        )
-        return fresh + pinned
 
     def planner(self, running: list[RequestState]) -> "PoolPlanner":
         return PoolPlanner(self, running)
@@ -353,7 +344,7 @@ class PoolPlanner(KVBlockPlanner):
             state.request.prompt,
             state.prefill_tokens,
             reserve_logits=not state.generated,
-            shareable=not getattr(state, "kv_private", False),
+            shareable=not state.kv_private,
         )
 
     def chunk_blocks(self, state: RequestState, tokens: int) -> int:
@@ -363,7 +354,7 @@ class PoolPlanner(KVBlockPlanner):
         return self._pool.chunk_block_cost(
             state.request.prompt,
             tokens,
-            shareable=not getattr(state, "kv_private", False),
+            shareable=not state.kv_private,
         )
 
     def admit(self, blocks_needed: int) -> None:

@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import ModelError, RequestError
-from repro.llm.attention import KVCache
 from repro.serve.params import SamplingParams
 
 if TYPE_CHECKING:
@@ -104,8 +103,7 @@ class RequestState:
 
     request: Request
     status: RequestStatus = RequestStatus.WAITING
-    caches: list[KVCache] | None = None
-    #: The request's paged-pool sequence (``caches`` are its per-layer
+    #: The request's paged-pool sequence (``kv.caches`` are its per-layer
     #: views); None while the request holds no KV residency.
     kv: SequenceKV | None = None
     #: Prompt positions already prefilled (chunked prefill progress).
@@ -123,7 +121,7 @@ class RequestState:
     #: Mean stored bits per cached K/V element under ``kv_format`` —
     #: what the per-request traffic model charges.
     kv_bits: float = 16.0
-    #: True when ``kv_format`` differs from the pool's engine-wide
+    #: True when ``kv_format`` differs from the engine-wide
     #: default: the request's blocks hold bytes other sequences cannot
     #: share, so it opts out of prefix-cache matching/registration.
     kv_private: bool = False
@@ -175,9 +173,9 @@ class RequestState:
     @property
     def context_length(self) -> int:
         """Cached positions so far (prompt plus generated history)."""
-        if self.caches is None:
+        if self.kv is None:
             return 0
-        return self.caches[0].length
+        return self.kv.length
 
     @property
     def prefill_tokens(self) -> int:

@@ -12,7 +12,7 @@ from repro.hw.traffic import (
     prefix_cache_savings,
 )
 from repro.llm.config import get_config
-from repro.llm.kv_quant import kv_bits_per_element
+from repro.llm.kv_quant import KVFormat
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +36,7 @@ class TestDecodeStepTraffic:
         assert long.kv_write_bytes == short.kv_write_bytes
 
     def test_anda_kv_bits_shrink_kv_streams(self, config):
-        bits = kv_bits_per_element("anda", mantissa_bits=6)
+        bits = KVFormat.anda(6).bits_per_element()
         fp16 = decode_step_traffic(config, [64, 64])
         anda = decode_step_traffic(config, [64, 64], kv_bits_per_element=bits)
         assert anda.kv_read_bytes == pytest.approx(fp16.kv_read_bytes * bits / 16.0)
@@ -107,7 +107,7 @@ class TestPrefillChunkTraffic:
         assert alone.kv_write_bytes == riding.kv_write_bytes
 
     def test_anda_kv_bits_shrink_the_context_reread(self, config):
-        bits = kv_bits_per_element("anda", mantissa_bits=6)
+        bits = KVFormat.anda(6).bits_per_element()
         fp16 = prefill_chunk_traffic(config, 16, cached_context_tokens=64)
         anda = prefill_chunk_traffic(
             config, 16, cached_context_tokens=64, kv_bits_per_element=bits
@@ -133,7 +133,7 @@ class TestPrefixCacheSavings:
         assert saved.weight_bytes == 0.0
 
     def test_savings_scale_with_kv_bits(self, config):
-        bits = kv_bits_per_element("anda", mantissa_bits=6)
+        bits = KVFormat.anda(6).bits_per_element()
         fp16 = prefix_cache_savings(config, 32)
         anda = prefix_cache_savings(config, 32, kv_bits_per_element=bits)
         assert anda.kv_write_bytes == pytest.approx(fp16.kv_write_bytes * bits / 16.0)
@@ -167,7 +167,7 @@ class TestBatchingAdvantage:
         assert far < near
 
     def test_kv_compression_extends_advantage(self, config):
-        bits = kv_bits_per_element("anda", mantissa_bits=4)
+        bits = KVFormat.anda(4).bits_per_element()
         fp16 = batching_traffic_advantage(config, 8, 512)
         anda = batching_traffic_advantage(config, 8, 512, kv_bits_per_element=bits)
         assert anda > fp16

@@ -44,8 +44,11 @@ def test_committed_baseline_grandfathers_known_codes_only():
 
 def test_serve_all_matches_runtime_exports():
     # RPL008 is a static check; cross-validate it against the runtime
-    # truth that the old CI import-lint step used to assert.
+    # truth that the old CI import-lint step used to assert, for every
+    # package whose ``__all__`` names the KV-format API.
+    import repro.llm as llm
     import repro.serve as serve
 
-    missing = [name for name in serve.__all__ if not hasattr(serve, name)]
-    assert missing == []
+    for package in (serve, llm):
+        missing = [name for name in package.__all__ if not hasattr(package, name)]
+        assert missing == [], package.__name__

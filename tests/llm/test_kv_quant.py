@@ -5,13 +5,7 @@ import pytest
 
 from repro.errors import ModelError
 from repro.llm.config import tiny_test_config
-from repro.llm.kv_quant import (
-    KV_MODES,
-    AndaKVCache,
-    kv_compression_ratio,
-    make_kv_codec,
-    quantized_cache_factory,
-)
+from repro.llm.kv_quant import KV_MODES, AndaKVCache, KVFormat
 from repro.llm.transformer import build_model
 
 
@@ -39,10 +33,15 @@ class TestAndaKVCache:
     def test_storage_accounting(self):
         cache = AndaKVCache(mantissa_bits=7)
         assert cache.storage_bits_per_element() == pytest.approx(8 + 8 / 64)
-        assert kv_compression_ratio(7) == pytest.approx(16 / (8 + 8 / 64))
+        assert 16 / KVFormat.anda(7).bits_per_element() == pytest.approx(
+            16 / (8 + 8 / 64)
+        )
 
     def test_compression_monotone(self):
-        assert kv_compression_ratio(4) > kv_compression_ratio(8) > 1.0
+        def ratio(bits):
+            return 16 / KVFormat.anda(bits).bits_per_element()
+
+        assert ratio(4) > ratio(8) > 1.0
 
 
 class TestCompressContract:
@@ -61,7 +60,7 @@ class TestCompressContract:
         magnitudes = 10.0 ** rng.uniform(-7, 6, size=(2, 3, 8, 64))
         signs = rng.choice([-1.0, 1.0], size=magnitudes.shape)
         rows = (signs * magnitudes).astype(np.float32)
-        out = make_kv_codec(mode, mantissa_bits).compress(rows)
+        out = KVFormat(mode, mantissa_bits).codec().compress(rows)
         assert out.dtype == np.float32
         assert out.shape == rows.shape
         assert np.isfinite(out).all()
@@ -75,7 +74,7 @@ class TestGenerationWithQuantizedCache:
         model = build_model(tiny_test_config(family=family, seed=31))
         tokens = np.random.default_rng(2).integers(0, 256, size=(1, 12))
         fp_caches = model.new_cache()
-        q_caches = quantized_cache_factory(model, mantissa_bits=11)
+        q_caches = KVFormat.anda(11).cache_factory(model)()
         fp_logits = model.forward_step(tokens, fp_caches)
         q_logits = model.forward_step(tokens, q_caches)
         scale = np.abs(fp_logits).max()
@@ -84,7 +83,7 @@ class TestGenerationWithQuantizedCache:
     def test_generation_runs_with_quantized_cache(self):
         model = build_model(tiny_test_config(seed=37))
         prompt = np.array([65, 66, 67])
-        caches = quantized_cache_factory(model, mantissa_bits=8)
+        caches = KVFormat.anda(8).cache_factory(model)()
         logits = model.forward_step(prompt.reshape(1, -1), caches)
         assert logits.shape == (1, 3, 256)
         assert caches[0].length == 3
@@ -102,10 +101,10 @@ class TestGenerationWithQuantizedCache:
         model = build_model(tiny_test_config(seed=41))
         prompt = np.array([65, 66, 67, 68])
         first = self._greedy_with_cache(
-            model, prompt, quantized_cache_factory(model, 2), steps=12
+            model, prompt, KVFormat.anda(2).cache_factory(model)(), steps=12
         )
         second = self._greedy_with_cache(
-            model, prompt, quantized_cache_factory(model, 2), steps=12
+            model, prompt, KVFormat.anda(2).cache_factory(model)(), steps=12
         )
         assert first == second
         assert all(0 <= token <= 255 for token in first)
@@ -118,7 +117,7 @@ class TestGenerationWithQuantizedCache:
         errors = []
         for bits in (2, 6, 11):
             logits = model.forward_step(
-                prompt, quantized_cache_factory(model, bits)
+                prompt, KVFormat.anda(bits).cache_factory(model)()
             )
             errors.append(float(np.abs(logits - exact).max()))
         assert errors[0] > errors[1] > errors[2]

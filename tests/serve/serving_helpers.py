@@ -8,7 +8,6 @@ pytest's default (rootdir-prepend) import mode puts this directory on
 import numpy as np
 
 from repro.llm.generation import generate
-from repro.llm.kv_quant import make_cache_factory
 from repro.serve import LLM, SamplingParams
 
 
@@ -31,7 +30,7 @@ def assert_matches_generate(model, prompts, results, max_new_tokens, fmt=None, *
     ``fmt`` None means the default fp16 caches; ``**kw`` forwards
     sampling arguments (``temperature``, ``seed``, ...) to ``generate``.
     """
-    factory = None if fmt is None else make_cache_factory(model, fmt)
+    factory = None if fmt is None else fmt.cache_factory(model)
     for prompt, result in zip(prompts, results):
         expected = generate(model, prompt, max_new_tokens, cache_factory=factory, **kw)
         np.testing.assert_array_equal(result.tokens, expected.tokens)

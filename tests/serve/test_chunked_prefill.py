@@ -22,7 +22,7 @@ import pytest
 from repro.errors import ModelError
 from repro.llm.config import ModelConfig, tiny_test_config
 from repro.llm.generation import generate
-from repro.llm.kv_quant import KVFormat, make_cache_factory
+from repro.llm.kv_quant import KVFormat
 from repro.llm.transformer import build_model
 from repro.serve import (
     DecodeFirstPolicy,
@@ -78,7 +78,7 @@ class TestChunkedParity:
         )
         results = serve(model, prompts, max_new_tokens=8, engine=engine)
         assert engine.metrics().partial_prefills == 0
-        factory = make_cache_factory(model, fmt)
+        factory = fmt.cache_factory(model)
         for prompt, result in zip(prompts, results):
             expected = generate(model, prompt, 8, cache_factory=factory)
             np.testing.assert_array_equal(result.tokens, expected.tokens)
@@ -89,7 +89,7 @@ class TestChunkedParity:
         engine = Engine(model, chunked_config(kv_format=fmt))
         results = serve(model, prompts, max_new_tokens=8, engine=engine)
         assert engine.metrics().partial_prefills > 0  # chunking actually ran
-        factory = make_cache_factory(model, fmt)
+        factory = fmt.cache_factory(model)
         for prompt, result in zip(prompts, results):
             expected = generate(model, prompt, 8, cache_factory=factory)
             np.testing.assert_array_equal(result.tokens, expected.tokens)
@@ -103,7 +103,7 @@ class TestChunkedParity:
         )
         for prompt, result in zip(prompts, chunked):
             expected = generate(
-                llama, prompt, 8, cache_factory=make_cache_factory(llama, fmt)
+                llama, prompt, 8, cache_factory=fmt.cache_factory(llama)
             )
             np.testing.assert_array_equal(result.tokens, expected.tokens)
 
@@ -287,7 +287,7 @@ class TestMixedSteps:
         state = engine._waiting[0]
         assert state.status is RequestStatus.WAITING
         assert state.prefill_pos == 0
-        assert state.caches is None and state.kv is None
+        assert state.kv is None
         assert engine._pool.free_blocks == free_before  # no block leak
         done = engine.drain(max_steps=50)
         assert sorted(result.request_id for result in done) == [0, 1]

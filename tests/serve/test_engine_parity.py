@@ -12,7 +12,7 @@ import pytest
 from repro.errors import ModelError
 from repro.llm.config import tiny_test_config
 from repro.llm.generation import generate
-from repro.llm.kv_quant import KVFormat, make_cache_factory
+from repro.llm.kv_quant import KVFormat
 from repro.llm.transformer import build_model
 from repro.llm.zoo import get_model
 from repro.serve import Engine, EngineConfig, RequestStatus, SamplingParams
@@ -35,7 +35,7 @@ def reference(model, prompt, max_new_tokens, fmt, **kwargs):
         model,
         prompt,
         max_new_tokens,
-        cache_factory=make_cache_factory(model, fmt),
+        cache_factory=fmt.cache_factory(model),
         **kwargs,
     )
 

@@ -407,6 +407,16 @@ class TestPressure:
         engine.run_until_idle(max_steps=500)
         assert engine.metrics().degraded == 0
 
+    def test_mismatched_degraded_format_fails_at_construction(self, model):
+        # A bad config must fail when the engine is built, not inside a
+        # later submit() that happens to degrade.
+        pressure = PressurePolicy(
+            degrade_below_free_fraction=1.0,
+            degraded_format=KVFormat.per_layer([KVFormat.anda(4)] * 3),
+        )
+        with pytest.raises(ModelError, match="covers 3 layers, model has 2"):
+            Engine(model, EngineConfig(kv_pool_blocks=16, pressure=pressure))
+
     def test_shed_fails_fast_without_exception(self, model, prompts):
         pressure = PressurePolicy(shed_below_free_fraction=0.95)
         engine, first = self.occupied_engine(model, prompts, pressure)

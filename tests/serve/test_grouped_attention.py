@@ -32,7 +32,7 @@ from repro.llm.attention import (
 )
 from repro.llm.config import tiny_test_config
 from repro.llm.generation import generate
-from repro.llm.kv_quant import KVFormat, make_cache_factory, make_kv_codec
+from repro.llm.kv_quant import KVFormat
 from repro.llm.transformer import build_model
 from repro.serve import Engine, EngineConfig, SamplingParams
 from repro.serve.kvpool.pool import KVPool
@@ -156,12 +156,12 @@ def paged_factory(pool):
 
 def make_factory(model, kv_mode, paged):
     if not paged:
-        return make_cache_factory(model, kv_mode, 8)
+        return KVFormat(kv_mode, 8).cache_factory(model)
     pool = KVPool(
         model.config,
         num_blocks=512,
         block_size=4,
-        codec=make_kv_codec(kv_mode, 8),
+        codec=KVFormat(kv_mode, 8).codec(),
         enable_prefix_cache=False,
     )
     return paged_factory(pool)
@@ -192,9 +192,9 @@ class TestGroupedBitwiseParity:
         prompts = [
             rng.integers(0, 256, size=length) for length in self.MIXED_LENGTHS
         ]
-        factory = make_cache_factory(llama, kv_mode, 8)
+        factory = KVFormat(kv_mode, 8).cache_factory(llama)
         grouped = decode_batch_logits(llama, factory, prompts, steps=4)
-        factory = make_cache_factory(llama, kv_mode, 8)
+        factory = KVFormat(kv_mode, 8).cache_factory(llama)
         per_request = per_request_logits(llama, factory, prompts, steps=4)
         for ours, reference in zip(grouped, per_request):
             assert bitwise_equal(ours, reference)
@@ -207,7 +207,7 @@ class TestGroupedBitwiseParity:
         # pipeline per decode row.
         rng = np.random.default_rng(43)
         prompts = [rng.integers(0, 256, size=length) for length in lengths]
-        factory = make_cache_factory(model, "fp16", 8)
+        factory = KVFormat.fp16().cache_factory(model)
         caches = [factory() for _ in prompts]
         for prompt, request in zip(prompts, caches):
             model.forward_step(prompt.reshape(1, -1), request)
@@ -221,7 +221,7 @@ class TestGroupedBitwiseParity:
         # Direct callers (the ledger's bucket probe) hand run_bucket a
         # bucket and the members' views: it returns, in member order,
         # exactly the rows one _attention_core call per member gives.
-        factory = make_cache_factory(model, "fp16", 8)
+        factory = KVFormat.fp16().cache_factory(model)
         caches = [factory()[0] for _ in range(3)]
         rng = np.random.default_rng(59)
         attention = model.blocks[0].attention
@@ -245,7 +245,7 @@ class TestGroupedBitwiseParity:
     def test_length_mismatch_rejected(self, model):
         # A plan computed from stale lengths must fail loudly, not
         # read the wrong rows.
-        factory = make_cache_factory(model, "fp16", 8)
+        factory = KVFormat.fp16().cache_factory(model)
         caches = factory()
         model.forward_step(np.arange(6).reshape(1, -1), caches)
         attention = model.blocks[0].attention
@@ -261,7 +261,7 @@ class TestGroupedBitwiseParity:
         # The mixed step runs its decode lane without a dispatcher, and
         # a dispatcher passed positionally to forward_decode_batch (the
         # ledger's decode probe does) is accepted and changes nothing.
-        factory = make_cache_factory(model, "fp16", 8)
+        factory = KVFormat.fp16().cache_factory(model)
         chunk, decode, twin, oracle = factory(), factory(), factory(), factory()
         for caches in (decode, twin, oracle):
             model.forward_step(np.arange(4).reshape(1, -1), caches)

@@ -41,7 +41,7 @@ from repro.llm.attention import (
 )
 from repro.llm.config import tiny_test_config
 from repro.llm.kv_quant import KV_MODES as REGISTERED_KV_MODES
-from repro.llm.kv_quant import AndaKVCache, make_kv_codec
+from repro.llm.kv_quant import AndaKVCache, KVFormat
 from repro.llm.transformer import build_model
 from repro.serve import Engine, EngineConfig, SamplingParams
 from repro.serve.kvpool.paged import SequenceKV
@@ -85,7 +85,7 @@ def make_pool(mode: str, num_blocks: int = 96) -> KVPool:
         config,
         num_blocks=num_blocks,
         block_size=4,
-        codec=make_kv_codec(mode, 8),
+        codec=KVFormat(mode, 8).codec(),
         enable_prefix_cache=False,
     )
 
@@ -420,7 +420,7 @@ class TestStoredFormCrossing:
     def layer_caches(mode: str) -> tuple[SequenceKV, KVCache]:
         """A paged sequence and an unpaged cache of one KV mode."""
         sequence = make_pool(mode).create_sequence(np.array([1]))
-        return sequence, make_kv_codec(mode, 8)
+        return sequence, KVFormat(mode, 8).codec()
 
     @staticmethod
     def attention(seed: int = 0) -> MultiHeadAttention:
@@ -653,7 +653,7 @@ class TestFloat32Pipeline:
             model.config,
             num_blocks=64,
             block_size=4,
-            codec=make_kv_codec(mode, 8),
+            codec=KVFormat(mode, 8).codec(),
             enable_prefix_cache=False,
         )
         sequences = []

@@ -14,11 +14,7 @@ from repro.core.search import SearchResult
 from repro.errors import ModelError, RequestError
 from repro.llm.config import tiny_test_config
 from repro.llm.generation import generate
-from repro.llm.kv_quant import (
-    KVFormat,
-    kv_bits_per_element,
-    make_cache_factory,
-)
+from repro.llm.kv_quant import KV_MODES, KVFormat
 from repro.llm.transformer import build_model
 from repro.llm.zoo import get_model
 from repro.serve import Engine, EngineConfig, SamplingParams
@@ -102,12 +98,16 @@ class TestSpec:
             == "per_layer(anda5x3)"
         )
 
-    def test_registry_helpers_accept_formats(self, model):
-        fmt = KVFormat.anda(6)
-        assert kv_bits_per_element(fmt) == fmt.bits_per_element()
-        caches = make_cache_factory(model, fmt)()
+    def test_cache_factory_builds_one_codec_per_layer(self, model):
+        caches = KVFormat.anda(6).cache_factory(model)()
         assert len(caches) == len(model.blocks)
         assert all(c.compression_key() == ("anda", 6) for c in caches)
+
+    @pytest.mark.parametrize("mode", KV_MODES)
+    def test_width_is_the_codecs_storage_width(self, mode):
+        # One width formula per format: the codec's.
+        fmt = KVFormat(mode, 5)
+        assert fmt.bits_per_element() == fmt.codec().storage_bits_per_element()
 
 
 class TestFromSearch:
@@ -158,7 +158,7 @@ class TestEngineConfigFormat:
     def test_default_is_fp16(self):
         config = EngineConfig()
         assert config.kv_format == KVFormat.fp16()
-        assert config.kv_bits == 16.0
+        assert config.kv_format.bits_per_element() == 16.0
 
     def test_removed_scalar_knobs_rejected(self):
         # kv_format is the only spelling; the scalar knobs are gone.
@@ -175,14 +175,16 @@ class TestEngineConfigFormat:
         stack = KVFormat.per_layer([KVFormat.anda(4), KVFormat.fp16()])
         config = EngineConfig(kv_format=stack)
         assert config.kv_format.mode == "per_layer"
-        assert config.kv_bits == stack.bits_per_element()
+        assert config.kv_format.bits_per_element(n_layers=2) == (
+            (1 + 4 + 8 / 64) + 16.0
+        ) / 2
 
     def test_engine_format_serves_like_sequential_generate(self, model, prompts):
         fmt = KVFormat.anda(6)
         results = serve(
             model, prompts, max_new_tokens=6, config=EngineConfig(kv_format=fmt)
         )
-        factory = make_cache_factory(model, fmt)
+        factory = fmt.cache_factory(model)
         for prompt, result in zip(prompts, results):
             expected = generate(model, prompt, 6, cache_factory=factory)
             np.testing.assert_array_equal(result.tokens, expected.tokens)

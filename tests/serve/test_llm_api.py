@@ -21,7 +21,7 @@ import pytest
 from repro.errors import ModelError, RequestAbortedError, RequestError
 from repro.llm.config import tiny_test_config
 from repro.llm.generation import generate, generate_text
-from repro.llm.kv_quant import KVFormat, make_cache_factory
+from repro.llm.kv_quant import KVFormat
 from repro.llm.transformer import build_model
 from repro.serve import (
     LLM,
@@ -102,7 +102,7 @@ class TestNewApiParity:
         config = mode_config(kv_mode, pool, budget)
         new = LLM(model, config).generate(prompts, SamplingParams(max_new_tokens=6))
         old = old_path(model, prompts, 6, config)
-        factory = make_cache_factory(model, config.kv_format)
+        factory = config.kv_format.cache_factory(model)
         for prompt, new_result, old_result in zip(prompts, new, old):
             np.testing.assert_array_equal(new_result.tokens, old_result.tokens)
             expected = generate(model, prompt, 6, cache_factory=factory)
@@ -214,7 +214,7 @@ class TestAbort:
         assert handles[3].abort()
         engine.run_until_idle(max_steps=500)
         assert_no_leaks(engine)
-        factory = make_cache_factory(model, config.kv_format)
+        factory = config.kv_format.cache_factory(model)
         survivors = [handles[0].result(), handles[2].result()]
         for index, result in zip((0, 2), survivors):
             expected = generate(model, prompts[index], 6, cache_factory=factory)
@@ -238,7 +238,7 @@ class TestAbort:
         assert big.status() is RequestStatus.PREFILLING
         assert 0 < big._state.prefill_pos < 40
         assert big.abort()
-        assert big._state.kv is None and big._state.caches is None
+        assert big._state.kv is None
         engine.run_until_idle(max_steps=100)
         assert_no_leaks(engine)
         assert short.finished

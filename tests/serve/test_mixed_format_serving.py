@@ -13,7 +13,7 @@ import pytest
 
 from repro.llm.config import tiny_test_config
 from repro.llm.generation import generate
-from repro.llm.kv_quant import KVFormat, make_cache_factory
+from repro.llm.kv_quant import KVFormat
 from repro.llm.transformer import build_model
 from repro.llm.zoo import get_model
 from repro.serve import Engine, EngineConfig, SamplingParams
@@ -71,7 +71,7 @@ def make_config(pool=None, budget=16, **overrides):
 def assert_matches_generate(model, prompts, formats, tokens, default, count=6):
     """Each request's tokens equal sequential generate() in its format."""
     for prompt, fmt, served in zip(prompts, formats, tokens):
-        factory = make_cache_factory(model, fmt or default)
+        factory = (fmt or default).cache_factory(model)
         expected = generate(model, prompt, count, cache_factory=factory)
         np.testing.assert_array_equal(served, expected.tokens)
 
@@ -95,8 +95,9 @@ class TestMixedBatchParity:
         assert_matches_generate(tiny, prompts, formats, mixed, KVFormat.fp16())
 
     def test_per_layer_engine_default_matches_generate(self, prompts):
-        # The pool's per-layer default codecs (pool.codecs) must write
-        # the same bytes the sequential per-layer caches write.
+        # Requests inheriting a per-layer engine default get that
+        # stack's codecs and must write the same bytes the sequential
+        # per-layer caches write.
         tiny = build_model(tiny_test_config("opt", d_model=32, n_layers=2))
         stack = KVFormat.per_layer([KVFormat.anda(4), KVFormat.fp16()])
         formats = [None] * len(prompts)
