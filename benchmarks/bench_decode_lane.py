@@ -6,7 +6,11 @@ workloads stress, on a model shaped like the ledger's (LLaMA family, 4
 layers, d_model 256, 4 heads of 64, block size 16):
 
 * batch 16 at lengths 24–160, fp16 KV (``decode_fp16``'s steady state);
-* batch 8 at lengths 547–554, anda(8) KV (long shared-prefix decode).
+* batch 8 at lengths 547–554, anda(8) KV (long shared-prefix decode);
+* batch 1 at length 64 and batch 5 at lengths 24–160, fp16 KV — the
+  small batches that pay for the projections' fixed ``ROW_TILE``-row
+  GEMM tiles (``repro.llm.layers.Linear.step``): batch 1 is one whole
+  padded tile, batch 5 ends on a ragged one.
 
 Each case first checks its batched logits, pool bytes and residency
 bitwise against the per-row path (sequential ``forward_step``, one
@@ -41,6 +45,8 @@ BLOCK_SIZE = 16
 CASES = {
     "b16_len24-160_fp16": (np.linspace(24, 160, 16).astype(int), KVFormat.fp16()),
     "b8_len550_anda8": (547 + np.arange(8), KVFormat.anda(8)),
+    "b1_len64_fp16": (np.array([64]), KVFormat.fp16()),
+    "b5_len24-160_fp16": (np.linspace(24, 160, 5).astype(int), KVFormat.fp16()),
 }
 
 

@@ -29,7 +29,7 @@ RPL006   ``object.__setattr__`` only inside ``__post_init__``
 RPL007   no bare/blanket exception swallowing in ``serve/``
 RPL008   ``serve.__all__`` exactly matches the bound public names
 RPL009   no import cycles between ``repro`` modules
-RPL010   no raw matmuls in ``serve/`` (lane discipline)
+RPL010   no raw matmuls in ``serve/``, no raw weight products in ``llm/``
 RPL011   ``serve/`` raises ``ModelError`` subclasses only
 =======  ===========================================================
 """

@@ -703,42 +703,77 @@ class NoImportCycles(Rule):
 
 class MatmulsRouteThroughAttention(Rule):
     code = "RPL010"
-    title = "no raw matmuls in serve/ (lane discipline)"
-    rationale = "attention math must go through _attention_core (one M=1 launch per decode row over its own history) so decode rows stay bitwise identical to sequential decode"
+    title = "no raw matmuls in serve/, no raw weight products in llm/ (lane discipline)"
+    rationale = "decode rows stay bitwise identical to sequential decode only if every kernel shape is fixed: projections run in Linear.step's ROW_TILE-row GEMM tiles, attention in _attention_core's one launch per row"
     invariant = "lane discipline: serve/README.md 'Decode attention & lane discipline' (bitwise kernel-lane contract)"
     explain = (
-        "src/repro/serve orchestrates; repro.llm.attention computes.  A raw\n"
-        "@ / np.matmul / np.dot / np.einsum on decode-shaped operands inside\n"
-        "serve/ would pick OpenBLAS kernels by shape, silently crossing the\n"
-        "M=1 (GeMV) vs M>=2 (GeMM) lane boundary that keeps every decode row\n"
-        "bitwise identical to sequential decode.  All attention math must\n"
-        "flow through _attention_core (MultiHeadAttention.step_batch calls it\n"
-        "once per decode row per layer, in one loop, writing each row's\n"
-        "context in place), where the lane is explicit and parity-tested."
+        "BLAS picks its kernel by operand shape, and a row's bits can change\n"
+        "with the kernel: OpenBLAS gives a row different bits as M == 1 (GeMV)\n"
+        "than inside a GeMM, and a K = 768 projection changes bits between\n"
+        "M <= 5 and M >= 6.  Inside a GeMM of fixed M a row's bits depend on\n"
+        "neither its co-rows nor its position.  So decode rows are bitwise\n"
+        "identical to sequential decode only where the serving math runs at\n"
+        "shapes fixed by construction:\n"
+        "  * every inference projection goes through Linear.step\n"
+        "    (repro.llm.layers), which runs one-token rows as ROW_TILE-row\n"
+        "    GeMM tiles whether the batch holds one request or many;\n"
+        "  * attention math goes through _attention_core, one M == 1 launch\n"
+        "    per decode row over its own history.\n"
+        "Findings: any @ / np.matmul / np.dot / np.einsum inside\n"
+        "src/repro/serve (serve/ orchestrates, repro.llm computes), and any\n"
+        "matmul with a '<...>.weight.data' operand in repro.llm outside\n"
+        "repro.llm.layers (a hand-written projection that skips the tile)."
     )
+
+    LAYERS_MODULE = "repro.llm.layers"
+
+    @staticmethod
+    def _matmul(node: ast.AST) -> tuple[str, list[ast.expr]] | None:
+        """``(spelling, operands)`` when ``node`` multiplies matrices."""
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            return "the @ operator", [node.left, node.right]
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in MATMUL_CALLS:
+                return f".{node.func.attr}()", [node.func.value, *node.args]
+        return None
+
+    @staticmethod
+    def _is_weight_data(node: ast.expr) -> bool:
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == "data"
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "weight"
+        )
 
     def check(self, index: ModuleIndex) -> list[Finding]:
         findings: list[Finding] = []
         for module in index.modules:
-            if not module.name.startswith("repro.serve"):
+            in_serve = module.name.startswith("repro.serve")
+            in_llm = (
+                module.name.startswith("repro.llm")
+                and module.name != self.LAYERS_MODULE
+            )
+            if not (in_serve or in_llm):
                 continue
             for node, qual in _walk_with_context(module.tree):
-                spelled = None
-                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
-                    spelled = "the @ operator"
-                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                    if node.func.attr in MATMUL_CALLS:
-                        spelled = f".{node.func.attr}()"
-                if spelled is not None:
-                    findings.append(
-                        self.finding(
-                            module,
-                            node,
-                            f"raw matmul via {spelled} in serve/ (route through "
-                            "MultiHeadAttention._attention_core)",
-                            qual,
-                        )
+                matmul = self._matmul(node)
+                if matmul is None:
+                    continue
+                spelled, operands = matmul
+                if in_serve:
+                    message = (
+                        f"raw matmul via {spelled} in serve/ (route through "
+                        "MultiHeadAttention._attention_core)"
                     )
+                elif any(self._is_weight_data(operand) for operand in operands):
+                    message = (
+                        f"raw weight product via {spelled} in repro.llm "
+                        "(route through Linear.step)"
+                    )
+                else:
+                    continue
+                findings.append(self.finding(module, node, message, qual))
         return findings
 
 

@@ -790,9 +790,7 @@ class MultiHeadAttention(Module):
         batch, new_len, _ = x.shape
         if self.tap.quantizer is not None:
             x = self.tap.quantizer(TensorKind.QKV, x)
-        qkv = x @ self.qkv_proj.weight.data
-        if self.qkv_proj.bias is not None:
-            qkv = qkv + self.qkv_proj.bias.data
+        qkv = self.qkv_proj.step(x)
         qkv = qkv.reshape(batch, new_len, 3, self.n_heads, self.head_dim)
         return qkv.transpose(2, 0, 3, 1, 4)
 
@@ -836,10 +834,7 @@ class MultiHeadAttention(Module):
         """O-tap + output projection for ``(B, T, D)`` attention context."""
         if self.tap.quantizer is not None:
             context = self.tap.quantizer(TensorKind.O, context)
-        out = context @ self.out_proj.weight.data
-        if self.out_proj.bias is not None:
-            out = out + self.out_proj.bias.data
-        return out.astype(np.float32, copy=False)
+        return self.out_proj.step(context).astype(np.float32, copy=False)
 
     def step(self, x: np.ndarray, cache: KVCache) -> np.ndarray:
         """Process new tokens with cached history (plain numpy).
@@ -866,11 +861,13 @@ class MultiHeadAttention(Module):
     def step_batch(self, x: np.ndarray, caches: list[KVCache]) -> np.ndarray:
         """Single-token decode for many independent requests at once.
 
-        The projections (QKV, output) run as one batched ``(B, 1, D)``
-        GeMM — numpy applies them per leading-axis slice, so each row is
-        bitwise identical to a ``batch=1`` :meth:`step` call.  Each
-        request may sit at a different position; rotary/positional
-        phases are gathered per request.
+        The projections (QKV, output) run through
+        :meth:`~repro.llm.layers.Linear.step`: the ``(B, 1, D)`` rows
+        go ``ROW_TILE`` at a time through GeMMs of that fixed height, so
+        each row is bitwise identical to a ``batch=1`` :meth:`step`
+        call, whose one row is padded into the same tile.  Each request
+        may sit at a different position; rotary/positional phases are
+        gathered per request.
 
         The layer's work is one call per layer, not per row: every
         row's K/V lands through one :meth:`KVCache.append_batch`, then
@@ -994,10 +991,12 @@ class MultiHeadAttention(Module):
         bits (1e-6 to 1e-4 at logit scale ~4).  Tokens agree;
         ``tests/serve/test_chunked_prefill.py`` pins token equality and
         a logit tolerance across chunk budgets and tails.  Single-token
-        decodes do *not* belong in this lane: OpenBLAS's ``M == 1``
-        kernel accumulates differently again, so the engine keeps
-        decodes on :meth:`step_batch`, whose rows are bitwise identical
-        to sequential decode.
+        decodes do *not* belong in this lane: its GeMM height is the
+        step's chunk-token count, which varies, while a decode row's
+        bits are pinned to :meth:`~repro.llm.layers.Linear.step`'s fixed
+        ``ROW_TILE``-row tiles, so the engine keeps decodes on
+        :meth:`step_batch`, whose rows are bitwise identical to
+        sequential decode.
 
         Args:
             x: ``(1, total, d_model)`` activations, segments

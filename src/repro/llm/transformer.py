@@ -58,13 +58,10 @@ class FeedForward(Module):
     def step(self, x: np.ndarray) -> np.ndarray:
         if self.tap.quantizer is not None:
             x = self.tap.quantizer(TensorKind.U, x)
-        hidden = x @ self.up_proj.weight.data + self.up_proj.bias.data
-        hidden = np.maximum(hidden, 0.0)
+        hidden = np.maximum(self.up_proj.step(x), 0.0)
         if self.tap.quantizer is not None:
             hidden = self.tap.quantizer(TensorKind.D, hidden)
-        return (hidden @ self.down_proj.weight.data + self.down_proj.bias.data).astype(
-            np.float32, copy=False
-        )
+        return self.down_proj.step(hidden).astype(np.float32, copy=False)
 
 
 class GatedFeedForward(Module):
@@ -92,11 +89,11 @@ class GatedFeedForward(Module):
     def step(self, x: np.ndarray) -> np.ndarray:
         if self.tap.quantizer is not None:
             x = self.tap.quantizer(TensorKind.U, x)
-        gate = x @ self.gate_proj.weight.data
-        gate = gate / (1.0 + np.exp(-gate)) * (x @ self.up_proj.weight.data)
+        gate = self.gate_proj.step(x)
+        gate = gate / (1.0 + np.exp(-gate)) * self.up_proj.step(x)
         if self.tap.quantizer is not None:
             gate = self.tap.quantizer(TensorKind.D, gate)
-        return (gate @ self.down_proj.weight.data).astype(np.float32, copy=False)
+        return self.down_proj.step(gate).astype(np.float32, copy=False)
 
 
 class TransformerBlock(Module):
@@ -125,8 +122,11 @@ class TransformerBlock(Module):
     def step_batch(self, x: np.ndarray, caches: list[KVCache]) -> np.ndarray:
         """One decode step for a batch of requests with per-request caches.
 
-        Norms and the feed-forward reduce along the last axis only, so
-        they batch row-identically as-is; attention routes through
+        Norms reduce along the last axis only, so they batch
+        row-identically as-is; the feed-forward's projections run in
+        :meth:`~repro.llm.layers.Linear.step`'s fixed ``ROW_TILE``-row
+        tiles, whose rows do not depend on their co-rows; attention
+        routes through
         :meth:`~repro.llm.attention.MultiHeadAttention.step_batch`,
         one launch per request.
         """
@@ -138,10 +138,13 @@ class TransformerBlock(Module):
     ) -> np.ndarray:
         """One mixed step over variable-length per-request segments.
 
-        Same row-local batching argument as :meth:`step_batch`, with
-        attention routed through
-        :meth:`~repro.llm.attention.MultiHeadAttention.step_mixed` so
-        decodes and prompt chunks share the step's GeMMs.
+        The chunk lane: every prompt chunk of the step is one flat
+        ``(1, total, d_model)`` input, so each projection is one plain
+        GeMM of height ``total`` over every chunk token, and attention
+        routes through
+        :meth:`~repro.llm.attention.MultiHeadAttention.step_mixed`,
+        one launch per segment.  Decode rows never ride this lane (see
+        :meth:`CausalLM.forward_mixed_step`).
         """
         x = x + self.attention.step_mixed(self.attn_norm(x), caches, lengths)
         return x + self.ffn.step(self.ffn_norm(x))
@@ -228,7 +231,7 @@ class CausalLM(Module):
                 hidden = hidden + self.position_embedding(positions).data
             for block, cache in zip(self.blocks, caches):
                 hidden = block.step(hidden, cache)
-            return self.final_norm(hidden) @ self.lm_head.weight.data
+            return self.lm_head.step(self.final_norm(hidden))
 
     def forward_decode_batch(
         self,
@@ -239,12 +242,15 @@ class CausalLM(Module):
         """Decode one token for many requests in a single batched step.
 
         This is the serving engine's model step: request states are
-        gathered into one ``(batch, 1)`` token array, the big GeMMs
-        (projections, FFN, LM head) run once over the whole batch, and
+        gathered into one ``(batch, 1)`` token array, every projection
+        (QKV, O, FFN, LM head) runs through
+        :meth:`~repro.llm.layers.Linear.step` — one weight pass per
+        ``ROW_TILE`` rows, each tile a GEMM of fixed height — and
         attention consults each request's own exact-length cache — so
         requests may sit at arbitrary, different positions.  Every row
         of the result is bitwise identical to running that request alone
-        through :meth:`forward_step`.
+        through :meth:`forward_step`, whose one row lands in the same
+        fixed-height tile (padded).
 
         Each layer lands every request's K/V row in one batch append
         and runs one ``M == 1`` attention launch per request over its
@@ -286,7 +292,7 @@ class CausalLM(Module):
             for layer_index, block in enumerate(self.blocks):
                 layer_caches = [caches[layer_index] for caches in request_caches]
                 hidden = block.step_batch(hidden, layer_caches)
-            logits = self.final_norm(hidden) @ self.lm_head.weight.data
+            logits = self.lm_head.step(self.final_norm(hidden))
         if tracer is not None:
             tracer.end("step.decode_batch")
         return logits
@@ -314,11 +320,13 @@ class CausalLM(Module):
           each decode row bitwise identical to sequential decoding.
 
         The two lanes deliberately do *not* share one GeMM: OpenBLAS
-        switches accumulation kernels between single-row (``M == 1``)
-        and multi-row (``M >= 2``) matmuls, so folding decode rows into
-        the chunk lane's flat GeMM would silently change decode logits
-        in the low bits.  Keeping the lanes separate keeps every
-        decode row bitwise.  The chunk lane runs *first*: if it
+        may give a row different bits at different GeMM heights (a
+        K = 768 projection changes between ``M <= 5`` and ``M >= 6``),
+        and the chunk lane's height is the step's chunk-token count,
+        which varies.  Decode rows run in
+        :meth:`~repro.llm.layers.Linear.step`'s fixed ``ROW_TILE``-row
+        tiles instead, the height sequential decode uses, so every
+        decode row stays bitwise.  The chunk lane runs *first*: if it
         raises, no decode cache has been touched, so the engine can
         release the chunk participants' caches and recover.
 
@@ -391,7 +399,7 @@ class CausalLM(Module):
                 layer_caches = [caches[layer_index] for caches in chunk_caches]
                 hidden = block.step_mixed(hidden, layer_caches, lengths)
             # (1, total, vocab)
-            logits = self.final_norm(hidden) @ self.lm_head.weight.data
+            logits = self.lm_head.step(self.final_norm(hidden))
         if tracer is not None:
             tracer.end("step.prefill_chunks")
         split: list[np.ndarray] = []

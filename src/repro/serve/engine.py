@@ -72,10 +72,11 @@ Phases open their trace spans and lifecycle instants through
 when tracing is off; only the root ``step`` span is opened directly,
 because it shares the report's clock readings.
 
-The decode batch's GeMMs run once over a ``(batch, 1)`` token array;
-per layer, every request's K/V row lands in one batch append and
-attention runs one ``M == 1`` launch per request over its own
-exact-length history, read in place
+The decode batch's projections run over a ``(batch, 1)`` token array
+in fixed ``ROW_TILE``-row GeMM tiles
+(:meth:`repro.llm.layers.Linear.step`); per layer, every request's K/V
+row lands in one batch append and attention runs one ``M == 1`` launch
+per request over its own exact-length history, read in place
 (:meth:`repro.llm.attention.MultiHeadAttention.step_batch`).
 
 Every emitted token is bitwise identical to what a sequential

@@ -17,7 +17,9 @@ token-bitwise identity against the pre-redesign engine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 from repro.errors import RequestError
 from repro.llm.kv_quant import KVFormat
@@ -68,10 +70,23 @@ class SamplingParams:
     kv_format: KVFormat | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.max_new_tokens, Integral) or isinstance(
+            self.max_new_tokens, bool
+        ):
+            raise RequestError(
+                f"max_new_tokens must be an integer, got {self.max_new_tokens!r}"
+            )
         if self.max_new_tokens < 1:
             raise RequestError(
                 f"max_new_tokens must be >= 1, got {self.max_new_tokens}"
             )
+        # A NaN slips past every comparison below and only surfaces as
+        # NaN probabilities inside an engine step, with the request
+        # already holding pool blocks.
+        for name in ("temperature", "top_p"):
+            value = getattr(self, name)
+            if not isinstance(value, Real) or not math.isfinite(value):
+                raise RequestError(f"{name} must be a finite number, got {value!r}")
         if self.temperature < 0.0:
             raise RequestError(f"temperature must be >= 0, got {self.temperature}")
         if self.temperature > 0.0 and self.top_k < 1:
@@ -80,7 +95,12 @@ class SamplingParams:
             raise RequestError(f"top_p must lie in (0, 1], got {self.top_p}")
         # Normalize to a plain tuple of ints so membership checks and
         # equality are exact whatever iterable the caller handed in.
-        stop = tuple(int(token) for token in self.stop_token_ids)
+        try:
+            stop = tuple(int(token) for token in self.stop_token_ids)
+        except (TypeError, ValueError) as exc:
+            raise RequestError(
+                f"stop_token_ids must be integer token ids, got {self.stop_token_ids!r}"
+            ) from exc
         object.__setattr__(self, "stop_token_ids", stop)
         if any(token < 0 for token in stop):
             raise RequestError(f"stop token ids must be >= 0, got {stop}")

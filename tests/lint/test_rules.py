@@ -460,6 +460,34 @@ def test_rpl010_ignores_llm_package(make_repo):
     assert codes(result) == []
 
 
+def test_rpl010_flags_weight_products_in_llm_outside_layers(make_repo):
+    files = {
+        "llm/transformer.py": (
+            "import numpy as np\n"
+            "class FFN:\n"
+            "    def step(self, x):\n"
+            "        h = x @ self.up_proj.weight.data + self.up_proj.bias.data\n"
+            "        g = np.matmul(h, self.down_proj.weight.data)\n"
+            "        return self.lm_head.weight.data.dot(g)\n"
+        ),
+        # Attention-core products and Linear.step's own GEMM stay legal.
+        "llm/attention.py": (
+            "def _attention_core(q, keys, weights):\n"
+            "    return (q @ keys) @ weights\n"
+        ),
+        "llm/layers.py": (
+            "class Linear:\n"
+            "    def step(self, x):\n"
+            "        return x @ self.weight.data\n"
+        ),
+    }
+    result = lint_one(make_repo, files, MatmulsRouteThroughAttention())
+    assert codes(result) == ["RPL010"] * 3
+    assert {f.path for f in result.findings} == {"src/repro/llm/transformer.py"}
+    assert all("Linear.step" in f.message for f in result.findings)
+    assert {f.context for f in result.findings} == {"FFN.step"}
+
+
 # ---------------------------------------------------------------- RPL011
 
 

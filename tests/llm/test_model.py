@@ -9,12 +9,40 @@ from repro.llm.attention import KVCache, causal_mask
 from repro.llm.autograd import Tensor, no_grad
 from repro.llm.config import get_config, tiny_test_config
 from repro.llm.hooks import ActivationStatsRecorder, anda_quantizer
-from repro.llm.layers import Embedding, LayerNorm, Linear, RMSNorm
+from repro.llm.layers import ROW_TILE, Embedding, LayerNorm, Linear, Module, RMSNorm
 from repro.llm.transformer import build_model
 
 
 def tiny_model(family="opt", seed=0):
     return build_model(tiny_test_config(family=family, seed=seed))
+
+
+def _linears(module):
+    """Every :class:`Linear` reachable from ``module``, depth first."""
+    for value in vars(module).values():
+        items = value if isinstance(value, (list, tuple)) else [value]
+        for item in items:
+            if isinstance(item, Linear):
+                yield item
+            elif isinstance(item, Module):
+                yield from _linears(item)
+
+
+def _tile_contract_layers():
+    """Every projection of a tiny OPT (biased) and tiny LLaMA, plus the
+    bench-llama decode shapes (QKV 256->768, O 256->256, D 768->256)."""
+    rng = np.random.default_rng(7)
+    layers = [
+        pytest.param(
+            layer, id=f"tiny-{family}-{layer.in_features}x{layer.out_features}-{i}"
+        )
+        for family in ("opt", "llama")
+        for i, layer in enumerate(_linears(tiny_model(family)))
+    ]
+    for k, n in ((256, 768), (256, 256), (768, 256)):
+        layer = Linear(k, n, rng, bias=False)
+        layers.append(pytest.param(layer, id=f"bench-{k}x{n}"))
+    return layers
 
 
 class TestLayers:
@@ -59,6 +87,39 @@ class TestLayers:
         assert isinstance(out, np.ndarray) and out.dtype == np.float32
         assert out.tobytes() == expected.tobytes()
         assert isinstance(norm(Tensor(x)), Tensor)
+
+    @pytest.mark.parametrize("layer", _tile_contract_layers())
+    def test_linear_step_row_bits_ignore_co_rows_and_position(self, layer):
+        """The decode parity contract: a one-token row through
+        ``Linear.step`` has the same bits alone as at every position of
+        every batch up to ``2 * ROW_TILE + 1`` rows, whatever its
+        co-rows hold.  A BLAS build whose fixed-M GEMM rows depend on
+        their neighbours fails here, before any engine parity suite."""
+        rng = np.random.default_rng(layer.in_features * 31 + layer.out_features)
+        if layer.bias is not None:
+            layer.bias.data[...] = rng.normal(0.0, 0.5, size=layer.out_features)
+        row = rng.normal(0.0, 1.0, size=(1, 1, layer.in_features)).astype(np.float32)
+        alone = layer.step(row)
+        assert alone.shape == (1, 1, layer.out_features)
+        for batch in range(1, 2 * ROW_TILE + 2):
+            for position in range(batch):
+                scale = rng.uniform(0.01, 50.0)
+                rows = rng.normal(0.0, scale, size=(batch, 1, layer.in_features))
+                rows = rows.astype(np.float32)
+                rows[position] = row[0]
+                out = layer.step(rows)
+                assert out.shape == (batch, 1, layer.out_features)
+                assert out[position].tobytes() == alone[0].tobytes(), (batch, position)
+
+    @pytest.mark.parametrize("layer", _tile_contract_layers())
+    @pytest.mark.parametrize("shape", [(1, 2), (1, 7), (3, 5)])
+    def test_linear_step_multi_token_is_plain_matmul(self, layer, shape):
+        rng = np.random.default_rng(5)
+        x = rng.normal(0.0, 1.0, size=(*shape, layer.in_features)).astype(np.float32)
+        expected = x @ layer.weight.data
+        if layer.bias is not None:
+            expected = expected + layer.bias.data
+        assert layer.step(x).tobytes() == expected.tobytes()
 
     def test_embedding_range_check(self):
         emb = Embedding(10, 4, np.random.default_rng(3))

@@ -15,8 +15,11 @@ import numpy as np
 import pytest
 
 from repro.errors import RequestError
+from repro.llm.config import tiny_test_config
+from repro.llm.generation import generate
+from repro.llm.transformer import build_model
 from repro.llm.zoo import get_model
-from repro.serve import Engine, EngineConfig, SamplingParams
+from repro.serve import LLM, Engine, EngineConfig, SamplingParams
 from repro.serve.scheduler import validate_admission
 
 
@@ -76,3 +79,56 @@ def test_non_1d_prompt_rejected(model):
         validate_admission(
             np.array([[1, 2], [3, 4]]), SamplingParams(max_new_tokens=1), model.config
         )
+
+
+@pytest.mark.parametrize(
+    ("fields", "match"),
+    [
+        ({"temperature": float("nan")}, "temperature must be a finite"),
+        ({"temperature": float("inf")}, "temperature must be a finite"),
+        ({"top_p": float("nan")}, "top_p must be a finite"),
+        ({"top_p": float("inf")}, "top_p must be a finite"),
+        ({"max_new_tokens": 1.5}, "max_new_tokens must be an integer"),
+        ({"max_new_tokens": 2.0}, "max_new_tokens must be an integer"),
+        ({"max_new_tokens": True}, "max_new_tokens must be an integer"),
+        ({"stop_token_ids": "ab"}, "stop_token_ids must be integer"),
+        ({"stop_token_ids": (1, None)}, "stop_token_ids must be integer"),
+    ],
+)
+def test_malformed_sampling_params_rejected_at_construction(fields, match):
+    # Before the fix a NaN temperature or a float max_new_tokens was
+    # accepted and only failed inside generation (NaN probabilities, a
+    # raw TypeError); a non-numeric stop id raised a bare ValueError.
+    with pytest.raises(RequestError, match=match):
+        SamplingParams(**fields)
+
+
+def test_numpy_scalars_still_accepted():
+    params = SamplingParams(
+        max_new_tokens=np.int64(3),
+        temperature=np.float32(0.5),
+        top_p=np.float64(0.9),
+        stop_token_ids=np.array([4, 5]),
+    )
+    assert params.stop_token_ids == (4, 5)
+
+
+def test_nan_temperature_leaves_engine_serviceable():
+    # The pre-fix failure: the NaN request raised from inside
+    # Engine.step, stayed queued (has_work() True) holding a leaked pool
+    # block, and the next valid request failed as "not been prefilled".
+    model = build_model(tiny_test_config(family="llama", n_layers=2))
+    llm = LLM(model=model)
+    prompt = np.array([3, 1, 4, 1, 5])
+    with pytest.raises(RequestError, match="finite"):
+        llm.generate(
+            [prompt], SamplingParams(max_new_tokens=3, temperature=float("nan"))
+        )
+    with pytest.raises(RequestError, match="integer"):
+        llm.generate([prompt], SamplingParams(max_new_tokens=1.5))
+    assert not llm.engine.has_work()
+    (result,) = llm.generate([prompt], SamplingParams(max_new_tokens=3))
+    expected = generate(model, prompt, 3)
+    np.testing.assert_array_equal(result.tokens, expected.tokens)
+    assert not llm.engine.has_work()
+    assert llm.engine._pool.leaked_blocks() == 0
