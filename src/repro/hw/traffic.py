@@ -294,6 +294,29 @@ def prefix_cache_savings(
     )
 
 
+def swap_in_traffic(
+    config: ModelConfig, positions: int, kv_bits_per_element: float = 16.0
+) -> StepTraffic:
+    """Traffic of swapping a preempted request's stored KV back in.
+
+    A swap-in writes the request's own ``positions`` cached K/V
+    positions back into the pool at its stored width.  Nothing is
+    recomputed, so no weight, KV-read or activation stream is charged.
+    """
+    if positions < 0:
+        raise HardwareError(f"positions must be >= 0, got {positions}")
+    if kv_bits_per_element <= 0:
+        raise HardwareError(
+            f"kv bits per element must be positive, got {kv_bits_per_element}"
+        )
+    return StepTraffic(
+        kv_write_bytes=positions
+        * _kv_elements_per_position(config)
+        * kv_bits_per_element
+        / 8.0
+    )
+
+
 def batching_traffic_advantage(
     config: ModelConfig,
     batch_size: int,

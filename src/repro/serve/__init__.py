@@ -30,7 +30,7 @@ bounding TTFT and inter-token latency) and scheduler policies (FCFS,
 shortest-prompt-first, decode-first) under a ``max_batch_tokens``
 budget (:mod:`repro.serve.scheduler`), the paged KV-cache memory
 subsystem sized by ``kv_pool_blocks`` — refcounted block allocator
-with copy-on-write, prefix-sharing radix cache, recompute-on-resume
+with copy-on-write, prefix-sharing radix cache, swap-out/swap-in
 preemption (:mod:`repro.serve.kvpool`) — per-request exact-length
 decode attention, and per-request latency plus aggregate throughput/traffic
 metrics (:mod:`repro.serve.metrics`).

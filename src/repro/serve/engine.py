@@ -46,24 +46,28 @@ The engine has one serving lane; two sizes shape it:
   (skipping the shared prefill compute and KV writes), admission is
   planned against the free-block budget — for a chunk, only the
   chunk's block growth — and under pool pressure the engine preempts
-  the latest-arrived request, running *or* half-prefilled
-  (recompute-on-resume), so admission never deadlocks.
+  the latest-arrived request, running *or* half-prefilled, so
+  admission never deadlocks.  A running victim is *swapped out*: its
+  stored float16 K/V leaves the pool as one image
+  (:class:`~repro.serve.kvpool.paged.KVImage`) and is swapped back into
+  fresh blocks on re-admission, so no emitted token's KV is ever
+  computed twice; a half-prefilled victim restarts its prefill.
 
 Every step runs the same phases, in order:
 
 1. **expire** — requests past their deadline fail before they cost
    another forward;
-2. **schedule** — the policy plans the step's decodes and prompt
-   chunks under the token, slot and block budgets;
-3. **forward waves** — the chunks split into prefix-ordered waves (a
+2. **schedule** — the policy plans the step's decodes, swap-ins and
+   prompt chunks under the token, slot and block budgets;
+3. **swap-ins** — previously preempted or retried mid-decode requests
+   land their stored KV in fresh blocks and join the decode batch;
+4. **forward waves** — the chunks split into prefix-ordered waves (a
    step without chunks is one wave of decodes alone).  Each wave
    reserves its block growth, preempting when the pool cannot cover
    it; runs one ``forward_mixed_step`` (the decode batch rides the
    first wave); commits its decode rows; then commits its chunks.  An
    injected fault rolls the wave back and abandons the rest of the
    step;
-4. **resumed replays** — previously preempted or retried mid-decode
-   requests rebuild their caches;
 5. **report** — what the step committed becomes its
    :class:`~repro.serve.metrics.StepReport`.
 
@@ -102,8 +106,13 @@ from repro.hw.traffic import (
     decode_request_kv_bytes,
     decode_step_traffic,
     prefill_chunk_traffic,
-    prefill_traffic,
+    # No engine path calls prefill_traffic any more; the benchmark
+    # ledger's outside-in wrappers (benchmarks/ledger/ledgerlib/spans.py
+    # TARGETS) still patch it as bound here, until ROADMAP item 1(a)
+    # moves them to in-program spans.
+    prefill_traffic,  # noqa: F401
     prefix_cache_savings,
+    swap_in_traffic,
 )
 from repro.llm.attention import (
     AttentionDispatchStats,
@@ -126,7 +135,7 @@ from repro.serve.faults import (
     request_scope,
 )
 from repro.serve.handle import RequestHandle, StepOutputs, TokenDelta
-from repro.serve.kvpool.paged import SequenceKV
+from repro.serve.kvpool.paged import KVImage, SequenceKV
 from repro.serve.kvpool.pool import DEFAULT_BLOCK_SIZE, KVPool
 from repro.serve.kvpool.preempt import Preemptor
 from repro.serve.metrics import EngineMetrics, StepReport, summarize
@@ -230,8 +239,8 @@ class EngineConfig:
             no-op.
         retry: bounded-backoff
             :class:`~repro.serve.faults.RetryPolicy` applied to
-            transient faults — retried requests replay through the
-            bitwise recompute-on-resume path.
+            transient faults — a retried request that has emitted
+            tokens swaps its stored KV out and back in, bitwise.
         pressure: :class:`~repro.serve.faults.PressurePolicy` for
             graceful degradation under KV-pool exhaustion (load
             shedding / KV-format downgrade at admission); inert by
@@ -295,6 +304,13 @@ class EngineConfig:
             )
 
 
+def _held_sequence(state: RequestState) -> SequenceKV:
+    """A request's sequence, where the caller knows it holds one."""
+    seq = state.kv
+    assert seq is not None  # decodes and chunk runs hold their sequence
+    return seq
+
+
 def _common_prefix(first: np.ndarray, second: np.ndarray) -> int:
     """Length of the shared leading run of two token arrays."""
     limit = min(first.shape[0], second.shape[0])
@@ -321,8 +337,8 @@ class _StepTally:
     """What one step has committed so far, shared by its phases.
 
     Every count is taken as its work commits, so a step a fault
-    abandons midway reports exactly the decode rows, chunks and
-    replays that ran before the fault.
+    abandons midway reports exactly the decode rows and chunks that
+    ran before the fault.
     """
 
     traffic: StepTraffic = field(default_factory=StepTraffic)
@@ -544,8 +560,9 @@ class Engine:
         """Cancel an in-flight request; returns True if it was active.
 
         The request's KV residency — paged blocks, prefix-cache
-        references, a half-done chunked prefill's partial cache — is
-        released through the same rollback path preemption uses, so
+        references, a half-done chunked prefill's partial cache, a
+        swapped-out request's image — is released through the same
+        rollback path a half-prefilled preemption uses, so
         allocator refcounts stay balanced whatever state the request
         was aborted in.  Its partial tokens stay readable on the
         handle; it never produces a :class:`CompletedRequest`.
@@ -580,20 +597,20 @@ class Engine:
     def step(self) -> StepOutputs:
         """Run one scheduler-planned mixed step (decodes + prompt chunks).
 
-        The phases are expire → schedule → forward waves → resumed
-        replays → report (see the module docstring).  Fresh prompt
-        chunks and the decode batch execute in one
+        The phases are expire → schedule → swap-ins → forward waves →
+        report (see the module docstring).  Prompt chunks and the
+        decode batch execute in one
         :meth:`~repro.llm.transformer.CausalLM.forward_mixed_step`
         invocation per wave; a chunk that completes its prompt emits
         the request's first token (that is the moment TTFT is
         recorded), an incomplete chunk leaves the request
-        half-prefilled in the waiting queue.  Resumed (previously
-        preempted or retried, mid-decode) requests replay their whole
-        call pattern in one admission so the rebuilt cache stays
-        bitwise.  Each wave first reserves its block growth —
-        preempting the latest-arrived request, running or
-        half-prefilled, when the pool cannot cover it — and fresh
-        prefills go through the prefix cache.
+        half-prefilled in the waiting queue.  Swapped-out (previously
+        preempted or retried, mid-decode) requests land their stored
+        KV back in the pool and decode with the batch the same step.
+        Each wave first reserves its block growth — preempting the
+        latest-arrived request, running or half-prefilled, when the
+        pool cannot cover it — and fresh prefills go through the prefix
+        cache.
 
         Returns a :class:`~repro.serve.handle.StepOutputs`: the step's
         aggregate :class:`StepReport` plus one
@@ -629,7 +646,7 @@ class Engine:
         return outputs
 
     def _run_phases(self, started: float) -> tuple[StepOutputs, float]:
-        """expire → schedule → forward waves → resumed replays → report."""
+        """expire → schedule → swap-ins → forward waves → report."""
         self._step_deltas = []
         before = self._counters()
         # Deadlines are enforced at step boundaries: sweep before
@@ -637,14 +654,8 @@ class Engine:
         self._expire_deadlines(started)
         plan = self._schedule()
         tally = _StepTally()
-        # Fresh prompts prefill in chunks; a resumed request (one with
-        # emitted tokens) replays prompt + tokens in one admission.
-        fresh = [chunk for chunk in plan.prefills if not chunk.state.generated]
-        resumed = [chunk for chunk in plan.prefills if chunk.state.generated]
-        if self._forward_waves(plan.decodes, fresh, tally):
-            # A fault that abandons the step leaves the resumed replays
-            # queued; they run next step.
-            self._replay_all(resumed, tally)
+        decodes = plan.decodes + self._swap_in(plan.swap_ins, tally)
+        self._forward_waves(decodes, plan.prefills, tally)
         return self._report(started, plan, tally, before)
 
     def _schedule(self) -> StepPlan:
@@ -675,23 +686,22 @@ class Engine:
         decodes: list[RequestState],
         chunks: list[PrefillChunk],
         tally: _StepTally,
-    ) -> bool:
-        """Run the step's waves; False when a fault abandoned the step.
+    ) -> None:
+        """Run the step's waves until they are done or a fault hits one.
 
         Each wave reserves its block growth, runs the model once, then
         commits its decode rows and its chunks.  The decode batch rides
         the first wave; a step without chunks is one wave of decodes.
         """
         if not (decodes or chunks):
-            return True
+            return
         for wave in self._plan_waves(chunks):
             decodes, runs = self._reserve_step_blocks(
                 decodes, self._begin_chunks(wave), tally
             )
             if (runs or decodes) and not self._forward_wave(decodes, runs, tally):
-                return False
+                return
             decodes = []
-        return True
 
     def _forward_wave(
         self, decodes: list[RequestState], runs: list[_ChunkRun], tally: _StepTally
@@ -716,9 +726,9 @@ class Engine:
                     ]
                     for run in runs
                 ],
-                [run.state.kv.caches for run in runs],
+                [_held_sequence(run.state).caches for run in runs],
                 decode_tokens=self._decode_tokens(decodes) if decodes else None,
-                decode_caches=[state.kv.caches for state in decodes],
+                decode_caches=[_held_sequence(state).caches for state in decodes],
             )
         except InjectedFault as fault:
             self._recover_step_fault(fault, runs, decodes, watermarks)
@@ -805,38 +815,54 @@ class Engine:
                 state.status = RequestStatus.PREFILLING
                 tally.partial_prefills += 1
 
-    def _replay_all(self, resumed: list[PrefillChunk], tally: _StepTally) -> None:
-        """Rebuild every resumed request's cache, isolating faults."""
-        if not resumed:
-            return
+    def _swap_in(
+        self, states: list[RequestState], tally: _StepTally
+    ) -> list[RequestState]:
+        """Swap planned requests' stored KV back in; returns the restored.
+
+        Each swapped-out request gets fresh blocks holding its own image
+        (:meth:`~repro.serve.kvpool.pool.KVPool.swap_in`), rejoins the
+        running set and decodes with this step's batch.  Like the
+        mapping, registration skips the prefix cache: the fresh blocks
+        hold none of a trie path's ancestors, so a registered one would
+        sit below cache-only parents that count as reclaimable yet can
+        never be evicted (eviction is leaf-first).  A swap-in is charged as the KV bytes
+        it writes, with no weight or compute traffic.  An injected
+        fault keeps the image, releases the partial blocks and backs
+        off or quarantines just that request.
+        """
+        restored: list[RequestState] = []
+        if not states:
+            return restored
         config = self.model.config
-        with self._span("step.prefill", requests=len(resumed)):
-            for chunk in resumed:
-                state = chunk.state
-                request_id = state.request.request_id
-                cost = state.prefill_tokens
+        with self._span("step.swap_in", requests=len(states)):
+            for state in states:
+                request = state.request
+                image = state.kv_image
+                assert image is not None  # planned only for swapped-out requests
                 try:
-                    # Replays are per-request, so faults here are always
+                    # Swap-ins are per-request, so faults here are always
                     # attributable; the ambient scope additionally
-                    # attributes pool/codec/gather probes fired inside.
-                    with request_scope(request_id):
-                        inject("model.prefill", request_id)
-                        hit, replay = self._replay_resumed(state)
+                    # attributes pool and gather probes fired inside.
+                    with request_scope(request.request_id):
+                        inject("model.prefill", request.request_id)
+                        seq = self._sequence_for(state, image)
                 except InjectedFault as fault:
-                    # Per-request isolation: the inner rollback paths
-                    # have already released this request's partial
-                    # residency (release is idempotent); quarantine or
-                    # back off just this request and keep replaying the
-                    # rest.
-                    self._release_residency(state)
                     self._handle_request_fault(state, fault)
                     continue
-                tally.traffic = tally.traffic + replay
-                tally.charge_format(state, replay.kv_read_bytes + replay.kv_write_bytes)
-                tally.prefills += 1
-                tally.prefill_tokens += cost - hit
-                if hit:
-                    tally.credit_prefix_hit(config, state, hit)
+                seq.owner = request.request_id
+                state.kv = seq
+                state.kv_image = None
+                state.prefill_pos = request.prompt_length
+                self._waiting.remove(state)
+                state.status = RequestStatus.RUNNING
+                self._lifecycle(request.request_id, "RUNNING", resumed=True)
+                self._running.append(state)
+                traffic = swap_in_traffic(config, image.length, state.kv_bits)
+                tally.traffic = tally.traffic + traffic
+                tally.charge_format(state, traffic.kv_write_bytes)
+                restored.append(state)
+        return restored
 
     def _counters(self) -> tuple[int, int, int, int]:
         """Lifetime counters whose per-step deltas the report carries."""
@@ -905,24 +931,29 @@ class Engine:
     # -- per-request KV formats -------------------------------------------
 
     def _sequence_for(
-        self, state: RequestState, reserve_logits: bool = True
-    ) -> "SequenceKV":
+        self, state: RequestState, image: KVImage | None = None
+    ) -> SequenceKV:
         """Paged sequence for one request, honoring its KV format.
 
         Every sequence gets its codecs once, from its request's format.
         A private request opts out of prefix sharing — cached blocks
         hold default-format bytes it can neither read nor contribute
         to.  The request's final length is known here, so each layer's
-        decode-ready residency is sized once and never regrows.
+        decode-ready residency is sized once and never regrows.  With
+        an ``image``, the sequence is the swapped-out request's own
+        bytes in fresh blocks instead of a prefix-cache-seeded one.
         """
         request = state.request
         assert state.kv_format is not None  # resolved at submit
+        codecs = state.kv_format.codecs(self._n_layers)
+        shareable = not state.kv_private
+        reserved = request.prompt_length + request.params.max_new_tokens
+        if image is not None:
+            return self._pool.swap_in(
+                image, codecs=codecs, shareable=shareable, reserved=reserved
+            )
         return self._pool.create_sequence(
-            request.prompt,
-            reserve_logits=reserve_logits,
-            codecs=state.kv_format.codecs(self._n_layers),
-            shareable=not state.kv_private,
-            reserved=request.prompt_length + request.params.max_new_tokens,
+            request.prompt, codecs=codecs, shareable=shareable, reserved=reserved
         )
 
     # -- chunked prefill --------------------------------------------------
@@ -1036,15 +1067,33 @@ class Engine:
         """Give a request's KV memory back (shared rollback primitive).
 
         The one place residency is torn down — chunk-failure rollback,
-        preemption of running or half-prefilled requests, and client
-        aborts all release through here, so every path returns paged
+        preemption of half-prefilled requests, client aborts and every
+        terminal path release through here, so every path returns paged
         blocks (and the references taken on shared prefix blocks) to
-        the pool identically.
+        the pool identically.  A swapped-out request's image goes too:
+        a handle outlives its request, and must not pin the bytes.
         """
         if state.kv is not None:
             state.kv.release()
             state.kv = None
+        state.kv_image = None
         state.prefill_pos = 0
+
+    def _swap_out(self, state: RequestState) -> None:
+        """Give a request's blocks back, keeping emitted work as an image.
+
+        A request that has emitted tokens keeps its stored KV as
+        ``state.kv_image`` and resumes by swap-in; one that has emitted
+        nothing releases its partial cache and restarts its prefill.  A
+        request holding no sequence keeps whatever image it has.
+        """
+        seq = state.kv
+        if seq is None:
+            return
+        # swap_out releases the sequence; the second release is a no-op.
+        image = seq.swap_out() if state.generated else None
+        self._release_residency(state)
+        state.kv_image = image
 
     def _rollback_chunk(self, state: RequestState) -> None:
         """Undo a chunk participant: release its cache, stay queued."""
@@ -1108,15 +1157,17 @@ class Engine:
     def _backoff(self, state: RequestState, fault: InjectedFault) -> None:
         """Re-queue a transiently faulted request with bounded backoff.
 
-        Residency is released and the request re-enters the waiting
+        The request gives its blocks back and re-enters the waiting
         queue in arrival order (exactly the preemption path), hidden
-        from the planner until ``retry_at_step``; re-admission replays
-        its cache bitwise, so a retried request's tokens are identical
-        to an unfaulted run's.
+        from the planner until ``retry_at_step``.  One that has emitted
+        tokens keeps its stored KV as an image and swaps it back in on
+        re-admission; one that has not restarts its prefill.  Either
+        way a retried request's tokens are identical to an unfaulted
+        run's.
         """
         self._detach(state)
         self._requeue(state)
-        self._release_residency(state)
+        self._swap_out(state)
         state.status = RequestStatus.WAITING
         state.failure = fault
         state.retries += 1
@@ -1176,9 +1227,10 @@ class Engine:
         Every decode participant's KV is truncated back to its
         pre-step watermark (captured before the forward) and every
         chunk participant returns to a clean waiting state.  An
-        attributed victim is then quarantined or backed off; an
-        unattributed fault counts as one batch retry — the whole step
-        simply replays next tick, bitwise.
+        attributed victim is then quarantined or backed off — a decode
+        victim backs off with its rolled-back KV intact, as an image;
+        an unattributed fault counts as one batch retry — the whole
+        step simply replays next tick, bitwise.
         """
         for state, length in zip(decodes, watermarks):
             assert state.kv is not None  # every decode holds its sequence
@@ -1197,7 +1249,6 @@ class Engine:
         if victim is None:
             self._fault_retries += 1
             return
-        self._release_residency(victim)
         self._handle_request_fault(victim, fault)
 
     # -- paged KV pool paths ----------------------------------------------
@@ -1214,14 +1265,18 @@ class Engine:
         token count; when the pool (free plus reclaimable prefix-cache
         blocks) cannot cover the worst-case growth, the latest-arrived
         request — running, chunked this step, or half-prefilled but
-        unscheduled — is preempted: its blocks return to the pool and
-        it recomputes from scratch on re-admission.
+        unscheduled — is preempted: its blocks return to the pool, a
+        running victim's bytes as an image it swaps back in, a
+        half-prefilled victim's to be prefilled again.
         """
         with self._span("step.preempt", decodes=len(decodes), chunks=len(runs)):
             while decodes or runs:
-                demand = sum(state.kv.blocks_for_append(1) for state in decodes)
+                demand = sum(
+                    _held_sequence(state).blocks_for_append(1) for state in decodes
+                )
                 demand += sum(
-                    run.state.kv.blocks_for_append(run.tokens) for run in runs
+                    _held_sequence(run.state).blocks_for_append(run.tokens)
+                    for run in runs
                 )
                 if demand <= self._pool.free_blocks + self._pool.reclaimable_blocks:
                     break
@@ -1237,9 +1292,9 @@ class Engine:
         return decodes, runs
 
     def _preempt(self, state: RequestState) -> None:
-        """Evict a running request's KV residency (recompute-on-resume)."""
+        """Swap a running request out: its stored KV leaves as an image."""
         self._running.remove(state)
-        self._release_residency(state)
+        self._swap_out(state)
         state.status = RequestStatus.WAITING
         state.preemptions += 1
         self._lifecycle(state.request.request_id, "PREEMPTED")
@@ -1257,55 +1312,6 @@ class Engine:
         state.status = RequestStatus.WAITING
         state.preemptions += 1
         self._lifecycle(state.request.request_id, "PREEMPTED")
-
-    def _replay_resumed(self, state: RequestState) -> tuple[int, StepTraffic]:
-        """Rebuild a resumed request's cache and rejoin the decode batch.
-
-        A previously preempted (or retried) mid-decode request replays
-        its exact original call pattern — prompt-suffix prefill past any
-        prefix-cache hit, then one single-token step per already-emitted
-        token — so the rebuilt cache is bitwise, and it emits nothing
-        until the next decode step.
-
-        Returns ``(prefix_hit_tokens, traffic)``.
-        """
-        request = state.request
-        prompt = request.prompt
-        seq = self._sequence_for(state, reserve_logits=False)
-        seq.owner = request.request_id
-        hit = seq.shared_tokens
-        try:
-            state.kv = seq
-            traffic = StepTraffic()
-            suffix = prompt[hit:]
-            if suffix.size:
-                self.model.forward_step(suffix.reshape(1, -1), seq.caches)
-                traffic = traffic + prefill_traffic(
-                    self.model.config,
-                    request.prompt_length,
-                    kv_bits_per_element=state.kv_bits,
-                    cached_prefix_tokens=hit,
-                )
-            for token in state.generated[:-1]:
-                context = state.context_length
-                self.model.forward_step(np.array([[token]]), seq.caches)
-                traffic = traffic + decode_step_traffic(
-                    self.model.config,
-                    [context],
-                    kv_bits_per_element=state.kv_bits,
-                )
-        except Exception:
-            # The request stays queued; give its references back so a
-            # failed replay cannot leak pool blocks.
-            self._release_residency(state)
-            raise
-        self._waiting.remove(state)
-        state.status = RequestStatus.RUNNING
-        self._lifecycle(request.request_id, "RUNNING", resumed=True)
-        state.prefill_pos = request.prompt_length
-        self._pool.register_prefix(seq, prompt)
-        self._running.append(state)
-        return hit, traffic
 
     def _emit(
         self, state: RequestState, logits: np.ndarray, first: bool = False

@@ -41,7 +41,7 @@ from repro.serve.faults.plan import (
 #: Named injection points threaded through the serving stack.
 SITES = (
     "admission",  # Engine.submit, after validation (per request)
-    "model.prefill",  # legacy/resume prefill lane, pre-forward (per request)
+    "model.prefill",  # swap-in of a preempted request, pre-restore (per request)
     "model.chunk",  # chunked-prefill lane, pre-forward (per request)
     "model.decode",  # decode lane, pre-forward (per decode request)
     "codec.encode",  # PagedKVCache.compress (sequence owner)

@@ -15,8 +15,9 @@ consumes:
 
 * :class:`RetryPolicy` — bounded exponential backoff for transient
   faults, measured in scheduler steps (deterministic, no wall clock).
-  Retries reuse the recompute-on-resume path, so a retried request's
-  tokens are bitwise identical to an unfaulted run.
+  A retried request that has emitted tokens keeps its stored KV as an
+  image and swaps it back in, so its tokens are bitwise identical to
+  an unfaulted run.
 * :class:`PressurePolicy` — graceful degradation under KV-pool
   exhaustion: shed new admissions outright below one free-fraction
   threshold, or downgrade them to a lower-bit
@@ -61,8 +62,9 @@ class InjectedFault(ModelError):
 class TransientFault(InjectedFault):
     """A fault worth retrying (think: transient link/ECC hiccup).
 
-    The engine releases the victim's residency and re-queues it with
-    bounded backoff; recompute-on-resume makes the retry bitwise.
+    The engine gives the victim's blocks back and re-queues it with
+    bounded backoff; a victim that has emitted tokens swaps its stored
+    KV back in, so the retry is bitwise.
     """
 
 

@@ -8,9 +8,11 @@ per-request caches that plug into the existing attention paths
 (:class:`~repro.serve.kvpool.paged.PagedKVCache` /
 :class:`~repro.serve.kvpool.paged.SequenceKV`), a radix-trie prefix
 cache that maps shared prompt prefixes onto shared physical blocks
-(:class:`~repro.serve.kvpool.prefix.PrefixCache`), and a preemption
-policy for recompute-on-resume eviction under pool pressure
-(:class:`~repro.serve.kvpool.preempt.Preemptor`).
+(:class:`~repro.serve.kvpool.prefix.PrefixCache`), a preemption
+policy for eviction under pool pressure
+(:class:`~repro.serve.kvpool.preempt.Preemptor`), and the float16
+image a preempted sequence's bytes wait in until they are swapped back
+(:class:`~repro.serve.kvpool.paged.KVImage`).
 
 Every engine stores its KV here, sized by ``EngineConfig.kv_pool_blocks``
 and ``kv_block_size``; see ``src/repro/serve/README.md`` for sizing and
@@ -18,7 +20,7 @@ policy notes.
 """
 
 from repro.serve.kvpool.allocator import BlockAllocator, OutOfBlocksError
-from repro.serve.kvpool.paged import PagedKVCache, SequenceKV
+from repro.serve.kvpool.paged import KVImage, PagedKVCache, SequenceKV
 from repro.serve.kvpool.pool import DEFAULT_BLOCK_SIZE, KVPool, PoolPlanner
 from repro.serve.kvpool.preempt import Preemptor
 from repro.serve.kvpool.prefix import PrefixCache
@@ -26,6 +28,7 @@ from repro.serve.kvpool.prefix import PrefixCache
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "BlockAllocator",
+    "KVImage",
     "KVPool",
     "OutOfBlocksError",
     "PagedKVCache",

@@ -37,10 +37,17 @@ stays valid); :meth:`SequenceKV.release` frees every layer's residency
 with the blocks it mirrors.  Copy-on-write forks copy bytes verbatim,
 so they never invalidate it.  :meth:`SequenceKV.gather_reference` keeps
 the original per-block-loop float32 gather as the parity oracle.
+
+Preemption moves a sequence out of the pool and back without
+recomputing it: :meth:`SequenceKV.swap_out` releases the sequence and
+returns its stored float16 bytes as a :class:`KVImage`, and
+:meth:`~repro.serve.kvpool.pool.KVPool.swap_in` lands an image in fresh
+blocks, bitwise what the sequence held before.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -52,6 +59,25 @@ from repro.serve.faults.injector import inject
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (pool -> paged)
     from repro.serve.kvpool.pool import KVPool
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class KVImage:
+    """A swapped-out sequence's stored K/V, held outside the pool.
+
+    ``keys`` / ``values`` are ``(layers, heads, length, head_dim)``
+    float16 — the pool's own 4 B per K/V element pair, never the
+    residency's 8 B.  Identity semantics (``eq=False``): it holds
+    ndarrays.
+    """
+
+    keys: np.ndarray
+    values: np.ndarray
+
+    @property
+    def length(self) -> int:
+        """Positions the image holds."""
+        return int(self.keys.shape[2])
 
 
 class PagedKVCache(KVCache):
@@ -408,6 +434,28 @@ class SequenceKV:
         for block in self.block_table[keep:]:
             self.pool.allocator.decref(block)
         del self.block_table[keep:]
+
+    def swap_out(self) -> KVImage:
+        """Release the sequence; return its stored bytes as an image.
+
+        The image holds positions ``[0, length)`` of every layer, taken
+        with one fancy-index gather per tensor over the block table.
+        """
+        size = self.pool.block_size
+        positions = np.arange(self.length)
+        blocks = np.asarray(self.block_table, dtype=np.intp)[positions // size]
+        rows = positions % size
+        # Release first, gather second: preemption fires when residency
+        # is at its high-water mark, so the float32 residency is freed
+        # before the image is allocated.  Freed blocks keep their bytes
+        # until the next take_block, and nothing writes the pool
+        # between these two statements.
+        self.release()
+        # (T, L, H, hd) gathers: the two index arrays are split by a
+        # slice, so their broadcast axis leads.
+        keys = self.pool.keys[:, blocks, :, rows].transpose(1, 2, 0, 3)
+        values = self.pool.values[:, blocks, :, rows].transpose(1, 2, 0, 3)
+        return KVImage(keys, values)
 
     def release(self) -> None:
         """Drop this sequence's references (blocks may live on, shared)."""

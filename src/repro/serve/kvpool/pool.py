@@ -29,7 +29,7 @@ from repro.llm.attention import KVCache
 from repro.llm.config import ModelConfig
 from repro.serve.faults.injector import inject
 from repro.serve.kvpool.allocator import BlockAllocator, OutOfBlocksError
-from repro.serve.kvpool.paged import SequenceKV
+from repro.serve.kvpool.paged import KVImage, SequenceKV
 from repro.serve.kvpool.prefix import PrefixCache
 from repro.serve.scheduler import KVBlockPlanner
 
@@ -181,30 +181,23 @@ class KVPool:
 
     # -- sequence lifecycle -----------------------------------------------
 
-    def _shared_cap(self, prompt_tokens: np.ndarray, reserve_logits: bool) -> int:
-        # A fresh request must recompute at least its final prompt
-        # position to produce first-token logits; a resumed request
-        # already holds its first tokens, so its whole prompt may hit.
-        length = int(len(prompt_tokens))
-        return max(0, length - 1) if reserve_logits else length
+    @staticmethod
+    def _shared_cap(prompt_tokens: np.ndarray) -> int:
+        # A request must compute at least its final prompt position to
+        # produce first-token logits.
+        return max(0, int(len(prompt_tokens)) - 1)
 
-    def peek_shared(
-        self,
-        prompt_tokens: np.ndarray,
-        reserve_logits: bool = True,
-        shareable: bool = True,
-    ) -> int:
+    def peek_shared(self, prompt_tokens: np.ndarray, shareable: bool = True) -> int:
         """Prefix-cache hit length (tokens) without taking references."""
         if self.prefix_cache is None or not shareable:
             return 0
         self._clock += 1
-        cap = self._shared_cap(prompt_tokens, reserve_logits)
+        cap = self._shared_cap(prompt_tokens)
         return self.prefix_cache.peek(prompt_tokens, cap, self._clock)
 
     def create_sequence(
         self,
         prompt_tokens: np.ndarray,
-        reserve_logits: bool = True,
         codecs: list[KVCache] | None = None,
         shareable: bool = True,
         reserved: int = 0,
@@ -225,7 +218,7 @@ class KVPool:
         shared_tokens = 0
         if self.prefix_cache is not None and shareable:
             self._clock += 1
-            cap = self._shared_cap(prompt_tokens, reserve_logits)
+            cap = self._shared_cap(prompt_tokens)
             blocks, shared_tokens = self.prefix_cache.match(
                 prompt_tokens, cap, self._clock
             )
@@ -237,6 +230,36 @@ class KVPool:
             shareable=shareable,
             reserved=reserved,
         )
+
+    def swap_in(
+        self,
+        image: KVImage,
+        codecs: list[KVCache] | None = None,
+        shareable: bool = True,
+        reserved: int = 0,
+    ) -> SequenceKV:
+        """New request view holding a swapped-out image in fresh blocks.
+
+        The inverse of :meth:`SequenceKV.swap_out`; the arguments are
+        :meth:`create_sequence`'s.  Each layer lands the image's float16
+        rows through
+        :meth:`~repro.serve.kvpool.paged.PagedKVCache.append_precompressed`
+        — no codec runs, and the residency widens the rows exactly — so
+        the sequence holds bitwise what it held before the swap.  It
+        maps no prefix-cache blocks: a trie node for the same tokens can
+        hold another writer's bytes (first writer wins).  A failure
+        mid-way releases the blocks already taken.
+        """
+        sequence = SequenceKV(
+            self, [], 0, codecs=codecs, shareable=shareable, reserved=reserved
+        )
+        try:
+            for cache, keys, values in zip(sequence.caches, image.keys, image.values):
+                cache.append_precompressed(keys[None], values[None])
+        except BaseException:
+            sequence.release()
+            raise
+        return sequence
 
     def register_prefix(self, sequence: SequenceKV, prompt_tokens: np.ndarray) -> int:
         """Cache a prefilled prompt's full blocks for future sharing.
@@ -259,16 +282,15 @@ class KVPool:
         self,
         prompt_tokens: np.ndarray,
         total_positions: int,
-        reserve_logits: bool = True,
         shareable: bool = True,
     ) -> int:
         """Pool-budget cost (blocks) of admitting one prefill.
 
         ``total_positions`` is the sequence length after the prefill
-        step (prompt plus any replayed decode tokens on resume).  The
-        cost counts *fresh* blocks beyond the shared prefix, one slack
-        block for a copy-on-write fork when the hit ends mid-block, and
-        — crucially — every matched block the admission would *pin*:
+        step.  The cost counts *fresh* blocks beyond the shared prefix,
+        one slack block for a copy-on-write fork when the hit ends
+        mid-block, and — crucially — every matched block the admission
+        would *pin*:
         a cache-only (refcount 1) block counted in the reclaimable
         budget stops being reclaimable the moment this request maps it,
         so it must be charged against the same budget.
@@ -282,7 +304,7 @@ class KVPool:
         shared = 0
         if self.prefix_cache is not None and shareable:
             self._clock += 1
-            cap = self._shared_cap(prompt_tokens, reserve_logits)
+            cap = self._shared_cap(prompt_tokens)
             shared_blocks, shared = self.prefix_cache.peek_blocks(
                 prompt_tokens, cap, self._clock
             )
@@ -309,13 +331,9 @@ class KVPool:
         by the planner as plain cache growth
         (:meth:`SequenceKV.blocks_for_append`).
         """
-        shared = self.peek_shared(
-            prompt_tokens, reserve_logits=True, shareable=shareable
-        )
+        shared = self.peek_shared(prompt_tokens, shareable=shareable)
         end = min(int(len(prompt_tokens)), shared + chunk_tokens)
-        return self.prefill_block_cost(
-            prompt_tokens, end, reserve_logits=True, shareable=shareable
-        )
+        return self.prefill_block_cost(prompt_tokens, end, shareable=shareable)
 
     def planner(self, running: list[RequestState]) -> "PoolPlanner":
         return PoolPlanner(self, running)
@@ -339,13 +357,12 @@ class PoolPlanner(KVBlockPlanner):
     def available_blocks(self) -> int:
         return self._available
 
-    def prefill_blocks(self, state: RequestState) -> int:
-        return self._pool.prefill_block_cost(
-            state.request.prompt,
-            state.prefill_tokens,
-            reserve_logits=not state.generated,
-            shareable=not state.kv_private,
-        )
+    def swap_in_blocks(self, state: RequestState) -> int:
+        # Fresh blocks for the stored context plus this step's decode
+        # position: a swap-in maps nothing from the prefix cache.
+        image = state.kv_image
+        assert image is not None  # planned only for swapped-out requests
+        return self._pool.blocks_for_tokens(image.length + 1)
 
     def chunk_blocks(self, state: RequestState, tokens: int) -> int:
         if state.kv is not None:

@@ -4,15 +4,14 @@ When a step needs more blocks than the pool can free (even after
 reclaiming unreferenced prefix-cache blocks), some resident request
 must give its blocks back.  The :class:`Preemptor` picks the victims
 from every block holder — running decodes *and* half-prefilled chunked
-prompts — and the engine evicts them with *recompute-on-resume*
-semantics.  A decoding victim keeps its emitted tokens and RNG state,
-returns to the waiting queue, and on re-admission replays its exact
-original call pattern (whole-prompt prefill, then one single-token
-step per decoded token) so the rebuilt cache, and every later token,
-is bitwise identical to an uninterrupted run.  A half-prefilled victim
-has emitted nothing yet; it simply drops its partial cache and
-restarts its chunked prefill from scratch (re-mapping any prompt
-blocks the prefix cache still holds).
+prompts — and the engine evicts them.  A decoding victim is *swapped
+out*: it keeps its emitted tokens and RNG state, its stored K/V bytes
+leave the pool as one float16 image, and on re-admission the image is
+swapped back into fresh blocks, so the cache, and every later token,
+is bitwise identical to an uninterrupted run and nothing is
+recomputed.  A half-prefilled victim has emitted nothing yet; it
+simply drops its partial cache and restarts its chunked prefill from
+scratch (re-mapping any prompt blocks the prefix cache still holds).
 
 Evicting the *latest* arrival first keeps the policy FCFS-fair: the
 oldest requests — the ones closest to finishing, holding the most

@@ -51,7 +51,7 @@ class StepReport:
         step: the engine's step index.
         prefills / decodes: request counts per phase this step (a
             prefill here is one admitted chunk — a whole prompt when
-            the budget covers it — or one resumed request's replay).
+            the budget covers it; a swap-in is a decode).
         new_tokens: tokens emitted (completed prefills produce their
             first token).
         batch_tokens: scheduler budget consumed (chunk grants + decodes).
@@ -115,7 +115,8 @@ class EngineMetrics:
         prefill_tokens: prompt positions computed across all steps.
         partial_prefills: chunk admissions that left a prompt in
             flight (0 when every prompt fits the token budget).
-        preemptions: total recompute-on-resume evictions.
+        preemptions: total preemptions (running requests swapped
+            out, half-prefilled ones restarted).
         evicted_blocks: total prefix-cache blocks reclaimed.
         prefix_hit_tokens: total prompt positions shared, not computed.
         prefix_saved_bytes: total simulated DRAM bytes avoided by hits.
@@ -144,7 +145,8 @@ class EngineMetrics:
             aborts, they produce no request record).
         fault_retries: transient-fault recoveries — per-request
             backoff retries plus batch-level step rollbacks (each
-            replays bitwise through recompute-on-resume).
+            resumes bitwise: a swap-in, a re-prefill or a replayed
+            step).
         deadline_expired: requests failed because their
             ``SamplingParams.deadline_s`` budget elapsed (a subset of
             ``failed``).

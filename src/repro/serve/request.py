@@ -21,17 +21,18 @@ from repro.serve.params import SamplingParams
 
 if TYPE_CHECKING:
     from repro.llm.kv_quant import KVFormat
-    from repro.serve.kvpool.paged import SequenceKV
+    from repro.serve.kvpool.paged import KVImage, SequenceKV
 
 
 class RequestStatus(enum.Enum):
     """Where a request sits in the engine's lifecycle.
 
     A preempted request goes back to WAITING with its generated tokens
-    and RNG state intact; re-admission replays its cache
-    (recompute-on-resume) before decoding continues.  A half-prefilled
-    request preempted mid-chunk also returns to WAITING, with its
-    partial cache released (``prefill_pos`` reset to zero).
+    and RNG state intact and its stored KV swapped out of the pool
+    (``RequestState.kv_image``); re-admission swaps the bytes back in
+    and decoding continues the same step.  A half-prefilled request
+    preempted mid-chunk also returns to WAITING, with its partial cache
+    released (``prefill_pos`` reset to zero).
 
     FINISHED, ABORTED and FAILED are the terminal states: finished
     requests freeze into a :class:`CompletedRequest`; aborted requests
@@ -106,6 +107,10 @@ class RequestState:
     #: The request's paged-pool sequence (``kv.caches`` are its per-layer
     #: views); None while the request holds no KV residency.
     kv: SequenceKV | None = None
+    #: A preempted mid-decode request's stored KV, swapped out of the
+    #: pool until re-admission swaps it back in; None otherwise.  Every
+    #: terminal path drops it.
+    kv_image: KVImage | None = None
     #: Prompt positions already prefilled (chunked prefill progress).
     #: Strictly between 0 and the prompt length, the request holds a
     #: partial KV cache and is mid-way through a chunked prefill.
@@ -132,8 +137,8 @@ class RequestState:
     #: ``"error"`` / ``"deadline"`` / ``"shed"``); None while in flight.
     finish_reason: str | None = None
     #: Transient-fault retries consumed so far (bounded by
-    #: ``RetryPolicy.max_retries``; each retry replays the request
-    #: through the bitwise recompute-on-resume path).
+    #: ``RetryPolicy.max_retries``; a retried request that has emitted
+    #: tokens keeps its KV as an image and swaps it back in, bitwise).
     retries: int = 0
     #: First engine step at which a backed-off request may be scheduled
     #: again; 0 means schedulable now.
@@ -179,16 +184,13 @@ class RequestState:
 
     @property
     def prefill_tokens(self) -> int:
-        """Positions the next admission must compute (schedule cost).
+        """Prompt positions left to prefill (a fresh chunk's schedule cost).
 
         A fresh request prefills its prompt; a half-prefilled request
-        only the part beyond ``prefill_pos``.  A preempted request
-        additionally replays each already-emitted token except the
-        last (whose KV the next decode step writes), rebuilding its
-        cache bitwise before decoding resumes.
+        only the part beyond ``prefill_pos``.  A swapped-out request
+        computes nothing: it is planned as a swap-in instead.
         """
-        remaining = self.request.prompt_length - self.prefill_pos
-        return remaining + max(0, len(self.generated) - 1)
+        return self.request.prompt_length - self.prefill_pos
 
     @property
     def done(self) -> bool:

@@ -15,7 +15,11 @@ while every running request keeps decoding (Sarathi/vLLM-style mixed
 steps), and a budget at least as long as a prompt prefills it whole.
 A half-prefilled request (``RequestState.prefill_pos`` > 0) stays in
 the waiting queue holding its partial cache; it keeps its residency
-slot, and admitting its next chunk never consumes a new one.
+slot, and admitting its next chunk never consumes a new one.  A
+*swapped-out* request (preempted mid-decode, its stored KV held as
+``RequestState.kv_image``) computes nothing on re-admission: it is
+planned as a swap-in that costs one decode token, and rejoins the
+decode batch the step that admits it.
 
 Admission *order* is a policy:
 
@@ -33,14 +37,13 @@ Admission *order* is a policy:
 
 Policies only order the waiting queue; the budget walk below is shared.
 One guarantee is unconditional: if nothing is running and nothing fits,
-the first candidate is admitted anyway (a resumed request's replay
-longer than the budget, or a chunk the free-block budget cannot cover,
-must not deadlock the engine).
+the first candidate is admitted anyway (a chunk the free-block budget
+cannot cover must not deadlock the engine).
 
 Given a :class:`KVBlockPlanner` (the engine always passes its pool's),
 admission is additionally planned against the *free-block budget*:
-a waiting request is only admitted when its prefill's block footprint —
-after prefix-cache sharing, and for a chunk only the chunk's growth —
+a waiting request is only admitted when its block footprint — a
+chunk's growth after prefix-cache sharing, a swap-in's whole context —
 fits in what is free or reclaimable once the running requests' decode
 growth is reserved.  Token budget bounds the *work* of a step; block
 budget bounds the *memory* it commits.
@@ -146,10 +149,10 @@ class KVBlockPlanner:
 
     ``available_blocks`` is the pool headroom admissions may claim
     (free plus reclaimable prefix-cache blocks, minus the running
-    requests' reserved decode growth); ``prefill_blocks`` is one
-    candidate's fresh-block footprint after prefix sharing;
-    ``chunk_blocks`` is the footprint of prefilling just the next
-    ``tokens`` positions of a candidate (its partial cache's block
+    requests' reserved decode growth); ``swap_in_blocks`` is a
+    swapped-out candidate's footprint once restored and decoded one
+    position; ``chunk_blocks`` is the footprint of prefilling just the
+    next ``tokens`` positions of a candidate (its partial cache's block
     growth); ``admit`` commits an already-computed footprint against
     the budget.
     """
@@ -157,7 +160,7 @@ class KVBlockPlanner:
     def available_blocks(self) -> int:
         raise NotImplementedError
 
-    def prefill_blocks(self, state: RequestState) -> int:
+    def swap_in_blocks(self, state: RequestState) -> int:
         raise NotImplementedError
 
     def chunk_blocks(self, state: RequestState, tokens: int) -> int:
@@ -248,9 +251,9 @@ class PrefillChunk:
 
     ``tokens`` is the scheduler's budget grant; the engine may execute
     fewer positions when a prefix-cache hit shortens the fresh request
-    (the grant is an upper bound, never a shortfall).  A resumed
-    request's whole-replay admission is simply a chunk spanning its
-    whole remaining prefill.
+    (the grant is an upper bound, never a shortfall).  Only requests
+    that have emitted nothing prefill; a swapped-out request is a
+    :attr:`StepPlan.swap_ins` entry instead.
     """
 
     state: RequestState
@@ -273,6 +276,8 @@ class StepPlan:
 
     Attributes:
         decodes: running requests decoding one token each.
+        swap_ins: swapped-out requests whose stored KV returns to the
+            pool this step; each then decodes one token with the batch.
         prefills: prefill chunks admitted this step (full prompts when
             the budget covers them).
         budget_tokens: tokens of model work the plan consumes.
@@ -280,14 +285,19 @@ class StepPlan:
 
     decodes: list[RequestState] = field(default_factory=list)
     prefills: list[PrefillChunk] = field(default_factory=list)
+    swap_ins: list[RequestState] = field(default_factory=list)
 
     @property
     def budget_tokens(self) -> int:
-        return len(self.decodes) + sum(chunk.tokens for chunk in self.prefills)
+        return (
+            len(self.decodes)
+            + len(self.swap_ins)
+            + sum(chunk.tokens for chunk in self.prefills)
+        )
 
     @property
     def empty(self) -> bool:
-        return not self.decodes and not self.prefills
+        return not (self.decodes or self.swap_ins or self.prefills)
 
 
 def plan_step(
@@ -314,11 +324,11 @@ def plan_step(
     *partial* chunk — whatever token budget remains after decodes — and
     continues across steps; a half-prefilled request already holds its
     residency slot, so continuing it never consumes a new one.  A
-    resumed (previously preempted, mid-decode) request is never
-    chunked: its prefill cost covers its whole bitwise replay — prompt
-    plus already-emitted tokens (``RequestState.prefill_tokens``) — in
-    one admission.  ``chunking`` only accepts ``True``; a caller wanting
-    whole-prompt admissions sizes ``max_batch_tokens`` >= the prompt.
+    swapped-out (preempted mid-decode) request is admitted as a
+    swap-in: one decode token and a slot, plus the blocks of its
+    stored context and that token.  ``chunking`` only accepts ``True``;
+    a caller wanting whole-prompt admissions sizes ``max_batch_tokens``
+    >= the prompt.
     """
     if chunking is not True:
         raise ModelError(
@@ -338,7 +348,10 @@ def plan_step(
     inflight = sum(1 for state in waiting if state.prefill_pos > 0)
     slots = max_batch_size - len(decodes) - inflight
     prefills: list[PrefillChunk] = []
+    swap_ins: list[RequestState] = []
     for state in policy.order(waiting):
+        if budget < 1:
+            break  # decodes (or earlier admissions) consumed the budget
         continuing = state.prefill_pos > 0
         if not continuing and slots < 1:
             # Skip, don't stop: a slot-exempt in-flight continuation
@@ -346,35 +359,28 @@ def plan_step(
             # shortest-prompt-first) must still get its chunk, or it
             # would pin its KV blocks while never progressing.
             continue
-        remaining = state.prefill_tokens
-        chunkable = not state.generated
-        cost = min(remaining, budget) if chunkable else remaining
-        if cost < 1:
-            break  # decodes (or earlier chunks) consumed the budget
-        block_cost = 0
+        swapped = state.kv_image is not None
+        cost = 1 if swapped else min(state.prefill_tokens, budget)
         if blocks is not None:
             block_cost = (
-                blocks.chunk_blocks(state, cost)
-                if chunkable
-                else blocks.prefill_blocks(state)
+                blocks.swap_in_blocks(state)
+                if swapped
+                else blocks.chunk_blocks(state, cost)
             )
-        fits_tokens = cost <= budget
-        fits_blocks = blocks is None or block_cost <= blocks.available_blocks()
-        if not (fits_tokens and fits_blocks):
-            if not decodes and not prefills:
-                # Forward-progress override: with nothing running, an
-                # oversized prompt runs alone rather than deadlocking
-                # the queue (with nothing running, the whole pool is
-                # free or reclaimable, so submit-time validation
-                # guarantees the blocks exist).
-                prefills.append(PrefillChunk(state, cost))
-                if blocks is not None:
-                    blocks.admit(block_cost)
-            break
-        prefills.append(PrefillChunk(state, cost))
+            if block_cost > blocks.available_blocks() and (
+                decodes or swap_ins or prefills
+            ):
+                # With nothing running, the whole pool is free or
+                # reclaimable and submit-time validation guarantees the
+                # blocks exist: the first candidate is admitted anyway
+                # rather than deadlocking the queue.
+                break
+            blocks.admit(block_cost)
+        if swapped:
+            swap_ins.append(state)
+        else:
+            prefills.append(PrefillChunk(state, cost))
         budget -= cost
         if not continuing:
             slots -= 1
-        if blocks is not None:
-            blocks.admit(block_cost)
-    return StepPlan(decodes=decodes, prefills=prefills)
+    return StepPlan(decodes=decodes, prefills=prefills, swap_ins=swap_ins)

@@ -72,7 +72,7 @@ ENGINE_COUNTER_FIELDS: tuple[tuple[str, str, str], ...] = (
     (
         "preemptions",
         "repro_engine_preemptions_total",
-        "Recompute-on-resume evictions",
+        "Preemptions (swap-outs and prefill restarts)",
     ),
     (
         "evicted_blocks",

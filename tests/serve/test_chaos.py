@@ -7,8 +7,9 @@ next to a fault-free twin engine, and pins the failure-isolation
 invariants:
 
 * every request the faults did **not** fail is token-bitwise identical
-  to the twin (retried requests included — recompute-on-resume is
-  bitwise);
+  to the twin (retried and preempted requests included — a request
+  that has emitted tokens swaps its stored KV out and back in, bitwise,
+  and one that has not re-prefills);
 * the paged pool leaks zero blocks after drain, whatever state faults
   interrupted (mid-chunk, mid-decode, group gather/compress);
 * the engine stays serviceable: work submitted after the faults

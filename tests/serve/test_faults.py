@@ -11,8 +11,9 @@ randomized sweep lives in ``test_chaos.py``):
   :class:`RequestFailedError` from ``result()`` carrying the original
   fault, batchmates bitwise-identical to a fault-free run;
 * a transient fault retries with bounded backoff and the retried
-  request's tokens stay bitwise identical (recompute-on-resume);
-  exhausting the retry budget quarantines;
+  request's tokens stay bitwise identical (a request that has emitted
+  tokens swaps its stored KV out and back in); exhausting the retry
+  budget quarantines;
 * deadlines are enforced at step boundaries and surface as
   :class:`DeadlineExceededError`;
 * KV-pool pressure sheds or format-degrades new admissions without
@@ -469,33 +470,56 @@ class TestStepReportCounts:
         engine.run_until_idle(max_steps=500)
         assert engine._pool.leaked_blocks() == 0
 
-    def test_faulted_replay_is_not_counted_as_a_prefill(self, model, prompts):
-        # The decode fault backs request 0 off mid-decode; its resumed
-        # replay then faults too and is backed off again, so the step
-        # that attempted the replay committed no prefill.
+    @pytest.mark.parametrize(
+        "site, step",
+        [
+            # Before the swap-in takes a block.
+            pytest.param("model.prefill", None, id="resume-site"),
+            # After layer 0 landed: its blocks must go back.
+            pytest.param("paged.gather", 3, id="mid-swap-in"),
+        ],
+    )
+    def test_faulted_replay_is_not_counted_as_a_prefill(
+        self, model, prompts, baseline, site, step
+    ):
+        # The decode fault backs request 0 off mid-decode with its KV
+        # as an image; its swap-in then faults too and is backed off
+        # again.  The image survives, the partial blocks go back, the
+        # step counts no prefill, and the retry is bitwise.
         plan = FaultPlan(
             rules=(
                 FaultRule(site="model.decode", request_id=0, step=2),
-                FaultRule(site="model.prefill", request_id=0),
+                FaultRule(site=site, request_id=0, step=step),
             )
         )
         engine = Engine(
-            model, EngineConfig(faults=plan, retry=RetryPolicy(max_retries=3))
+            model,
+            EngineConfig(
+                faults=plan, retry=RetryPolicy(max_retries=3, backoff_steps=0)
+            ),
         )
         handle = engine.submit(prompts[0], PARAMS)
         injector = engine.fault_injector
+        pool = engine._pool
         report = None
+        image = None
         for _ in range(20):
+            free = pool.free_blocks
+            image = handle._state.kv_image
             report = engine.step().report
-            if injector.fired_by_site.get("model.prefill"):
+            if injector.fired_by_site.get(site):
                 break
-        assert injector.fired_by_site == {"model.decode": 1, "model.prefill": 1}
+        assert injector.fired_by_site == {"model.decode": 1, site: 1}
+        state = handle._state
         assert handle.status() is RequestStatus.WAITING
+        assert image is not None and state.kv_image is image
+        assert state.kv is None and pool.free_blocks == free
         assert report.prefills == 0
         assert report.prefill_tokens == 0
         engine.run_until_idle(max_steps=500)
-        assert handle.result().tokens is not None
+        np.testing.assert_array_equal(handle.result().tokens, baseline[0])
         assert engine.metrics().fault_retries == 2
+        assert pool.leaked_blocks() == 0
 
 
 class TestAccountingSurfaces:

@@ -182,7 +182,7 @@ class TestPagedGrowthParity:
 
     @pytest.mark.parametrize("mode", KV_MODES)
     def test_release_and_replay_rebuilds_bitwise(self, mode):
-        """The preempt/resume path: a replayed sequence gathers identically."""
+        """A released sequence's rows, appended again, gather identically."""
         rng = np.random.default_rng(11)
         pool = make_pool(mode)
         appends = [

@@ -4,8 +4,9 @@ The allocator tests are property-style where cheap: random
 alloc/incref/decref churn must preserve the free+used==total invariant
 and refcount bookkeeping exactly.  The pool tests pin the storage
 semantics the parity suite relies on — scatter/gather round-trips,
-copy-on-write isolation, fragmentation tolerance — and the prefix
-cache's LRU leaf-first eviction ordering under pool exhaustion.
+copy-on-write isolation, fragmentation tolerance, bitwise swap-out /
+swap-in — and the prefix cache's LRU leaf-first eviction ordering
+under pool exhaustion.
 """
 
 import numpy as np
@@ -13,12 +14,22 @@ import pytest
 
 from repro.errors import ModelError
 from repro.llm.config import tiny_test_config
+from repro.serve.faults import (
+    FaultInjector,
+    FaultPlan,
+    FaultRule,
+    TransientFault,
+    injection_scope,
+)
 from repro.serve.kvpool import (
     BlockAllocator,
     KVPool,
+    KVImage,
     OutOfBlocksError,
     PrefixCache,
 )
+from repro.serve.params import SamplingParams
+from repro.serve.request import Request, RequestState
 
 
 @pytest.fixture()
@@ -196,6 +207,72 @@ class TestSequenceStorage:
         assert pool.free_blocks == free_before + 1
 
 
+class TestSwap:
+    """Swap-out/swap-in: a sequence's bytes leave the pool and return."""
+
+    @staticmethod
+    def filled(pool, prompt, length, seed=0):
+        rng = np.random.default_rng(seed)
+        seq = pool.create_sequence(prompt)
+        shape = (1, 2, length - seq.shared_tokens, 16)
+        for cache in seq.caches:
+            cache.append(
+                rng.standard_normal(shape).astype(np.float32),
+                rng.standard_normal(shape).astype(np.float32),
+            )
+        return seq
+
+    def test_swap_round_trip_is_bitwise_in_fresh_blocks(self, config):
+        pool = make_pool(config, block_size=4)
+        prompt = np.arange(9)
+        donor = self.filled(pool, prompt, 9, seed=1)
+        pool.register_prefix(donor, prompt)
+        # The sequence maps the donor's two full prompt blocks.
+        seq = self.filled(pool, prompt, 10, seed=2)
+        assert seq.shared_tokens == 8
+        before = [
+            tuple(part.tobytes() for part in seq.gather(layer, 10))
+            for layer in range(pool.n_layers)
+        ]
+        stored = [
+            tuple(part.tobytes() for part in seq.gather_reference(layer, 10))
+            for layer in range(pool.n_layers)
+        ]
+        donor_refs = [pool.allocator.refcount(b) for b in donor.block_table]
+        free_before = pool.free_blocks
+        image = seq.swap_out()
+        assert pool.free_blocks == free_before + 1  # its one private block
+        assert image.length == 10
+        assert image.keys.dtype == np.float16
+        assert image.keys.shape == (pool.n_layers, 2, 10, 16)
+        restored = pool.swap_in(image, reserved=12)
+        # Fresh blocks only: nothing mapped, no donor block pinned.
+        assert restored.shared_tokens == 0
+        assert not set(restored.block_table) & set(donor.block_table)
+        assert [pool.allocator.refcount(b) for b in donor.block_table] == (
+            [ref - 1 for ref in donor_refs[:2]] + donor_refs[2:]
+        )
+        assert restored.length == 10
+        for layer in range(pool.n_layers):
+            residency = restored.gather(layer, 10)
+            assert tuple(part.tobytes() for part in residency) == before[layer]
+            pool_bytes = restored.gather_reference(layer, 10)
+            assert tuple(part.tobytes() for part in pool_bytes) == stored[layer]
+
+    def test_fault_mid_swap_in_releases_the_blocks_taken(self, config):
+        pool = make_pool(config, block_size=4)
+        image = self.filled(pool, np.arange(6), 6).swap_out()
+        free = pool.free_blocks
+        injector = FaultInjector(FaultPlan(rules=(FaultRule(site="paged.gather"),)))
+        injector.begin_step(0)
+        with injection_scope(injector), pytest.raises(TransientFault):
+            # Layer 0 lands (taking both blocks), then its read faults.
+            pool.swap_in(image)
+        assert injector.fired_total == 1
+        assert pool.free_blocks == free
+        assert pool.leaked_blocks() == 0
+
+
 class TestPrefixCache:
     def test_insert_then_match_shares_full_blocks(self, config):
         pool = make_pool(config, block_size=4)
@@ -219,11 +296,10 @@ class TestPrefixCache:
         seq = pool.create_sequence(prompt)
         seq.block_table.extend(pool.take_block() for _ in range(2))
         pool.register_prefix(seq, prompt)
-        fresh = pool.create_sequence(prompt, reserve_logits=True)
+        fresh = pool.create_sequence(prompt)
         assert fresh.shared_tokens == 7
         assert len(fresh.block_table) == 2  # partial share of block 2
-        resumed = pool.create_sequence(prompt, reserve_logits=False)
-        assert resumed.shared_tokens == 8
+        assert pool.peek_shared(prompt) == 7
 
     def test_first_writer_wins_on_duplicate_insert(self, config):
         pool = make_pool(config, block_size=4)
@@ -231,9 +307,17 @@ class TestPrefixCache:
         first = pool.create_sequence(prompt)
         first.block_table.append(pool.take_block())
         pool.register_prefix(first, prompt)
-        second = pool.create_sequence(np.arange(4), reserve_logits=False)
+        second = pool.create_sequence(np.arange(4))
         # second shares first's block rather than registering a new one
         assert second.block_table == first.block_table
+        # A swapped-in sequence holds the same tokens in its own block;
+        # registering it changes nothing: the trie keeps the first
+        # writer's bytes, which is why a swap-in never maps the trie.
+        image = np.ones((pool.n_layers, 2, 4, 16), dtype=np.float16)
+        swapped = pool.swap_in(KVImage(image, image))
+        assert swapped.block_table != first.block_table
+        assert pool.register_prefix(swapped, prompt) == 0
+        assert pool.create_sequence(np.arange(4)).block_table == first.block_table
 
     def test_eviction_is_lru_and_leaf_first(self, config):
         allocator = BlockAllocator(8)
@@ -286,9 +370,9 @@ class TestPlanning:
         seq = pool.create_sequence(prompt)
         seq.block_table.extend(pool.take_block() for _ in range(2))
         pool.register_prefix(seq, prompt)
-        while_held = pool.prefill_block_cost(prompt, 8, reserve_logits=True)
+        while_held = pool.prefill_block_cost(prompt, 8)
         seq.release()
-        after_release = pool.prefill_block_cost(prompt, 8, reserve_logits=True)
+        after_release = pool.prefill_block_cost(prompt, 8)
         # Shared blocks: 2 (7-token capped match). While the writer
         # holds them they cost nothing extra; once cache-only they are
         # pinned out of the reclaimable budget on admission.  Both
@@ -296,6 +380,25 @@ class TestPlanning:
         # tail.
         assert while_held == 1
         assert after_release == 3
+
+    def test_swap_in_costs_fresh_blocks_for_context_plus_one(self, config):
+        # A swap-in maps nothing from the prefix cache, whatever the
+        # trie holds: it pays blocks for its whole stored context plus
+        # the position its next decode appends.
+        pool = make_pool(config, block_size=4)
+        prompt = np.arange(8)
+        donor = pool.create_sequence(prompt)
+        donor.block_table.extend(pool.take_block() for _ in range(2))
+        pool.register_prefix(donor, prompt)
+        state = RequestState(
+            request=Request(
+                request_id=0, prompt=prompt, params=SamplingParams()
+            )
+        )
+        for stored, blocks in ((7, 2), (8, 3), (11, 3)):
+            image = np.zeros((2, 2, stored, 16), dtype=np.float16)
+            state.kv_image = KVImage(image, image)
+            assert pool.planner([]).swap_in_blocks(state) == blocks
 
     def test_blocks_for_append_counts_growth_and_fork(self, config):
         pool = make_pool(config, prefix=False)

@@ -3,11 +3,15 @@
 The acceptance bar for the KV pool: the engine (FP16 and Anda formats)
 emits tokens bitwise identical to sequential ``generate()`` — through
 block-granular storage of any block size, prefix-cache sharing,
-copy-on-write forks, and preemption's recompute-on-resume replay.
-Shared-prefix workloads must show measurable prefill-compute and
-simulated-DRAM savings, and a memory-pressure run must preempt yet
+copy-on-write forks, and preemption's swap-out/swap-in (a swapped
+request's bytes return bitwise, and its tokens equal a never-preempted
+twin's).  Shared-prefix workloads must show measurable prefill-compute
+and simulated-DRAM savings, and a memory-pressure run must preempt yet
 still finish every request.
 """
+
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,9 +26,11 @@ from repro.serve import (
     EngineConfig,
     FaultPlan,
     FaultRule,
+    RequestStatus,
     RetryPolicy,
     SamplingParams,
 )
+from repro.serve.kvpool import paged as paged_module
 from serving_helpers import assert_matches_generate, serve
 
 
@@ -225,13 +231,12 @@ class TestPreemption:
 
 
 class TestMidStepFailureRecovery:
-    def test_failed_prefill_does_not_corrupt_finished_decode(self, model):
-        # One step can both finish a decode and replay a resumed
-        # request.  If the replay raises, the finished request (caches
-        # already released) must already be out of the running set,
-        # and the resumed request must stay queued, hold no blocks, and
-        # be servable afterwards.  (The chunk-lane recovery is pinned
-        # in test_chunked_prefill.)
+    def test_failed_swap_in_keeps_image_and_leaks_nothing(self, model, monkeypatch):
+        # An unknown failure mid swap-in (after layer 0 landed) must
+        # propagate, but leave the request queued with its image and
+        # no blocks, the running decode untouched, and both servable
+        # afterwards.  (The chunk-lane recovery is pinned in
+        # test_chunked_prefill.)
         plan = FaultPlan(
             rules=(FaultRule(site="model.decode", kind="transient", request_id=1),)
         )
@@ -240,32 +245,255 @@ class TestMidStepFailureRecovery:
             paged_config(faults=plan, retry=RetryPolicy(backoff_steps=0)),
         )
         prompts = [np.arange(4, dtype=np.int64), np.arange(6, dtype=np.int64)]
-        engine.submit(prompts[0], SamplingParams(max_new_tokens=2))
-        resumed = engine.submit(prompts[1], SamplingParams(max_new_tokens=3))
+        engine.submit(prompts[0], SamplingParams(max_new_tokens=3))
+        swapped = engine.submit(prompts[1], SamplingParams(max_new_tokens=3))
         engine.step()  # both prefill and emit token 1
         engine.step()  # decode faults on request 1: step abandoned, 1 backs off
-        assert resumed._state.generated and resumed._state.kv is None
+        state = swapped._state
+        assert state.generated and state.kv is None
+        image = state.kv_image
+        assert image is not None and image.length == 6
+        free = engine._pool.free_blocks
 
-        real_forward_step = engine.model.forward_step
+        real_append = paged_module.PagedKVCache.append_precompressed
+        landed = []
 
-        def failing_forward_step(*args, **kwargs):
-            raise ModelError("injected replay failure")
+        def failing_append(cache, k, v):
+            if landed:
+                raise ModelError("injected swap-in failure")
+            landed.append(real_append(cache, k, v))
+            return landed[-1]
 
-        engine.model.forward_step = failing_forward_step
-        try:
-            with pytest.raises(ModelError, match="injected"):
-                engine.step()  # decode finishes request 0; replay blows up
-        finally:
-            engine.model.forward_step = real_forward_step
-        assert engine._running == []  # finished request did not linger
-        assert engine._waiting == [resumed._state]
-        assert resumed._state.kv is None
-        assert engine._pool.leaked_blocks() == 0
-        done = engine.drain(max_steps=20)  # queued request still serves
+        monkeypatch.setattr(
+            paged_module.PagedKVCache, "append_precompressed", failing_append
+        )
+        with pytest.raises(ModelError, match="injected"):
+            engine.step()  # the swap-in runs before any decode
+        monkeypatch.undo()
+        assert len(landed) == 1  # layer 0 took its blocks first
+        assert engine._waiting == [state]
+        assert state.kv is None and state.kv_image is image
+        assert engine._pool.free_blocks == free
+        assert [s.request.request_id for s in engine._running] == [0]
+        done = engine.drain(max_steps=20)  # both still serve
         assert sorted(result.request_id for result in done) == [0, 1]
-        for prompt, count, result in zip(prompts, (2, 3), done):
-            expected = generate(model, prompt, count)
+        for prompt, result in zip(prompts, done):
+            expected = generate(model, prompt, 3)
             np.testing.assert_array_equal(result.tokens, expected.tokens)
+        assert engine._pool.leaked_blocks() == 0
+
+
+#: KV formats for the swap tests: (engine default, odd requests' override).
+SWAP_FORMATS = [
+    pytest.param(KVFormat.fp16(), None, id="fp16"),
+    pytest.param(KVFormat.anda(8), None, id="anda8"),
+    pytest.param(KVFormat.fp16(), KVFormat.anda(8), id="mixed"),
+]
+
+
+class TestSwap:
+    """Preemption swaps a request's stored KV out and back, bitwise."""
+
+    @staticmethod
+    def prompts():
+        rng = np.random.default_rng(5)
+        return [rng.integers(0, 256, size=n) for n in (21, 18, 25, 9, 14)]
+
+    @staticmethod
+    def submit_all(engine, prompts, override):
+        return [
+            engine.submit(
+                prompt,
+                SamplingParams(
+                    max_new_tokens=12,
+                    temperature=0.8 if index % 2 else 0.0,
+                    seed=index,
+                    kv_format=override if index % 2 else None,
+                ),
+            )
+            for index, prompt in enumerate(prompts)
+        ]
+
+    @staticmethod
+    def engine(model, fmt, blocks):
+        # Budget 8: every prompt spans at least two chunks.
+        return Engine(
+            model,
+            EngineConfig(
+                kv_format=fmt,
+                kv_block_size=4,
+                max_batch_tokens=8,
+                kv_pool_blocks=blocks,
+            ),
+        )
+
+    @staticmethod
+    def snapshot(state):
+        """A running request's pool bytes and residency, per layer."""
+        seq = state.kv
+        length = seq.length
+        return length, [
+            (
+                tuple(part.tobytes() for part in seq.gather_reference(layer, length)),
+                tuple(part.tobytes() for part in seq.gather(layer, length)),
+            )
+            for layer in range(len(seq.caches))
+        ]
+
+    @pytest.mark.parametrize("fmt, override", SWAP_FORMATS)
+    def test_swap_in_restores_pool_bytes_and_residency_bitwise(
+        self, model, fmt, override
+    ):
+        engine = self.engine(model, fmt, blocks=12)
+        handles = self.submit_all(engine, self.prompts(), override)
+        before: dict[int, tuple] = {}
+        swapped_in = 0
+        while engine.has_work():
+            images = {
+                state.request.request_id: state.kv_image.length
+                for state in engine._waiting
+                if state.kv_image is not None
+            }
+            for state in engine._running:
+                before[state.request.request_id] = self.snapshot(state)
+            outputs = engine.step()
+            for state in engine._running:
+                request_id = state.request.request_id
+                if request_id not in images:
+                    continue
+                swapped_in += 1
+                # Swapped in and decoded in the step that admitted it.
+                assert any(
+                    delta.request_id == request_id for delta in outputs.deltas
+                )
+                length, layers = before[request_id]
+                assert images[request_id] == length
+                assert state.kv.shared_tokens == 0
+                for layer, (stored, resident) in enumerate(layers):
+                    seq = state.kv
+                    pool_now = seq.gather_reference(layer, length)
+                    assert tuple(p.tobytes() for p in pool_now) == stored
+                    resident_now = seq.caches[layer].read(length)
+                    assert tuple(p.tobytes() for p in resident_now) == resident
+        assert swapped_in >= 1
+        assert all(h.status() is RequestStatus.FINISHED for h in handles)
+        assert engine._pool.leaked_blocks() == 0
+
+    @pytest.mark.parametrize("fmt, override", SWAP_FORMATS)
+    @pytest.mark.parametrize("blocks", [11, 14])
+    def test_swapped_requests_match_a_never_preempted_twin(
+        self, model, fmt, override, blocks
+    ):
+        engine = self.engine(model, fmt, blocks=blocks)
+        handles = self.submit_all(engine, self.prompts(), override)
+        engine.run_until_idle(max_steps=500)
+        twin = self.engine(model, fmt, blocks=64)
+        twin_handles = self.submit_all(twin, self.prompts(), override)
+        twin.run_until_idle(max_steps=500)
+        assert engine.metrics().preemptions > 0
+        assert twin.metrics().preemptions == 0
+        for ours, theirs in zip(handles, twin_handles):
+            np.testing.assert_array_equal(ours.result().tokens, theirs.result().tokens)
+        assert engine._pool.leaked_blocks() == 0
+        assert all(handle._state.kv_image is None for handle in handles)
+
+    @staticmethod
+    def swapped_engine(model, rules=(), backoff=8):
+        """Request 1 backed off mid-decode, holding its KV as an image."""
+        plan = FaultPlan(
+            rules=(FaultRule(site="model.decode", request_id=1, step=2), *rules)
+        )
+        engine = Engine(
+            model,
+            paged_config(
+                faults=plan, retry=RetryPolicy(backoff_steps=backoff, max_retries=2)
+            ),
+        )
+        handles = [
+            engine.submit(np.arange(5 + index, dtype=np.int64), PARAMS)
+            for index in range(3)
+        ]
+        for _ in range(3):
+            engine.step()
+        state = handles[1]._state
+        assert state.status is RequestStatus.WAITING
+        assert state.kv is None and state.kv_image is not None
+        return engine, handles
+
+    def test_abort_while_swapped_drops_the_image(self, model):
+        engine, handles = self.swapped_engine(model)
+        assert handles[1].abort()
+        assert handles[1]._state.kv_image is None
+        engine.run_until_idle(max_steps=100)
+        assert engine._pool.leaked_blocks() == 0
+
+    def test_deadline_while_swapped_drops_the_image(self, model):
+        engine, handles = self.swapped_engine(model)
+        handles[1]._state.deadline = 0.0  # long past
+        engine.step()
+        state = handles[1]._state
+        assert state.status is RequestStatus.FAILED
+        assert state.finish_reason == "deadline"
+        assert state.kv_image is None
+        engine.run_until_idle(max_steps=100)
+        assert engine._pool.leaked_blocks() == 0
+
+    def test_quarantine_at_swap_in_drops_the_image(self, model):
+        rule = FaultRule(site="model.prefill", kind="permanent", request_id=1)
+        engine, handles = self.swapped_engine(model, rules=(rule,), backoff=0)
+        engine.step()  # the swap-in faults permanently
+        state = handles[1]._state
+        assert state.status is RequestStatus.FAILED
+        assert state.kv is None and state.kv_image is None
+        engine.run_until_idle(max_steps=100)
+        assert engine._pool.leaked_blocks() == 0
+
+    def test_finish_after_swap_in_drops_the_image(self, model):
+        engine, handles = self.swapped_engine(model, backoff=0)
+        engine.run_until_idle(max_steps=100)
+        state = handles[1]._state
+        assert state.status is RequestStatus.FINISHED
+        assert state.kv is None and state.kv_image is None
+        np.testing.assert_array_equal(
+            handles[1].result().tokens, generate(model, np.arange(6), 6).tokens
+        )
+        assert engine._pool.leaked_blocks() == 0
+
+    def test_preempt_resume_cycles_leave_allocations_flat(self, model):
+        # Handles outlive their requests (a client may hold them for
+        # ever), so a terminal path that kept an image would pin it.
+        # Each cycle swaps requests out and back, aborts one while it
+        # is swapped out, and drains; what the pool's sequences still
+        # hold allocated afterwards must not grow with the cycles.
+        engine = self.engine(model, KVFormat.fp16(), blocks=11)
+        held = []
+        retained = []
+        tracemalloc.start()
+        try:
+            for _ in range(4):
+                handles = self.submit_all(engine, self.prompts(), None)
+                held.extend(handles)
+                aborted = False
+                while engine.has_work():
+                    engine.step()
+                    swapped = [s for s in engine._waiting if s.kv_image is not None]
+                    if swapped and not aborted:
+                        aborted = engine.abort(swapped[-1].request.request_id)
+                assert aborted
+                gc.collect()  # a sequence and its layer caches form a cycle
+                snapshot = tracemalloc.take_snapshot().filter_traces(
+                    [tracemalloc.Filter(True, paged_module.__file__)]
+                )
+                stats = snapshot.statistics("filename")
+                retained.append(sum(stat.size for stat in stats))
+        finally:
+            tracemalloc.stop()
+        assert max(retained) <= retained[0]
+        assert engine.metrics().preemptions >= 4
+        assert engine._pool.leaked_blocks() == 0
+
+
+PARAMS = SamplingParams(max_new_tokens=6)
 
 
 class TestDrainGuard:

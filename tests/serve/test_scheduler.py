@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError
+from repro.serve.kvpool import KVImage
 from repro.serve.params import SamplingParams
 from repro.serve.request import Request, RequestState, RequestStatus
 from repro.serve.scheduler import (
     FcfsPolicy,
+    KVBlockPlanner,
     ShortestPromptFirstPolicy,
     get_policy,
     plan_step,
@@ -33,9 +35,36 @@ def make_state(
     if prefill_pos:
         state.prefill_pos = prefill_pos
         state.status = RequestStatus.PREFILLING
-    # A resumed request: preempted mid-decode, replays prompt + tokens.
-    state.generated = list(generated)
+    if generated:
+        # Preempted mid-decode: its stored KV (every position but the
+        # last emitted token's) waits as an image for its swap-in.
+        state.generated = list(generated)
+        shape = (1, 1, prompt_length + len(generated) - 1, 1)
+        image = np.zeros(shape, dtype=np.float16)
+        state.kv_image = KVImage(image, image)
     return state
+
+
+class FixedBlocks(KVBlockPlanner):
+    """A block budget of ``available`` blocks; every admission costs
+    ``swap_in`` (swap-ins) or ``chunk`` (chunks) blocks."""
+
+    def __init__(self, available: int, swap_in: int, chunk: int = 0) -> None:
+        self.available = available
+        self.swap_in = swap_in
+        self.chunk = chunk
+
+    def available_blocks(self) -> int:
+        return self.available
+
+    def swap_in_blocks(self, state: RequestState) -> int:
+        return self.swap_in
+
+    def chunk_blocks(self, state: RequestState, tokens: int) -> int:
+        return self.chunk
+
+    def admit(self, blocks_needed: int) -> None:
+        self.available -= blocks_needed
 
 
 class TestPolicies:
@@ -101,20 +130,36 @@ class TestPlanStep:
         assert plan.prefills == []
         assert len(plan.decodes) == 4
 
-    def test_oversized_replay_runs_alone(self):
-        # A resumed request's replay is never chunked: when it exceeds
-        # the budget with nothing running, it runs alone rather than
-        # deadlocking the queue.
+    def test_swap_in_longer_than_the_budget_shares_the_step(self):
+        # A swapped-out request's context far exceeds the budget, but
+        # it computes none of it: its swap-in costs one decode token, so
+        # the next request still gets the rest of the budget.
         waiting = [make_state(0, 48, generated=(1, 2, 3)), make_state(1, 2)]
         plan = plan_step(waiting, [], FcfsPolicy(), 8, 8)
-        assert [s.request.request_id for s in plan.prefills] == [0]
-        assert plan.budget_tokens == 50
+        assert [s.request.request_id for s in plan.swap_ins] == [0]
+        assert [s.request.request_id for s in plan.prefills] == [1]
+        assert plan.budget_tokens == 3
 
-    def test_oversized_replay_waits_while_decodes_run(self):
+    def test_swap_in_joins_while_decodes_run(self):
+        # No waiting for the batch to drain: the swap-in rides with the
+        # running decodes for one budget token, and pays its blocks.
         running = [make_state(1, 2, running=True)]
         waiting = [make_state(0, 48, generated=(1, 2, 3))]
-        plan = plan_step(waiting, running, FcfsPolicy(), 8, 8)
+        blocks = FixedBlocks(available=5, swap_in=4)
+        plan = plan_step(waiting, running, FcfsPolicy(), 8, 8, blocks=blocks)
+        assert [s.request.request_id for s in plan.swap_ins] == [0]
         assert plan.prefills == []
+        assert plan.budget_tokens == 2
+        assert blocks.available == 1
+
+    def test_swap_in_waits_for_blocks_while_decodes_run(self):
+        running = [make_state(1, 2, running=True)]
+        waiting = [make_state(0, 48, generated=(1, 2, 3)), make_state(2, 2)]
+        blocks = FixedBlocks(available=3, swap_in=4)
+        plan = plan_step(waiting, running, FcfsPolicy(), 8, 8, blocks=blocks)
+        # Head-of-line: FCFS does not skip the swap-in for request 2.
+        assert plan.swap_ins == [] and plan.prefills == []
+        assert blocks.available == 3
 
     def test_policy_shapes_admission(self):
         waiting = [make_state(0, 7), make_state(1, 3)]
@@ -196,14 +241,17 @@ class TestChunkedPlanning:
         assert chunk.tokens == 4
         assert chunk.completes
 
-    def test_resumed_request_never_chunked(self):
-        # A preempted mid-decode request replays prompt + emitted
-        # tokens in one admission (bitwise rebuild), even when the
-        # budget only covers part of it.
-        resumed = make_state(0, 10, generated=(5, 6, 7))
-        plan = plan_step([resumed], [], FcfsPolicy(), 8, 8)
-        # Forward-progress override admits the whole 12-token replay.
-        assert plan.prefills[0].tokens == 12
+    def test_swapped_request_is_a_swap_in_not_a_chunk(self):
+        # A preempted mid-decode request computes nothing on
+        # re-admission: it is never a prefill chunk, whatever the
+        # budget, and takes a slot like a fresh admission.
+        swapped = make_state(0, 10, generated=(5, 6, 7))
+        fresh = make_state(1, 4)
+        plan = plan_step([swapped, fresh], [], FcfsPolicy(), 1, 64)
+        assert plan.swap_ins == [swapped]
+        assert plan.prefills == []  # the only slot went to the swap-in
+        assert plan.budget_tokens == 1
+        assert not plan.empty
 
     def test_budget_covering_the_prompt_admits_it_whole(self):
         # Whole-prompt prefill is a budget size, not a mode.

@@ -334,7 +334,7 @@ class TestEngineTracing:
     def test_span_and_lifecycle_taxonomy_is_pinned(self, model):
         # One traced run whose steps cover decode-only, mixed,
         # multi-wave (a prefix-deferred chunk), preempting (small pool)
-        # and resumed-replay steps, plus every failure instant.  The
+        # and swap-in steps, plus every failure instant.  The
         # exact taxonomy is pinned: span names, each span's arg keys
         # and parent span, and the multiset of lifecycle instants.
         rng = np.random.default_rng(0)
@@ -416,7 +416,7 @@ class TestEngineTracing:
             "decode.attention": {("kv_length", "size")},
             "decode.codec": {("batch",)},
             "step.sample": {("request",)},
-            "step.prefill": {("requests",)},
+            "step.swap_in": {("requests",)},
         }
         lane_phases = (
             "step.schedule",
@@ -424,7 +424,7 @@ class TestEngineTracing:
             "step.prefill_chunks",
             "step.decode_batch",
             "step.sample",
-            "step.prefill",
+            "step.swap_in",
         )
         assert span_parents == {
             "step": {None},
@@ -435,7 +435,10 @@ class TestEngineTracing:
         assert Counter(instants) == Counter(
             QUEUED=6,
             DEGRADED=3,
-            PREFILLING=3,
+            # Request 1's swap-in maps no shared prefix blocks, so it
+            # waits for free blocks until request 0 finishes; the
+            # shifted schedule gives request 4's prompt two chunks.
+            PREFILLING=4,
             RUNNING=6,
             PREEMPTED=2,
             RETRY=1,
