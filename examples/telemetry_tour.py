@@ -17,6 +17,10 @@ instruments to every engine, toured here over one mixed workload:
    renders as a labelled time series in the text exposition format a
    scrape endpoint would serve.
 
+The script exits non-zero if the trace fails schema validation or the
+exposition lacks a series from ``ENGINE_COUNTER_FIELDS`` /
+``ENGINE_GAUGE_FIELDS``.
+
 The workload mixes the lifecycles the tracer distinguishes: a batch of
 short prompts, one long prompt pushed through chunked prefill, and a
 request aborted mid-flight.
@@ -36,6 +40,7 @@ from repro.serve import (
     TelemetryConfig,
     validate_chrome_trace,
 )
+from repro.serve.telemetry import ENGINE_COUNTER_FIELDS, ENGINE_GAUGE_FIELDS
 
 TRACE_PATH = Path("telemetry_tour_trace.json")
 
@@ -99,12 +104,25 @@ def main() -> None:
     print("open it at https://ui.perfetto.dev or chrome://tracing")
 
     print("\n=== 3. Prometheus text exposition ===")
-    # telemetry.prometheus() pulls the engine's metrics into the
-    # per-engine registry (label engine=<label>) and renders it.
-    print(telemetry.prometheus(), end="")
+    # telemetry.prometheus() renders the engine's current metrics,
+    # every series labelled engine=<label>.
+    exposition = telemetry.prometheus()
+    print(exposition, end="")
+    sampled = {
+        line.split("{", 1)[0]
+        for line in exposition.splitlines()
+        if not line.startswith("#")
+    }
+    missing = [
+        name
+        for _, name, _ in ENGINE_COUNTER_FIELDS + ENGINE_GAUGE_FIELDS
+        if name not in sampled
+    ]
 
     if problems:
         raise SystemExit(f"trace failed schema validation: {problems}")
+    if missing:
+        raise SystemExit(f"exposition lacks series: {', '.join(missing)}")
 
 
 if __name__ == "__main__":

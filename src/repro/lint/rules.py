@@ -337,7 +337,7 @@ class StatsScopedToAttention(Rule):
         "fallback scopes.  Engine code reading or writing them directly sees\n"
         "(and corrupts) counters from whichever engine last ran -- the exact\n"
         "cross-engine bleed PR 7 fixed with contextvar-scoped StatScope.  Use\n"
-        "stats_scope() / the engine's telemetry registry instead."
+        "stats_scope() instead."
     )
 
     def check(self, index: ModuleIndex) -> list[Finding]:

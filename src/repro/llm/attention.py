@@ -6,13 +6,19 @@ projection.  LLaMA-family models apply rotary position embeddings to
 queries and keys; OPT-family models rely on the model's learned position
 embeddings instead.
 
-Two forward paths are provided:
+Four forward paths are provided:
 
 * :meth:`MultiHeadAttention.__call__` — autograd path used for training
   and whole-sequence (prefill) evaluation.
 * :meth:`MultiHeadAttention.step` — plain-numpy incremental path with a
   KV cache, used by :mod:`repro.llm.generation` (the paper keeps the KV
   cache in FP16; so does this model).
+* :meth:`MultiHeadAttention.step_batch` — one decode token for each of
+  many requests, every row bitwise identical to a ``batch=1``
+  :meth:`~MultiHeadAttention.step` (the serving engine's decode lane).
+* :meth:`MultiHeadAttention.step_mixed` — variable-length prompt
+  chunks for many requests flattened into one GeMM, attention per
+  segment (the serving engine's chunked-prefill lane).
 """
 
 from __future__ import annotations

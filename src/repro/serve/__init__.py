@@ -98,7 +98,6 @@ from repro.serve.scheduler import (
     validate_admission,
 )
 from repro.serve.telemetry import (
-    CounterRegistry,
     EngineTelemetry,
     StepTracer,
     TelemetryConfig,
@@ -113,7 +112,6 @@ __all__ = [
     "POLICIES",
     "BlockAllocator",
     "CompletedRequest",
-    "CounterRegistry",
     "DecodeFirstPolicy",
     "Engine",
     "EngineConfig",

@@ -230,8 +230,9 @@ class EngineConfig:
         telemetry: optional instruments
             (:class:`~repro.serve.telemetry.TelemetryConfig`) — phase
             span tracing for Chrome-trace export and per-step summary
-            logging.  The per-engine counter registry exists regardless
-            of this config; only the tracer and log lines are optional.
+            logging.  The Prometheus exposition of ``metrics()`` exists
+            regardless of this config; only the tracer and log lines
+            are optional.
         faults: optional seeded
             :class:`~repro.serve.faults.FaultPlan` evaluated at the
             named injection points threaded through the stack
@@ -280,6 +281,12 @@ class EngineConfig:
             raise ModelError(f"kv_pool_blocks must be >= 2, got {self.kv_pool_blocks}")
         if self.kv_block_size < 1:
             raise ModelError(f"kv_block_size must be >= 1, got {self.kv_block_size}")
+        get_policy(self.policy)  # raises ModelError naming the known policies
+        if not isinstance(self.telemetry, TelemetryConfig):
+            raise ModelError(
+                "telemetry must be a repro.serve.telemetry.TelemetryConfig, "
+                f"got {type(self.telemetry).__name__}"
+            )
         if self.faults is not None and not isinstance(self.faults, FaultPlan):
             raise ModelError(
                 "faults must be a repro.serve.faults.FaultPlan or None, "

@@ -215,5 +215,5 @@ class LLM:
     @property
     def telemetry(self) -> EngineTelemetry:
         """The engine's :class:`~repro.serve.telemetry.EngineTelemetry`
-        bundle (counter registry, optional tracer, exporters)."""
+        bundle (optional tracer, Prometheus and trace exporters)."""
         return self.engine.telemetry

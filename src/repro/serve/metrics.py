@@ -189,12 +189,6 @@ class EngineMetrics:
             return 0.0
         return sum(r.latency_seconds for r in self.requests) / len(self.requests)
 
-    @property
-    def mean_ttft_seconds(self) -> float:
-        if not self.requests:
-            return 0.0
-        return sum(r.ttft_seconds for r in self.requests) / len(self.requests)
-
     def _ttfts(self) -> list[float]:
         return [r.ttft_seconds for r in self.requests]
 

@@ -1,16 +1,19 @@
-"""Serving telemetry: step tracing, engine-scoped counters, exporters.
+"""Serving telemetry: step tracing and exporters.
 
-The observability layer over the serving engine, in three parts:
+The observability layer over the serving engine, in two parts:
 
-* :class:`~repro.serve.telemetry.counters.CounterRegistry` — per-engine
-  counter/gauge families with Prometheus-style labels (the fix for the
-  old process-global counter bleed between engines);
 * :class:`~repro.serve.telemetry.tracer.StepTracer` — a low-overhead
   span/instant recorder instrumenting every phase of ``Engine.step``
   plus per-request lifecycle transitions;
 * :mod:`~repro.serve.telemetry.export` — Chrome trace-event JSON
   (Perfetto-loadable), Prometheus text exposition, and structured
   per-step log lines, bundled per engine as :class:`EngineTelemetry`.
+  The exposition renders straight from ``Engine.metrics()``, labelled
+  ``engine=<label>``.
+
+Engines never bleed counters into each other: each step runs inside
+its own :func:`repro.llm.attention.stats_scope`, so every engine's
+metrics hold only its own traffic.
 
 Enable tracing with ``EngineConfig(telemetry=TelemetryConfig(
 trace=True))`` and read everything through ``engine.telemetry`` (or
@@ -18,7 +21,6 @@ trace=True))`` and read everything through ``engine.telemetry`` (or
 """
 
 from repro.serve.telemetry.config import TelemetryConfig
-from repro.serve.telemetry.counters import CounterRegistry, Metric, MetricFamily, Sample
 from repro.serve.telemetry.export import (
     ENGINE_COUNTER_FIELDS,
     ENGINE_GAUGE_FIELDS,
@@ -34,11 +36,7 @@ from repro.serve.telemetry.tracer import StepTracer, TraceEvent, request_track
 __all__ = [
     "ENGINE_COUNTER_FIELDS",
     "ENGINE_GAUGE_FIELDS",
-    "CounterRegistry",
     "EngineTelemetry",
-    "Metric",
-    "MetricFamily",
-    "Sample",
     "StepTracer",
     "TelemetryConfig",
     "TraceEvent",

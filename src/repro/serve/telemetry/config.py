@@ -11,9 +11,9 @@ from repro.errors import ModelError
 class TelemetryConfig:
     """What an engine records beyond its always-on counters.
 
-    The counter registry and per-engine stats exist regardless of this
-    config (they replace the old process-global counters and cost the
-    same); the knobs here govern the *optional* instruments:
+    The per-engine stats and their Prometheus exposition exist
+    regardless of this config; the knobs here govern the *optional*
+    instruments:
 
     Args:
         trace: record phase spans and request lifecycle events into a

@@ -10,18 +10,16 @@ Three consumers, one recording substrate:
   :func:`validate_chrome_trace` checks an emitted payload against the
   schema subset CI relies on (required keys, per-track monotonic
   ``ts``, matched B/E pairs).
-* :func:`prometheus_exposition` renders a
-  :class:`~repro.serve.telemetry.counters.CounterRegistry` in the
-  Prometheus text exposition format (version 0.0.4).
+* :func:`prometheus_exposition` renders an
+  :class:`~repro.serve.metrics.EngineMetrics` snapshot in the
+  Prometheus text exposition format (version 0.0.4); the tables
+  :data:`ENGINE_COUNTER_FIELDS` / :data:`ENGINE_GAUGE_FIELDS` drive it,
+  so the exposition reproduces the metrics object by construction.
 * :func:`log_step_summary` emits one structured ``logging`` line per
   engine step on the ``repro.serve.telemetry`` logger.
 
-:class:`EngineTelemetry` bundles the per-engine instruments (registry +
-optional tracer) and the pull that maps every
-:class:`~repro.serve.metrics.EngineMetrics` field into labelled
-registry series — the table :data:`ENGINE_COUNTER_FIELDS` /
-:data:`ENGINE_GAUGE_FIELDS` drives it, so the exposition reproduces the
-legacy metrics object by construction.
+:class:`EngineTelemetry` bundles one engine's optional tracer with
+these exporters.
 """
 
 from __future__ import annotations
@@ -29,12 +27,11 @@ from __future__ import annotations
 import json
 import logging
 from pathlib import Path
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from typing import TYPE_CHECKING
 
 from repro.errors import ModelError
 from repro.serve.telemetry.config import TelemetryConfig
-from repro.serve.telemetry.counters import CounterRegistry
 from repro.serve.telemetry.tracer import StepTracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine -> here)
@@ -45,8 +42,7 @@ LOGGER = logging.getLogger("repro.serve.telemetry")
 
 #: Cumulative :class:`EngineMetrics` fields exported as Prometheus
 #: counters: ``(attribute, metric name, help)``.  Monotone over an
-#: engine's life, so the pull-model collect can advance each counter by
-#: its delta since the last pull.
+#: engine's life.
 ENGINE_COUNTER_FIELDS: tuple[tuple[str, str, str], ...] = (
     ("steps", "repro_engine_steps_total", "Engine steps executed"),
     (
@@ -312,22 +308,51 @@ def _escape_label_value(value: str) -> str:
     return value.replace("\\", r"\\").replace('"', r"\"").replace("\n", r"\n")
 
 
-def prometheus_exposition(registry: CounterRegistry) -> str:
-    """Text exposition (format 0.0.4) of every family in the registry."""
+def _family(
+    name: str, kind: str, help: str, series: Iterable[tuple[str, float]]
+) -> list[str]:
+    """HELP, TYPE and one sample line per ``(labels, value)`` series."""
+    lines = [f"# HELP {name} {help}", f"# TYPE {name} {kind}"]
+    lines.extend(f"{name}{{{labels}}} {float(value)!r}" for labels, value in series)
+    return lines
+
+
+def prometheus_exposition(metrics: "EngineMetrics", engine_label: str) -> str:
+    """Text exposition (format 0.0.4) of one engine's metrics snapshot.
+
+    Families render in a fixed order: the :data:`ENGINE_COUNTER_FIELDS`
+    counters, the DRAM-byte and finished-request counters, the
+    per-format KV byte counter (one series per format, in label
+    order), then the :data:`ENGINE_GAUGE_FIELDS` gauges.  Every series
+    carries ``engine="<engine_label>"``.
+    """
+    engine = f'engine="{_escape_label_value(engine_label)}"'
     lines: list[str] = []
-    for family in registry.collect():
-        if family.help:
-            lines.append(f"# HELP {family.name} {family.help}")
-        lines.append(f"# TYPE {family.name} {family.kind}")
-        for sample in family.samples():
-            if sample.labels:
-                rendered = ",".join(
-                    f'{name}="{_escape_label_value(value)}"'
-                    for name, value in sample.labels
-                )
-                lines.append(f"{sample.name}{{{rendered}}} {sample.value!r}")
-            else:
-                lines.append(f"{sample.name} {sample.value!r}")
+    for attribute, name, help in ENGINE_COUNTER_FIELDS:
+        lines += _family(name, "counter", help, [(engine, getattr(metrics, attribute))])
+    lines += _family(
+        "repro_engine_dram_bytes_total",
+        "counter",
+        "Simulated DRAM traffic",
+        [(engine, metrics.traffic.total_bytes)],
+    )
+    lines += _family(
+        "repro_engine_finished_requests_total",
+        "counter",
+        "Requests run to completion",
+        [(engine, len(metrics.requests))],
+    )
+    lines += _family(
+        "repro_engine_kv_format_bytes_total",
+        "counter",
+        "Simulated KV traffic attributed per KV format",
+        [
+            (f'{engine},format="{_escape_label_value(label)}"', nbytes)
+            for label, nbytes in sorted(metrics.kv_format_bytes)
+        ],
+    )
+    for attribute, name, help in ENGINE_GAUGE_FIELDS:
+        lines += _family(name, "gauge", help, [(engine, getattr(metrics, attribute))])
     return "\n".join(lines) + "\n"
 
 
@@ -361,14 +386,14 @@ def log_step_summary(engine_label: str, report: "StepReport") -> None:
 
 
 class EngineTelemetry:
-    """One engine's telemetry instruments: registry + optional tracer.
+    """One engine's telemetry: optional tracer plus the exporters.
 
     Built by :class:`~repro.serve.engine.Engine` from its
     :class:`TelemetryConfig`; the engine passes its own ``metrics``
-    callable so :meth:`collect` can pull the legacy
-    :class:`~repro.serve.metrics.EngineMetrics` summary into the
-    registry (every series labelled ``engine=<label>``) without this
-    module importing the engine.
+    callable so :meth:`prometheus` can render a fresh
+    :class:`~repro.serve.metrics.EngineMetrics` snapshot (every series
+    labelled ``engine=<label>``) without this module importing the
+    engine.
     """
 
     def __init__(
@@ -379,65 +404,26 @@ class EngineTelemetry:
     ) -> None:
         self.config = config
         self.engine_label = engine_label
-        self.registry = CounterRegistry()
         self.tracer: StepTracer | None = StepTracer() if config.trace else None
         self._metrics_fn = metrics_fn
-
-    def collect(self) -> None:
-        """Pull the engine's metrics summary into the registry.
-
-        Counters advance by their delta since the previous pull (the
-        underlying fields are cumulative), gauges are set to the latest
-        value; repeated pulls are therefore idempotent on quiescent
-        engines.
-        """
-        metrics = self._metrics_fn()
-        for attribute, name, help in ENGINE_COUNTER_FIELDS:
-            series = self.registry.counter(name, help, labels=("engine",)).labels(
-                engine=self.engine_label
-            )
-            series.inc(float(getattr(metrics, attribute)) - series.value)
-        dram = self.registry.counter(
-            "repro_engine_dram_bytes_total",
-            "Simulated DRAM traffic",
-            labels=("engine",),
-        ).labels(engine=self.engine_label)
-        dram.inc(float(metrics.traffic.total_bytes) - dram.value)
-        finished = self.registry.counter(
-            "repro_engine_finished_requests_total",
-            "Requests run to completion",
-            labels=("engine",),
-        ).labels(engine=self.engine_label)
-        finished.inc(float(len(metrics.requests)) - finished.value)
-        format_family = self.registry.counter(
-            "repro_engine_kv_format_bytes_total",
-            "Simulated KV traffic attributed per KV format",
-            labels=("engine", "format"),
-        )
-        for label, nbytes in metrics.kv_format_bytes:
-            series = format_family.labels(engine=self.engine_label, format=label)
-            series.inc(float(nbytes) - series.value)
-        for attribute, name, help in ENGINE_GAUGE_FIELDS:
-            self.registry.gauge(name, help, labels=("engine",)).labels(
-                engine=self.engine_label
-            ).set(float(getattr(metrics, attribute)))
+        self._process_name = f"repro.serve[{engine_label}]"
 
     def prometheus(self) -> str:
-        """Collect, then render the registry's text exposition."""
-        self.collect()
-        return prometheus_exposition(self.registry)
+        """Text exposition of the engine's current metrics."""
+        return prometheus_exposition(self._metrics_fn(), self.engine_label)
 
-    def chrome_trace(self) -> dict:
-        """The engine's trace as a Chrome trace-event JSON object."""
+    def _enabled_tracer(self) -> StepTracer:
         if self.tracer is None:
             raise ModelError(
                 "tracing is disabled; construct the engine with "
                 "EngineConfig(telemetry=TelemetryConfig(trace=True))"
             )
-        return chrome_trace(self.tracer, f"repro.serve[{self.engine_label}]")
+        return self.tracer
+
+    def chrome_trace(self) -> dict:
+        """The engine's trace as a Chrome trace-event JSON object."""
+        return chrome_trace(self._enabled_tracer(), self._process_name)
 
     def write_trace(self, path: str | Path) -> Path:
         """Serialize :meth:`chrome_trace` to ``path``; returns the path."""
-        path = Path(path)
-        path.write_text(json.dumps(self.chrome_trace()) + "\n")
-        return path
+        return write_chrome_trace(path, self._enabled_tracer(), self._process_name)

@@ -1,6 +1,6 @@
 """Cross-engine counter isolation (the telemetry-subsystem bleed fix).
 
-Before the engine-scoped registry, every engine funnelled its hot-path
+Before engine-scoped stats, every engine funnelled its hot-path
 accounting through the module globals ``HOT_PATH_STATS`` /
 ``ATTENTION_STATS`` in :mod:`repro.llm.attention` — two engines in one
 process double-counted each other's KV bytes and attention dispatches,
@@ -183,17 +183,20 @@ def test_threaded_engines_stay_isolated(model):
     assert fingerprint(engines["b"]) == solo_b
 
 
-def test_telemetry_registries_are_per_engine(model):
+def test_telemetry_expositions_are_per_engine(model):
     engine_a = Engine(model, EngineConfig(max_batch_size=4))
     engine_b = Engine(model, EngineConfig(max_batch_size=4))
     assert engine_a.telemetry.engine_label != engine_b.telemetry.engine_label
-    assert engine_a.telemetry.registry is not engine_b.telemetry.registry
+    idle_b = engine_b.telemetry.prometheus()
 
     LLM(engine=engine_a).generate(
         workload(model, seed=7), SamplingParams(max_new_tokens=5)
     )
     exposition_a = engine_a.telemetry.prometheus()
     exposition_b = engine_b.telemetry.prometheus()
+    # Engine A's traffic leaves engine B's exposition byte-identical.
+    assert exposition_b == idle_b
+    assert exposition_a != exposition_b
     assert f'engine="{engine_a.telemetry.engine_label}"' in exposition_a
     assert f'engine="{engine_a.telemetry.engine_label}"' not in exposition_b
     # The idle engine's counters are all zero; the active one's step

@@ -151,6 +151,14 @@ class TestLifecycle:
         with pytest.raises(ModelError):
             EngineConfig(max_batch_tokens=0)
 
+    def test_unknown_policy_fails_at_construction(self):
+        with pytest.raises(ModelError, match="unknown scheduler policy 'nope'"):
+            EngineConfig(policy="nope")
+
+    def test_missing_telemetry_config_fails_at_construction(self):
+        with pytest.raises(ModelError, match="telemetry must be"):
+            EngineConfig(telemetry=None)
+
     def test_serve_batch_accepts_prebuilt_engine(self, model, prompts):
         engine = Engine(model)
         results = serve(model, prompts[:2], 3, engine=engine)

@@ -1,4 +1,4 @@
-"""Serving telemetry: tracer, registry, exporters, engine integration.
+"""Serving telemetry: tracer, exporters, engine integration.
 
 The observability acceptance bar:
 
@@ -19,6 +19,7 @@ The observability acceptance bar:
   and a disabled-telemetry engine records no events at all.
 """
 
+import dataclasses
 import json
 import logging
 import math
@@ -41,10 +42,10 @@ from repro.serve import (
     RequestStatus,
     SamplingParams,
 )
+from repro.serve.metrics import summarize
 from repro.serve.telemetry import (
     ENGINE_COUNTER_FIELDS,
     ENGINE_GAUGE_FIELDS,
-    CounterRegistry,
     StepTracer,
     TelemetryConfig,
     chrome_trace,
@@ -83,65 +84,6 @@ def run_traced_engine(model, **config_overrides):
     ]
     engine.run_until_idle(max_steps=500)
     return engine, handles
-
-
-class TestCounterRegistry:
-    def test_counter_inc_and_samples(self):
-        registry = CounterRegistry()
-        family = registry.counter("reqs_total", "requests", labels=("engine",))
-        family.labels(engine="e0").inc()
-        family.labels(engine="e0").inc(2.5)
-        family.labels(engine="e1").inc(4)
-        samples = {s.labels: s.value for s in family.samples()}
-        assert samples[(("engine", "e0"),)] == 3.5
-        assert samples[(("engine", "e1"),)] == 4.0
-
-    def test_gauge_set_overwrites(self):
-        registry = CounterRegistry()
-        gauge = registry.gauge("depth", labels=())
-        gauge.labels().set(7.0)
-        gauge.labels().set(3.0)
-        assert gauge.labels().value == 3.0
-
-    def test_counter_cannot_decrease(self):
-        registry = CounterRegistry()
-        family = registry.counter("ticks")
-        with pytest.raises(ModelError, match="cannot decrease"):
-            family.labels().inc(-1)
-
-    def test_set_is_gauge_only(self):
-        registry = CounterRegistry()
-        family = registry.counter("ticks")
-        with pytest.raises(ModelError, match="gauge-only"):
-            family.labels().set(5.0)
-
-    def test_invalid_metric_name_rejected(self):
-        with pytest.raises(ModelError, match="invalid metric name"):
-            CounterRegistry().counter("9starts-with-digit")
-
-    def test_invalid_label_name_rejected(self):
-        with pytest.raises(ModelError, match="invalid label name"):
-            CounterRegistry().counter("ok", labels=("not-ok",))
-
-    def test_reregistration_must_match(self):
-        registry = CounterRegistry()
-        registry.counter("ticks", labels=("engine",))
-        assert registry.counter("ticks", labels=("engine",)) is not None
-        with pytest.raises(ModelError, match="re-registered"):
-            registry.gauge("ticks", labels=("engine",))
-        with pytest.raises(ModelError, match="re-registered"):
-            registry.counter("ticks", labels=("other",))
-
-    def test_wrong_label_set_rejected(self):
-        family = CounterRegistry().counter("ticks", labels=("engine",))
-        with pytest.raises(ModelError, match="takes labels"):
-            family.labels(host="h")
-
-    def test_collect_preserves_registration_order(self):
-        registry = CounterRegistry()
-        registry.counter("b_total")
-        registry.gauge("a_depth")
-        assert [f.name for f in registry.collect()] == ["b_total", "a_depth"]
 
 
 class TestTelemetryConfig:
@@ -252,6 +194,7 @@ class TestEngineTracing:
         path = engine.telemetry.write_trace(tmp_path / "trace.json")
         payload = json.loads(path.read_text())
         assert validate_chrome_trace(payload) == []
+        assert payload == engine.telemetry.chrome_trace()
 
     def test_root_step_spans_reproduce_step_reports(self, model):
         engine = Engine(model, traced_config())
@@ -458,13 +401,16 @@ class TestEngineTracing:
             "FINISHED": {("reason", "tokens")},
         }
 
-    def test_disabled_telemetry_records_nothing(self, model):
+    def test_disabled_telemetry_records_nothing(self, model, tmp_path):
         engine = Engine(model, EngineConfig(max_batch_size=4))
         llm = LLM(engine=engine)
         llm.generate(prompts_for(model), SamplingParams(max_new_tokens=4))
         assert engine.telemetry.tracer is None
         with pytest.raises(ModelError, match="tracing is disabled"):
             engine.telemetry.chrome_trace()
+        with pytest.raises(ModelError, match="tracing is disabled"):
+            engine.telemetry.write_trace(tmp_path / "trace.json")
+        assert not (tmp_path / "trace.json").exists()
 
 
 class TestLifecycleEvents:
@@ -536,34 +482,118 @@ def parse_exposition(text):
 
 class TestPrometheusExposition:
     def test_renders_help_type_and_escaped_labels(self):
-        registry = CounterRegistry()
-        family = registry.counter("reqs_total", "total requests", ("engine",))
-        family.labels(engine='e"0\\x\n').inc(2)
-        text = prometheus_exposition(registry)
-        assert "# HELP reqs_total total requests" in text
-        assert "# TYPE reqs_total counter" in text
-        assert '\\"' in text and "\\n" in text and "\\\\" in text
+        text = prometheus_exposition(summarize([], []), 'e"0\\x\n')
+        assert "# HELP repro_engine_steps_total Engine steps executed" in text
+        assert "# TYPE repro_engine_steps_total counter" in text
+        assert "# TYPE repro_engine_tokens_per_second gauge" in text
+        assert 'repro_engine_steps_total{engine="e\\"0\\\\x\\n"} 0.0' in text
+        # A family with no series still declares itself.
+        assert text.count("repro_engine_kv_format_bytes_total") == 2
         assert text.endswith("\n")
+
+    @pytest.mark.parametrize(
+        ("raw", "escaped"),
+        [("a\\b", "a\\\\b"), ('a"b', 'a\\"b'), ("a\nb", "a\\nb")],
+        ids=["backslash", "quote", "newline"],
+    )
+    def test_engine_label_escaping(self, raw, escaped):
+        text = prometheus_exposition(summarize([], []), raw)
+        assert f'repro_engine_steps_total{{engine="{escaped}"}} 0.0\n' in text
+        assert f'engine="{raw}"' not in text
+
+    def test_values_render_as_float_repr(self):
+        metrics = dataclasses.replace(
+            summarize([], []), steps=3, total_seconds=0.125, prefix_saved_bytes=1e20
+        )
+        lines = prometheus_exposition(metrics, "e0").splitlines()
+        assert 'repro_engine_steps_total{engine="e0"} 3.0' in lines
+        assert 'repro_engine_step_seconds_total{engine="e0"} 0.125' in lines
+        assert 'repro_engine_prefix_saved_bytes_total{engine="e0"} 1e+20' in lines
+
+    def test_kv_format_series_sorted_and_escaped(self):
+        metrics = dataclasses.replace(
+            summarize([], []),
+            kv_format_bytes=(("fp16", 8.0), ('a"x', 1.0), ("anda4", 2.5)),
+        )
+        name = "repro_engine_kv_format_bytes_total"
+        series = [
+            line
+            for line in prometheus_exposition(metrics, "e0").splitlines()
+            if line.startswith(name + "{")
+        ]
+        assert series == [
+            f'{name}{{engine="e0",format="a\\"x"}} 1.0',
+            f'{name}{{engine="e0",format="anda4"}} 2.5',
+            f'{name}{{engine="e0",format="fp16"}} 8.0',
+        ]
+
+    def test_each_family_is_help_type_then_its_samples(self):
+        lines = prometheus_exposition(summarize([], []), "e0").splitlines()
+        kinds = {name: "counter" for _, name, _ in ENGINE_COUNTER_FIELDS}
+        kinds.update({name: "gauge" for _, name, _ in ENGINE_GAUGE_FIELDS})
+        helps = {
+            name: help for _, name, help in ENGINE_COUNTER_FIELDS + ENGINE_GAUGE_FIELDS
+        }
+        index = 0
+        while index < len(lines):
+            _, _, name, help = lines[index].split(" ", 3)
+            assert lines[index] == f"# HELP {name} {help}"
+            assert lines[index + 1] == f"# TYPE {name} {kinds.get(name, 'counter')}"
+            if name in helps:
+                assert help == helps[name]
+            index += 2
+            while index < len(lines) and not lines[index].startswith("#"):
+                assert lines[index].startswith(name + "{")
+                index += 1
+
+    def test_engine_pull_renders_its_metrics_snapshot(self, model):
+        engine, _ = run_traced_engine(model)
+        assert engine.telemetry.prometheus() == prometheus_exposition(
+            engine.metrics(), engine.telemetry.engine_label
+        )
 
     def test_exposition_reproduces_every_engine_metric(self, model):
         engine, _ = run_traced_engine(model)
         metrics = engine.metrics()
         label = engine.telemetry.engine_label
         samples = parse_exposition(engine.telemetry.prometheus())
-        for attribute, name, _ in ENGINE_COUNTER_FIELDS:
-            value = samples[name][f'{name}{{engine="{label}"}}']
-            assert value == pytest.approx(float(getattr(metrics, attribute))), name
-        for attribute, name, _ in ENGINE_GAUGE_FIELDS:
-            value = samples[name][f'{name}{{engine="{label}"}}']
-            assert value == pytest.approx(float(getattr(metrics, attribute))), name
-        dram = samples["repro_engine_dram_bytes_total"]
-        assert dram[
-            f'repro_engine_dram_bytes_total{{engine="{label}"}}'
-        ] == pytest.approx(metrics.traffic.total_bytes)
-        finished = samples["repro_engine_finished_requests_total"]
-        assert finished[
-            f'repro_engine_finished_requests_total{{engine="{label}"}}'
-        ] == float(len(metrics.requests))
+
+        def sample(name):
+            return samples[name][f'{name}{{engine="{label}"}}']
+
+        for attribute, name, _ in ENGINE_COUNTER_FIELDS + ENGINE_GAUGE_FIELDS:
+            assert sample(name) == float(getattr(metrics, attribute)), name
+        dram_bytes = float(metrics.traffic.total_bytes)
+        assert sample("repro_engine_dram_bytes_total") == dram_bytes
+        finished = float(len(metrics.requests))
+        assert sample("repro_engine_finished_requests_total") == finished
+
+    def test_kv_format_series_equal_metrics_split(self, model):
+        engine = Engine(model, traced_config())
+        llm = LLM(engine=engine)
+        default, anda = prompts_for(model, count=2)
+        llm.submit(default, SamplingParams(max_new_tokens=4))
+        llm.submit(anda, SamplingParams(max_new_tokens=4, kv_format=KVFormat.anda(4)))
+        engine.run_until_idle(max_steps=500)
+        metrics = engine.metrics()
+        label = engine.telemetry.engine_label
+        text = engine.telemetry.prometheus()
+        name = "repro_engine_kv_format_bytes_total"
+        assert [fmt for fmt, _ in metrics.kv_format_bytes] == ["anda4", "fp16"]
+        assert parse_exposition(text)[name] == {
+            f'{name}{{engine="{label}",format="{fmt}"}}': float(nbytes)
+            for fmt, nbytes in metrics.kv_format_bytes
+        }
+        families = [
+            line.split()[2] for line in text.splitlines() if line.startswith("# TYPE")
+        ]
+        assert families == [
+            *(family for _, family, _ in ENGINE_COUNTER_FIELDS),
+            "repro_engine_dram_bytes_total",
+            "repro_engine_finished_requests_total",
+            name,
+            *(family for _, family, _ in ENGINE_GAUGE_FIELDS),
+        ]
 
     def test_repeated_pulls_are_idempotent_when_quiescent(self, model):
         engine, _ = run_traced_engine(model)
