@@ -13,10 +13,10 @@ layers, d_model 256, 4 heads of 64, block size 16):
   padded tile, batch 5 ends on a ragged one.
 
 Each case first checks its batched logits, pool bytes and residency
-bitwise against the per-row path (sequential ``forward_step``, one
-``append_precompressed`` and one ``_attention_core`` launch per row)
-on a twin pool, then times the batched step with every history rolled
-back between rounds.  Run with::
+bitwise against the per-row path (sequential ``forward_step``: a
+one-token segment of the chunk lane, one ``append`` and one
+``_attention_core`` launch per row) on a twin pool, then times the
+batched step with every history rolled back between rounds.  Run with::
 
     python -m pytest benchmarks/bench_decode_lane.py --benchmark-only -q
 """

@@ -30,7 +30,7 @@ RPL007   no bare/blanket exception swallowing in ``serve/``
 RPL008   ``serve.__all__`` exactly matches the bound public names
 RPL009   no import cycles between ``repro`` modules
 RPL010   no raw matmuls in ``serve/``, no raw weight products in ``llm/``
-RPL011   ``serve/`` raises ``ModelError`` subclasses only
+RPL011   ``serve/`` and ``llm/`` raise ``ModelError`` subclasses only
 =======  ===========================================================
 """
 

@@ -779,15 +779,18 @@ class MatmulsRouteThroughAttention(Rule):
 
 class RaisesModelErrors(Rule):
     code = "RPL011"
-    title = "serve/ raises ModelError subclasses only"
-    rationale = "clients catch ReproError/ModelError at the LLM boundary; a stray ValueError from deep in the engine escapes every typed handler"
+    title = "serve/ and llm/ raise ModelError subclasses only"
+    rationale = "clients catch ReproError/ModelError at the LLM boundary; a stray ValueError from deep in the engine or the model it steps escapes every typed handler"
     invariant = "PR 11 failure semantics: serve/README.md 'Failure semantics' (one fault taxonomy rooted at ModelError)"
     explain = (
-        "Every 'raise' in src/repro/serve must raise a subclass of\n"
-        "repro.errors.ModelError, so callers can catch the serving stack's\n"
-        "entire failure surface with one typed handler and\n"
+        "Every 'raise' in src/repro/serve and src/repro/llm must raise a\n"
+        "subclass of repro.errors.ModelError, so callers can catch the\n"
+        "serving stack's entire failure surface with one typed handler and\n"
         "RequestHandle.result() can re-wrap any stored failure as a\n"
-        "RequestFailedError.  The member set is computed as a fixpoint over\n"
+        "RequestFailedError.  repro.llm is part of that surface: the engine\n"
+        "steps the model's inference entries (forward_mixed_step and the\n"
+        "lanes below it) inside its failure handling, and generate() calls\n"
+        "them directly.  The member set is computed as a fixpoint over\n"
         "every ClassDef in the package (seeded with ModelError itself), so\n"
         "locally defined fault types count.  Bare 're-raise' statements and\n"
         "raises of lowercase-named variables (e.g. 'raise cls(...)') are\n"
@@ -829,7 +832,11 @@ class RaisesModelErrors(Rule):
         members = self._members(index)
         findings: list[Finding] = []
         for module in index.modules:
-            if not module.name.startswith("repro.serve"):
+            if module.name.startswith("repro.serve"):
+                where = "serve/"
+            elif module.name.startswith("repro.llm"):
+                where = "llm/"
+            else:
                 continue
             for node, qual in _walk_with_context(module.tree):
                 if not isinstance(node, ast.Raise) or node.exc is None:
@@ -850,7 +857,7 @@ class RaisesModelErrors(Rule):
                         self.finding(
                             module,
                             node,
-                            f"raise {name} in serve/ (not a ModelError subclass; "
+                            f"raise {name} in {where} (not a ModelError subclass; "
                             "clients catch the stack via ModelError)",
                             qual,
                         )

@@ -6,19 +6,18 @@ projection.  LLaMA-family models apply rotary position embeddings to
 queries and keys; OPT-family models rely on the model's learned position
 embeddings instead.
 
-Four forward paths are provided:
+Beside the autograd path, three inference paths run on two plain-numpy
+lanes with an FP16 KV cache (as in the paper):
 
-* :meth:`MultiHeadAttention.__call__` — autograd path used for training
-  and whole-sequence (prefill) evaluation.
-* :meth:`MultiHeadAttention.step` — plain-numpy incremental path with a
-  KV cache, used by :mod:`repro.llm.generation` (the paper keeps the KV
-  cache in FP16; so does this model).
-* :meth:`MultiHeadAttention.step_batch` — one decode token for each of
-  many requests, every row bitwise identical to a ``batch=1``
-  :meth:`~MultiHeadAttention.step` (the serving engine's decode lane).
-* :meth:`MultiHeadAttention.step_mixed` — variable-length prompt
-  chunks for many requests flattened into one GeMM, attention per
-  segment (the serving engine's chunked-prefill lane).
+* :meth:`MultiHeadAttention.__call__` — autograd: training, whole-
+  sequence evaluation, and the arithmetic reference for the lanes.
+* :meth:`MultiHeadAttention.step_batch` — the decode lane: one token
+  for each of many requests, every row bitwise identical to that
+  request decoded alone.
+* :meth:`MultiHeadAttention.step_mixed` — the chunk lane: prompt
+  chunks of many requests flattened into one GeMM, attention per
+  segment.  Sequential ``CausalLM.forward_step``
+  (:mod:`repro.llm.generation`) is this lane with one segment.
 """
 
 from __future__ import annotations
@@ -424,7 +423,7 @@ class KVCache:
     :class:`repro.serve.kvpool.paged.PagedKVCache` scatters rows into
     pool blocks and fetches what it did not write — a shared prefix —
     on first read).  Both land the same float16 values, so they are
-    bitwise interchangeable under ``step`` / ``step_batch``.
+    bitwise interchangeable under ``step_mixed`` / ``step_batch``.
     :class:`ReferenceKVCache` keeps the O(history)-per-step storage as
     the parity oracle.
     """
@@ -842,36 +841,15 @@ class MultiHeadAttention(Module):
             context = self.tap.quantizer(TensorKind.O, context)
         return self.out_proj.step(context).astype(np.float32, copy=False)
 
-    def step(self, x: np.ndarray, cache: KVCache) -> np.ndarray:
-        """Process new tokens with cached history (plain numpy).
-
-        Args:
-            x: ``(batch, new_tokens, d_model)`` activations.
-            cache: layer cache; extended in place.
-        """
-        batch, new_len, d_model = x.shape
-        start = cache.length
-        qkv = self._project_qkv(x)
-        q, k, v = qkv[0], qkv[1], qkv[2]
-
-        if self.rotary is not None:
-            cos, sin = self.rotary.slice(start, start + new_len)
-            q = q * cos + _rotate_half_np(q) * sin
-            k = k * cos + _rotate_half_np(k) * sin
-
-        keys, values = cache.append(k, v)
-        context = self._attention_core(q, keys, values, start)
-        context = context.transpose(0, 2, 1, 3).reshape(batch, new_len, d_model)
-        return self._project_out(context)
-
     def step_batch(self, x: np.ndarray, caches: list[KVCache]) -> np.ndarray:
         """Single-token decode for many independent requests at once.
 
         The projections (QKV, output) run through
         :meth:`~repro.llm.layers.Linear.step`: the ``(B, 1, D)`` rows
         go ``ROW_TILE`` at a time through GeMMs of that fixed height, so
-        each row is bitwise identical to a ``batch=1`` :meth:`step`
-        call, whose one row is padded into the same tile.  Each request
+        each row is bitwise identical to a one-token :meth:`step_mixed`
+        segment (``forward_step``), whose one row is padded into the
+        same tile.  Each request
         may sit at a different position; rotary/positional phases are
         gathered per request.
 
@@ -1002,7 +980,8 @@ class MultiHeadAttention(Module):
         bits are pinned to :meth:`~repro.llm.layers.Linear.step`'s fixed
         ``ROW_TILE``-row tiles, so the engine keeps decodes on
         :meth:`step_batch`, whose rows are bitwise identical to
-        sequential decode.
+        sequential decode (a one-token ``forward_step`` segment pads
+        into the same tile).
 
         Args:
             x: ``(1, total, d_model)`` activations, segments

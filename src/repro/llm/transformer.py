@@ -115,10 +115,6 @@ class TransformerBlock(Module):
         x = x + self.attention(self.attn_norm(x))
         return x + self.ffn(self.ffn_norm(x))
 
-    def step(self, x: np.ndarray, cache: KVCache) -> np.ndarray:
-        x = x + self.attention.step(self.attn_norm(x), cache)
-        return x + self.ffn.step(self.ffn_norm(x))
-
     def step_batch(self, x: np.ndarray, caches: list[KVCache]) -> np.ndarray:
         """One decode step for a batch of requests with per-request caches.
 
@@ -218,20 +214,19 @@ class CausalLM(Module):
     def forward_step(
         self, tokens: np.ndarray, caches: list[KVCache]
     ) -> np.ndarray:
-        """Extend cached decoding by ``tokens`` (``(batch, new)`` ids).
+        """Extend one request's cached decoding by ``tokens`` (``(1, new)`` ids).
 
-        Returns plain-numpy logits ``(batch, new, vocab)``.
+        The chunk lane with one segment, so a chunk that rides that lane
+        alone is bitwise equal to ``forward_step`` over the same
+        boundaries.  Returns plain-numpy logits ``(1, new, vocab)``.
         """
         tokens = np.asarray(tokens)
-        start = caches[0].length
-        with no_grad():
-            hidden = self.token_embedding(tokens).data
-            if self.position_embedding is not None:
-                positions = np.arange(start, start + tokens.shape[1])
-                hidden = hidden + self.position_embedding(positions).data
-            for block, cache in zip(self.blocks, caches):
-                hidden = block.step(hidden, cache)
-            return self.lm_head.step(self.final_norm(hidden))
+        if tokens.ndim != 2 or tokens.shape[0] != 1:
+            raise ModelError(
+                "forward_step extends one request: expects (1, new) token ids, "
+                f"got shape {tokens.shape}"
+            )
+        return self._forward_chunk_lane([tokens[0]], [caches])[0][None]
 
     def forward_decode_batch(
         self,
@@ -268,15 +263,11 @@ class CausalLM(Module):
             Plain-numpy logits ``(batch, 1, vocab)``.
         """
         tokens = np.asarray(tokens)
-        if tokens.ndim != 2 or tokens.shape[1] != 1:
+        if tokens.ndim != 2 or tokens.shape[0] < 1 or tokens.shape[1] != 1:
             raise ModelError(
-                f"decode batch expects (batch, 1) token ids, got {tokens.shape}"
+                f"decode batch expects (batch >= 1, 1) token ids, got {tokens.shape}"
             )
-        if len(request_caches) != tokens.shape[0]:
-            raise ModelError(
-                f"got {len(request_caches)} cache sets for "
-                f"{tokens.shape[0]} requests"
-            )
+        self._check_requests(list(tokens), request_caches)
         starts = np.array([caches[0].length for caches in request_caches])
         if (starts + 1).max(initial=0) > self.config.max_seq_len:
             raise ModelError(
@@ -364,14 +355,10 @@ class CausalLM(Module):
         """Flat-GeMM pass over every prompt chunk of a mixed step."""
         if not chunk_groups:
             return []
-        if len(chunk_caches) != len(chunk_groups):
-            raise ModelError(
-                f"got {len(chunk_caches)} cache sets for "
-                f"{len(chunk_groups)} chunk groups"
-            )
-        groups = [np.asarray(group).reshape(-1) for group in chunk_groups]
-        if min(group.shape[0] for group in groups) < 1:
-            raise ModelError("every chunk group must hold at least one token")
+        groups = [np.asarray(group) for group in chunk_groups]
+        if any(group.ndim != 1 or group.shape[0] < 1 for group in groups):
+            raise ModelError("every chunk group must be 1-D, of at least one token")
+        self._check_requests(groups, chunk_caches)
         lengths = [group.shape[0] for group in groups]
         starts = [caches[0].length for caches in chunk_caches]
         if max(
@@ -408,6 +395,22 @@ class CausalLM(Module):
             split.append(logits[0, offset : offset + length, :])
             offset += length
         return split
+
+    def _check_requests(
+        self, ids: list[np.ndarray], request_caches: list[list[KVCache]]
+    ) -> None:
+        """Integer ids, and per request one cache for every layer."""
+        if len(request_caches) != len(ids):
+            raise ModelError(
+                f"got {len(request_caches)} cache sets for {len(ids)} requests"
+            )
+        for tokens, caches in zip(ids, request_caches):
+            if tokens.dtype.kind not in "iu":  # signed or unsigned, not bool
+                raise ModelError(f"token ids must be integers, got {tokens.dtype}")
+            if len(caches) != len(self.blocks):
+                raise ModelError(
+                    f"got {len(caches)} layer caches for {len(self.blocks)} layers"
+                )
 
     # -- tap plumbing ----------------------------------------------------------
 

@@ -1289,36 +1289,28 @@ class Engine:
                     break
                 holders = [state for state in self._waiting if state.kv is not None]
                 victim = self._preemptor.select_victim(decodes + holders)
-                if victim in decodes:
-                    decodes = [state for state in decodes if state is not victim]
-                    self._preempt(victim)
-                else:
-                    runs = [run for run in runs if run.state is not victim]
-                    self._preempt_prefill(victim)
+                decodes = [state for state in decodes if state is not victim]
+                runs = [run for run in runs if run.state is not victim]
+                self._preempt(victim)
                 tally.preemptions += 1
         return decodes, runs
 
     def _preempt(self, state: RequestState) -> None:
-        """Swap a running request out: its stored KV leaves as an image."""
-        self._running.remove(state)
+        """Take a request's blocks back and return it to the waiting queue.
+
+        A running victim's stored KV leaves as an image it swaps back
+        in; a half-prefilled one has emitted nothing, so it releases its
+        partial cache and restarts its prefill when re-admitted (with
+        prefix caching on, blocks its earlier chunks registered may be
+        re-mapped instead of recomputed).  Either way it re-enters the
+        queue at its arrival position.
+        """
+        self._detach(state)
         self._swap_out(state)
         state.status = RequestStatus.WAITING
         state.preemptions += 1
         self._lifecycle(state.request.request_id, "PREEMPTED")
         self._requeue(state)
-
-    def _preempt_prefill(self, state: RequestState) -> None:
-        """Evict a half-prefilled request's partial cache.
-
-        The request keeps its waiting-queue position (arrival order)
-        but restarts its prefill from scratch when re-admitted; with
-        prefix caching on, any blocks its earlier chunks registered
-        may still be re-mapped instead of recomputed.
-        """
-        self._release_residency(state)
-        state.status = RequestStatus.WAITING
-        state.preemptions += 1
-        self._lifecycle(state.request.request_id, "PREEMPTED")
 
     def _emit(
         self, state: RequestState, logits: np.ndarray, first: bool = False

@@ -3,7 +3,8 @@
 A :class:`SequenceKV` is one request's view of the pool: an ordered
 block table (shared across layers — a block holds every layer's K/V
 for its token positions) plus one :class:`PagedKVCache` per layer that
-plugs into the existing attention ``step`` / ``step_batch`` paths.
+plugs into the attention lanes, ``step_mixed`` (chunks, and sequential
+``forward_step``) and ``step_batch`` (decode rows).
 Writes scatter new positions into blocks (allocating or copy-on-write
 forking as needed).  The pool stores float16: a codec's ``compress``
 returns float32 rows exact in float16, narrowed once on the way into

@@ -516,6 +516,31 @@ def test_rpl011_flags_non_model_error_raises_in_serve(make_repo):
     assert "LocalOops" in messages
 
 
+def test_rpl011_flags_non_model_error_raises_in_llm(make_repo):
+    # The model's inference entries are part of the serving failure
+    # surface, so llm/ follows the same taxonomy.
+    files = {
+        "errors.py": (
+            "class ModelError(Exception):\n"
+            "    pass\n"
+        ),
+        "llm/transformer.py": (
+            "from repro.errors import ModelError\n"
+            "class CausalLM:\n"
+            "    def forward_step(self, tokens):\n"
+            "        if tokens.ndim != 2:\n"
+            "            raise ValueError('expects (1, new) token ids')\n"
+            "        raise ModelError('typed, allowed')\n"
+        ),
+    }
+    result = lint_one(make_repo, files, RaisesModelErrors())
+    assert codes(result) == ["RPL011"]
+    (finding,) = result.findings
+    assert finding.path == "src/repro/llm/transformer.py"
+    assert finding.context == "CausalLM.forward_step"
+    assert finding.message.startswith("raise ValueError in llm/")
+
+
 def test_rpl011_allows_transitive_subclasses_and_unresolvable_raises(make_repo):
     files = {
         "errors.py": (
@@ -538,7 +563,7 @@ def test_rpl011_allows_transitive_subclasses_and_unresolvable_raises(make_repo):
             "    except TransientFault:\n"
             "        raise\n"
         ),
-        # Outside serve/, the taxonomy rule does not apply.
+        # Outside serve/ and llm/, the taxonomy rule does not apply.
         "tools/cli.py": "def main():\n    raise SystemExit(2)\n",
     }
     result = lint_one(make_repo, files, RaisesModelErrors())

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.precision import PrecisionCombination, TensorKind
 from repro.errors import ModelError
@@ -223,6 +225,179 @@ class TestKVCacheDecode:
         k = np.zeros((1, 2, 3, 4), np.float32)
         cache.append(k, k)
         assert cache.length == 3
+
+
+#: Two layers, so a cache list one short still reaches a block.
+BOUNDARY_MODELS = {
+    family: build_model(tiny_test_config(family=family, n_layers=2, seed=5))
+    for family in ("opt", "llama")
+}
+
+
+def _caches(model, start=0, layer_delta=0):
+    """``n_layers + layer_delta`` caches, each already holding ``start`` positions."""
+    config = model.config
+    caches = [KVCache() for _ in range(config.n_layers + layer_delta)]
+    if start:
+        rows = np.zeros((1, config.n_heads, start, config.head_dim), np.float32)
+        for cache in caches:
+            cache.append(rows, rows)
+    return caches
+
+
+def _ints(*shape):
+    return np.zeros(shape, dtype=np.int64)
+
+
+#: Inputs every inference entry must reject with ``ModelError`` (the
+#: message pins which check fired) instead of a ``ValueError`` /
+#: ``IndexError`` escape or a silently skipped or ignored layer.
+BOUNDARY_CASES = {
+    "step_1d_ids": (lambda m: m.forward_step(_ints(4), _caches(m)), r"\(1, new\)"),
+    "step_3d_ids": (
+        lambda m: m.forward_step(_ints(1, 4, 2), _caches(m)),
+        r"\(1, new\)",
+    ),
+    "step_batch_of_two": (
+        lambda m: m.forward_step(_ints(2, 4), _caches(m)),
+        r"\(1, new\)",
+    ),
+    "step_float_ids": (
+        lambda m: m.forward_step(np.zeros((1, 4), np.float32), _caches(m)),
+        "integers",
+    ),
+    "step_short_cache_list": (
+        lambda m: m.forward_step(_ints(1, 4), _caches(m, layer_delta=-1)),
+        "layer caches",
+    ),
+    "step_past_max_seq_len": (
+        lambda m: m.forward_step(_ints(1, 3), _caches(m, m.config.max_seq_len - 2)),
+        "max_seq_len",
+    ),
+    "decode_float_ids": (
+        lambda m: m.forward_decode_batch(np.zeros((1, 1), np.float32), [_caches(m)]),
+        "integers",
+    ),
+    "decode_empty_batch": (
+        lambda m: m.forward_decode_batch(_ints(0, 1), []),
+        "batch >= 1",
+    ),
+    "decode_short_cache_list": (
+        lambda m: m.forward_decode_batch(_ints(1, 1), [_caches(m, layer_delta=-1)]),
+        "layer caches",
+    ),
+    "chunk_float_group": (
+        lambda m: m.forward_mixed_step([np.zeros(3, np.float32)], [_caches(m)]),
+        "integers",
+    ),
+    "chunk_2d_group": (
+        lambda m: m.forward_mixed_step([_ints(1, 3)], [_caches(m)]),
+        "1-D",
+    ),
+    "chunk_long_cache_list": (
+        lambda m: m.forward_mixed_step([_ints(3)], [_caches(m, layer_delta=1)]),
+        "layer caches",
+    ),
+}
+
+
+# Each draw is valid most of the time, so a call with several inputs
+# still reaches the model often; the rest cover every way to be wrong.
+
+
+@st.composite
+def _token_ids(draw, vocab, usual_ndim=2):
+    """ndim 0-3, leading (batch) axis 0-3, ids -1..vocab, four dtypes."""
+    ndim = draw(st.sampled_from([usual_ndim] * 6 + [0, 1, 2, 3]))
+    shape = tuple(draw(st.sampled_from([1] * 5 + [2, 3, 0])) for _ in range(ndim))
+    size = int(np.prod(shape))
+    ids = np.array(
+        draw(st.lists(st.integers(0, vocab - 1), min_size=size, max_size=size)),
+        dtype=np.int64,
+    )
+    stray = draw(st.sampled_from([None] * 5 + [-1, vocab]))
+    if stray is not None and size:
+        ids[draw(st.integers(0, size - 1))] = stray
+    dtype = draw(st.sampled_from([np.int64] * 5 + [np.int32, np.float32, np.bool_]))
+    return ids.reshape(shape).astype(dtype)
+
+
+@st.composite
+def _requests(draw, count, max_seq_len):
+    """Per request ``(start, layer_delta)``: lengths up to and past the cap."""
+    start = st.sampled_from([0] * 4 + [3, 3] + [max_seq_len - k for k in (2, 1, 0)])
+    delta = st.sampled_from([0] * 6 + [-1, 1])
+    return [(draw(start), draw(delta)) for _ in range(count)]
+
+
+def _near(n):
+    """Mostly ``n`` requests, sometimes one more or one fewer."""
+    return st.sampled_from([n] * 5 + [n + 1, max(n - 1, 0)])
+
+
+class TestModelBoundary:
+    """The inference entries reject bad inputs with ``ModelError`` only."""
+
+    @pytest.mark.parametrize("family", ["opt", "llama"])
+    @pytest.mark.parametrize("case", list(BOUNDARY_CASES))
+    def test_rejected_with_model_error(self, family, case):
+        call, message = BOUNDARY_CASES[case]
+        with pytest.raises(ModelError, match=message):
+            call(BOUNDARY_MODELS[family])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        family=st.sampled_from(["opt", "llama"]),
+        entry=st.sampled_from(
+            ["forward_step", "forward_decode_batch", "forward_mixed_step"]
+        ),
+        data=st.data(),
+    )
+    def test_entries_return_finite_logits_or_raise_model_error(
+        self, family, entry, data
+    ):
+        model = BOUNDARY_MODELS[family]
+        vocab, cap = model.config.vocab_size, model.config.max_seq_len
+
+        def draw_caches(count):
+            requests = data.draw(_requests(count, cap))
+            return [_caches(model, start, delta) for start, delta in requests]
+
+        def draw_requests(n):
+            return draw_caches(data.draw(_near(n)))
+
+        tokens = data.draw(_token_ids(vocab))
+        leading = tokens.shape[0] if tokens.ndim else 1
+        try:
+            if entry == "forward_step":
+                logits = model.forward_step(tokens, draw_caches(1)[0])
+                outputs = [(logits, (1, tokens.shape[1], vocab))]
+            elif entry == "forward_decode_batch":
+                logits = model.forward_decode_batch(tokens, draw_requests(leading))
+                outputs = [(logits, (tokens.shape[0], 1, vocab))]
+            else:
+                groups = data.draw(st.lists(_token_ids(vocab, 1), max_size=3))
+                decode = data.draw(st.sampled_from([None, tokens]))
+                chunk_logits, decode_logits = model.forward_mixed_step(
+                    groups,
+                    draw_requests(len(groups)),
+                    decode,
+                    None if decode is None else draw_requests(leading),
+                )
+                outputs = [
+                    (logits, (group.shape[0], vocab))
+                    for logits, group in zip(chunk_logits, groups)
+                ]
+                assert len(chunk_logits) == len(groups)
+                if decode is None:
+                    assert decode_logits is None
+                else:
+                    outputs.append((decode_logits, (decode.shape[0], 1, vocab)))
+        except ModelError:
+            return
+        for logits, shape in outputs:
+            assert logits.shape == shape
+            assert np.isfinite(logits).all()
 
 
 class TestActivationTaps:

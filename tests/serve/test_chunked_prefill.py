@@ -296,7 +296,8 @@ class TestMixedSteps:
         # Decode growth outranks a half-prefilled prompt: when the pool
         # runs dry, the (latest-arrived) half-prefilled request loses
         # its partial cache, restarts from scratch, and still finishes
-        # with bitwise-identical tokens.
+        # with bitwise-identical tokens.  The waiting queue stays sorted
+        # by request id (arrival) through every preemption.
         rng = np.random.default_rng(8)
         shorts = [rng.integers(0, 256, size=4) for _ in range(3)]
         long_prompt = rng.integers(0, 256, size=24)
@@ -313,7 +314,14 @@ class TestMixedSteps:
         for prompt in shorts:
             engine.submit(prompt, SamplingParams(max_new_tokens=12))
         engine.submit(long_prompt, SamplingParams(max_new_tokens=2))
-        done = {r.request_id: r for r in engine.drain(max_steps=200)}
+        for _ in range(200):
+            if not engine.has_work():
+                break
+            engine.step()
+            ids = [state.request.request_id for state in engine._waiting]
+            assert ids == sorted(ids)
+        assert not engine.has_work()
+        done = {r.request_id: r for r in engine.pop_finished()}
         assert engine.metrics().preemptions > 0
         for index, prompt in enumerate(shorts + [long_prompt]):
             count = 12 if index < 3 else 2
