@@ -16,8 +16,12 @@ lanes with an FP16 KV cache (as in the paper):
   request decoded alone.
 * :meth:`MultiHeadAttention.step_mixed` — the chunk lane: prompt
   chunks of many requests flattened into one GeMM, attention per
-  segment.  Sequential ``CausalLM.forward_step``
-  (:mod:`repro.llm.generation`) is this lane with one segment.
+  segment.  In the model's last layer it lands every position's K/V
+  but runs queries only for the rows a caller samples, each through
+  the decode lane's per-row launch and ``ROW_TILE``-row tiles
+  (:meth:`MultiHeadAttention._attend_rows`).  Sequential
+  ``CausalLM.forward_step`` (:mod:`repro.llm.generation`) is this lane
+  with one segment, sampling every row.
 """
 
 from __future__ import annotations
@@ -95,9 +99,11 @@ class AttentionDispatchStats:
     """Process-wide counter of attention kernel launches.
 
     ``dispatches`` counts :meth:`MultiHeadAttention._attention_core`
-    calls — one per prefill segment and one per decode row, per layer —
-    so a step costs exactly ``layers x (decode rows + chunk segments)``
-    dispatches (pinned in the grouped-attention tests).
+    calls — one per decode row per layer, one per prefill segment in
+    every layer but the last, and one per sampled chunk row in the last
+    — so a step costs exactly ``layers x decode rows + (layers - 1) x
+    chunk segments + sampled rows`` dispatches (pinned in the
+    grouped-attention tests).
 
     The engine snapshots it around each step and reports the delta
     (``StepReport.attention_dispatches``), mirroring
@@ -835,6 +841,34 @@ class MultiHeadAttention(Module):
         scores /= np.add.reduce(scores, axis=-1, keepdims=True)
         return np.matmul(scores, values, out=out)
 
+    def _attend_rows(
+        self, q: np.ndarray, histories: list[tuple[np.ndarray, np.ndarray]]
+    ) -> np.ndarray:
+        """One ``M == 1`` launch per query row: context ``(R, 1, d_model)``.
+
+        Row ``i`` of ``q`` (``(R, heads, 1, head_dim)``) attends over
+        ``histories[i]``, a ``(keys, values)`` pair ending at that row's
+        own position, and writes its context row in place.  A row's
+        bits depend on nothing but its own query and history: the
+        decode lane's rows (:meth:`step_batch`) and the chunk lane's
+        sampled rows (:meth:`step_mixed` with ``rows``) both run here.
+        """
+        count = q.shape[0]
+        # float32 is the core's output dtype, so each row lands unchanged.
+        context = np.empty((count, self.n_heads, 1, self.head_dim), dtype=np.float32)
+        core = self._attention_core
+        for index, (keys, values) in enumerate(histories):
+            core(
+                q[index : index + 1],
+                keys,
+                values,
+                keys.shape[2] - 1,
+                out=context[index : index + 1],
+            )
+        return context.transpose(0, 2, 1, 3).reshape(
+            count, 1, self.n_heads * self.head_dim
+        )
+
     def _project_out(self, context: np.ndarray) -> np.ndarray:
         """O-tap + output projection for ``(B, T, D)`` attention context."""
         if self.tap.quantizer is not None:
@@ -927,9 +961,6 @@ class MultiHeadAttention(Module):
         kv16 = np.clip(kv, -fp16.MAX_FINITE, fp16.MAX_FINITE).astype(np.float16)
 
         views = type(caches[0]).append_batch(caches, kv16[0], kv16[1])
-        # float32 is the core's output dtype, so each row lands unchanged.
-        context = np.empty((batch, self.n_heads, 1, self.head_dim), dtype=np.float32)
-        core = self._attention_core
         tracer = _ACTIVE_SCOPE.get().tracer
         span = (
             nullcontext()
@@ -939,40 +970,53 @@ class MultiHeadAttention(Module):
             )
         )
         with span:
-            for index, (keys, values) in enumerate(views):
-                core(
-                    q[index : index + 1],
-                    keys,
-                    values,
-                    keys.shape[2] - 1,
-                    out=context[index : index + 1],
-                )
-        context = context.transpose(0, 2, 1, 3).reshape(batch, new_len, d_model)
+            context = self._attend_rows(q, views)
         return self._project_out(context)
 
     def step_mixed(
-        self, x: np.ndarray, caches: list[KVCache], lengths: list[int]
+        self,
+        x: np.ndarray,
+        caches: list[KVCache],
+        lengths: list[int],
+        rows: np.ndarray | None = None,
     ) -> np.ndarray:
         """Variable-length prompt segments for many requests at once.
 
         The chunk lane of a mixed step: prompt chunks — a budget-sized
         slice of a long prompt, or a whole short prompt — are
         flattened along the time axis into one ``(1, total, d_model)``
-        array so the projections, norms and FFN run as a single GeMM
-        over every prefill token in the step, while attention runs per
-        segment against that request's exact-length cache.  A segment
-        may start anywhere (``cache.length`` positions already
-        cached): rotary phases are gathered per flattened position
-        (:meth:`RotaryTable.gather`), and the causal mask spans
-        ``cache_len + segment`` so chunk queries see the whole cached
-        history plus their own prefix.  A segment's logits are *not*
-        bitwise equal to the same rows of a monolithic prefill: BLAS
-        may accumulate a product of a few rows differently from the
-        same rows inside a taller one (OpenBLAS does for an FFN down
-        projection with K = 768 at 2–5 rows), and a segment's
-        attention reduces over ``cache_len + segment`` keys rather than
-        the whole prompt's, so chunk boundaries move logits in the low
-        bits (1e-6 to 1e-4 at logit scale ~4).  Tokens agree;
+        array so the fused QKV projection runs as a single GeMM over
+        every prefill token in the step.  A segment may start anywhere
+        (``cache.length`` positions already cached): rotary phases are
+        gathered per flattened position (:meth:`RotaryTable.gather`).
+        Every position's K/V is compressed and appended to its
+        segment's cache — the prefix cache, later decodes and swap all
+        read it.
+
+        The query side comes in two shapes:
+
+        * ``rows=None`` (every layer but the model's last): attention
+          runs once per segment against that request's exact-length
+          cache, the causal mask spanning ``cache_len + segment`` so
+          chunk queries see the whole cached history plus their own
+          prefix, and the output projection is one GeMM of height
+          ``total``.  Returns ``(1, total, d_model)``.
+        * ``rows`` given (the last layer): only those flat positions
+          run a query — one ``M == 1`` launch each over its causal
+          history ``[:start + j + 1]``, then the output projection in
+          :meth:`~repro.llm.layers.Linear.step`'s ``ROW_TILE``-row
+          tiles, through the decode lane's :meth:`_attend_rows`.
+          Returns ``(len(rows), 1, d_model)``; a row's bits depend only
+          on that row, so sampling one row equals the same row of a
+          pass that samples every row.
+
+        Logits are *not* bitwise equal to the same rows of a monolithic
+        prefill: BLAS may accumulate a product of a few rows
+        differently from the same rows inside a taller one (OpenBLAS
+        does for an FFN down projection with K = 768 at 2–5 rows), and
+        a segment's attention reduces over ``cache_len + segment`` keys
+        rather than the whole prompt's, so chunk boundaries move logits
+        in the low bits (1e-6 to 1e-4 at logit scale ~4).  Tokens agree;
         ``tests/serve/test_chunked_prefill.py`` pins token equality and
         a logit tolerance across chunk budgets and tails.  Single-token
         decodes do *not* belong in this lane: its GeMM height is the
@@ -989,6 +1033,8 @@ class MultiHeadAttention(Module):
             caches: one :class:`KVCache` per segment for *this* layer,
                 each extended in place by its segment's positions.
             lengths: per-segment token counts summing to ``total``.
+            rows: optional flat positions (sorted, in ``[0, total)``)
+                whose queries to run; ``None`` runs every position.
         """
         batch, total, d_model = x.shape
         if batch != 1:
@@ -1000,20 +1046,42 @@ class MultiHeadAttention(Module):
         if len(caches) != len(lengths):
             raise ModelError(f"got {len(caches)} caches for {len(lengths)} segments")
         starts = [cache.length for cache in caches]
+        positions = chunk_positions(starts, lengths)
         qkv = self._project_qkv(x)
         q, k, v = qkv[0], qkv[1], qkv[2]  # (1, H, total, hd)
 
         if self.rotary is not None:
-            positions = chunk_positions(starts, lengths)
             cos, sin = self.rotary.gather(positions)  # (total, hd)
-            q = q * cos + _rotate_half_np(q) * sin
             k = k * cos + _rotate_half_np(k) * sin
 
+        histories: list[tuple[np.ndarray, np.ndarray]] = []
+        offset = 0
+        for cache, length in zip(caches, lengths):
+            stop = offset + length
+            histories.append(
+                cache.append(k[:, :, offset:stop], v[:, :, offset:stop])
+            )
+            offset = stop
+
+        if rows is not None:
+            q = q[0][:, rows].transpose(1, 0, 2)[:, :, None, :]  # (R, H, 1, hd)
+            if self.rotary is not None:
+                cos = cos[rows][:, None, None, :]
+                sin = sin[rows][:, None, None, :]
+                q = q * cos + _rotate_half_np(q) * sin
+            owners = np.repeat(np.arange(len(lengths)), lengths)[rows]
+            row_histories = [
+                (histories[owner][0][:, :, :end], histories[owner][1][:, :, :end])
+                for owner, end in zip(owners, positions[rows] + 1)
+            ]
+            return self._project_out(self._attend_rows(q, row_histories))
+
+        if self.rotary is not None:
+            q = q * cos + _rotate_half_np(q) * sin
         context = np.empty((1, self.n_heads, total, self.head_dim), dtype=np.float32)
         offset = 0
-        for cache, start, length in zip(caches, starts, lengths):
+        for (keys, values), start, length in zip(histories, starts, lengths):
             stop = offset + length
-            keys, values = cache.append(k[:, :, offset:stop], v[:, :, offset:stop])
             context[:, :, offset:stop] = self._attention_core(
                 q[:, :, offset:stop], keys, values, start
             )

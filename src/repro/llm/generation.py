@@ -145,7 +145,8 @@ def generate(
         )
     rng = np.random.default_rng(params.seed)
     caches = model.new_cache() if cache_factory is None else cache_factory()
-    logits = model.forward_step(prompt, caches)[:, -1, :]
+    # Only the prompt's last row is sampled; the rest only land K/V.
+    logits = model.forward_mixed_step([prompt[0]], [caches], sample_rows=[1])[0][0]
 
     produced = [prompt[0]]
     finish_reason = "length"

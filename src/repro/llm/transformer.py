@@ -130,19 +130,33 @@ class TransformerBlock(Module):
         return x + self.ffn.step(self.ffn_norm(x))
 
     def step_mixed(
-        self, x: np.ndarray, caches: list[KVCache], lengths: list[int]
+        self,
+        x: np.ndarray,
+        caches: list[KVCache],
+        lengths: list[int],
+        rows: np.ndarray | None = None,
     ) -> np.ndarray:
         """One mixed step over variable-length per-request segments.
 
         The chunk lane: every prompt chunk of the step is one flat
-        ``(1, total, d_model)`` input, so each projection is one plain
-        GeMM of height ``total`` over every chunk token, and attention
-        routes through
-        :meth:`~repro.llm.attention.MultiHeadAttention.step_mixed`,
-        one launch per segment.  Decode rows never ride this lane (see
+        ``(1, total, d_model)`` input.  The attention norm and the
+        fused QKV projection run over every position, so every
+        position's K/V lands in its cache
+        (:meth:`~repro.llm.attention.MultiHeadAttention.step_mixed`).
+        With ``rows=None`` the rest of the block runs over every
+        position too, each projection one plain GeMM of height
+        ``total``.  With ``rows`` (the model's last layer) only those
+        flat positions run attention, the residual and the FFN, as
+        ``(len(rows), 1, d_model)`` rows in
+        :meth:`~repro.llm.layers.Linear.step`'s fixed ``ROW_TILE``-row
+        tiles — the decode lane's arithmetic, so a row's bits depend
+        only on that row.  Decode rows never ride this lane (see
         :meth:`CausalLM.forward_mixed_step`).
         """
-        x = x + self.attention.step_mixed(self.attn_norm(x), caches, lengths)
+        attended = self.attention.step_mixed(self.attn_norm(x), caches, lengths, rows)
+        if rows is not None:
+            x = x[0, rows][:, None, :]
+        x = x + attended
         return x + self.ffn.step(self.ffn_norm(x))
 
 
@@ -216,9 +230,12 @@ class CausalLM(Module):
     ) -> np.ndarray:
         """Extend one request's cached decoding by ``tokens`` (``(1, new)`` ids).
 
-        The chunk lane with one segment, so a chunk that rides that lane
-        alone is bitwise equal to ``forward_step`` over the same
-        boundaries.  Returns plain-numpy logits ``(1, new, vocab)``.
+        The chunk lane with one segment that samples every row, so a
+        chunk that rides that lane alone is bitwise equal to
+        ``forward_step`` over the same boundaries, and each row equals
+        the same row sampled on its own (``forward_mixed_step(...,
+        sample_rows=[1])`` for the last).  Returns plain-numpy logits
+        ``(1, new, vocab)``.
         """
         tokens = np.asarray(tokens)
         if tokens.ndim != 2 or tokens.shape[0] != 1:
@@ -294,19 +311,22 @@ class CausalLM(Module):
         chunk_caches: list[list[KVCache]],
         decode_tokens: np.ndarray | None = None,
         decode_caches: list[list[KVCache]] | None = None,
+        sample_rows: list[int] | None = None,
     ) -> tuple[list[np.ndarray], np.ndarray | None]:
         """Run prompt chunks and decodes for many requests in one step.
 
         This is the chunked-prefill serving step, executed as two lanes
         inside one invocation:
 
-        * the **chunk lane** flattens every prompt chunk along the time
-          axis into one ``(1, total, d_model)`` pass
-          (:meth:`~repro.llm.transformer.TransformerBlock.step_mixed`);
-          its logits match a monolithic prefill of the same prompt
-          only to within BLAS accumulation-order differences (1e-6 to
-          1e-4 at logit scale ~4), not bitwise, and its tokens agree (pinned across chunk budgets
-          and tails by the chunked-prefill tests);
+        * the **chunk lane** (:meth:`_forward_chunk_lane`) flattens
+          every prompt chunk along the time axis into one ``(1, total,
+          d_model)`` pass and lands every position's K/V, but computes
+          logits only for the trailing rows each segment samples
+          (``sample_rows``); its logits match a monolithic prefill of
+          the same prompt only to within BLAS accumulation-order
+          differences (1e-6 to 1e-4 at logit scale ~4), not bitwise,
+          and its tokens agree (pinned across chunk budgets and tails
+          by the chunked-prefill tests);
         * the **decode lane** is :meth:`forward_decode_batch`, keeping
           each decode row bitwise identical to sequential decoding.
 
@@ -317,9 +337,11 @@ class CausalLM(Module):
         which varies.  Decode rows run in
         :meth:`~repro.llm.layers.Linear.step`'s fixed ``ROW_TILE``-row
         tiles instead, the height sequential decode uses, so every
-        decode row stays bitwise.  The chunk lane runs *first*: if it
-        raises, no decode cache has been touched, so the engine can
-        release the chunk participants' caches and recover.
+        decode row stays bitwise.  A cache set named twice across the
+        two lanes is rejected before any layer runs, and the chunk lane
+        runs *first*: if it raises, no decode cache has been touched,
+        so the engine can release the chunk participants' caches and
+        recover.
 
         Args:
             chunk_groups: per chunked request, a 1-D array of prompt
@@ -331,15 +353,22 @@ class CausalLM(Module):
                 the decode lane.
             decode_caches: per decode request, the per-layer cache
                 list (required when ``decode_tokens`` is given).
+            sample_rows: per chunked request, how many of its trailing
+                rows to return logits for (``0`` to ``len(group)``);
+                ``None`` samples every row.  The engine samples ``1``
+                for a chunk that completes its prompt and ``0`` for a
+                partial one.
 
         Returns:
             ``(chunk_logits, decode_logits)`` — per chunk, plain-numpy
-            logits ``(len(group), vocab)``; decode logits ``(batch, 1,
-            vocab)`` or ``None`` when the decode lane is empty.
+            logits ``(sampled, vocab)`` for its last ``sampled`` rows;
+            decode logits ``(batch, 1, vocab)`` or ``None`` when the
+            decode lane is empty.
         """
         if not chunk_groups and decode_tokens is None:
             raise ModelError("mixed step needs at least one chunk or decode")
-        chunk_logits = self._forward_chunk_lane(chunk_groups, chunk_caches)
+        self._check_distinct(list(chunk_caches) + list(decode_caches or []))
+        chunk_logits = self._forward_chunk_lane(chunk_groups, chunk_caches, sample_rows)
         decode_logits = None
         if decode_tokens is not None:
             decode_logits = self.forward_decode_batch(
@@ -351,15 +380,35 @@ class CausalLM(Module):
         self,
         chunk_groups: list[np.ndarray],
         chunk_caches: list[list[KVCache]],
+        sample_rows: list[int] | None = None,
     ) -> list[np.ndarray]:
-        """Flat-GeMM pass over every prompt chunk of a mixed step."""
-        if not chunk_groups:
-            return []
+        """Flat-GeMM pass over every prompt chunk of a mixed step.
+
+        Every layer but the last runs over every position.  The last
+        splits (:meth:`TransformerBlock.step_mixed` with ``rows``): its
+        key/value side — attention norm, fused QKV, rotary on K, codec
+        and cache append — still covers every position, while its query
+        side — attention, O, residual, FFN, final norm and LM head —
+        runs only for the rows a segment samples, one decode-shaped row
+        each.  A partial prompt chunk that samples ``0`` rows therefore
+        lands its K/V and returns ``(0, vocab)``.
+        """
         groups = [np.asarray(group) for group in chunk_groups]
         if any(group.ndim != 1 or group.shape[0] < 1 for group in groups):
             raise ModelError("every chunk group must be 1-D, of at least one token")
-        self._check_requests(groups, chunk_caches)
         lengths = [group.shape[0] for group in groups]
+        if sample_rows is None:
+            sample_rows = lengths
+        elif len(sample_rows) != len(groups) or any(
+            not 0 <= count <= length for count, length in zip(sample_rows, lengths)
+        ):
+            raise ModelError(
+                f"sample_rows {list(sample_rows)} must give each of "
+                f"{len(groups)} chunks a count in [0, its length {lengths}]"
+            )
+        if not groups:
+            return []
+        self._check_requests(groups, chunk_caches)
         starts = [caches[0].length for caches in chunk_caches]
         if max(
             start + length for start, length in zip(starts, lengths)
@@ -367,6 +416,12 @@ class CausalLM(Module):
             raise ModelError(
                 f"a request would exceed max_seq_len {self.config.max_seq_len}"
             )
+        # A flat position is sampled when it is among its segment's
+        # last ``count`` rows.
+        ends = np.cumsum(lengths)
+        rows = np.flatnonzero(
+            np.arange(ends[-1]) >= np.repeat(ends - sample_rows, lengths)
+        )
         flat = np.concatenate(groups)[None, :]  # (1, total)
         tracer = active_scope().tracer
         if tracer is not None:
@@ -382,24 +437,22 @@ class CausalLM(Module):
                 # memoized build per mixed step, not one per consumer.
                 positions = chunk_positions(starts, lengths)
                 hidden = hidden + self.position_embedding(positions).data
-            for layer_index, block in enumerate(self.blocks):
+            *front, last = self.blocks
+            for layer_index, block in enumerate(front):
                 layer_caches = [caches[layer_index] for caches in chunk_caches]
                 hidden = block.step_mixed(hidden, layer_caches, lengths)
-            # (1, total, vocab)
+            last_caches = [caches[-1] for caches in chunk_caches]
+            hidden = last.step_mixed(hidden, last_caches, lengths, rows)
+            # (sampled, 1, vocab)
             logits = self.lm_head.step(self.final_norm(hidden))
         if tracer is not None:
             tracer.end("step.prefill_chunks")
-        split: list[np.ndarray] = []
-        offset = 0
-        for length in lengths:
-            split.append(logits[0, offset : offset + length, :])
-            offset += length
-        return split
+        return np.split(logits[:, 0, :], np.cumsum(sample_rows)[:-1])
 
     def _check_requests(
         self, ids: list[np.ndarray], request_caches: list[list[KVCache]]
     ) -> None:
-        """Integer ids, and per request one cache for every layer."""
+        """Integer ids, and per request its own cache for every layer."""
         if len(request_caches) != len(ids):
             raise ModelError(
                 f"got {len(request_caches)} cache sets for {len(ids)} requests"
@@ -411,6 +464,14 @@ class CausalLM(Module):
                 raise ModelError(
                     f"got {len(caches)} layer caches for {len(self.blocks)} layers"
                 )
+        self._check_distinct(request_caches)
+
+    @staticmethod
+    def _check_distinct(request_caches: list[list[KVCache]]) -> None:
+        """No cache named twice in one call (it would be extended twice)."""
+        named = {id(cache) for caches in request_caches for cache in caches}
+        if len(named) != sum(len(caches) for caches in request_caches):
+            raise ModelError("a KV cache set is named twice in one call")
 
     # -- tap plumbing ----------------------------------------------------------
 

@@ -33,8 +33,10 @@ The engine has one serving lane; two sizes shape it:
   prompt prefills it in one step).  ``RequestState.prefill_pos``
   tracks progress; a half-prefilled request waits in the queue holding
   its partial cache until its final chunk completes and emits its
-  first token.  Attention masks span ``cache_len + chunk``, so a chunk
-  sees exactly the history a monolithic prefill would; chunk logits
+  first token; only that chunk samples logits (its last row), a
+  partial chunk just lands its K/V.  Attention masks span
+  ``cache_len + chunk``, so a chunk sees exactly the history a
+  monolithic prefill would; chunk logits
   still differ from monolithic ones in the low bits (BLAS blocks a
   few-row product differently from the same rows of a taller one), and
   the tests pin that tokens agree across chunk budgets.  Inside the
@@ -736,6 +738,15 @@ class Engine:
                 [_held_sequence(run.state).caches for run in runs],
                 decode_tokens=self._decode_tokens(decodes) if decodes else None,
                 decode_caches=[_held_sequence(state).caches for state in decodes],
+                # A chunk that completes its prompt samples its last row;
+                # a partial chunk only lands K/V.
+                sample_rows=[
+                    int(
+                        run.state.prefill_pos + run.tokens
+                        >= run.state.request.prompt_length
+                    )
+                    for run in runs
+                ],
             )
         except InjectedFault as fault:
             self._recover_step_fault(fault, runs, decodes, watermarks)

@@ -298,6 +298,31 @@ BOUNDARY_CASES = {
         lambda m: m.forward_mixed_step([_ints(3)], [_caches(m, layer_delta=1)]),
         "layer caches",
     ),
+    "chunk_negative_sample": (
+        lambda m: m.forward_mixed_step([_ints(3)], [_caches(m)], sample_rows=[-1]),
+        "sample_rows",
+    ),
+    "chunk_sample_past_chunk": (
+        lambda m: m.forward_mixed_step([_ints(3)], [_caches(m)], sample_rows=[4]),
+        "sample_rows",
+    ),
+    "chunk_sample_list_too_long": (
+        lambda m: m.forward_mixed_step([_ints(3)], [_caches(m)], sample_rows=[1, 1]),
+        "sample_rows",
+    ),
+    "decode_only_sample_for_no_chunk": (
+        lambda m: m.forward_mixed_step([], [], _ints(1, 1), [_caches(m)], [1]),
+        "sample_rows",
+    ),
+}
+
+#: One cache set named twice in one call: each would extend it twice.
+NAMED_TWICE = {
+    "two_chunks": lambda m, c: m.forward_mixed_step([_ints(3), _ints(2)], [c, c]),
+    "chunk_and_decode": lambda m, c: m.forward_mixed_step(
+        [_ints(3)], [c], _ints(1, 1), [c]
+    ),
+    "two_decodes": lambda m, c: m.forward_decode_batch(_ints(2, 1), [c, c]),
 }
 
 
@@ -335,6 +360,18 @@ def _near(n):
     return st.sampled_from([n] * 5 + [n + 1, max(n - 1, 0)])
 
 
+@st.composite
+def _sample_rows(draw, sizes):
+    """``None``, or per chunk a count: mostly valid, sometimes -1 or past it."""
+    if draw(st.booleans()):
+        return None
+    counts = []
+    for index in range(draw(_near(len(sizes)))):
+        size = sizes[index] if index < len(sizes) else 1
+        counts.append(draw(st.sampled_from([0, 1, size] * 2 + [-1, size + 1])))
+    return counts
+
+
 class TestModelBoundary:
     """The inference entries reject bad inputs with ``ModelError`` only."""
 
@@ -344,6 +381,15 @@ class TestModelBoundary:
         call, message = BOUNDARY_CASES[case]
         with pytest.raises(ModelError, match=message):
             call(BOUNDARY_MODELS[family])
+
+    @pytest.mark.parametrize("family", ["opt", "llama"])
+    @pytest.mark.parametrize("case", list(NAMED_TWICE))
+    def test_cache_set_named_twice_is_rejected_before_any_layer(self, family, case):
+        model = BOUNDARY_MODELS[family]
+        caches = _caches(model, start=5)
+        with pytest.raises(ModelError, match="named twice"):
+            NAMED_TWICE[case](model, caches)
+        assert [cache.length for cache in caches] == [5] * model.config.n_layers
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -378,15 +424,29 @@ class TestModelBoundary:
             else:
                 groups = data.draw(st.lists(_token_ids(vocab, 1), max_size=3))
                 decode = data.draw(st.sampled_from([None, tokens]))
-                chunk_logits, decode_logits = model.forward_mixed_step(
-                    groups,
-                    draw_requests(len(groups)),
-                    decode,
-                    None if decode is None else draw_requests(leading),
-                )
+                sizes = [group.shape[0] if group.ndim == 1 else 1 for group in groups]
+                sample = data.draw(_sample_rows(sizes))
+
+                def call():
+                    return model.forward_mixed_step(
+                        groups,
+                        draw_requests(len(groups)),
+                        decode,
+                        None if decode is None else draw_requests(leading),
+                        sample_rows=sample,
+                    )
+
+                if sample is not None and (
+                    len(sample) != len(groups)
+                    or any(not 0 <= n <= size for n, size in zip(sample, sizes))
+                ):
+                    with pytest.raises(ModelError):
+                        call()
+                    return
+                chunk_logits, decode_logits = call()
                 outputs = [
-                    (logits, (group.shape[0], vocab))
-                    for logits, group in zip(chunk_logits, groups)
+                    (logits, (size if sample is None else sample[index], vocab))
+                    for index, (logits, size) in enumerate(zip(chunk_logits, sizes))
                 ]
                 assert len(chunk_logits) == len(groups)
                 if decode is None:

@@ -346,8 +346,10 @@ class TestEngineGrouped:
     def test_every_step_dispatches_layers_times_rows_and_chunks(self, model):
         # The structural dispatch gate: on a mixed-length run (shared
         # and lone lengths, requests joining and leaving), each step
-        # launches one attention pipeline per (layer, decode row) plus
-        # one per (layer, prefill chunk).
+        # launches one attention pipeline per (layer, decode row), one
+        # per (layer but the last, prefill chunk), and in the last layer
+        # one per sampled row: a chunk that completes its prompt samples
+        # its last row, a partial chunk none.
         rng = np.random.default_rng(71)
         lengths = (7, 7, 7, 10, 9, 3, 25, 16)
         prompts = [rng.integers(0, 256, size=length) for length in lengths]
@@ -358,14 +360,18 @@ class TestEngineGrouped:
             for prompt, count in zip(prompts, counts)
         ]
         n_layers = len(model.blocks)
-        decoded = 0
+        decoded = partial = 0
         while engine.has_work():
             report = engine.step().report
             decoded += report.decodes
-            assert report.attention_dispatches == n_layers * (
-                report.decodes + report.prefills
+            partial += report.partial_prefills
+            sampled = report.prefills - report.partial_prefills
+            assert report.attention_dispatches == (
+                n_layers * report.decodes
+                + (n_layers - 1) * report.prefills
+                + sampled
             )
-        assert decoded > 0
+        assert decoded > 0 and partial > 0
         for handle, prompt, count in zip(handles, prompts, counts):
             expected = generate(model, prompt, count)
             np.testing.assert_array_equal(handle.result().tokens, expected.tokens)

@@ -685,8 +685,11 @@ class TestFloat32Pipeline:
         logits.append(model.forward_step(np.array([[5]]), second))
 
         assert [array.dtype for array in logits] == [np.float32] * len(logits)
-        # forward_step x2, chunk segments x2, decode rows x4: per layer.
-        assert len(launches) == model.config.n_layers * 8
+        # Per layer but the last: forward_step x2 and chunk segments x2;
+        # the last layer launches once per sampled row (7 + 1 + 5 + 6,
+        # every row); decode rows x4 in every layer.
+        n_layers = model.config.n_layers
+        assert len(launches) == (n_layers - 1) * 4 + 19 + n_layers * 4
         assert set(launches) == {(np.dtype(np.float32),) * 4}
         for caches in (first, second, third):
             for cache in caches:
