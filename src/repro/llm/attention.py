@@ -430,8 +430,6 @@ class KVCache:
     pool blocks and fetches what it did not write — a shared prefix —
     on first read).  Both land the same float16 values, so they are
     bitwise interchangeable under ``step_mixed`` / ``step_batch``.
-    :class:`ReferenceKVCache` keeps the O(history)-per-step storage as
-    the parity oracle.
     """
 
     __slots__ = ("_k", "_v", "_readable", "length", "_filled", "_reserved")
@@ -569,74 +567,6 @@ class KVCache:
         self._v = None
         self._readable = None
         self._filled = 0
-
-
-class ReferenceKVCache(KVCache):
-    """The pre-optimization O(history)-per-step storage, kept as oracle.
-
-    Appends float16 rows by whole-array concatenate and converts the
-    full history to float32 on every :meth:`view` — what
-    :class:`KVCache` did before its preallocated residency.  The growth
-    property tests pin the optimized storage bitwise against this.  An
-    optional ``codec`` delegates the write-side compression, so one
-    reference class covers FP16 and Anda storage.
-    """
-
-    __slots__ = ("_codec", "_ref_k", "_ref_v")
-
-    def __init__(self, codec: KVCache | None = None) -> None:
-        super().__init__()
-        self._codec = codec
-        self._ref_k: np.ndarray | None = None
-        self._ref_v: np.ndarray | None = None
-
-    def compress(self, tensor: np.ndarray) -> np.ndarray:
-        return tensor if self._codec is None else self._codec.compress(tensor)
-
-    def compression_key(self) -> tuple:
-        return ("fp16",) if self._codec is None else self._codec.compression_key()
-
-    @property
-    def keys(self) -> np.ndarray | None:
-        """Stored float16 keys ``(batch, heads, length, hd)``."""
-        return self._ref_k
-
-    @property
-    def values(self) -> np.ndarray | None:
-        """Stored float16 values ``(batch, heads, length, hd)``."""
-        return self._ref_v
-
-    def _store(self, start: int, k: np.ndarray, v: np.ndarray) -> None:
-        # Saturating float16 casts: the oracle for fp16.round_to_half /
-        # pack_half, which the optimized write path uses instead.
-        k16 = np.clip(k, -fp16.MAX_FINITE, fp16.MAX_FINITE).astype(np.float16)
-        v16 = np.clip(v, -fp16.MAX_FINITE, fp16.MAX_FINITE).astype(np.float16)
-        if self._ref_k is None:
-            self._ref_k, self._ref_v = k16, v16
-        else:
-            self._ref_k = np.concatenate([self._ref_k, k16], axis=2)
-            self._ref_v = np.concatenate([self._ref_v, v16], axis=2)
-            _ACTIVE_SCOPE.get().hot.copy_bytes += (
-                self._ref_k.nbytes + self._ref_v.nbytes
-            )
-
-    def view(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._ref_k is None:
-            raise ModelError("view() on an empty KV cache")
-        keys = self._ref_k.astype(np.float32)
-        values = self._ref_v.astype(np.float32)
-        _ACTIVE_SCOPE.get().hot.dequant_bytes += keys.nbytes + values.nbytes
-        return keys, values
-
-    def truncate(self, length: int) -> None:
-        super().truncate(length)
-        if self._ref_k is not None:
-            if length == 0:
-                self._ref_k = None
-                self._ref_v = None
-            else:
-                self._ref_k = self._ref_k[:, :, :length]
-                self._ref_v = self._ref_v[:, :, :length]
 
 
 # -- grouped decode attention -------------------------------------------------

@@ -26,9 +26,8 @@ The public front end is three abstractions:
 Beneath the facade, :class:`~repro.serve.engine.Engine` is the
 internal-but-public layer: ``submit()`` / ``step()`` / ``drain()``
 continuous batching over one lane: chunked prefill (mixed steps
-bounding TTFT and inter-token latency) and scheduler policies (FCFS,
-shortest-prompt-first, decode-first) under a ``max_batch_tokens``
-budget (:mod:`repro.serve.scheduler`), the paged KV-cache memory
+bounding TTFT and inter-token latency) admitted in arrival order under
+a ``max_batch_tokens`` budget (:mod:`repro.serve.scheduler`), the paged KV-cache memory
 subsystem sized by ``kv_pool_blocks`` — refcounted block allocator
 with copy-on-write, prefix-sharing radix cache, swap-out/swap-in
 preemption (:mod:`repro.serve.kvpool`) — per-request exact-length
@@ -70,7 +69,6 @@ from repro.serve.kvpool import (
     KVPool,
     OutOfBlocksError,
     PagedKVCache,
-    Preemptor,
     PrefixCache,
     SequenceKV,
 )
@@ -85,16 +83,11 @@ from repro.serve.request import (
     RequestStatus,
 )
 from repro.serve.scheduler import (
-    POLICIES,
-    DecodeFirstPolicy,
-    FcfsPolicy,
     KVBlockPlanner,
     PrefillChunk,
-    SchedulerPolicy,
-    ShortestPromptFirstPolicy,
     StepPlan,
-    get_policy,
     plan_step,
+    preemption_victim,
     validate_admission,
 )
 from repro.serve.telemetry import (
@@ -109,10 +102,8 @@ from repro.serve.telemetry import (
 )
 
 __all__ = [
-    "POLICIES",
     "BlockAllocator",
     "CompletedRequest",
-    "DecodeFirstPolicy",
     "Engine",
     "EngineConfig",
     "EngineMetrics",
@@ -120,7 +111,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultRule",
-    "FcfsPolicy",
     "InjectedFault",
     "KVBlockPlanner",
     "KVFormat",
@@ -129,7 +119,6 @@ __all__ = [
     "OutOfBlocksError",
     "PagedKVCache",
     "PermanentFault",
-    "Preemptor",
     "PrefillChunk",
     "PrefixCache",
     "PressurePolicy",
@@ -140,9 +129,7 @@ __all__ = [
     "RequestStatus",
     "RetryPolicy",
     "SamplingParams",
-    "SchedulerPolicy",
     "SequenceKV",
-    "ShortestPromptFirstPolicy",
     "StepOutputs",
     "StepPlan",
     "StepReport",
@@ -152,8 +139,8 @@ __all__ = [
     "TraceEvent",
     "TransientFault",
     "chrome_trace",
-    "get_policy",
     "plan_step",
+    "preemption_victim",
     "prometheus_exposition",
     "summarize",
     "validate_admission",

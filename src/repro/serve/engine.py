@@ -59,8 +59,9 @@ Every step runs the same phases, in order:
 
 1. **expire** — requests past their deadline fail before they cost
    another forward;
-2. **schedule** — the policy plans the step's decodes, swap-ins and
-   prompt chunks under the token, slot and block budgets;
+2. **schedule** — the scheduler plans the step's decodes, swap-ins and
+   prompt chunks in arrival order under the token, slot and block
+   budgets;
 3. **swap-ins** — previously preempted or retried mid-decode requests
    land their stored KV in fresh blocks and join the decode batch;
 4. **forward waves** — the chunks split into prefix-ordered waves (a
@@ -139,7 +140,6 @@ from repro.serve.faults import (
 from repro.serve.handle import RequestHandle, StepOutputs, TokenDelta
 from repro.serve.kvpool.paged import KVImage, SequenceKV
 from repro.serve.kvpool.pool import DEFAULT_BLOCK_SIZE, KVPool
-from repro.serve.kvpool.preempt import Preemptor
 from repro.serve.metrics import EngineMetrics, StepReport, summarize
 from repro.serve.params import SamplingParams
 from repro.serve.request import (
@@ -152,10 +152,9 @@ from repro.serve.request import (
 )
 from repro.serve.scheduler import (
     PrefillChunk,
-    SchedulerPolicy,
     StepPlan,
-    get_policy,
     plan_step,
+    preemption_victim,
     validate_admission,
 )
 from repro.serve.telemetry import EngineTelemetry, TelemetryConfig
@@ -167,24 +166,35 @@ _NO_SPAN: AbstractContextManager[None] = nullcontext()
 #: Process-wide engine numbering for default telemetry labels.
 _ENGINE_LABELS = itertools.count()
 
-#: The serving lanes the engine no longer has, and the size that
-#: expresses each instead.
-_REMOVED_LANES = (
+#: The serving lanes and scheduling rules the engine no longer has:
+#: each setting's one accepted value, and what expresses the old
+#: behaviour instead.
+_REMOVED_LANES: tuple[tuple[str, object, str], ...] = (
     (
         "kv_pool",
+        True,
         "every engine stores KV in the paged pool; size it with "
         "kv_pool_blocks (the default 64 blocks of 64 positions holds "
         "max_batch_size=8 requests of 256 positions)",
     ),
     (
         "chunked_prefill",
+        True,
         "set max_batch_tokens >= the prompt length to prefill a prompt "
         "in one step",
     ),
     (
         "grouped_attention",
+        True,
         "decode attention already runs one exact-length launch per "
         "request over its own history; there is nothing to turn off",
+    ),
+    (
+        "policy",
+        "fcfs",
+        "admission is first come, first served (the shortest-prompt-first "
+        "and decode-first policies were removed): waiting requests are "
+        "admitted in arrival order and preemption evicts the latest arrival",
     ),
 )
 
@@ -203,9 +213,9 @@ class EngineConfig:
             steps per prompt), large budgets prefill prompts in fewer,
             longer steps; a budget >= a prompt's length prefills it in
             one step.
-        policy: admission order — ``"fcfs"``,
-            ``"shortest-prompt-first"`` or ``"decode-first"`` (finish
-            in-flight chunked prefills before admitting new requests).
+        policy: always ``"fcfs"`` — waiting requests are admitted in
+            arrival order (:func:`~repro.serve.scheduler.plan_step`).
+            Any other value raises :class:`~repro.errors.ModelError`.
         chunked_prefill: always ``True`` — waiting prompts are admitted
             for budget-sized chunks that ride along with the decode
             batch.  ``False`` raises :class:`~repro.errors.ModelError`;
@@ -252,7 +262,7 @@ class EngineConfig:
 
     max_batch_size: int = 8
     max_batch_tokens: int = 256
-    policy: str = "fcfs"
+    policy: Literal["fcfs"] = "fcfs"  # ROADMAP 1(a) deletes it
     chunked_prefill: Literal[True] = True
     kv_pool: Literal[True] = True
     kv_pool_blocks: int = 64
@@ -268,9 +278,10 @@ class EngineConfig:
     def __post_init__(self) -> None:
         # A bad config must fail at construction, never mid-step with
         # requests already accepted.
-        for name, instead in _REMOVED_LANES:
-            if getattr(self, name) is not True:
-                raise ModelError(f"{name}=False is no longer supported: {instead}")
+        for name, kept, instead in _REMOVED_LANES:
+            value = getattr(self, name)
+            if type(value) is not type(kept) or value != kept:
+                raise ModelError(f"{name}={value!r} is no longer supported: {instead}")
         if self.max_batch_size < 1:
             raise ModelError(f"max_batch_size must be >= 1, got {self.max_batch_size}")
         if self.max_batch_tokens < 1:
@@ -283,7 +294,6 @@ class EngineConfig:
             raise ModelError(f"kv_pool_blocks must be >= 2, got {self.kv_pool_blocks}")
         if self.kv_block_size < 1:
             raise ModelError(f"kv_block_size must be >= 1, got {self.kv_block_size}")
-        get_policy(self.policy)  # raises ModelError naming the known policies
         if not isinstance(self.telemetry, TelemetryConfig):
             raise ModelError(
                 "telemetry must be a repro.serve.telemetry.TelemetryConfig, "
@@ -390,7 +400,7 @@ class Engine:
     def __init__(self, model: CausalLM, config: EngineConfig | None = None) -> None:
         self.model = model
         self.config = config or EngineConfig()
-        self._policy: SchedulerPolicy = get_policy(self.config.policy)
+        self._policy: Literal["fcfs"] = "fcfs"  # ROADMAP 1(a) deletes it
         self._n_layers = model.config.n_layers
         # Both formats must fit the model here, not inside submit():
         # a per-layer stack of the wrong depth raises now.
@@ -398,7 +408,6 @@ class Engine:
         degraded = self.config.pressure.degraded_format
         if degraded is not None:
             degraded.signature(self._n_layers)
-        self._preemptor = Preemptor()
         # No pool codec: every sequence brings its request's codecs.
         self._pool = KVPool(
             model.config,
@@ -1299,7 +1308,7 @@ class Engine:
                 if demand <= self._pool.free_blocks + self._pool.reclaimable_blocks:
                     break
                 holders = [state for state in self._waiting if state.kv is not None]
-                victim = self._preemptor.select_victim(decodes + holders)
+                victim = preemption_victim(decodes + holders)
                 decodes = [state for state in decodes if state is not victim]
                 runs = [run for run in runs if run.state is not victim]
                 self._preempt(victim)

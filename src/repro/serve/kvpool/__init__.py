@@ -8,21 +8,20 @@ per-request caches that plug into the existing attention paths
 (:class:`~repro.serve.kvpool.paged.PagedKVCache` /
 :class:`~repro.serve.kvpool.paged.SequenceKV`), a radix-trie prefix
 cache that maps shared prompt prefixes onto shared physical blocks
-(:class:`~repro.serve.kvpool.prefix.PrefixCache`), a preemption
-policy for eviction under pool pressure
-(:class:`~repro.serve.kvpool.preempt.Preemptor`), and the float16
+(:class:`~repro.serve.kvpool.prefix.PrefixCache`), and the float16
 image a preempted sequence's bytes wait in until they are swapped back
-(:class:`~repro.serve.kvpool.paged.KVImage`).
+(:class:`~repro.serve.kvpool.paged.KVImage`).  Who is preempted under
+pool pressure is the scheduler's arrival-order rule
+(:func:`repro.serve.scheduler.preemption_victim`).
 
 Every engine stores its KV here, sized by ``EngineConfig.kv_pool_blocks``
 and ``kv_block_size``; see ``src/repro/serve/README.md`` for sizing and
-policy notes.
+preemption notes.
 """
 
 from repro.serve.kvpool.allocator import BlockAllocator, OutOfBlocksError
 from repro.serve.kvpool.paged import KVImage, PagedKVCache, SequenceKV
 from repro.serve.kvpool.pool import DEFAULT_BLOCK_SIZE, KVPool, PoolPlanner
-from repro.serve.kvpool.preempt import Preemptor
 from repro.serve.kvpool.prefix import PrefixCache
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "OutOfBlocksError",
     "PagedKVCache",
     "PoolPlanner",
-    "Preemptor",
     "PrefixCache",
     "SequenceKV",
 ]

@@ -36,8 +36,8 @@ grows, truncates and releases — and adds only what paging needs:
 ``truncate`` / ``rollback`` clamp the watermark (the residency below it
 stays valid); :meth:`SequenceKV.release` frees every layer's residency
 with the blocks it mirrors.  Copy-on-write forks copy bytes verbatim,
-so they never invalidate it.  :meth:`SequenceKV.gather_reference` keeps
-the original per-block-loop float32 gather as the parity oracle.
+so they never invalidate it.  The tests keep the original
+per-block-loop float32 gather as their parity oracle.
 
 Preemption moves a sequence out of the pool and back without
 recomputing it: :meth:`SequenceKV.swap_out` releases the sequence and
@@ -55,7 +55,7 @@ import numpy as np
 
 from repro.core import fp16
 from repro.errors import ModelError
-from repro.llm.attention import KVCache, active_scope
+from repro.llm.attention import KVCache
 from repro.serve.faults.injector import inject
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (pool -> paged)
@@ -208,7 +208,9 @@ class PagedKVCache(KVCache):
         size = pool.block_size
         positions = np.arange(start, stop)
         first = start // size
-        table = np.asarray(sequence.block_table[first : -(-stop // size)], dtype=np.intp)
+        table = np.asarray(
+            sequence.block_table[first : -(-stop // size)], dtype=np.intp
+        )
         blocks = table[positions // size - first]
         rows = positions % size
         # (T, H, hd) gathers, landed as (1, H, T, hd) rows.
@@ -370,42 +372,6 @@ class SequenceKV:
             position += count
             offset += count
         self.caches[layer].write_through(start, k, v)
-
-    # -- read path --------------------------------------------------------
-
-    def gather(self, layer: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-        """Decode-ready ``(1, H, length, hd)`` history of one layer.
-
-        The layer cache's read (:meth:`PagedKVCache.read`): resident
-        positions in place, the rest fetched from the pool first.
-        """
-        return self.caches[layer].read(length)
-
-    def gather_reference(
-        self, layer: int, length: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The pre-optimization gather: per-block loop + concatenate.
-
-        Re-materializes and re-dequantizes the entire history on every
-        call — kept as the bitwise oracle for the growth property tests
-        and the decode hot-path benchmark.
-        """
-        size = self.pool.block_size
-        k_parts, v_parts = [], []
-        remaining = length
-        for block in self.block_table:
-            if remaining <= 0:
-                break
-            rows = min(size, remaining)
-            k_parts.append(self.pool.keys[layer, block, :, :rows])
-            v_parts.append(self.pool.values[layer, block, :, :rows])
-            remaining -= rows
-        keys = np.concatenate(k_parts, axis=1)[None].astype(np.float32)
-        values = np.concatenate(v_parts, axis=1)[None].astype(np.float32)
-        scope = active_scope()
-        scope.hot.copy_bytes += (keys.nbytes + values.nbytes) // 2
-        scope.hot.dequant_bytes += keys.nbytes + values.nbytes
-        return keys, values
 
     # -- teardown ---------------------------------------------------------
 

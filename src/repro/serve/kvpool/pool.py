@@ -31,7 +31,6 @@ from repro.serve.faults.injector import inject
 from repro.serve.kvpool.allocator import BlockAllocator, OutOfBlocksError
 from repro.serve.kvpool.paged import KVImage, SequenceKV
 from repro.serve.kvpool.prefix import PrefixCache
-from repro.serve.scheduler import KVBlockPlanner
 
 if TYPE_CHECKING:
     from repro.serve.request import RequestState
@@ -278,27 +277,30 @@ class KVPool:
 
     # -- scheduler integration --------------------------------------------
 
-    def prefill_block_cost(
+    def chunk_block_cost(
         self,
         prompt_tokens: np.ndarray,
-        total_positions: int,
+        chunk_tokens: int,
         shareable: bool = True,
     ) -> int:
-        """Pool-budget cost (blocks) of admitting one prefill.
+        """Pool-budget cost (blocks) of a fresh request's *first chunk*.
 
-        ``total_positions`` is the sequence length after the prefill
-        step.  The cost counts *fresh* blocks beyond the shared prefix,
-        one slack block for a copy-on-write fork when the hit ends
-        mid-block, and — crucially — every matched block the admission
-        would *pin*:
-        a cache-only (refcount 1) block counted in the reclaimable
-        budget stops being reclaimable the moment this request maps it,
-        so it must be charged against the same budget.
+        Chunked admissions only commit the chunk's footprint: *fresh*
+        blocks for the positions written this step beyond any shared
+        prefix, one slack block for a copy-on-write fork when the hit
+        ends mid-block, and — crucially — every matched block the
+        admission would *pin*: a cache-only (refcount 1) block counted
+        in the reclaimable budget stops being reclaimable the moment
+        this request maps it, so it must be charged against the same
+        budget.  One trie walk gives both the shared length and the
+        matched blocks.
 
         ``shareable=False`` (a request whose KV format differs from the
-        engine default) prices the prefill with no prefix sharing at all
-        — its full fresh-block footprint — matching what
-        :meth:`create_sequence` will actually allocate for it.
+        engine default) prices the chunk with no prefix sharing at all,
+        matching what :meth:`create_sequence` will actually allocate
+        for it.  Later chunks of a half-prefilled request are costed by
+        the planner as plain cache growth
+        (:meth:`SequenceKV.blocks_for_append`).
         """
         shared_blocks: list[int] = []
         shared = 0
@@ -308,7 +310,8 @@ class KVPool:
             shared_blocks, shared = self.prefix_cache.peek_blocks(
                 prompt_tokens, cap, self._clock
             )
-        fresh = max(0, self.blocks_for_tokens(total_positions) - len(shared_blocks))
+        end = min(int(len(prompt_tokens)), shared + chunk_tokens)
+        fresh = max(0, self.blocks_for_tokens(end) - len(shared_blocks))
         if shared % self.block_size:
             fresh += 1
         pinned = sum(
@@ -316,31 +319,12 @@ class KVPool:
         )
         return fresh + pinned
 
-    def chunk_block_cost(
-        self,
-        prompt_tokens: np.ndarray,
-        chunk_tokens: int,
-        shareable: bool = True,
-    ) -> int:
-        """Pool-budget cost (blocks) of a fresh request's *first chunk*.
-
-        Chunked admissions only commit the chunk's footprint: blocks to
-        hold the positions written this step (beyond any shared
-        prefix), plus the same CoW-slack and pinning charges as a full
-        prefill.  Later chunks of a half-prefilled request are costed
-        by the planner as plain cache growth
-        (:meth:`SequenceKV.blocks_for_append`).
-        """
-        shared = self.peek_shared(prompt_tokens, shareable=shareable)
-        end = min(int(len(prompt_tokens)), shared + chunk_tokens)
-        return self.prefill_block_cost(prompt_tokens, end, shareable=shareable)
-
     def planner(self, running: list[RequestState]) -> "PoolPlanner":
         return PoolPlanner(self, running)
 
 
-class PoolPlanner(KVBlockPlanner):
-    """Adapts one pool + the running set to the scheduler's block budget.
+class PoolPlanner:
+    """The scheduler's :class:`~repro.serve.scheduler.KVBlockPlanner` over one pool.
 
     The budget offered to admissions is what is free or reclaimable
     *after* reserving the running requests' decode growth — running

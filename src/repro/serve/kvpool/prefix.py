@@ -85,31 +85,29 @@ class PrefixCache:
     def peek_blocks(
         self, tokens: np.ndarray, max_tokens: int, clock: int
     ) -> tuple[list[int], int]:
-        """Like :meth:`match` but without taking references (planning)."""
-        path = self._walk(tokens, clock)
-        shared_tokens = min(len(path) * self._block_size, max_tokens)
-        if shared_tokens <= 0:
-            return [], 0
-        keep = -(-shared_tokens // self._block_size)
-        return [node.block_id for node in path[:keep]], shared_tokens
-
-    def match(
-        self, tokens: np.ndarray, max_tokens: int, clock: int
-    ) -> tuple[list[int], int]:
         """Longest cached prefix of ``tokens``, capped at ``max_tokens``.
 
-        Returns ``(block_ids, shared_tokens)`` with one allocator
-        reference taken per returned block (the caller owns them).  The
-        final block may be only partially covered by ``shared_tokens``
-        when the cap cuts mid-block; the caller's first write into it
-        must copy-on-write.
+        Returns ``(block_ids, shared_tokens)`` without taking references
+        (planning).  The final block may be only partially covered by
+        ``shared_tokens`` when the cap cuts mid-block.
         """
         path = self._walk(tokens, clock)
         shared_tokens = min(len(path) * self._block_size, max_tokens)
         if shared_tokens <= 0:
             return [], 0
         keep = -(-shared_tokens // self._block_size)  # ceil division
-        blocks = [node.block_id for node in path[:keep]]
+        return [node.block_id for node in path[:keep]], shared_tokens
+
+    def match(
+        self, tokens: np.ndarray, max_tokens: int, clock: int
+    ) -> tuple[list[int], int]:
+        """:meth:`peek_blocks`, taking one reference per returned block.
+
+        The caller owns the references.  When the cap cuts the final
+        block mid-way, the caller's first write into it must
+        copy-on-write.
+        """
+        blocks, shared_tokens = self.peek_blocks(tokens, max_tokens, clock)
         for block_id in blocks:
             self._allocator.incref(block_id)
         return blocks, shared_tokens

@@ -47,8 +47,7 @@ class LLM:
             :func:`repro.llm.zoo.get_model`.  Omit when passing a
             pre-built ``engine``.
         config: engine configuration (KV format, pool size, chunk
-            budget, scheduler policy); ignored when ``engine`` is
-            given.
+            budget); ignored when ``engine`` is given.
         engine: adopt an existing engine instead of building one —
             several facades (or facade and raw-engine code) may share
             it; results are never stolen across owners.

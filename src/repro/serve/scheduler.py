@@ -21,27 +21,19 @@ slot, and admitting its next chunk never consumes a new one.  A
 planned as a swap-in that costs one decode token, and rejoins the
 decode batch the step that admits it.
 
-Admission *order* is a policy:
+Admission order is arrival order, the one scheduling rule: waiting
+requests are admitted first come, first served, and under pool
+pressure the latest arrival is preempted first
+(:func:`preemption_victim`), so the oldest requests, holding the most
+already-paid-for KV, are the last to lose their residency and always
+drain.  The engine keeps its waiting queue sorted by request id, and a
+preempted or retried request re-enters it at its arrival position.
+One guarantee is unconditional: if nothing is running and nothing
+fits, the head of the queue is admitted anyway (a chunk the free-block
+budget cannot cover must not deadlock the engine).
 
-* **fcfs** — first come, first served (arrival order, the latency-fair
-  default);
-* **shortest-prompt-first** — admit cheap prompts first, maximizing how
-  many requests reach the decode batch per unit of prefill budget
-  (throughput-greedy, can starve long prompts under load);
-* **decode-first** — continue in-flight chunked prefills before
-  admitting new requests, FCFS otherwise.  Decode tokens are reserved
-  off the top of the budget structurally; this policy additionally
-  keeps the prefill side of the budget focused on one prompt at a
-  time, so a chunked prefill finishes (and starts decoding) as early
-  as possible instead of smearing several partial caches across steps.
-
-Policies only order the waiting queue; the budget walk below is shared.
-One guarantee is unconditional: if nothing is running and nothing fits,
-the first candidate is admitted anyway (a chunk the free-block budget
-cannot cover must not deadlock the engine).
-
-Given a :class:`KVBlockPlanner` (the engine always passes its pool's),
-admission is additionally planned against the *free-block budget*:
+Admission is also planned against the *free-block budget* of a
+:class:`KVBlockPlanner` (the engine passes its pool's):
 a waiting request is only admitted when its block footprint — a
 chunk's growth after prefix-cache sharing, a swap-in's whole context —
 fits in what is free or reclaimable once the running requests' decode
@@ -58,7 +50,7 @@ decoding recipe is no longer an engine-wide setting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Literal
+from typing import TYPE_CHECKING, Literal, Protocol
 
 import numpy as np
 
@@ -144,7 +136,7 @@ def validate_admission(
             )
 
 
-class KVBlockPlanner:
+class KVBlockPlanner(Protocol):
     """Block-budget view the engine hands the scheduler.
 
     ``available_blocks`` is the pool headroom admissions may claim
@@ -157,92 +149,31 @@ class KVBlockPlanner:
     the budget.
     """
 
-    def available_blocks(self) -> int:
-        raise NotImplementedError
+    def available_blocks(self) -> int: ...
 
-    def swap_in_blocks(self, state: RequestState) -> int:
-        raise NotImplementedError
+    def swap_in_blocks(self, state: RequestState) -> int: ...
 
-    def chunk_blocks(self, state: RequestState, tokens: int) -> int:
-        raise NotImplementedError
+    def chunk_blocks(self, state: RequestState, tokens: int) -> int: ...
 
-    def admit(self, blocks_needed: int) -> None:
-        raise NotImplementedError
+    def admit(self, blocks_needed: int) -> None: ...
 
 
-class SchedulerPolicy:
-    """Orders the waiting queue for admission (subclass hook)."""
+def preemption_victim(candidates: list[RequestState]) -> RequestState:
+    """The latest arrival among ``candidates``: who loses its KV blocks.
 
-    name = "base"
-
-    def order(self, waiting: list[RequestState]) -> list[RequestState]:
-        raise NotImplementedError
-
-
-class FcfsPolicy(SchedulerPolicy):
-    """Admit in arrival order."""
-
-    name = "fcfs"
-
-    def order(self, waiting: list[RequestState]) -> list[RequestState]:
-        return list(waiting)
-
-
-class ShortestPromptFirstPolicy(SchedulerPolicy):
-    """Admit cheapest prefills first (ties broken by arrival)."""
-
-    name = "shortest-prompt-first"
-
-    def order(self, waiting: list[RequestState]) -> list[RequestState]:
-        return sorted(
-            waiting,
-            key=lambda state: (
-                state.request.prompt_length,
-                state.request.request_id,
-            ),
-        )
-
-
-class DecodeFirstPolicy(SchedulerPolicy):
-    """Finish in-flight chunked prefills before admitting new work.
-
-    A half-prefilled request holds KV memory but produces nothing
-    until its prompt completes; front-running it with fresh admissions
-    both delays its first token and multiplies the number of partial
-    caches resident at once.  This policy pins in-flight prefills to
-    the head of the queue (FCFS among themselves and among the rest),
-    which bounds partial-cache residency to one prompt at a time under
-    steady traffic.
+    The engine calls this when a step's block growth exceeds what the
+    pool can free, over every block holder: running decodes and
+    half-prefilled prompts.  A decoding victim is swapped out (its
+    stored KV leaves the pool as one image and returns bitwise on
+    re-admission); a half-prefilled one drops its partial cache and
+    restarts its prefill.
     """
-
-    name = "decode-first"
-
-    def order(self, waiting: list[RequestState]) -> list[RequestState]:
-        return sorted(
-            waiting,
-            key=lambda state: (
-                0 if state.prefill_pos > 0 else 1,
-                state.request.request_id,
-            ),
-        )
-
-
-#: Registry of scheduler policies by name.
-POLICIES: dict[str, type[SchedulerPolicy]] = {
-    FcfsPolicy.name: FcfsPolicy,
-    ShortestPromptFirstPolicy.name: ShortestPromptFirstPolicy,
-    DecodeFirstPolicy.name: DecodeFirstPolicy,
-}
-
-
-def get_policy(name: str) -> SchedulerPolicy:
-    """Instantiate a scheduler policy by registry name."""
-    try:
-        return POLICIES[name]()
-    except KeyError:
-        raise ModelError(
-            f"unknown scheduler policy {name!r}; known: {', '.join(sorted(POLICIES))}"
-        ) from None
+    if not candidates:
+        raise ModelError("no preemption candidates: pool sizing bug")
+    return max(
+        candidates,
+        key=lambda state: (state.arrival_step, state.request.request_id),
+    )
 
 
 @dataclass(frozen=True)
@@ -303,22 +234,25 @@ class StepPlan:
 def plan_step(
     waiting: list[RequestState],
     running: list[RequestState],
-    policy: SchedulerPolicy,
+    # ROADMAP 1(a) deletes it: the benchmark ledger still passes it.
+    policy: Literal["fcfs"],
     max_batch_size: int,
     max_batch_tokens: int,
-    blocks: KVBlockPlanner | None = None,
+    blocks: KVBlockPlanner,
     chunking: Literal[True] = True,
 ) -> StepPlan:
     """Plan one step: decodes keep their slots, prefills fill the rest.
 
     Running requests are never displaced by admissions — each reserves
-    one token of budget and one batch slot (preemption, when a paged
-    pool runs dry mid-decode, is the engine's move, not the planner's).
-    Waiting requests are then admitted in policy order while the token
-    budget, the slot count and (when ``blocks`` is given) the pool's
-    free-block budget all hold out.  Admission stops at the first
-    request that does not fit (head-of-line blocking is deliberate:
-    skipping over a big request forever would starve it).
+    one token of budget and one batch slot (preemption, when the pool
+    runs dry mid-decode, is the engine's move, not the planner's).
+    Waiting requests are then admitted in the order ``waiting`` gives
+    them (arrival order; the engine keeps its queue sorted by request
+    id) while the token budget, the slot count and the ``blocks``
+    budget all hold out.  Admission stops once the token budget is
+    spent or at the first request the block budget cannot cover
+    (head-of-line blocking is deliberate: skipping over a big request
+    forever would starve it).
 
     A fresh request that does not fit whole is admitted for a
     *partial* chunk — whatever token budget remains after decodes — and
@@ -326,10 +260,15 @@ def plan_step(
     residency slot, so continuing it never consumes a new one.  A
     swapped-out (preempted mid-decode) request is admitted as a
     swap-in: one decode token and a slot, plus the blocks of its
-    stored context and that token.  ``chunking`` only accepts ``True``;
-    a caller wanting whole-prompt admissions sizes ``max_batch_tokens``
-    >= the prompt.
+    stored context and that token.  ``policy`` only accepts ``"fcfs"``
+    and ``chunking`` only ``True``; a caller wanting whole-prompt
+    admissions sizes ``max_batch_tokens`` >= the prompt.
     """
+    if policy != "fcfs":
+        raise ModelError(
+            f"policy={policy!r} is no longer supported: admission is first "
+            "come, first served"
+        )
     if chunking is not True:
         raise ModelError(
             "chunking=False is no longer supported: set max_batch_tokens "
@@ -349,33 +288,31 @@ def plan_step(
     slots = max_batch_size - len(decodes) - inflight
     prefills: list[PrefillChunk] = []
     swap_ins: list[RequestState] = []
-    for state in policy.order(waiting):
+    for state in waiting:
         if budget < 1:
             break  # decodes (or earlier admissions) consumed the budget
         continuing = state.prefill_pos > 0
         if not continuing and slots < 1:
-            # Skip, don't stop: a slot-exempt in-flight continuation
-            # later in policy order (e.g. a long prompt under
-            # shortest-prompt-first) must still get its chunk, or it
+            # Skip, don't stop: a swapped-out or retried request is
+            # requeued at its arrival position, ahead of a later
+            # half-prefilled one.  With the slot cap full, that
+            # slot-exempt continuation must still get its chunk, or it
             # would pin its KV blocks while never progressing.
             continue
         swapped = state.kv_image is not None
         cost = 1 if swapped else min(state.prefill_tokens, budget)
-        if blocks is not None:
-            block_cost = (
-                blocks.swap_in_blocks(state)
-                if swapped
-                else blocks.chunk_blocks(state, cost)
-            )
-            if block_cost > blocks.available_blocks() and (
-                decodes or swap_ins or prefills
-            ):
-                # With nothing running, the whole pool is free or
-                # reclaimable and submit-time validation guarantees the
-                # blocks exist: the first candidate is admitted anyway
-                # rather than deadlocking the queue.
-                break
-            blocks.admit(block_cost)
+        block_cost = (
+            blocks.swap_in_blocks(state)
+            if swapped
+            else blocks.chunk_blocks(state, cost)
+        )
+        if block_cost > blocks.available_blocks() and (decodes or swap_ins or prefills):
+            # With nothing running, the whole pool is free or
+            # reclaimable and submit-time validation guarantees the
+            # blocks exist: the first candidate is admitted anyway
+            # rather than deadlocking the queue.
+            break
+        blocks.admit(block_cost)
         if swapped:
             swap_ins.append(state)
         else:

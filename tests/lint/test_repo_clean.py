@@ -34,12 +34,11 @@ def test_committed_baseline_entries_all_carry_notes():
 
 def test_committed_baseline_grandfathers_known_codes_only():
     # Every other rule is enforced at zero findings; the zero-copy rule
-    # grandfathers reference oracles and finish-time assembly, and the
-    # error-taxonomy rule grandfathers the scheduler's abstract-protocol
-    # NotImplementedError stubs.
+    # grandfathers reference codecs, per-write codec decodes and
+    # finish-time assembly.
     raw = json.loads((REPO_ROOT / DEFAULT_BASELINE).read_text())
     codes = {entry["key"].split("|", 1)[0] for entry in raw["findings"]}
-    assert codes == {"RPL002", "RPL011"}
+    assert codes == {"RPL002"}
 
 
 def test_serve_all_matches_runtime_exports():

@@ -25,15 +25,11 @@ from repro.llm.generation import generate
 from repro.llm.kv_quant import KVFormat
 from repro.llm.transformer import build_model
 from repro.serve import (
-    DecodeFirstPolicy,
     Engine,
     EngineConfig,
     RequestStatus,
     SamplingParams,
-    get_policy,
-    plan_step,
 )
-from repro.serve.request import Request, RequestState
 from serving_helpers import serve
 
 
@@ -397,45 +393,6 @@ class TestNoStarvation:
             engine.step()
         done = {r.request_id for r in engine.drain(max_steps=100)}
         assert first in done
-
-
-class TestDecodeFirstPolicy:
-    def make_state(self, request_id, prompt_length, prefill_pos=0):
-        state = RequestState(
-            request=Request(
-                request_id=request_id,
-                prompt=np.arange(prompt_length) % 256,
-                params=SamplingParams(max_new_tokens=4),
-            )
-        )
-        state.prefill_pos = prefill_pos
-        return state
-
-    def test_registry_and_ordering(self):
-        assert isinstance(get_policy("decode-first"), DecodeFirstPolicy)
-        fresh_a = self.make_state(0, 30)
-        inflight = self.make_state(1, 50, prefill_pos=16)
-        fresh_b = self.make_state(2, 4)
-        ordered = DecodeFirstPolicy().order([fresh_a, inflight, fresh_b])
-        assert [s.request.request_id for s in ordered] == [1, 0, 2]
-
-    def test_inflight_prefill_finishes_before_new_admissions(self):
-        inflight = self.make_state(0, 50, prefill_pos=40)
-        fresh = self.make_state(1, 4)
-        plan = plan_step([inflight, fresh], [], DecodeFirstPolicy(), 4, 16)
-        assert [c.state.request.request_id for c in plan.prefills] == [0, 1]
-        assert plan.prefills[0].tokens == 10  # finishes the in-flight prompt
-
-    def test_engine_parity_under_decode_first(self, model, prompts):
-        results = serve(
-            model,
-            prompts,
-            max_new_tokens=6,
-            config=chunked_config(policy="decode-first"),
-        )
-        for prompt, result in zip(prompts, results):
-            expected = generate(model, prompt, 6)
-            np.testing.assert_array_equal(result.tokens, expected.tokens)
 
 
 class TestLatencyMetrics:

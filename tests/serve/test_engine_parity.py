@@ -15,7 +15,14 @@ from repro.llm.generation import generate
 from repro.llm.kv_quant import KVFormat
 from repro.llm.transformer import build_model
 from repro.llm.zoo import get_model
-from repro.serve import Engine, EngineConfig, RequestStatus, SamplingParams
+from repro.serve import (
+    Engine,
+    EngineConfig,
+    KVPool,
+    RequestStatus,
+    SamplingParams,
+    plan_step,
+)
 from serving_helpers import serve
 
 
@@ -151,9 +158,24 @@ class TestLifecycle:
         with pytest.raises(ModelError):
             EngineConfig(max_batch_tokens=0)
 
-    def test_unknown_policy_fails_at_construction(self):
-        with pytest.raises(ModelError, match="unknown scheduler policy 'nope'"):
-            EngineConfig(policy="nope")
+    @pytest.mark.parametrize(
+        "policy", ["nope", "shortest-prompt-first", "decode-first"]
+    )
+    def test_other_policies_fail_at_construction_naming_the_removal(self, policy):
+        with pytest.raises(
+            ModelError, match=f"policy='{policy}' is no longer supported"
+        ) as raised:
+            EngineConfig(policy=policy)
+        message = str(raised.value)
+        assert "admission is first come, first served" in message
+        assert "shortest-prompt-first and decode-first policies were removed" in message
+
+    def test_plan_step_rejects_other_policies_like_chunking_off(self):
+        blocks = KVPool(tiny_test_config(), num_blocks=4).planner([])
+        with pytest.raises(ModelError, match="policy='lifo' is no longer supported"):
+            plan_step([], [], "lifo", 8, 8, blocks)
+        with pytest.raises(ModelError, match="chunking=False is no longer supported"):
+            plan_step([], [], "fcfs", 8, 8, blocks, chunking=False)
 
     def test_missing_telemetry_config_fails_at_construction(self):
         with pytest.raises(ModelError, match="telemetry must be"):

@@ -239,7 +239,9 @@ class TestGroupedBitwiseParity:
         rows = BucketedAttention().run_bucket(attention, bucket, q, views, caches)
         assert len(rows) == 3
         for index, row in enumerate(rows):
-            reference = attention._attention_core(q[index : index + 1], *views[index], 5)
+            reference = attention._attention_core(
+                q[index : index + 1], *views[index], 5
+            )
             assert bitwise_equal(row, reference)
 
     def test_length_mismatch_rejected(self, model):

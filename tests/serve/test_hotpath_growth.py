@@ -4,7 +4,7 @@ The optimized KV storage (one write-through decode-ready residency per
 layer cache, unpaged or paged) must be
 **bitwise** indistinguishable from the pre-optimization reference
 (per-append concatenate + full re-astype, kept alive as
-``ReferenceKVCache`` / ``SequenceKV.gather_reference``).  Both hold
+``ReferenceKVCache`` / ``gather_reference`` in ``tests/oracles.py``).  Both hold
 the decode-ready history as float32 keys and values — the dtype the
 attention core computes in — so residency and oracle compare byte for
 byte.  These tests pin that across the edges where the optimized
@@ -35,7 +35,6 @@ from repro.llm.attention import (
     HOT_PATH_STATS,
     KVCache,
     MultiHeadAttention,
-    ReferenceKVCache,
     causal_block,
     causal_mask,
 )
@@ -46,6 +45,7 @@ from repro.llm.transformer import build_model
 from repro.serve import Engine, EngineConfig, SamplingParams
 from repro.serve.kvpool.paged import SequenceKV
 from repro.serve.kvpool.pool import KVPool
+from oracles import ReferenceKVCache, gather_reference
 
 #: Chunk sizes crossing the initial capacity (16) and two doublings.
 chunk_lists = st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=14)
@@ -138,7 +138,7 @@ class TestPagedGrowthParity:
                 assert history_equal(paged, unpaged)
             total = sequence.length
             assert history_equal(
-                sequence.gather(0, total), sequence.gather_reference(0, total)
+                sequence.caches[0].read(total), gather_reference(sequence, 0, total)
             )
 
     @pytest.mark.parametrize("mode", KV_MODES)
@@ -156,14 +156,14 @@ class TestPagedGrowthParity:
         donor = pool.create_sequence(np.array([1]))
         for layer in range(pool.n_layers):
             donor.caches[layer].append(random_kv(rng, 4), random_kv(rng, 4))
-        donor_before = donor.gather(0, 4)[0].tobytes()
+        donor_before = donor.caches[0].read(4)[0].tobytes()
 
         shared_block = donor.block_table[0]
         pool.allocator.incref(shared_block)
         sharer = SequenceKV(pool, [shared_block], shared_tokens=2)
         # Warm the sharer's gather scratch over the shared block...
-        warm_k, _ = sharer.gather(0, 2)
-        assert bitwise_equal(warm_k, sharer.gather_reference(0, 2)[0])
+        warm_k, _ = sharer.caches[0].read(2)
+        assert bitwise_equal(warm_k, gather_reference(sharer, 0, 2)[0])
         # ...then append: position 2 lands mid-way into the shared
         # block, so the write forks it (donor keeps the original).
         forks_before = pool.cow_forks
@@ -174,11 +174,12 @@ class TestPagedGrowthParity:
         for layer in range(pool.n_layers):
             length = sharer.caches[layer].length
             assert history_equal(
-                sharer.gather(layer, length), sharer.gather_reference(layer, length)
+                sharer.caches[layer].read(length),
+                gather_reference(sharer, layer, length),
             )
         # The donor's stored bytes are untouched by the fork.
-        assert donor.gather(0, 4)[0].tobytes() == donor_before
-        assert donor.gather_reference(0, 4)[0].tobytes() == donor_before
+        assert donor.caches[0].read(4)[0].tobytes() == donor_before
+        assert gather_reference(donor, 0, 4)[0].tobytes() == donor_before
 
     @pytest.mark.parametrize("mode", KV_MODES)
     def test_release_and_replay_rebuilds_bitwise(self, mode):
@@ -195,7 +196,7 @@ class TestPagedGrowthParity:
             for k, v in appends:
                 for layer in range(pool.n_layers):
                     sequence.caches[layer].append(k, v)
-            keys, values = sequence.gather(0, sequence.length)
+            keys, values = sequence.caches[0].read(sequence.length)
             snapshot = (keys.tobytes(), values.tobytes())
             sequence.release()
             return snapshot
@@ -299,9 +300,9 @@ class TestWriteThroughScratch:
                     continue
                 assert sequence.length == oracle.length
                 for layer in range(pool.n_layers):
-                    history = sequence.gather(layer, oracle.length)
+                    history = sequence.caches[layer].read(oracle.length)
                     assert history_equal(
-                        history, sequence.gather_reference(layer, oracle.length)
+                        history, gather_reference(sequence, layer, oracle.length)
                     )
                     assert history_equal(history, oracle.view())
 
@@ -347,7 +348,7 @@ class TestWriteThroughScratch:
         # back to doubling and stays bitwise right.
         reserved.caches[0].append(random_kv(rng, 3), random_kv(rng, 3))
         assert history_equal(
-            reserved.gather(0, 43), reserved.gather_reference(0, 43)
+            reserved.caches[0].read(43), gather_reference(reserved, 0, 43)
         )
 
 
@@ -452,7 +453,7 @@ class TestStoredFormCrossing:
             history = cache.append(self.huge_rows(3), self.huge_rows(3))
             self.assert_saturated(history, 3)
             assert np.isfinite(attention._attention_core(q, *history, 0)).all()
-        self.assert_saturated(sequence.gather_reference(0, 3), 3)
+        self.assert_saturated(gather_reference(sequence, 0, 3), 3)
 
     def test_fp16_decode_append_saturates(self, monkeypatch):
         sequence, unpaged = self.layer_caches("fp16")
@@ -467,7 +468,7 @@ class TestStoredFormCrossing:
         assert np.isfinite(out).all()
         for cache in (unpaged, sequence.caches[0]):
             self.assert_saturated(cache.view(), 1)
-        self.assert_saturated(sequence.gather_reference(0, 1), 1)
+        self.assert_saturated(gather_reference(sequence, 0, 1), 1)
 
     @pytest.mark.parametrize("mode", REGISTERED_KV_MODES)
     def test_residency_equals_widened_pool_bytes(self, mode):
@@ -486,7 +487,7 @@ class TestStoredFormCrossing:
             self.decode(attention, np.repeat(x, 2, axis=0), [paged, unpaged])
         length = paged.length
         assert length == unpaged.length == 11
-        pool_bytes = sequence.gather_reference(0, length)
+        pool_bytes = gather_reference(sequence, 0, length)
         assert history_equal(paged.view(), pool_bytes)
         assert history_equal(unpaged.view(), pool_bytes)
 
@@ -697,7 +698,7 @@ class TestFloat32Pipeline:
                 assert (keys.dtype, values.dtype) == (np.float32, np.float32)
         for sequence in sequences:
             for layer in range(model.config.n_layers):
-                keys, values = sequence.gather(layer, sequence.length)
+                keys, values = sequence.caches[layer].read(sequence.length)
                 assert (keys.dtype, values.dtype) == (np.float32, np.float32)
 
 

@@ -30,6 +30,7 @@ from repro.serve.kvpool import (
 )
 from repro.serve.params import SamplingParams
 from repro.serve.request import Request, RequestState
+from oracles import gather_reference
 
 
 @pytest.fixture()
@@ -127,7 +128,7 @@ class TestSequenceStorage:
         seq = pool.create_sequence(np.arange(5))
         k16, v16 = self.rows(seq, 0, 11)
         seq.write(0, 0, k16, v16)
-        keys, values = seq.gather(0, 11)
+        keys, values = seq.caches[0].read(11)
         np.testing.assert_array_equal(keys[0], k16[0].astype(np.float32))
         np.testing.assert_array_equal(values[0], v16[0].astype(np.float32))
         assert len(seq.block_table) == 3  # ceil(11 / 4)
@@ -145,7 +146,9 @@ class TestSequenceStorage:
                 k16[:, :, position : position + 1],
                 v16[:, :, position : position + 1],
             )
-        np.testing.assert_array_equal(bulk.gather(0, 9)[0], incremental.gather(0, 9)[0])
+        np.testing.assert_array_equal(
+            bulk.caches[0].read(9)[0], incremental.caches[0].read(9)[0]
+        )
 
     def test_fragmented_block_table_still_gathers_in_order(self, config):
         # Allocate interleaved sequences, free one, then grow another:
@@ -163,7 +166,7 @@ class TestSequenceStorage:
         seq_a.write(0, 4, k2[:, :, 4:], v2[:, :, 4:])
         expected = np.concatenate([ka, k2[:, :, 4:]], axis=2)
         np.testing.assert_array_equal(
-            seq_a.gather(0, 8)[0][0], expected[0].astype(np.float32)
+            seq_a.caches[0].read(8)[0][0], expected[0].astype(np.float32)
         )
 
     def test_copy_on_write_isolates_sharer_from_donor(self, config):
@@ -187,13 +190,13 @@ class TestSequenceStorage:
         # Donor sees its original rows; sharer sees the copied prefix
         # plus its own row.
         np.testing.assert_array_equal(
-            donor.gather(0, 4)[0][0], k16[0].astype(np.float32)
+            donor.caches[0].read(4)[0][0], k16[0].astype(np.float32)
         )
         np.testing.assert_array_equal(
-            sharer.gather(0, 4)[0][0][:, 3], k_new[0][:, 0].astype(np.float32)
+            sharer.caches[0].read(4)[0][0][:, 3], k_new[0][:, 0].astype(np.float32)
         )
         np.testing.assert_array_equal(
-            sharer.gather(0, 4)[0][0][:, :3], k16[0][:, :3].astype(np.float32)
+            sharer.caches[0].read(4)[0][0][:, :3], k16[0][:, :3].astype(np.float32)
         )
 
     def test_release_is_idempotent(self, config):
@@ -231,11 +234,11 @@ class TestSwap:
         seq = self.filled(pool, prompt, 10, seed=2)
         assert seq.shared_tokens == 8
         before = [
-            tuple(part.tobytes() for part in seq.gather(layer, 10))
+            tuple(part.tobytes() for part in seq.caches[layer].read(10))
             for layer in range(pool.n_layers)
         ]
         stored = [
-            tuple(part.tobytes() for part in seq.gather_reference(layer, 10))
+            tuple(part.tobytes() for part in gather_reference(seq, layer, 10))
             for layer in range(pool.n_layers)
         ]
         donor_refs = [pool.allocator.refcount(b) for b in donor.block_table]
@@ -254,9 +257,9 @@ class TestSwap:
         )
         assert restored.length == 10
         for layer in range(pool.n_layers):
-            residency = restored.gather(layer, 10)
+            residency = restored.caches[layer].read(10)
             assert tuple(part.tobytes() for part in residency) == before[layer]
-            pool_bytes = restored.gather_reference(layer, 10)
+            pool_bytes = gather_reference(restored, layer, 10)
             assert tuple(part.tobytes() for part in pool_bytes) == stored[layer]
 
     def test_fault_mid_swap_in_releases_the_blocks_taken(self, config):
@@ -364,15 +367,16 @@ class TestPrefixCache:
 
 
 class TestPlanning:
-    def test_prefill_block_cost_counts_pinned_reclaimables(self, config):
+    def test_chunk_block_cost_counts_pinned_reclaimables(self, config):
         pool = make_pool(config, block_size=4)
         prompt = np.arange(8)
         seq = pool.create_sequence(prompt)
         seq.block_table.extend(pool.take_block() for _ in range(2))
         pool.register_prefix(seq, prompt)
-        while_held = pool.prefill_block_cost(prompt, 8)
+        # The first chunk computes the one position past the hit.
+        while_held = pool.chunk_block_cost(prompt, 1)
         seq.release()
-        after_release = pool.prefill_block_cost(prompt, 8)
+        after_release = pool.chunk_block_cost(prompt, 1)
         # Shared blocks: 2 (7-token capped match). While the writer
         # holds them they cost nothing extra; once cache-only they are
         # pinned out of the reclaimable budget on admission.  Both
@@ -380,6 +384,25 @@ class TestPlanning:
         # tail.
         assert while_held == 1
         assert after_release == 3
+
+    def test_chunk_costing_refreshes_the_planned_match_once(self, config):
+        # Costing a chunk walks the trie once and stamps the matched
+        # path, so the blocks it plans on are evicted after every block
+        # it did not touch, though they were cached first.
+        pool = make_pool(config, block_size=4)
+        tables = []
+        for prompt in (np.arange(8), np.arange(100, 108)):
+            seq = pool.create_sequence(prompt)
+            seq.block_table.extend(pool.take_block() for _ in range(2))
+            pool.register_prefix(seq, prompt)
+            tables.append(list(seq.block_table))
+            seq.release()
+        clock = pool._clock
+        pool.chunk_block_cost(np.arange(8), 1)
+        assert pool._clock == clock + 1
+        evicted = [pool.prefix_cache.evict_lru() for _ in range(4)]
+        planned, untouched = tables
+        assert evicted == untouched[::-1] + planned[::-1]
 
     def test_swap_in_costs_fresh_blocks_for_context_plus_one(self, config):
         # A swap-in maps nothing from the prefix cache, whatever the

@@ -31,6 +31,7 @@ from repro.serve import (
     SamplingParams,
 )
 from repro.serve.kvpool import paged as paged_module
+from oracles import gather_reference
 from serving_helpers import assert_matches_generate, serve
 
 
@@ -334,8 +335,8 @@ class TestSwap:
         length = seq.length
         return length, [
             (
-                tuple(part.tobytes() for part in seq.gather_reference(layer, length)),
-                tuple(part.tobytes() for part in seq.gather(layer, length)),
+                tuple(part.tobytes() for part in gather_reference(seq, layer, length)),
+                tuple(part.tobytes() for part in seq.caches[layer].read(length)),
             )
             for layer in range(len(seq.caches))
         ]
@@ -371,7 +372,7 @@ class TestSwap:
                 assert state.kv.shared_tokens == 0
                 for layer, (stored, resident) in enumerate(layers):
                     seq = state.kv
-                    pool_now = seq.gather_reference(layer, length)
+                    pool_now = gather_reference(seq, layer, length)
                     assert tuple(p.tobytes() for p in pool_now) == stored
                     resident_now = seq.caches[layer].read(length)
                     assert tuple(p.tobytes() for p in resident_now) == resident

@@ -146,7 +146,9 @@ class TestSampledRows:
 
         def recording(*args, **kwargs):
             chunk_logits, decode_logits = mixed_step(*args, **kwargs)
-            calls.append((kwargs["sample_rows"], [len(logits) for logits in chunk_logits]))
+            calls.append(
+                (kwargs["sample_rows"], [len(logits) for logits in chunk_logits])
+            )
             return chunk_logits, decode_logits
 
         monkeypatch.setattr(model, "forward_mixed_step", recording)
