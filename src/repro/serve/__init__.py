@@ -16,22 +16,24 @@ The public front end is three abstractions:
   seed), validated at construction and shared with the sequential
   :func:`repro.llm.generation.generate` path so both stay
   token-bitwise identical;
-* :class:`~repro.serve.handle.RequestHandle` — one in-flight request:
-  incremental token iteration fed by per-step
-  :class:`~repro.serve.handle.TokenDelta` emissions, ``status()``,
-  blocking ``result()``, and ``abort()`` (cancellation releases paged
-  blocks and prefix-cache references through the preemption rollback
-  path).
+* :class:`~repro.serve.handle.RequestHandle` — a view of one request's
+  :class:`~repro.serve.request.RequestState`, the only record of its
+  tokens: incremental :class:`~repro.serve.handle.TokenDelta`
+  iteration, ``status()``, blocking ``result()``, and ``abort()``
+  (cancellation releases paged blocks and prefix-cache references
+  through the preemption rollback path).  The engine keeps no finished
+  requests, so a dropped handle frees its request.
 
 Beneath the facade, :class:`~repro.serve.engine.Engine` is the
-internal-but-public layer: ``submit()`` / ``step()`` / ``drain()``
-continuous batching over one lane: chunked prefill (mixed steps
-bounding TTFT and inter-token latency) admitted in arrival order under
-a ``max_batch_tokens`` budget (:mod:`repro.serve.scheduler`), the paged KV-cache memory
-subsystem sized by ``kv_pool_blocks`` — refcounted block allocator
-with copy-on-write, prefix-sharing radix cache, swap-out/swap-in
-preemption (:mod:`repro.serve.kvpool`) — per-request exact-length
-decode attention, and per-request latency plus aggregate throughput/traffic
+internal-but-public layer: ``submit()`` / ``step()`` /
+``run_until_idle()`` continuous batching over one lane: chunked
+prefill (mixed steps bounding TTFT and inter-token latency) admitted
+in arrival order under a ``max_batch_tokens`` budget
+(:mod:`repro.serve.scheduler`), the paged KV-cache memory subsystem
+sized by ``kv_pool_blocks`` — refcounted block allocator with
+copy-on-write, prefix-sharing radix cache, swap-out/swap-in preemption
+(:mod:`repro.serve.kvpool`) — per-request exact-length decode
+attention, and per-request latency plus aggregate throughput/traffic
 metrics (:mod:`repro.serve.metrics`).
 
 Failure semantics (:mod:`repro.serve.faults`) make the engine

@@ -20,8 +20,14 @@ usable on its own:
 * :meth:`Engine.abort` cancels an in-flight request, releasing its
   paged blocks / prefix-cache references through the same rollback path
   preemption uses (a half-done chunked prefill leaks nothing);
-* :meth:`Engine.drain` steps until the queue is empty and returns the
-  finished requests.
+* :meth:`Engine.run_until_idle` steps until the queue is empty; results
+  are read from the handles, which view each request's
+  :class:`~repro.serve.request.RequestState` — the engine keeps no
+  finished requests, so a reused engine holds only its live ones.
+
+Every request ends in :meth:`Engine._finish` — finished, aborted,
+shed, expired or quarantined — which releases its residency, stamps
+its terminal status and counts the end by finish reason.
 
 The engine has one serving lane; two sizes shape it:
 
@@ -96,6 +102,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import time
+from collections import Counter
 from collections.abc import Callable
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
@@ -143,12 +150,11 @@ from repro.serve.kvpool.pool import DEFAULT_BLOCK_SIZE, KVPool
 from repro.serve.metrics import EngineMetrics, StepReport, summarize
 from repro.serve.params import SamplingParams
 from repro.serve.request import (
-    CompletedRequest,
     Request,
     RequestMetrics,
     RequestState,
     RequestStatus,
-    complete,
+    request_metrics,
 )
 from repro.serve.scheduler import (
     PrefillChunk,
@@ -165,6 +171,9 @@ _NO_SPAN: AbstractContextManager[None] = nullcontext()
 
 #: Process-wide engine numbering for default telemetry labels.
 _ENGINE_LABELS = itertools.count()
+
+#: The finish reasons of a FAILED request (quarantine, deadline, shed).
+_FAILURE_REASONS = ("error", "deadline", "shed")
 
 #: The serving lanes and scheduling rules the engine no longer has:
 #: each setting's one accepted value, and what expresses the old
@@ -429,25 +438,21 @@ class Engine:
         self._ids = itertools.count()
         self._waiting: list[RequestState] = []
         self._running: list[RequestState] = []
-        self._finished: dict[int, CompletedRequest] = {}
-        self._handles: dict[int, RequestHandle] = {}
         self._request_records: list[RequestMetrics] = []
         self._reports: list[StepReport] = []
         self._step_deltas: list[TokenDelta] = []
         self._step_index = 0
-        self._aborted = 0
+        #: Ended requests by finish reason; the aborted / failed /
+        #: deadline / shed counts of metrics() derive from it.
+        self._ends: Counter[str] = Counter()
         # Failure-semantics state: the seeded injector (None without a
-        # plan) and the engine-level failure counters summarize() folds
-        # in alongside `aborted`.
+        # plan) and the non-terminal counters summarize() folds in.
         self._injector: FaultInjector | None = (
             FaultInjector(self.config.faults)
             if self.config.faults is not None
             else None
         )
-        self._failed = 0
         self._fault_retries = 0
-        self._deadline_expired = 0
-        self._shed = 0
         self._degraded = 0
         # Reusable (capacity, 1) decode-token scratch; grown by
         # doubling, filled in place each step instead of building a
@@ -519,16 +524,12 @@ class Engine:
         )
         self._waiting.append(state)
         handle = RequestHandle(self, state)
-        self._handles[request_id] = handle
         self._lifecycle(request_id, "QUEUED", prompt_tokens=int(prompt.shape[0]))
         if degraded:
             self._degraded += 1
             self._lifecycle(request_id, "DEGRADED", format=fmt.label)
         if shed:
-            self._detach(state)
-            self._release_residency(state)
-            self._shed += 1
-            self._fail_terminal(state, None, reason="shed")
+            self._finish(state, RequestStatus.FAILED, "shed")
             return handle
         if self._injector is not None:
             # The admission injection site: a transient fault re-queues
@@ -583,7 +584,8 @@ class Engine:
         rollback path a half-prefilled preemption uses, so
         allocator refcounts stay balanced whatever state the request
         was aborted in.  Its partial tokens stay readable on the
-        handle; it never produces a :class:`CompletedRequest`.
+        handle; it never produces a
+        :class:`~repro.serve.request.CompletedRequest`.
         Aborting a finished or unknown id is a no-op returning False.
         """
         state = next(
@@ -596,15 +598,7 @@ class Engine:
         )
         if state is None:
             return False
-        self._detach(state)
-        self._release_residency(state)
-        state.status = RequestStatus.ABORTED
-        state.finish_reason = "abort"
-        state.finish_step = self._step_index
-        state.finish_time = time.perf_counter()
-        self._aborted += 1
-        self._handles.pop(request_id, None)
-        self._lifecycle(request_id, "ABORTED", tokens=len(state.generated))
+        self._finish(state, RequestStatus.ABORTED, "abort")
         return True
 
     # -- stepping ---------------------------------------------------------
@@ -633,9 +627,10 @@ class Engine:
         Returns a :class:`~repro.serve.handle.StepOutputs`: the step's
         aggregate :class:`StepReport` plus one
         :class:`~repro.serve.handle.TokenDelta` per token emitted this
-        step (also fed to the emitting requests'
-        :class:`RequestHandle` buffers), so streaming consumers observe
-        tokens — and measure TTFT — the step they are produced.
+        step (the same deltas each emitting request's
+        :class:`RequestHandle` builds from its state), so streaming
+        consumers observe tokens — and measure TTFT — the step they are
+        produced.
         """
         # Route every hot-path counter (and span) this step produces
         # into the engine's own stats; the module globals only ever see
@@ -1106,22 +1101,6 @@ class Engine:
         state.kv_image = None
         state.prefill_pos = 0
 
-    def _swap_out(self, state: RequestState) -> None:
-        """Give a request's blocks back, keeping emitted work as an image.
-
-        A request that has emitted tokens keeps its stored KV as
-        ``state.kv_image`` and resumes by swap-in; one that has emitted
-        nothing releases its partial cache and restarts its prefill.  A
-        request holding no sequence keeps whatever image it has.
-        """
-        seq = state.kv
-        if seq is None:
-            return
-        # swap_out releases the sequence; the second release is a no-op.
-        image = seq.swap_out() if state.generated else None
-        self._release_residency(state)
-        state.kv_image = image
-
     def _rollback_chunk(self, state: RequestState) -> None:
         """Undo a chunk participant: release its cache, stay queued."""
         self._release_residency(state)
@@ -1135,11 +1114,21 @@ class Engine:
             self._waiting.remove(state)
 
     def _requeue(self, state: RequestState) -> None:
-        """Re-enter the waiting queue in arrival order.
+        """Give a request's blocks back and re-queue it in arrival order.
 
-        The queue stays sorted by request id (arrival), so FCFS resumes
-        the oldest preempted or retried request first.
+        Shared by preemption and retry backoff.  A request that has
+        emitted tokens keeps its stored KV as ``state.kv_image`` to swap
+        back in; one that has not restarts its prefill.  The queue stays
+        sorted by request id, so FCFS resumes the oldest request first.
         """
+        self._detach(state)
+        seq = state.kv
+        if seq is not None:
+            # swap_out releases the sequence; the second release is a no-op.
+            image = seq.swap_out() if state.generated else None
+            self._release_residency(state)
+            state.kv_image = image
+        state.status = RequestStatus.WAITING
         index = bisect.bisect_left(
             [waiting.request.request_id for waiting in self._waiting],
             state.request.request_id,
@@ -1147,6 +1136,47 @@ class Engine:
         self._waiting.insert(index, state)
 
     # -- failure semantics ------------------------------------------------
+
+    def _finish(
+        self,
+        state: RequestState,
+        status: RequestStatus,
+        reason: str,
+        failure: BaseException | None = None,
+        when: float | None = None,
+    ) -> None:
+        """End a request: the one way into a terminal status.
+
+        The request leaves the running set or the waiting queue and
+        gives back its residency — its own blocks return to the pool,
+        while blocks shared through the prefix cache stay resident for
+        future hits.  Its state keeps the tokens, and the engine keeps
+        nothing of it but the count of its finish reason and, for a
+        FINISHED request, its latency record.  ``when`` is the finish
+        time (the last token's stamp for a FINISHED request); None
+        reads the clock.
+        """
+        self._detach(state)
+        self._release_residency(state)
+        state.status = status
+        state.finish_reason = reason
+        if status is RequestStatus.FAILED:
+            state.failure = failure
+        state.finish_step = self._step_index
+        state.finish_time = time.perf_counter() if when is None else when
+        self._ends[reason] += 1
+        if status is RequestStatus.FINISHED:
+            self._request_records.append(request_metrics(state))
+        self._lifecycle(
+            state.request.request_id,
+            status.name,
+            reason=reason,
+            tokens=len(state.generated),
+        )
+
+    def _failures(self) -> int:
+        """Requests the engine failed: quarantined, expired or shed."""
+        return sum(self._ends[reason] for reason in _FAILURE_REASONS)
 
     def _expire_deadlines(self, now: float) -> None:
         """Fail every queued/running request past its deadline."""
@@ -1156,30 +1186,33 @@ class Engine:
             if state.deadline is not None and now >= state.deadline
         ]
         for state in expired:
-            self._detach(state)
-            self._release_residency(state)
-            self._deadline_expired += 1
-            self._fail_terminal(
+            self._finish(
                 state,
-                DeadlineExceededError(
+                RequestStatus.FAILED,
+                "deadline",
+                failure=DeadlineExceededError(
                     f"request {state.request.request_id} exceeded "
                     f"deadline_s={state.request.params.deadline_s} after "
                     f"{len(state.generated)} tokens"
                 ),
-                reason="deadline",
             )
 
     def _handle_request_fault(
         self, state: RequestState, fault: InjectedFault
     ) -> None:
-        """Route an attributed fault: bounded retry, else quarantine."""
+        """Route an attributed fault: bounded retry, else quarantine.
+
+        Quarantine fails just the victim; its batchmates' KV state is
+        untouched (the caller already rolled any shared step work back
+        to the pre-step watermarks).
+        """
         if (
             isinstance(fault, TransientFault)
             and state.retries < self.config.retry.max_retries
         ):
             self._backoff(state, fault)
         else:
-            self._quarantine(state, fault)
+            self._finish(state, RequestStatus.FAILED, "error", failure=fault)
 
     def _backoff(self, state: RequestState, fault: InjectedFault) -> None:
         """Re-queue a transiently faulted request with bounded backoff.
@@ -1192,10 +1225,7 @@ class Engine:
         way a retried request's tokens are identical to an unfaulted
         run's.
         """
-        self._detach(state)
         self._requeue(state)
-        self._swap_out(state)
-        state.status = RequestStatus.WAITING
         state.failure = fault
         state.retries += 1
         state.retry_at_step = (
@@ -1208,38 +1238,6 @@ class Engine:
             site=fault.site,
             retries=state.retries,
             at_step=state.retry_at_step,
-        )
-
-    def _quarantine(self, state: RequestState, fault: InjectedFault) -> None:
-        """Terminal isolation of one faulted request.
-
-        The victim moves to FAILED and releases its residency through
-        the shared rollback primitive; its batchmates' KV state is
-        untouched (the caller already rolled any shared step work back
-        to the pre-step watermarks).
-        """
-        self._detach(state)
-        self._release_residency(state)
-        self._fail_terminal(state, fault, reason="error")
-
-    def _fail_terminal(
-        self, state: RequestState, failure: BaseException | None, reason: str
-    ) -> None:
-        """Move a request to FAILED (residency already released)."""
-        state.status = RequestStatus.FAILED
-        state.finish_reason = reason
-        state.failure = failure
-        state.finish_step = self._step_index
-        state.finish_time = time.perf_counter()
-        self._failed += 1
-        # The handle keeps its state reference, so result() raises the
-        # typed failure; like aborts, the id leaves the live-handle map.
-        self._handles.pop(state.request.request_id, None)
-        self._lifecycle(
-            state.request.request_id,
-            "FAILED",
-            reason=reason,
-            tokens=len(state.generated),
         )
 
     def _recover_step_fault(
@@ -1325,23 +1323,20 @@ class Engine:
         re-mapped instead of recomputed).  Either way it re-enters the
         queue at its arrival position.
         """
-        self._detach(state)
-        self._swap_out(state)
-        state.status = RequestStatus.WAITING
+        self._requeue(state)
         state.preemptions += 1
         self._lifecycle(state.request.request_id, "PREEMPTED")
-        self._requeue(state)
 
     def _emit(
         self, state: RequestState, logits: np.ndarray, first: bool = False
     ) -> None:
         """Select one token for a request and update its lifecycle.
 
-        Every emission produces a :class:`TokenDelta` — appended to the
-        step's outputs and pushed to the request's handle — so the
-        token is observable immediately, not only after ``drain``.  A
-        token in the request's ``stop_token_ids`` ends the request
-        early (``finish_reason="stop"``); the length cap ends it with
+        The token lands in the request's state, which its handle reads,
+        and one :class:`TokenDelta` joins the step's outputs, so the
+        token is observable the step it is produced.  A token in the
+        request's ``stop_token_ids`` ends the request early
+        (``finish_reason="stop"``); the length cap ends it with
         ``finish_reason="length"``.
         """
         request = state.request
@@ -1362,45 +1357,22 @@ class Engine:
             state.first_token_time = now
         if params.is_stop(token):
             state.stopped = True
-        finished = state.done
-        if finished:
-            state.finish_reason = "stop" if state.stopped else "length"
-        delta = TokenDelta(
-            request_id=request.request_id,
-            index=len(state.generated) - 1,
-            token=token,
-            finished=finished,
-            finish_reason=state.finish_reason if finished else None,
-            time=now,
-        )
-        self._step_deltas.append(delta)
-        handle = self._handles.get(request.request_id)
-        if handle is not None:
-            handle._push(delta)
-        if finished:
-            state.status = RequestStatus.FINISHED
-            state.finish_step = self._step_index
-            state.finish_time = now
-            self._lifecycle(
-                request.request_id,
-                "FINISHED",
-                reason=state.finish_reason,
-                tokens=len(state.generated),
+        reason = ("stop" if state.stopped else "length") if state.done else None
+        self._step_deltas.append(
+            TokenDelta(
+                request_id=request.request_id,
+                index=len(state.generated) - 1,
+                token=token,
+                finished=reason is not None,
+                finish_reason=reason,
+                time=now,
             )
-            # Drop the request's block references (blocks shared
-            # through the prefix cache stay resident for future hits)
-            # and leave the running set immediately, not at end of
-            # step: if a later prefill in the same step raises, the
-            # request must not linger in _running with its caches
-            # already released.
-            self._release_residency(state)
-            self._detach(state)
-            done = complete(state)
-            self._finished[request.request_id] = done
-            self._request_records.append(done.metrics)
-            if handle is not None:
-                handle._complete(done)
-            self._handles.pop(request.request_id, None)
+        )
+        if reason is not None:
+            # Finish now, not at end of step: if a later prefill in the
+            # same step raises, the request must not linger in _running
+            # with its caches already released.
+            self._finish(state, RequestStatus.FINISHED, reason, when=now)
 
     # -- collection -------------------------------------------------------
 
@@ -1410,7 +1382,7 @@ class Engine:
         The comma-separated id list stays contiguous (tooling greps
         ``stuck request ids: 0, 1``); per-request detail — status,
         retry count, and the last recorded failure — follows in
-        brackets so a drain timeout explains *why* each request is
+        brackets so a step-budget timeout explains *why* each request is
         stuck, not just that it is.
         """
         states = sorted(
@@ -1440,8 +1412,8 @@ class Engine:
         """Step the engine until ``condition()`` holds.
 
         The shared stepping loop under every blocking consumer —
-        :meth:`drain`, :meth:`RequestHandle.result`, handle token
-        iteration, and :meth:`LLM.generate` — with the engine's
+        :meth:`run_until_idle`, :meth:`RequestHandle.result`, handle
+        token iteration, and :meth:`LLM.generate` — with the engine's
         progress guards applied once, here:
 
         * ``max_steps`` bounds the wait (raising
@@ -1474,7 +1446,7 @@ class Engine:
             # A step that only fails/retries requests, or that idles
             # because every waiting request is inside its retry backoff
             # window, still counts as progress.
-            failures_before = self._failed + self._fault_retries
+            failures_before = self._failures() + self._fault_retries
             backoff_pending = any(
                 state.retry_at_step > self._step_index
                 for state in self._waiting
@@ -1485,7 +1457,7 @@ class Engine:
                 report.prefills == 0
                 and report.decodes == 0
                 and report.preemptions == 0
-                and self._failed + self._fault_retries == failures_before
+                and self._failures() + self._fault_retries == failures_before
                 and not backoff_pending
             )
             if no_progress and self.has_work():
@@ -1499,54 +1471,29 @@ class Engine:
     def run_until_idle(self, max_steps: int | None = None) -> None:
         """Step until no request is waiting or running.
 
-        Unlike :meth:`drain` this does not collect: finished requests
-        stay claimable through their handles or :meth:`pop_finished`,
-        which is what lets :meth:`LLM.generate` drain a shared engine
-        without swallowing results submitted elsewhere.
+        Results are then read from the requests' handles.  Past
+        ``max_steps`` it raises :class:`~repro.errors.ModelError`
+        naming the stuck request ids (a scheduler bug starving a
+        request, or preemption thrash in an undersized KV pool).
         """
         self.run_until(
-            lambda: not self.has_work(), max_steps=max_steps, what="drain"
+            lambda: not self.has_work(), max_steps=max_steps, what="run_until_idle"
         )
-
-    def drain(self, max_steps: int | None = None) -> list[CompletedRequest]:
-        """Step until idle; return uncollected finished requests by id.
-
-        Collect-once semantics (like :meth:`pop_finished`): returned
-        results are released, so a long-lived engine reused across many
-        batches does not retain every token array ever served.
-        Aggregate metrics keep accumulating regardless.
-
-        Args:
-            max_steps: optional guard — raise
-                :class:`~repro.errors.ModelError` instead of looping
-                forever if the queue has not drained after this many
-                steps (e.g. a scheduler bug starving a request, or
-                preemption thrash in an undersized KV pool).  The error
-                names the stuck request ids.
-        """
-        self.run_until_idle(max_steps=max_steps)
-        return self.pop_finished()
-
-    def pop_finished(self) -> list[CompletedRequest]:
-        """Return and clear currently finished requests (id order)."""
-        done = [self._finished[key] for key in sorted(self._finished)]
-        self._finished.clear()
-        return done
 
     def metrics(self) -> EngineMetrics:
         """Aggregate throughput/latency/traffic over the engine's life.
 
-        Request records accumulate independently of
-        :meth:`pop_finished`, so streaming consumers keep full latency
-        statistics.
+        One latency record is kept per finished request, whether or not
+        anyone reads its result, so streaming consumers keep full
+        latency statistics.
         """
         return summarize(
             self._reports,
             self._request_records,
-            aborted=self._aborted,
-            failed=self._failed,
+            aborted=self._ends["abort"],
+            failed=self._failures(),
             fault_retries=self._fault_retries,
-            deadline_expired=self._deadline_expired,
-            shed=self._shed,
+            deadline_expired=self._ends["deadline"],
+            shed=self._ends["shed"],
             degraded=self._degraded,
         )

@@ -46,7 +46,7 @@ SITES = (
     "model.decode",  # decode lane, pre-forward (per decode request)
     "codec.encode",  # PagedKVCache.compress (sequence owner)
     "pool.allocate",  # KVPool.take_block (ambient request scope, else batch)
-    "paged.gather",  # SequenceKV.gather (sequence owner)
+    "paged.gather",  # PagedKVCache.read (sequence owner)
 )
 
 _INJECTOR: contextvars.ContextVar["FaultInjector | None"] = contextvars.ContextVar(
@@ -159,8 +159,8 @@ def request_scope(request_id: int) -> Iterator[None]:
     """Attribute unowned probes within the body to ``request_id``.
 
     The engine installs this only around sections that genuinely run
-    on behalf of a single request (per-chunk cache setup, the legacy
-    prefill lane), so scope-derived attribution is always certain.
+    on behalf of a single request (per-chunk cache setup and swap-in),
+    so scope-derived attribution is always certain.
     """
     token = _REQUEST.set(request_id)
     try:

@@ -1,19 +1,21 @@
 """Streaming request handles and structured per-step outputs.
 
-The pre-redesign engine was fire-and-forget: ``submit`` returned a bare
-id and tokens only became visible when ``drain()`` returned the
-finished batch.  This module is the observable half of the new front
-end:
+This module is the observable half of the serving front end:
 
 * every :meth:`Engine.step` returns a :class:`StepOutputs` — the step's
   :class:`~repro.serve.metrics.StepReport` plus one :class:`TokenDelta`
   per token emitted that step, so callers see tokens the step they are
   produced (per-request TTFT falls straight out of the first delta);
 * every :meth:`Engine.submit` returns a :class:`RequestHandle` — the
-  client's view of one in-flight request, with incremental token
+  client's view of one request's
+  :class:`~repro.serve.request.RequestState`, with incremental token
   iteration (:meth:`RequestHandle.tokens`), :meth:`~RequestHandle.status`,
   a blocking :meth:`~RequestHandle.result`, and
   :meth:`~RequestHandle.abort` (cancel and release KV residency).
+
+A handle builds its deltas and its result from the state on demand, so
+each token is recorded once and a finished request lives as long as its
+handle.
 
 Handles drive the engine cooperatively: iterating tokens or demanding a
 result steps the engine until the request progresses, so one handle can
@@ -27,9 +29,9 @@ from dataclasses import dataclass, field
 from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
-from repro.errors import ModelError, RequestAbortedError, RequestFailedError
+from repro.errors import RequestAbortedError, RequestFailedError
 from repro.serve.metrics import StepReport
-from repro.serve.request import CompletedRequest, RequestState, RequestStatus
+from repro.serve.request import CompletedRequest, RequestState, RequestStatus, complete
 
 if TYPE_CHECKING:  # pragma: no cover - engine imports this module
     from repro.serve.engine import Engine
@@ -40,8 +42,8 @@ class TokenDelta:
     """One token, the step it was emitted.
 
     ``slots=True``: one delta is allocated per emitted token per step
-    (plus its handle-buffer reference), so the steady-state decode
-    loop keeps these as light as a plain tuple.
+    (and per handle read), so the steady-state decode loop keeps these
+    as light as a plain tuple.
 
     Attributes:
         request_id: the emitting request.
@@ -52,8 +54,7 @@ class TokenDelta:
         finish_reason: ``"length"`` or ``"stop"`` when ``finished``,
             else None.
         time: ``perf_counter`` stamp of the emission — streaming
-            consumers compute per-request TTFT/ITL from these directly
-            instead of reconstructing them after ``drain``.
+            consumers compute per-request TTFT/ITL from these directly.
     """
 
     request_id: int
@@ -90,23 +91,21 @@ class RequestHandle:
     """The client's view of one submitted request.
 
     Returned by :meth:`Engine.submit` (and :meth:`LLM.submit`).  A
-    handle never holds model state — it observes the engine-side
-    :class:`~repro.serve.request.RequestState` and buffers the deltas
-    the engine emits for it, so reading a handle is cheap and aborting
-    it releases every engine resource the request held.
+    handle is a view of the request's
+    :class:`~repro.serve.request.RequestState`: it never holds model
+    state or copies of tokens, so reading a handle is cheap and
+    aborting it releases every engine resource the request held.
     """
 
     def __init__(self, engine: "Engine", state: RequestState) -> None:
         self._engine = engine
         self._state = state
-        self._deltas: list[TokenDelta] = []
-        self._result: CompletedRequest | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"RequestHandle(id={self.request_id}, "
             f"status={self.status().value}, "
-            f"tokens={len(self._deltas)})"
+            f"tokens={self.delta_count})"
         )
 
     # -- identity & status -------------------------------------------------
@@ -153,26 +152,40 @@ class RequestHandle:
     def terminal(self) -> bool:
         return self._state.status.terminal
 
-    # -- engine-side feed --------------------------------------------------
-
-    def _push(self, delta: TokenDelta) -> None:
-        """Engine hook: record one emitted token."""
-        self._deltas.append(delta)
-
-    def _complete(self, result: CompletedRequest) -> None:
-        """Engine hook: the request finished; cache its frozen result."""
-        self._result = result
-
     # -- client surface ----------------------------------------------------
 
     @property
     def delta_count(self) -> int:
-        """Deltas emitted so far — cheap progress probe (no copying)."""
-        return len(self._deltas)
+        """Tokens emitted so far — cheap progress probe (no copying)."""
+        return len(self._state.generated)
 
     def deltas(self, start: int = 0) -> tuple[TokenDelta, ...]:
-        """Deltas emitted so far, optionally from ``start`` (no stepping)."""
-        return tuple(self._deltas[start:])
+        """Deltas emitted so far, optionally from ``start`` (no stepping).
+
+        Built from the state's tokens and time stamps, so a call costs
+        the deltas it returns, not the request's history.  ``finished``
+        is set only on the last token of a FINISHED request; an aborted
+        or failed request's deltas all read unfinished.
+        """
+        state = self._state
+        tokens = state.generated
+        first, count, _ = slice(start, None).indices(len(tokens))
+        if first >= count:
+            return ()
+        request_id = state.request.request_id
+        times = state.token_times
+        last = count - 1 if state.status is RequestStatus.FINISHED else -1
+        return tuple(
+            TokenDelta(
+                request_id=request_id,
+                index=index,
+                token=tokens[index],
+                finished=index == last,
+                finish_reason=state.finish_reason if index == last else None,
+                time=times[index],
+            )
+            for index in range(first, count)
+        )
 
     def generated_tokens(self) -> list[int]:
         """Continuation tokens emitted so far (no stepping).
@@ -186,31 +199,31 @@ class RequestHandle:
         """Iterate this request's deltas, stepping the engine as needed.
 
         Yields each emitted token exactly once, in order, driving
-        :meth:`Engine.step` whenever the buffer runs dry and the
-        request is still in flight (other requests in the engine make
-        progress in those same steps).  The iterator ends when the
-        request finishes — or silently when it is aborted, including
-        an ``abort()`` issued from inside the loop.
+        :meth:`Engine.step` whenever every token so far has been
+        yielded and the request is still in flight (other requests in
+        the engine make progress in those same steps).  The iterator
+        ends when the request finishes — or silently when it is
+        aborted, including an ``abort()`` issued from inside the loop.
 
         Args:
             max_steps: bound on engine steps per dry spell (the wait
                 for one more delta); raises
                 :class:`~repro.errors.ModelError` when exceeded — the
                 same guard against preemption thrash in an undersized
-                pool that ``drain``/``result`` take.  None waits
-                unboundedly.
+                pool that ``run_until_idle``/``result`` take.  None
+                waits unboundedly.
         """
         index = 0
         while True:
-            if index < len(self._deltas):
-                delta = self._deltas[index]
-                index += 1
-                yield delta
+            fresh = self.deltas(index)
+            if fresh:
+                index += len(fresh)
+                yield from fresh
                 continue
             if self.terminal:
                 return
             self._engine.run_until(
-                lambda: len(self._deltas) > index or self.terminal,
+                lambda: self.delta_count > index or self.terminal,
                 max_steps=max_steps,
                 what=f"token iteration for request {self.request_id}",
             )
@@ -226,9 +239,9 @@ class RequestHandle:
         (carrying the original fault, when there is one) if the engine
         failed it — quarantine, deadline expiry, or load shedding —
         and :class:`~repro.errors.ModelError` if ``max_steps`` elapse
-        first.  Collect-once semantics compose with
-        :meth:`Engine.pop_finished`/``drain``: claiming a result
-        through its handle removes it from the engine's finished set.
+        first.  Each call builds the result afresh from the request's
+        state (:func:`~repro.serve.request.complete`); the engine keeps
+        no copy.
         """
         if not self.terminal:
             self._engine.run_until(
@@ -250,12 +263,7 @@ class RequestHandle:
                 + (f": {fault}" if fault is not None else ""),
                 fault=fault,
             ) from fault
-        self._engine._finished.pop(self.request_id, None)
-        if self._result is None:  # pragma: no cover - engine invariant
-            raise ModelError(
-                f"request {self.request_id} finished without a result"
-            )
-        return self._result
+        return complete(self._state)
 
     def abort(self) -> bool:
         """Cancel the request; returns True if it was still in flight.

@@ -11,7 +11,7 @@ on the same engine loop:
 * **streaming** — :meth:`LLM.stream`: a generator of
   :class:`~repro.serve.handle.TokenDelta` that steps the engine lazily
   and yields every token the step it is emitted — per-request TTFT is
-  the first delta's timestamp, no drain-time reconstruction;
+  the first delta's timestamp;
 * **incremental** — :meth:`LLM.submit`: one
   :class:`~repro.serve.handle.RequestHandle` per request, for callers
   that interleave submission, token iteration, and
@@ -122,9 +122,11 @@ class LLM:
         batch of row prompts, returning a list.
 
         The engine is run to idle, so on a shared engine, requests
-        submitted elsewhere finish too — their results stay claimable
-        via their own handles or :meth:`Engine.pop_finished`, never
-        collected here.
+        submitted elsewhere finish too — their results stay readable
+        through their own handles, never collected here.  The results
+        are built from the requests' states; once the caller drops
+        them, the engine holds nothing of these requests but their
+        latency records in :meth:`metrics`.
         """
         single = isinstance(prompts, np.ndarray) and prompts.ndim == 1
         if isinstance(prompts, np.ndarray) and prompts.ndim > 1:
@@ -152,7 +154,7 @@ class LLM:
         already-submitted :class:`RequestHandle`s, mixed freely.  Steps
         the engine only while one of *these* requests is still in
         flight; deltas belonging to other requests sharing the engine
-        are not yielded (their handles buffer them).  A request aborted
+        are not yielded (their handles still read them).  A request aborted
         mid-stream simply stops appearing; the stream ends when every
         tracked request is terminal.
         """
@@ -166,7 +168,7 @@ class LLM:
         cursors = {handle.request_id: 0 for handle in handles}
         start_step = self.engine._step_index
         while True:
-            # Flush every buffered-but-unseen delta of tracked requests.
+            # Flush every emitted-but-unseen delta of tracked requests.
             for handle in handles:
                 fresh = handle.deltas(cursors[handle.request_id])
                 cursors[handle.request_id] += len(fresh)

@@ -73,8 +73,10 @@ class StepReport:
             into the decode-ready residency (float32 keys and values,
             8 bytes per pair) this step (only the appended tail is
             converted).
-        attention_dispatches: attention launches this step — one per
-            (layer, decode row) plus one per (layer, prefill chunk).
+        attention_dispatches: attention launches this step —
+            ``layers × decode rows + (layers − 1) × prefill chunks +
+            sampled chunk rows`` (a chunk's last layer launches once
+            per sampled row, so a partial chunk costs ``layers − 1``).
         kv_format_bytes: per-format split of the step's simulated KV
             traffic — ``((format_label, bytes), ...)`` sorted by label,
             where each request's KV reads+writes are attributed to its
@@ -127,8 +129,9 @@ class EngineMetrics:
             float16 into the decode-ready residency (float32 keys and
             values, 8 bytes per pair; each stored position is converted
             once, not once per step).
-        attention_dispatches: total attention launches — one per
-            (layer, decode row) and per (layer, prefill chunk).
+        attention_dispatches: total attention launches — per step,
+            ``layers × decode rows + (layers − 1) × prefill chunks +
+            sampled chunk rows``.
         attention_grouped_requests: always 0.  Decode rows no longer
             share a stacked launch; the field stays because the
             serving ledger reads it.

@@ -2,8 +2,9 @@
 
 A :class:`Request` is the immutable description a client submits — a
 prompt plus its per-request :class:`~repro.serve.params.SamplingParams`
-recipe; a :class:`RequestState` is the engine's mutable per-request
-record (KV caches, generated tokens, timing marks); a
+recipe; a :class:`RequestState` is the mutable per-request record (KV
+caches, generated tokens, timing marks) the engine and the request's
+handle share; a
 :class:`CompletedRequest` is the frozen result handed back, carrying
 both the tokens and the request's latency metrics.
 """
@@ -95,11 +96,13 @@ class Request:
 
 @dataclass
 class RequestState:
-    """Mutable engine-side record of one in-flight request.
+    """Mutable record of one request, and the only record of its tokens.
 
-    Timing marks are recorded in both scheduler steps (deterministic,
-    comparable across runs) and wall-clock seconds (what a client
-    experiences).
+    The engine holds it while the request is in flight; afterwards only
+    the request's :class:`~repro.serve.handle.RequestHandle` does, so
+    dropping the handle frees it.  Timing marks are recorded in both
+    scheduler steps (deterministic, comparable across runs) and
+    wall-clock seconds (what a client experiences).
     """
 
     request: Request
@@ -251,8 +254,8 @@ class CompletedRequest:
         return self.tokens[self.prompt_length :]
 
 
-def complete(state: RequestState) -> CompletedRequest:
-    """Freeze a finished :class:`RequestState` into its result."""
+def request_metrics(state: RequestState) -> RequestMetrics:
+    """The latency record of a finished :class:`RequestState`."""
     if state.status is not RequestStatus.FINISHED:
         raise ModelError(
             f"request {state.request.request_id} is {state.status.value}, "
@@ -262,8 +265,7 @@ def complete(state: RequestState) -> CompletedRequest:
     assert state.finish_step is not None
     assert state.first_token_time is not None
     assert state.finish_time is not None
-    reason = state.finish_reason or "length"
-    metrics = RequestMetrics(
+    return RequestMetrics(
         request_id=state.request.request_id,
         prompt_length=state.request.prompt_length,
         generated_tokens=len(state.generated),
@@ -275,12 +277,17 @@ def complete(state: RequestState) -> CompletedRequest:
             later - earlier
             for earlier, later in zip(state.token_times, state.token_times[1:])
         ),
-        finish_reason=reason,
+        finish_reason=state.finish_reason or "length",
     )
+
+
+def complete(state: RequestState) -> CompletedRequest:
+    """Freeze a finished :class:`RequestState` into its result."""
+    metrics = request_metrics(state)
     return CompletedRequest(
         request_id=state.request.request_id,
         tokens=state.tokens(),
         prompt_length=state.request.prompt_length,
         metrics=metrics,
-        finish_reason=reason,
+        finish_reason=metrics.finish_reason,
     )

@@ -34,3 +34,12 @@ def assert_matches_generate(model, prompts, results, max_new_tokens, fmt=None, *
     for prompt, result in zip(prompts, results):
         expected = generate(model, prompt, max_new_tokens, cache_factory=factory, **kw)
         np.testing.assert_array_equal(result.tokens, expected.tokens)
+
+
+def finished_results(engine, handles, max_steps=None):
+    """Step ``engine`` to idle; the finished handles' results by request id.
+
+    Aborted and failed requests have no result, so they are left out.
+    """
+    engine.run_until_idle(max_steps=max_steps)
+    return {handle.request_id: handle.result() for handle in handles if handle.finished}

@@ -15,7 +15,10 @@ invariants:
 * the engine stays serviceable: work submitted after the faults
   completes bitwise;
 * accounting is exact: every injected fault is either a retry or a
-  failure (``fired_total == fault_retries + failed``).
+  failure (``fired_total == fault_retries + failed``);
+* each request's deltas in the engine's ``StepOutputs``, concatenated
+  across steps, equal what its handle builds from its state, field by
+  field.
 
 The abort/fault race tests pin the sharpest aliasing case
 deterministically: a fault into a request whose prefix blocks are
@@ -29,6 +32,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.llm.config import tiny_test_config
+from repro.llm.generation import generate
 from repro.llm.kv_quant import KVFormat
 from repro.llm.transformer import build_model
 from repro.serve import (
@@ -62,10 +66,36 @@ def make_config(fmt, plan=None, kv_pool_blocks=128, max_batch_tokens=24):
     )
 
 
+def record_step_deltas(engine):
+    """Keep every ``StepOutputs`` delta ``engine`` emits, by request id.
+
+    Wraps the instance's ``step``, so ``run_until_idle`` and its
+    progress guards drive the recording unchanged.
+    """
+    streamed = {}
+    step = engine.step
+
+    def recording_step():
+        outputs = step()
+        for delta in outputs.deltas:
+            streamed.setdefault(delta.request_id, []).append(delta)
+        return outputs
+
+    engine.step = recording_step
+    return streamed
+
+
+def assert_handles_replay_step_outputs(streamed, handles):
+    for handle in handles:
+        assert tuple(streamed.get(handle.request_id, ())) == handle.deltas()
+
+
 def run_batch(model, prompts, config):
     engine = Engine(model, config)
+    streamed = record_step_deltas(engine)
     handles = [engine.submit(prompt, PARAMS) for prompt in prompts]
     engine.run_until_idle(max_steps=1000)
+    assert_handles_replay_step_outputs(streamed, handles)
     return engine, handles
 
 
@@ -235,6 +265,7 @@ class TestAbortFaultRaces:
             )
         )
         engine = Engine(model, make_config(None, plan))
+        streamed = record_step_deltas(engine)
         handles = [engine.submit(prompt, PARAMS) for prompt in prompts]
         for step in range(5):
             if step == 4:
@@ -244,4 +275,50 @@ class TestAbortFaultRaces:
         assert handles[0].status() is RequestStatus.FAILED
         assert handles[1].status() is RequestStatus.ABORTED
         np.testing.assert_array_equal(handles[2].result().tokens, twin[2])
+        assert engine._pool.leaked_blocks() == 0
+        assert_handles_replay_step_outputs(streamed, handles)
+
+
+class TestStepOutputsMatchHandles:
+    """One run through every way a token stream can end or pause."""
+
+    def test_stop_abort_retry_and_preemption(self, model):
+        rng = np.random.default_rng(5)
+        vocab = model.config.vocab_size
+        prompts = [rng.integers(0, vocab, size=n) for n in (14, 9, 17, 12, 6)]
+        stop = int(generate(model, prompts[4], 8).continuation()[2])
+        stops_early = SamplingParams(max_new_tokens=8, stop_token_ids=(stop,))
+        recipes = [SamplingParams(max_new_tokens=8)] * 4 + [stops_early]
+        plan = FaultPlan(
+            rules=(
+                FaultRule(site="model.decode", kind="transient", request_id=0),
+                FaultRule(site="model.chunk", kind="permanent", request_id=3),
+            )
+        )
+        config = make_config(None, plan, kv_pool_blocks=9, max_batch_tokens=16)
+        engine = Engine(model, config)
+        streamed = record_step_deltas(engine)
+        handles = [
+            engine.submit(prompt, params) for prompt, params in zip(prompts, recipes)
+        ]
+        for _ in range(6):
+            engine.step()
+        assert handles[1].abort()
+        engine.run_until_idle(max_steps=1000)
+
+        metrics = engine.metrics()
+        assert metrics.preemptions > 0
+        assert metrics.fault_retries > 0
+        assert [handle.status() for handle in handles] == [
+            RequestStatus.FINISHED,
+            RequestStatus.ABORTED,
+            RequestStatus.FINISHED,
+            RequestStatus.FAILED,
+            RequestStatus.FINISHED,
+        ]
+        assert handles[1].delta_count > 0
+        assert handles[4].result().finish_reason == "stop"
+        assert handles[4].deltas()[-1].finish_reason == "stop"
+        assert not any(delta.finished for delta in handles[1].deltas())
+        assert_handles_replay_step_outputs(streamed, handles)
         assert engine._pool.leaked_blocks() == 0

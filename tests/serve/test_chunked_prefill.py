@@ -30,7 +30,7 @@ from repro.serve import (
     RequestStatus,
     SamplingParams,
 )
-from serving_helpers import serve
+from serving_helpers import finished_results, serve
 
 
 @pytest.fixture(scope="module")
@@ -209,9 +209,13 @@ class TestMixedSteps:
     def test_long_prompt_chunks_ride_with_decodes(self, model):
         rng = np.random.default_rng(1)
         engine = Engine(model, chunked_config(max_batch_tokens=8))
-        engine.submit(rng.integers(0, 256, size=4), SamplingParams(max_new_tokens=12))
+        short = engine.submit(
+            rng.integers(0, 256, size=4), SamplingParams(max_new_tokens=12)
+        )
         engine.step()  # short prompt prefills whole, starts decoding
-        engine.submit(rng.integers(0, 256, size=40), SamplingParams(max_new_tokens=4))
+        chunked = engine.submit(
+            rng.integers(0, 256, size=40), SamplingParams(max_new_tokens=4)
+        )
         mixed = engine.step().report
         # One decode and one partial chunk share the step.
         assert mixed.decodes == 1
@@ -221,14 +225,14 @@ class TestMixedSteps:
         state = engine._waiting[0]
         assert state.status is RequestStatus.PREFILLING
         assert 0 < state.prefill_pos < 40
-        done = {r.request_id: r for r in engine.drain()}
+        done = finished_results(engine, [short, chunked])
         assert len(done) == 2
 
     def test_prefill_pos_tracks_progress_to_first_token(self, model):
         rng = np.random.default_rng(2)
         prompt = rng.integers(0, 256, size=30)
         engine = Engine(model, chunked_config(max_batch_tokens=8))
-        engine.submit(prompt, SamplingParams(max_new_tokens=2))
+        handle = engine.submit(prompt, SamplingParams(max_new_tokens=2))
         positions = []
         state = engine._waiting[0]
         while state.status is not RequestStatus.RUNNING:
@@ -238,8 +242,8 @@ class TestMixedSteps:
         assert positions == [8, 16, 24, 30]
         assert state.first_token_step == 3
         expected = generate(model, prompt, 2)
-        done = engine.drain()[0]
-        np.testing.assert_array_equal(done.tokens, expected.tokens)
+        engine.run_until_idle()
+        np.testing.assert_array_equal(handle.result().tokens, expected.tokens)
 
     def test_ttft_steps_scale_with_budget(self, model):
         # The max_batch_tokens dial: a bigger budget means fewer chunk
@@ -250,7 +254,7 @@ class TestMixedSteps:
         for budget in (8, 48):
             engine = Engine(model, chunked_config(max_batch_tokens=budget))
             engine.submit(prompt, SamplingParams(max_new_tokens=2))
-            engine.drain()
+            engine.run_until_idle()
             ttfts[budget] = engine.metrics().requests[0].ttft_steps
         assert ttfts[48] == 0
         assert ttfts[8] == 5  # ceil(48 / 8) - 1 extra steps
@@ -264,10 +268,14 @@ class TestMixedSteps:
             model,
             chunked_config(max_batch_tokens=8, kv_pool_blocks=32, kv_block_size=4),
         )
-        engine.submit(rng.integers(0, 256, size=4), SamplingParams(max_new_tokens=6))
+        short = engine.submit(
+            rng.integers(0, 256, size=4), SamplingParams(max_new_tokens=6)
+        )
         engine.step()
         free_before = engine._pool.free_blocks
-        engine.submit(rng.integers(0, 256, size=30), SamplingParams(max_new_tokens=2))
+        chunked = engine.submit(
+            rng.integers(0, 256, size=30), SamplingParams(max_new_tokens=2)
+        )
 
         real = engine.model.forward_mixed_step
 
@@ -285,8 +293,8 @@ class TestMixedSteps:
         assert state.prefill_pos == 0
         assert state.kv is None
         assert engine._pool.free_blocks == free_before  # no block leak
-        done = engine.drain(max_steps=50)
-        assert sorted(result.request_id for result in done) == [0, 1]
+        done = finished_results(engine, [short, chunked], max_steps=50)
+        assert sorted(done) == [0, 1]
 
     def test_half_prefilled_request_preempted_under_pool_pressure(self, model):
         # Decode growth outranks a half-prefilled prompt: when the pool
@@ -307,9 +315,11 @@ class TestMixedSteps:
                 prefix_caching=False,
             ),
         )
-        for prompt in shorts:
+        handles = [
             engine.submit(prompt, SamplingParams(max_new_tokens=12))
-        engine.submit(long_prompt, SamplingParams(max_new_tokens=2))
+            for prompt in shorts
+        ]
+        handles.append(engine.submit(long_prompt, SamplingParams(max_new_tokens=2)))
         for _ in range(200):
             if not engine.has_work():
                 break
@@ -317,7 +327,7 @@ class TestMixedSteps:
             ids = [state.request.request_id for state in engine._waiting]
             assert ids == sorted(ids)
         assert not engine.has_work()
-        done = {r.request_id: r for r in engine.pop_finished()}
+        done = {handle.request_id: handle.result() for handle in handles}
         assert engine.metrics().preemptions > 0
         for index, prompt in enumerate(shorts + [long_prompt]):
             count = 12 if index < 3 else 2
@@ -386,13 +396,15 @@ class TestNoStarvation:
         engine = Engine(model, chunked_config(max_batch_tokens=12, max_batch_size=4))
         first = engine.submit(
             rng.integers(0, 256, size=4), SamplingParams(max_new_tokens=30)
-        ).request_id
+        )
         engine.step()
-        engine.submit(rng.integers(0, 256, size=100), SamplingParams(max_new_tokens=2))
+        monster = engine.submit(
+            rng.integers(0, 256, size=100), SamplingParams(max_new_tokens=2)
+        )
         for _ in range(4):
             engine.step()
-        done = {r.request_id for r in engine.drain(max_steps=100)}
-        assert first in done
+        done = finished_results(engine, [first, monster], max_steps=100)
+        assert first.request_id in done
 
 
 class TestLatencyMetrics:
@@ -419,7 +431,7 @@ class TestDrainDiagnostics:
         first = engine.submit(np.arange(4, dtype=np.int64), params).request_id
         second = engine.submit(np.arange(6, dtype=np.int64), params).request_id
         with pytest.raises(ModelError, match=rf"{first}, {second}"):
-            engine.drain(max_steps=2)
+            engine.run_until_idle(max_steps=2)
 
     def test_no_progress_error_names_stuck_request_ids(self, model, monkeypatch):
         import repro.serve.engine as engine_module
@@ -435,4 +447,4 @@ class TestDrainDiagnostics:
             lambda *args, **kwargs: StepPlan(decodes=[], prefills=[]),
         )
         with pytest.raises(ModelError, match=rf"stuck request ids: {stuck}"):
-            engine.drain()
+            engine.run_until_idle()

@@ -89,21 +89,19 @@ class TestGreedyParity:
 class TestMidStreamArrival:
     def test_late_submission_token_identical(self, model, prompts):
         engine = Engine(model, EngineConfig(max_batch_tokens=64))
-        early_a = engine.submit(
-            prompts[0], SamplingParams(max_new_tokens=10)
-        ).request_id
-        early_b = engine.submit(prompts[1], SamplingParams(max_new_tokens=6)).request_id
+        early_a = engine.submit(prompts[0], SamplingParams(max_new_tokens=10))
+        early_b = engine.submit(prompts[1], SamplingParams(max_new_tokens=6))
         for _ in range(3):
             engine.step()
-        late = engine.submit(prompts[2], SamplingParams(max_new_tokens=12)).request_id
-        done = {result.request_id: result for result in engine.drain()}
-        for request_id, prompt, count in [
+        late = engine.submit(prompts[2], SamplingParams(max_new_tokens=12))
+        engine.run_until_idle()
+        for handle, prompt, count in [
             (early_a, prompts[0], 10),
             (early_b, prompts[1], 6),
             (late, prompts[2], 12),
         ]:
             expected = generate(model, prompt, count)
-            np.testing.assert_array_equal(done[request_id].tokens, expected.tokens)
+            np.testing.assert_array_equal(handle.result().tokens, expected.tokens)
 
     def test_late_arrival_joins_running_batch(self, model, prompts):
         engine = Engine(model)
@@ -191,25 +189,23 @@ class TestLifecycle:
         self, model, prompts
     ):
         engine = Engine(model)
-        foreign = engine.submit(prompts[0], SamplingParams(max_new_tokens=4)).request_id
+        foreign = engine.submit(prompts[0], SamplingParams(max_new_tokens=4))
         results = serve(model, [prompts[1]], 3, engine=engine)
         assert [len(r.continuation()) for r in results] == [3]
-        leftover = engine.pop_finished()
-        assert [done.request_id for done in leftover] == [foreign]
+        assert foreign.finished
         expected = generate(model, prompts[0], 4)
-        np.testing.assert_array_equal(leftover[0].tokens, expected.tokens)
+        np.testing.assert_array_equal(foreign.result().tokens, expected.tokens)
 
-    def test_drain_collects_once_and_engine_is_reusable(self, model, prompts):
+    def test_idle_engine_is_reusable(self, model, prompts):
         engine = Engine(model)
-        engine.submit(prompts[0], SamplingParams(max_new_tokens=3))
-        assert len(engine.drain()) == 1
-        # Collect-once: already-returned results are released, so a
-        # reused engine does not accumulate token arrays forever.
-        assert engine.drain() == []
+        first = engine.submit(prompts[0], SamplingParams(max_new_tokens=3))
+        engine.run_until_idle()
+        assert first.finished
         assert not engine.has_work()
-        engine.submit(prompts[1], SamplingParams(max_new_tokens=3))
+        second = engine.submit(prompts[1], SamplingParams(max_new_tokens=3))
         assert engine.has_work()
-        assert len(engine.drain()) == 1
+        engine.run_until_idle()
+        assert second.finished
         assert engine.metrics().total_new_tokens == 6
 
     def test_out_of_vocab_prompt_rejected_at_submit(self, model):
@@ -224,26 +220,21 @@ class TestLifecycle:
 
     def test_finished_requests_release_kv_memory(self, model, prompts):
         engine = Engine(model)
-        engine.submit(prompts[0], SamplingParams(max_new_tokens=2))
-        done = engine.drain()
-        assert done[0].metrics.generated_tokens == 2
+        handle = engine.submit(prompts[0], SamplingParams(max_new_tokens=2))
+        engine.run_until_idle()
+        assert handle.result().metrics.generated_tokens == 2
         assert engine._running == []
+        assert handle._state.kv is None and handle._state.kv_image is None
 
-    def test_pop_finished_clears(self, model, prompts):
+    def test_metrics_survive_result_collection(self, model, prompts):
         engine = Engine(model)
-        engine.submit(prompts[0], SamplingParams(max_new_tokens=2))
-        while engine.has_work():
-            engine.step()
-        assert len(engine.pop_finished()) == 1
-        assert engine.pop_finished() == []
-
-    def test_metrics_survive_pop_finished(self, model, prompts):
-        engine = Engine(model)
-        engine.submit(prompts[0], SamplingParams(max_new_tokens=2))
-        engine.drain()
-        engine.pop_finished()
+        handle = engine.submit(prompts[0], SamplingParams(max_new_tokens=2))
+        engine.run_until_idle()
+        result = handle.result()
+        del handle
         metrics = engine.metrics()
         assert len(metrics.requests) == 1
+        assert metrics.requests[0] == result.metrics
         assert metrics.mean_latency_seconds > 0.0
 
     def test_submitted_prompt_buffer_can_be_reused(self, model):
@@ -251,18 +242,18 @@ class TestLifecycle:
         # submit must not change what gets served.
         buffer = np.arange(6, dtype=np.int64) % 256
         engine = Engine(model)
-        engine.submit(buffer, SamplingParams(max_new_tokens=3))
+        handle = engine.submit(buffer, SamplingParams(max_new_tokens=3))
         expected = generate(model, buffer.copy(), 3)
         buffer[:] = 0
-        done = engine.drain()[0]
-        np.testing.assert_array_equal(done.tokens, expected.tokens)
+        engine.run_until_idle()
+        np.testing.assert_array_equal(handle.result().tokens, expected.tokens)
 
 
 class TestMetrics:
     def test_request_metrics_ordering(self, model, prompts):
         engine = Engine(model)
         engine.submit(prompts[0], SamplingParams(max_new_tokens=5))
-        engine.drain()
+        engine.run_until_idle()
         metrics = engine.metrics()
         record = metrics.requests[0]
         assert record.generated_tokens == 5
@@ -276,7 +267,7 @@ class TestMetrics:
         engine = Engine(model, config)
         for prompt in prompts:
             engine.submit(prompt, SamplingParams(max_new_tokens=6))
-        engine.drain()
+        engine.run_until_idle()
         assert engine.metrics().mean_batch_size > 1.0
 
     def test_anda_kv_moves_less_traffic_than_fp16(self, model, prompts):
@@ -285,7 +276,7 @@ class TestMetrics:
             engine = Engine(model, EngineConfig(kv_format=KVFormat(mode=kv_mode)))
             for prompt in prompts:
                 engine.submit(prompt, SamplingParams(max_new_tokens=6))
-            engine.drain()
+            engine.run_until_idle()
             totals[kv_mode] = engine.metrics().traffic
         assert (
             totals["anda"].kv_read_bytes + totals["anda"].kv_write_bytes

@@ -544,7 +544,7 @@ class TestAccountingSurfaces:
         )
         engine.submit(prompts[0], PARAMS)
         with pytest.raises(ModelError) as info:
-            engine.drain(max_steps=8)
+            engine.run_until_idle(max_steps=8)
         message = str(info.value)
         assert "stuck request ids: 0" in message
         assert "waiting" in message
@@ -605,6 +605,8 @@ class TestAccountingSurfaces:
                 FaultRule(site="model.decode", kind="permanent", request_id=1),
             )
         )
-        engine, _ = run_engine(model, prompts, EngineConfig(faults=plan))
-        finished_ids = {done.request_id for done in engine.pop_finished()}
+        _, handles = run_engine(model, prompts, EngineConfig(faults=plan))
+        finished_ids = {handle.request_id for handle in handles if handle.finished}
         assert finished_ids == {0, 2}
+        with pytest.raises(RequestFailedError):
+            handles[1].result()

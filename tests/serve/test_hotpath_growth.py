@@ -713,7 +713,7 @@ class TestEngineHotPathCounters:
         )
         engine = Engine(model, config)
         engine.submit(np.array([5, 6, 7, 8, 9]), SamplingParams(max_new_tokens=30))
-        engine.drain(max_steps=64)
+        engine.run_until_idle(max_steps=64)
         decode_steps = [
             report
             for report in engine._reports

@@ -3,7 +3,7 @@
 The acceptance bar for the API redesign:
 
 * ``LLM.generate`` is token-bitwise identical to the bare
-  ``submit``/``drain`` engine path and to sequential ``generate()``
+  ``submit``/``run_until_idle`` engine path and to sequential ``generate()``
   across {fp16, anda} formats x pool geometries x chunk budgets;
 * ``abort()`` leaks nothing in any of those cells — allocator free
   counts are restored (modulo deliberately resident prefix-cache
@@ -15,6 +15,9 @@ The acceptance bar for the API redesign:
   status, and block for results.
 """
 
+import gc
+import types
+
 import numpy as np
 import pytest
 
@@ -25,11 +28,15 @@ from repro.llm.kv_quant import KVFormat
 from repro.llm.transformer import build_model
 from repro.serve import (
     LLM,
+    CompletedRequest,
     Engine,
     EngineConfig,
+    RequestHandle,
+    RequestState,
     RequestStatus,
     SamplingParams,
 )
+from serving_helpers import finished_results
 
 
 @pytest.fixture(scope="module")
@@ -75,12 +82,12 @@ ALL_MODES = [
 
 
 def old_path(model, prompts, max_new_tokens, config):
-    """The pre-redesign lifecycle: bare submit + drain, results by id."""
+    """The bare engine lifecycle: submit, step to idle, read the handles."""
     engine = Engine(model, config)
     params = SamplingParams(max_new_tokens=max_new_tokens)
-    ids = [engine.submit(prompt, params).request_id for prompt in prompts]
-    done = {result.request_id: result for result in engine.drain(max_steps=500)}
-    return [done[request_id] for request_id in ids]
+    handles = [engine.submit(prompt, params) for prompt in prompts]
+    done = finished_results(engine, handles, max_steps=500)
+    return [done[handle.request_id] for handle in handles]
 
 
 def assert_no_leaks(engine):
@@ -353,22 +360,23 @@ class TestRequestHandle:
         final = handle.deltas()[-1]
         assert final.finished and final.finish_reason == "length"
 
-    def test_result_collects_once_alongside_drain(self, model, prompts):
+    def test_result_is_rebuilt_from_the_state_on_every_call(self, model, prompts):
         engine = Engine(model)
         handle = engine.submit(prompts[0], SamplingParams(max_new_tokens=3))
         result = handle.result()
         assert result.metrics.generated_tokens == 3
-        # Already claimed through the handle: drain has nothing left.
-        assert engine.drain() == []
-        # Claiming again returns the cached result.
-        np.testing.assert_array_equal(handle.result().tokens, result.tokens)
+        assert not engine.has_work()
+        # The engine keeps no copy; asking again builds an equal result.
+        again = handle.result()
+        np.testing.assert_array_equal(again.tokens, result.tokens)
+        assert again.metrics == result.metrics
 
     def test_token_iteration_max_steps_guards_stalls(self, model, prompts):
-        # tokens(max_steps=...) bounds each wait like drain/result do.
+        # tokens(max_steps=...) bounds each wait like run_until_idle/result do.
         engine = Engine(model)
         handle = engine.submit(prompts[0], SamplingParams(max_new_tokens=4))
         with pytest.raises(ModelError, match="max_steps must be"):
-            # The bound is validated like drain's before any stepping.
+            # The bound is validated like run_until_idle's before any stepping.
             for _ in handle.tokens(max_steps=0):
                 pass
         for delta in handle.tokens(max_steps=5):
@@ -385,6 +393,45 @@ class TestRequestHandle:
             assert len(outputs.deltas) == outputs.report.new_tokens
             total += len(outputs.deltas)
         assert total == 3 * 4
+
+
+#: What a reachability walk does not enter: these reach the whole
+#: program, not what one object holds.
+OPAQUE = (types.ModuleType, type, types.FunctionType, types.BuiltinFunctionType)
+
+
+def reachable(root):
+    """Every object reachable from ``root`` through instance data."""
+    seen = {id(root)}
+    stack = [root]
+    found = []
+    while stack:
+        obj = stack.pop()
+        found.append(obj)
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen and not isinstance(ref, OPAQUE):
+                seen.add(id(ref))
+                stack.append(ref)
+    return found
+
+
+class TestNothingOutlivesItsHandle:
+    def test_streamed_requests_leave_no_record_in_the_llm(self, model, prompts):
+        llm = LLM(model, EngineConfig(max_batch_size=4, max_batch_tokens=16))
+        params = SamplingParams(max_new_tokens=6)
+        handle = llm.submit(prompts[0], params)
+        streamed = list(llm.stream([handle, *prompts[1:]], params))
+        del handle
+        assert len(streamed) == 6 * len(prompts)
+        assert not llm.engine.has_work()
+        held = [
+            obj
+            for obj in reachable(llm)
+            if isinstance(obj, (CompletedRequest, RequestState, RequestHandle))
+        ]
+        assert held == []
+        # The latency records are all the engine keeps of them.
+        assert len(llm.metrics().requests) == len(prompts)
 
 
 class TestStopTokens:

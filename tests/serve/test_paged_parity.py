@@ -32,7 +32,7 @@ from repro.serve import (
 )
 from repro.serve.kvpool import paged as paged_module
 from oracles import gather_reference
-from serving_helpers import assert_matches_generate, serve
+from serving_helpers import assert_matches_generate, finished_results, serve
 
 
 @pytest.fixture(scope="module")
@@ -206,9 +206,8 @@ class TestPreemption:
         prompts = [rng.integers(0, 256, size=6) for _ in range(4)]
         engine = Engine(model, paged_config(kv_pool_blocks=8))
         params = SamplingParams(max_new_tokens=10)
-        first = engine.submit(prompts[0], params).request_id
-        for prompt in prompts[1:]:
-            engine.submit(prompt, SamplingParams(max_new_tokens=10))
+        handles = [engine.submit(prompt, params) for prompt in prompts]
+        first = handles[0]
         # Step until the first preemption: the earliest arrival must
         # still be resident (latest-arrival-first victim selection).
         for _ in range(200):
@@ -217,9 +216,9 @@ class TestPreemption:
         else:
             pytest.fail("undersized pool never preempted")
         running_ids = {state.request.request_id for state in engine._running}
-        assert first in running_ids
-        results = {done.request_id for done in engine.drain(max_steps=400)}
-        assert first in results  # everyone still completes
+        assert first.request_id in running_ids
+        results = finished_results(engine, handles, max_steps=400)
+        assert sorted(results) == [0, 1, 2, 3]  # everyone still completes
 
     def test_oversized_request_rejected_at_submit(self, model):
         engine = Engine(model, paged_config(kv_pool_blocks=4))
@@ -246,7 +245,7 @@ class TestMidStepFailureRecovery:
             paged_config(faults=plan, retry=RetryPolicy(backoff_steps=0)),
         )
         prompts = [np.arange(4, dtype=np.int64), np.arange(6, dtype=np.int64)]
-        engine.submit(prompts[0], SamplingParams(max_new_tokens=3))
+        resident = engine.submit(prompts[0], SamplingParams(max_new_tokens=3))
         swapped = engine.submit(prompts[1], SamplingParams(max_new_tokens=3))
         engine.step()  # both prefill and emit token 1
         engine.step()  # decode faults on request 1: step abandoned, 1 backs off
@@ -276,9 +275,9 @@ class TestMidStepFailureRecovery:
         assert state.kv is None and state.kv_image is image
         assert engine._pool.free_blocks == free
         assert [s.request.request_id for s in engine._running] == [0]
-        done = engine.drain(max_steps=20)  # both still serve
-        assert sorted(result.request_id for result in done) == [0, 1]
-        for prompt, result in zip(prompts, done):
+        done = finished_results(engine, [resident, swapped], max_steps=20)
+        assert sorted(done) == [0, 1]  # both still serve
+        for prompt, result in zip(prompts, done.values()):
             expected = generate(model, prompt, 3)
             np.testing.assert_array_equal(result.tokens, expected.tokens)
         assert engine._pool.leaked_blocks() == 0
@@ -502,18 +501,18 @@ class TestDrainGuard:
         engine = Engine(model, EngineConfig())
         engine.submit(np.arange(4, dtype=np.int64), SamplingParams(max_new_tokens=8))
         with pytest.raises(ModelError):
-            engine.drain(max_steps=2)
+            engine.run_until_idle(max_steps=2)
 
     def test_drain_max_steps_validates(self, model):
         engine = Engine(model, EngineConfig())
         with pytest.raises(ModelError):
-            engine.drain(max_steps=0)
+            engine.run_until_idle(max_steps=0)
 
     def test_generous_max_steps_drains_normally(self, model, prompts):
         engine = Engine(model, EngineConfig())
-        engine.submit(prompts[0], SamplingParams(max_new_tokens=3))
-        done = engine.drain(max_steps=50)
-        assert len(done) == 1
+        handle = engine.submit(prompts[0], SamplingParams(max_new_tokens=3))
+        engine.run_until_idle(max_steps=50)
+        assert handle.finished
 
     def test_starved_queue_raises_clear_error(self, model, monkeypatch):
         # Simulate a scheduler bug: a plan that never admits or decodes.
@@ -528,7 +527,7 @@ class TestDrainGuard:
             lambda *args, **kwargs: StepPlan(decodes=[], prefills=[]),
         )
         with pytest.raises(ModelError, match="no progress"):
-            engine.drain()
+            engine.run_until_idle()
 
 
 class TestPoolConfigValidation:

@@ -397,7 +397,7 @@ class TestEngineTracing:
             "PREEMPTED": {()},
             "RETRY": {("at_step", "retries", "site")},
             "FAILED": {("reason", "tokens")},
-            "ABORTED": {("tokens",)},
+            "ABORTED": {("reason", "tokens")},
             "FINISHED": {("reason", "tokens")},
         }
 
