@@ -6,19 +6,24 @@ projection.  LLaMA-family models apply rotary position embeddings to
 queries and keys; OPT-family models rely on the model's learned position
 embeddings instead.
 
-Beside the autograd path, three inference paths run on two plain-numpy
-lanes with an FP16 KV cache (as in the paper):
+Beside the autograd path, inference runs plain numpy with an FP16 KV
+cache (as in the paper), one layer loop serving two row kinds:
 
 * :meth:`MultiHeadAttention.__call__` — autograd: training, whole-
   sequence evaluation, and the arithmetic reference for the lanes.
-* :meth:`MultiHeadAttention.step_batch` — the decode lane: one token
-  for each of many requests, every row bitwise identical to that
-  request decoded alone.
-* :meth:`MultiHeadAttention.step_mixed` — the chunk lane: prompt
-  chunks of many requests flattened into one GeMM, attention per
-  segment.  In the model's last layer it lands every position's K/V
-  but runs queries only for the rows a caller samples, each through
-  the decode lane's per-row launch and ``ROW_TILE``-row tiles
+* :meth:`MultiHeadAttention.project_qkv` /
+  :meth:`MultiHeadAttention.project_out` — the fused QKV and output
+  projections for both row kinds of a step, each reading its weight
+  once: decode rows' ``ROW_TILE``-row tiles, then the chunk's flat
+  GeMM.
+* :meth:`MultiHeadAttention.step_batch` — decode rows' attention body:
+  one token for each of many requests, every row bitwise identical to
+  that request decoded alone.
+* :meth:`MultiHeadAttention.step_mixed` — prompt chunks' attention
+  body: chunks of many requests flattened into one lane, attention
+  per segment.  In the model's last layer it lands every position's
+  K/V but runs queries only for the rows a caller samples, each
+  through the decode rows' per-row launch
   (:meth:`MultiHeadAttention._attend_rows`).  Sequential
   ``CausalLM.forward_step`` (:mod:`repro.llm.generation`) is this lane
   with one segment, sampling every row.
@@ -38,7 +43,7 @@ from repro.errors import ModelError
 from repro.llm.autograd import Tensor, concat, softmax
 from repro.llm.config import ModelConfig
 from repro.llm.hooks import ActivationTap
-from repro.llm.layers import Linear, Module
+from repro.llm.layers import Lanes, Linear, Module, as_float32, each
 
 #: Additive mask value for future positions (large enough to zero the
 #: softmax in float32 without producing NaN through inf - inf).
@@ -306,8 +311,8 @@ class RotaryTable:
 
     cos: np.ndarray
     sin: np.ndarray
-    _gather_memo: tuple[tuple, np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False
+    _gather_memo: tuple[tuple[tuple, np.ndarray, np.ndarray], ...] = field(
+        default=(), repr=False
     )
 
     @classmethod
@@ -344,15 +349,15 @@ class RotaryTable:
     def gather(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-request cos/sin rows for arbitrary (unsorted) positions.
 
-        One-slot memo: every layer of a forward pass gathers the same
-        positions, so the fancy-index copy runs once per pass instead
-        of once per layer (the table instance is shared via
-        :meth:`build`'s memo).
+        Two-slot memo: every layer of a forward pass gathers the same
+        positions for its decode rows and for its prompt chunk, so the
+        fancy-index copy runs once per lane and pass instead of once per
+        layer (the table instance is shared via :meth:`build`'s memo).
         """
         key = (positions.tobytes(), positions.dtype.str, positions.shape)
-        memo = self._gather_memo
-        if memo is not None and memo[0] == key:
-            return memo[1], memo[2]
+        for memo in self._gather_memo:
+            if memo[0] == key:
+                return memo[1], memo[2]
         limit = int(positions.max(initial=0)) + 1
         if limit > self.cos.shape[0]:
             raise ModelError(
@@ -363,7 +368,7 @@ class RotaryTable:
         sin_rows = self.sin[positions]
         cos_rows.setflags(write=False)
         sin_rows.setflags(write=False)
-        self._gather_memo = (key, cos_rows, sin_rows)
+        self._gather_memo = ((key, cos_rows, sin_rows), *self._gather_memo[:1])
         return cos_rows, sin_rows
 
 
@@ -726,14 +731,20 @@ class MultiHeadAttention(Module):
 
     # -- incremental decode path ------------------------------------------
 
-    def _project_qkv(self, x: np.ndarray) -> np.ndarray:
-        """QKV-tap + fused projection: ``(B, T, D)`` -> ``(3, B, H, T, hd)``."""
-        batch, new_len, _ = x.shape
-        if self.tap.quantizer is not None:
-            x = self.tap.quantizer(TensorKind.QKV, x)
-        qkv = self.qkv_proj.step(x)
-        qkv = qkv.reshape(batch, new_len, 3, self.n_heads, self.head_dim)
-        return qkv.transpose(2, 0, 3, 1, 4)
+    def project_qkv(self, lanes: Lanes) -> Lanes:
+        """QKV tap + fused projection per lane: ``(B, T, D)`` -> ``(3, B, H, T, hd)``.
+
+        The projection reads its weight once for every lane
+        (:data:`~repro.llm.layers.Lanes`).
+        """
+
+        def split_heads(qkv: np.ndarray) -> np.ndarray:
+            batch, new_len, _ = qkv.shape
+            qkv = qkv.reshape(batch, new_len, 3, self.n_heads, self.head_dim)
+            return qkv.transpose(2, 0, 3, 1, 4)
+
+        lanes = self.tap.quantize(TensorKind.QKV, lanes)
+        return each(split_heads, each(self.qkv_proj.step, lanes))
 
     def _attention_core(
         self,
@@ -799,23 +810,20 @@ class MultiHeadAttention(Module):
             count, 1, self.n_heads * self.head_dim
         )
 
-    def _project_out(self, context: np.ndarray) -> np.ndarray:
-        """O-tap + output projection for ``(B, T, D)`` attention context."""
-        if self.tap.quantizer is not None:
-            context = self.tap.quantizer(TensorKind.O, context)
-        return self.out_proj.step(context).astype(np.float32, copy=False)
+    def project_out(self, contexts: Lanes) -> Lanes:
+        """O tap + output projection per lane of ``(B, T, D)`` contexts."""
+        contexts = self.tap.quantize(TensorKind.O, contexts)
+        return as_float32(each(self.out_proj.step, contexts))
 
-    def step_batch(self, x: np.ndarray, caches: list[KVCache]) -> np.ndarray:
-        """Single-token decode for many independent requests at once.
+    def step_batch(self, qkv: np.ndarray, caches: list[KVCache]) -> np.ndarray:
+        """Decode rows' attention body: one token for each of many requests.
 
-        The projections (QKV, output) run through
-        :meth:`~repro.llm.layers.Linear.step`: the ``(B, 1, D)`` rows
-        go ``ROW_TILE`` at a time through GeMMs of that fixed height, so
-        each row is bitwise identical to a one-token :meth:`step_mixed`
-        segment (``forward_step``), whose one row is padded into the
-        same tile.  Each request
-        may sit at a different position; rotary/positional phases are
-        gathered per request.
+        Takes the rows' fused projection ``(3, B, H, 1, hd)``
+        (:meth:`project_qkv`) and returns their attention context
+        ``(B, 1, d_model)`` for :meth:`project_out`; the block runs both
+        projections so that each reads its weight once for decode rows
+        and prompt chunks alike.  Each request may sit at a different
+        position; rotary phases are gathered per request.
 
         The layer's work is one call per layer, not per row: every
         row's K/V lands through one :meth:`KVCache.append_batch`, then
@@ -825,11 +833,12 @@ class MultiHeadAttention(Module):
         identical to it.
 
         Args:
-            x: ``(batch, 1, d_model)`` activations, one row per request.
+            qkv: ``(3, batch, heads, 1, head_dim)`` projected rows, one
+                per request; Q and K are rotated in place.
             caches: one :class:`KVCache` per request for *this* layer,
                 each extended in place.
         """
-        batch, new_len, d_model = x.shape
+        _, batch, _, new_len, _ = qkv.shape
         if new_len != 1:
             raise ModelError(f"step_batch decodes one token per request, got {new_len}")
         if len(caches) != batch:
@@ -837,7 +846,6 @@ class MultiHeadAttention(Module):
                 f"got {len(caches)} caches for a batch of {batch} requests"
             )
         starts = np.array([cache.length for cache in caches])
-        qkv = self._project_qkv(x)
         # q is (B, H, 1, hd); K and V stay stacked as one (2, B, H, 1, hd)
         # view, so the codec and the float16 cast below each make one
         # call over both.
@@ -900,23 +908,24 @@ class MultiHeadAttention(Module):
             )
         )
         with span:
-            context = self._attend_rows(q, views)
-        return self._project_out(context)
+            return self._attend_rows(q, views)
 
     def step_mixed(
         self,
-        x: np.ndarray,
+        qkv: np.ndarray,
         caches: list[KVCache],
         lengths: list[int],
         rows: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Variable-length prompt segments for many requests at once.
+        """Prompt chunks' attention body: variable-length segments at once.
 
-        The chunk lane of a mixed step: prompt chunks — a budget-sized
-        slice of a long prompt, or a whole short prompt — are
-        flattened along the time axis into one ``(1, total, d_model)``
-        array so the fused QKV projection runs as a single GeMM over
-        every prefill token in the step.  A segment may start anywhere
+        Prompt chunks — a budget-sized slice of a long prompt, or a
+        whole short prompt — are flattened along the time axis into one
+        ``(1, total, d_model)`` array, so the fused QKV projection
+        (:meth:`project_qkv`) is a single GeMM over every prefill token
+        of the step; this method takes that projection
+        ``(3, 1, H, total, hd)`` and returns the attention context for
+        :meth:`project_out`.  A segment may start anywhere
         (``cache.length`` positions already cached): rotary phases are
         gathered per flattened position (:meth:`RotaryTable.gather`).
         Every position's K/V is compressed and appended to its
@@ -929,16 +938,16 @@ class MultiHeadAttention(Module):
           runs once per segment against that request's exact-length
           cache, the causal mask spanning ``cache_len + segment`` so
           chunk queries see the whole cached history plus their own
-          prefix, and the output projection is one GeMM of height
-          ``total``.  Returns ``(1, total, d_model)``.
+          prefix.  Returns ``(1, total, d_model)``, which the output
+          projection takes as one GeMM of height ``total``.
         * ``rows`` given (the last layer): only those flat positions
           run a query — one ``M == 1`` launch each over its causal
-          history ``[:start + j + 1]``, then the output projection in
+          history ``[:start + j + 1]``, through the decode rows'
+          :meth:`_attend_rows`.  Returns ``(len(rows), 1, d_model)``,
+          which the output projection takes in
           :meth:`~repro.llm.layers.Linear.step`'s ``ROW_TILE``-row
-          tiles, through the decode lane's :meth:`_attend_rows`.
-          Returns ``(len(rows), 1, d_model)``; a row's bits depend only
-          on that row, so sampling one row equals the same row of a
-          pass that samples every row.
+          tiles; a row's bits depend only on that row, so sampling one
+          row equals the same row of a pass that samples every row.
 
         Logits are *not* bitwise equal to the same rows of a monolithic
         prefill: BLAS may accumulate a product of a few rows
@@ -949,24 +958,22 @@ class MultiHeadAttention(Module):
         in the low bits (1e-6 to 1e-4 at logit scale ~4).  Tokens agree;
         ``tests/serve/test_chunked_prefill.py`` pins token equality and
         a logit tolerance across chunk budgets and tails.  Single-token
-        decodes do *not* belong in this lane: its GeMM height is the
-        step's chunk-token count, which varies, while a decode row's
-        bits are pinned to :meth:`~repro.llm.layers.Linear.step`'s fixed
-        ``ROW_TILE``-row tiles, so the engine keeps decodes on
-        :meth:`step_batch`, whose rows are bitwise identical to
-        sequential decode (a one-token ``forward_step`` segment pads
-        into the same tile).
+        decodes run :meth:`step_batch` instead: this lane's GeMM height
+        is the step's chunk-token count, which varies, while a decode
+        row's bits are pinned to ``ROW_TILE``-row tiles.  A mixed step
+        runs both bodies in every layer, between projections that serve
+        both (see :meth:`repro.llm.transformer.CausalLM.forward_mixed_step`).
 
         Args:
-            x: ``(1, total, d_model)`` activations, segments
-                concatenated in request order.
+            qkv: ``(3, 1, heads, total, head_dim)`` projected positions,
+                segments concatenated in request order.
             caches: one :class:`KVCache` per segment for *this* layer,
                 each extended in place by its segment's positions.
             lengths: per-segment token counts summing to ``total``.
             rows: optional flat positions (sorted, in ``[0, total)``)
                 whose queries to run; ``None`` runs every position.
         """
-        batch, total, d_model = x.shape
+        _, batch, _, total, _ = qkv.shape
         if batch != 1:
             raise ModelError(f"mixed steps flatten to batch 1, got {batch}")
         if sum(lengths) != total or min(lengths, default=0) < 1:
@@ -977,7 +984,6 @@ class MultiHeadAttention(Module):
             raise ModelError(f"got {len(caches)} caches for {len(lengths)} segments")
         starts = [cache.length for cache in caches]
         positions = chunk_positions(starts, lengths)
-        qkv = self._project_qkv(x)
         q, k, v = qkv[0], qkv[1], qkv[2]  # (1, H, total, hd)
 
         if self.rotary is not None:
@@ -1004,7 +1010,7 @@ class MultiHeadAttention(Module):
                 (histories[owner][0][:, :, :end], histories[owner][1][:, :, :end])
                 for owner, end in zip(owners, positions[rows] + 1)
             ]
-            return self._project_out(self._attend_rows(q, row_histories))
+            return self._attend_rows(q, row_histories)
 
         if self.rotary is not None:
             q = q * cos + _rotate_half_np(q) * sin
@@ -1016,5 +1022,6 @@ class MultiHeadAttention(Module):
                 q[:, :, offset:stop], keys, values, start
             )
             offset = stop
-        context = context.transpose(0, 2, 1, 3).reshape(batch, total, d_model)
-        return self._project_out(context)
+        return context.transpose(0, 2, 1, 3).reshape(
+            batch, total, self.n_heads * self.head_dim
+        )

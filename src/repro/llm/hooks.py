@@ -74,6 +74,20 @@ class ActivationTap:
             return Tensor._make(quantized, (activation,), backward)
         return Tensor(self.quantizer(kind, activation.data))
 
+    def quantize(
+        self, kind: TensorKind, lanes: list[np.ndarray | None]
+    ) -> list[np.ndarray | None]:
+        """The serving lanes' side of the tap: quantize every present lane.
+
+        Lanes pass through unchanged when no quantizer is installed.
+        Quantizers are row-local, so a lane's bits do not depend on the
+        others.
+        """
+        quantizer = self.quantizer
+        if quantizer is None:
+            return lanes
+        return [None if lane is None else quantizer(kind, lane) for lane in lanes]
+
     def clear(self) -> None:
         self.quantizer = None
         self.recorder = None

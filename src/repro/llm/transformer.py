@@ -22,6 +22,8 @@ D         FFN intermediate (post-nonlinearity)     W_down
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.core.precision import TensorKind
@@ -36,7 +38,15 @@ from repro.llm.attention import (
 from repro.llm.autograd import Tensor, no_grad, softmax_cross_entropy
 from repro.llm.config import ModelConfig
 from repro.llm.hooks import ActivationTap
-from repro.llm.layers import Embedding, Linear, Module, make_norm
+from repro.llm.layers import (
+    Embedding,
+    Lanes,
+    Linear,
+    Module,
+    as_float32,
+    each,
+    make_norm,
+)
 
 
 class FeedForward(Module):
@@ -55,13 +65,16 @@ class FeedForward(Module):
         hidden = self.tap.apply(TensorKind.D, hidden)
         return self.down_proj(hidden)
 
-    def step(self, x: np.ndarray) -> np.ndarray:
-        if self.tap.quantizer is not None:
-            x = self.tap.quantizer(TensorKind.U, x)
-        hidden = np.maximum(self.up_proj.step(x), 0.0)
-        if self.tap.quantizer is not None:
-            hidden = self.tap.quantizer(TensorKind.D, hidden)
-        return self.down_proj.step(hidden).astype(np.float32, copy=False)
+    def step(self, lanes: Lanes) -> Lanes:
+        """Inference FFN per lane; each projection serves every lane in turn."""
+        lanes = self.tap.quantize(TensorKind.U, lanes)
+        hidden = each(self.up_proj.step, lanes)
+        del lanes
+        for up in hidden:
+            if up is not None:
+                np.maximum(up, 0.0, out=up)
+        hidden = self.tap.quantize(TensorKind.D, hidden)
+        return as_float32(each(self.down_proj.step, hidden))
 
 
 class GatedFeedForward(Module):
@@ -86,14 +99,26 @@ class GatedFeedForward(Module):
         hidden = self.tap.apply(TensorKind.D, hidden)
         return self.down_proj(hidden)
 
-    def step(self, x: np.ndarray) -> np.ndarray:
-        if self.tap.quantizer is not None:
-            x = self.tap.quantizer(TensorKind.U, x)
-        gate = self.gate_proj.step(x)
-        gate = gate / (1.0 + np.exp(-gate)) * self.up_proj.step(x)
-        if self.tap.quantizer is not None:
-            gate = self.tap.quantizer(TensorKind.D, gate)
-        return self.down_proj.step(gate).astype(np.float32, copy=False)
+    def step(self, lanes: Lanes) -> Lanes:
+        """Inference FFN per lane; each projection serves every lane in turn."""
+        lanes = self.tap.quantize(TensorKind.U, lanes)
+        hidden = each(self.gate_proj.step, lanes)
+        # SiLU, then the up product, land in each lane's gate buffer, so
+        # only one lane's up product is ever alive.
+        for gate in hidden:
+            if gate is not None:
+                np.divide(gate, 1.0 + np.exp(-gate), out=gate)
+        for gate, lane in zip(hidden, lanes):
+            if gate is not None:
+                gate *= self.up_proj.step(lane)
+        del lanes
+        hidden = self.tap.quantize(TensorKind.D, hidden)
+        return as_float32(each(self.down_proj.step, hidden))
+
+
+def _residual(hidden: Lanes, updates: Lanes) -> Lanes:
+    """``hidden + update`` per present lane."""
+    return [None if x is None else x + update for x, update in zip(hidden, updates)]
 
 
 class TransformerBlock(Module):
@@ -115,49 +140,64 @@ class TransformerBlock(Module):
         x = x + self.attention(self.attn_norm(x))
         return x + self.ffn(self.ffn_norm(x))
 
-    def step_batch(self, x: np.ndarray, caches: list[KVCache]) -> np.ndarray:
-        """One decode step for a batch of requests with per-request caches.
-
-        Norms reduce along the last axis only, so they batch
-        row-identically as-is; the feed-forward's projections run in
-        :meth:`~repro.llm.layers.Linear.step`'s fixed ``ROW_TILE``-row
-        tiles, whose rows do not depend on their co-rows; attention
-        routes through
-        :meth:`~repro.llm.attention.MultiHeadAttention.step_batch`,
-        one launch per request.
-        """
-        x = x + self.attention.step_batch(self.attn_norm(x), caches)
-        return x + self.ffn.step(self.ffn_norm(x))
-
-    def step_mixed(
+    def step(
         self,
-        x: np.ndarray,
-        caches: list[KVCache],
+        hidden: Lanes,
+        caches: list[list[KVCache] | None],
         lengths: list[int],
         rows: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """One mixed step over variable-length per-request segments.
+    ) -> Lanes:
+        """One layer of a serving step for its decode rows and prompt chunk.
 
-        The chunk lane: every prompt chunk of the step is one flat
-        ``(1, total, d_model)`` input.  The attention norm and the
-        fused QKV projection run over every position, so every
-        position's K/V lands in its cache
-        (:meth:`~repro.llm.attention.MultiHeadAttention.step_mixed`).
-        With ``rows=None`` the rest of the block runs over every
-        position too, each projection one plain GeMM of height
-        ``total``.  With ``rows`` (the model's last layer) only those
-        flat positions run attention, the residual and the FFN, as
-        ``(len(rows), 1, d_model)`` rows in
-        :meth:`~repro.llm.layers.Linear.step`'s fixed ``ROW_TILE``-row
-        tiles — the decode lane's arithmetic, so a row's bits depend
-        only on that row.  Decode rows never ride this lane (see
-        :meth:`CausalLM.forward_mixed_step`).
+        ``hidden`` holds the step's two lanes
+        (:data:`~repro.llm.layers.Lanes`): decode rows ``(B, 1,
+        d_model)`` and the flat chunk ``(1, total, d_model)``, either
+        ``None`` when the step carries none; ``caches`` holds this
+        layer's caches per lane.  The lanes share every projection —
+        fused QKV, O and the FFN's — each reading its weight once for
+        both, and keep their own attention bodies: decode rows run
+        :meth:`~repro.llm.attention.MultiHeadAttention.step_batch`, the
+        chunk's segments (``lengths``) run
+        :meth:`~repro.llm.attention.MultiHeadAttention.step_mixed`.
+        Norms reduce along the last axis only, so each lane's rows stay
+        row-local.
+
+        With ``rows`` (the model's last layer) every chunk position
+        still lands its K/V, but only those flat positions run
+        attention, the residual and the FFN, as ``(len(rows), 1,
+        d_model)`` rows in ``ROW_TILE``-row tiles — the decode rows'
+        arithmetic, so a row's bits depend only on that row.
         """
-        attended = self.attention.step_mixed(self.attn_norm(x), caches, lengths, rows)
+        attention = self.attention
+        decode, chunk = attention.project_qkv(each(self.attn_norm, hidden))
+        if decode is not None:
+            decode = attention.step_batch(decode, caches[0])
+        if chunk is not None:
+            chunk = attention.step_mixed(chunk, caches[1], lengths, rows)
+        attended = attention.project_out([decode, chunk])
+        del decode, chunk
         if rows is not None:
-            x = x[0, rows][:, None, :]
-        x = x + attended
-        return x + self.ffn.step(self.ffn_norm(x))
+            hidden = [hidden[0], hidden[1][0, rows][:, None, :]]
+        hidden = _residual(hidden, attended)
+        del attended
+        return _residual(hidden, self.ffn.step(each(self.ffn_norm, hidden)))
+
+
+@dataclass(slots=True)
+class _Lane:
+    """One row kind of a serving step, checked and ready for the layer loop."""
+
+    #: Token ids: ``(batch, 1)`` decode rows or the ``(1, total)`` flat chunk.
+    ids: np.ndarray
+    #: Position ids, broadcastable against ``ids``.
+    positions: np.ndarray
+    #: Per request, its per-layer caches.
+    caches: list[list[KVCache]]
+    #: Chunk only: per-segment token counts, the flat positions the
+    #: last layer samples, and per segment how many it samples.
+    lengths: list[int] | None = None
+    rows: np.ndarray | None = None
+    sample_rows: list[int] | None = None
 
 
 class CausalLM(Module):
@@ -230,12 +270,11 @@ class CausalLM(Module):
     ) -> np.ndarray:
         """Extend one request's cached decoding by ``tokens`` (``(1, new)`` ids).
 
-        The chunk lane with one segment that samples every row, so a
-        chunk that rides that lane alone is bitwise equal to
-        ``forward_step`` over the same boundaries, and each row equals
-        the same row sampled on its own (``forward_mixed_step(...,
-        sample_rows=[1])`` for the last).  Returns plain-numpy logits
-        ``(1, new, vocab)``.
+        A step with one prompt chunk that samples every row, so a chunk
+        that rides a step alone is bitwise equal to ``forward_step``
+        over the same boundaries, and each row equals the same row
+        sampled on its own (``forward_mixed_step(..., sample_rows=[1])``
+        for the last).  Returns plain-numpy logits ``(1, new, vocab)``.
         """
         tokens = np.asarray(tokens)
         if tokens.ndim != 2 or tokens.shape[0] != 1:
@@ -243,7 +282,8 @@ class CausalLM(Module):
                 "forward_step extends one request: expects (1, new) token ids, "
                 f"got shape {tokens.shape}"
             )
-        return self._forward_chunk_lane([tokens[0]], [caches])[0][None]
+        chunk = self._chunk_lane([tokens[0]], [caches], None)
+        return self._forward(None, chunk)[1][0][None]
 
     def forward_decode_batch(
         self,
@@ -253,7 +293,7 @@ class CausalLM(Module):
     ) -> np.ndarray:
         """Decode one token for many requests in a single batched step.
 
-        This is the serving engine's model step: request states are
+        A serving step with decode rows alone: request states are
         gathered into one ``(batch, 1)`` token array, every projection
         (QKV, O, FFN, LM head) runs through
         :meth:`~repro.llm.layers.Linear.step` — one weight pass per
@@ -279,31 +319,7 @@ class CausalLM(Module):
         Returns:
             Plain-numpy logits ``(batch, 1, vocab)``.
         """
-        tokens = np.asarray(tokens)
-        if tokens.ndim != 2 or tokens.shape[0] < 1 or tokens.shape[1] != 1:
-            raise ModelError(
-                f"decode batch expects (batch >= 1, 1) token ids, got {tokens.shape}"
-            )
-        self._check_requests(list(tokens), request_caches)
-        starts = np.array([caches[0].length for caches in request_caches])
-        if (starts + 1).max(initial=0) > self.config.max_seq_len:
-            raise ModelError(
-                f"a request would exceed max_seq_len {self.config.max_seq_len}"
-            )
-        tracer = active_scope().tracer
-        if tracer is not None:
-            tracer.begin("step.decode_batch", batch=tokens.shape[0])
-        with no_grad():
-            hidden = self.token_embedding(tokens).data
-            if self.position_embedding is not None:
-                hidden = hidden + self.position_embedding(starts[:, None]).data
-            for layer_index, block in enumerate(self.blocks):
-                layer_caches = [caches[layer_index] for caches in request_caches]
-                hidden = block.step_batch(hidden, layer_caches)
-            logits = self.lm_head.step(self.final_norm(hidden))
-        if tracer is not None:
-            tracer.end("step.decode_batch")
-        return logits
+        return self._forward(self._decode_lane(tokens, request_caches), None)[0]
 
     def forward_mixed_step(
         self,
@@ -315,33 +331,42 @@ class CausalLM(Module):
     ) -> tuple[list[np.ndarray], np.ndarray | None]:
         """Run prompt chunks and decodes for many requests in one step.
 
-        This is the chunked-prefill serving step, executed as two lanes
-        inside one invocation:
+        This is the chunked-prefill serving step: one layer loop
+        advances both row kinds together (:meth:`_forward`).
 
-        * the **chunk lane** (:meth:`_forward_chunk_lane`) flattens
-          every prompt chunk along the time axis into one ``(1, total,
-          d_model)`` pass and lands every position's K/V, but computes
-          logits only for the trailing rows each segment samples
-          (``sample_rows``); its logits match a monolithic prefill of
-          the same prompt only to within BLAS accumulation-order
-          differences (1e-6 to 1e-4 at logit scale ~4), not bitwise,
-          and its tokens agree (pinned across chunk budgets and tails
-          by the chunked-prefill tests);
-        * the **decode lane** is :meth:`forward_decode_batch`, keeping
-          each decode row bitwise identical to sequential decoding.
+        * The **prompt chunks** flatten along the time axis into one
+          ``(1, total, d_model)`` lane that lands every position's K/V
+          but computes logits only for the trailing rows each segment
+          samples (``sample_rows``).  Their logits match a monolithic
+          prefill of the same prompt only to within BLAS
+          accumulation-order differences (1e-6 to 1e-4 at logit scale
+          ~4), not bitwise, and their tokens agree (pinned across chunk
+          budgets and tails by the chunked-prefill tests).
+        * The **decode rows** are a ``(batch, 1, d_model)`` lane, each
+          row bitwise identical to :meth:`forward_decode_batch` and to
+          sequential decoding.
 
-        The two lanes deliberately do *not* share one GeMM: OpenBLAS
-        may give a row different bits at different GeMM heights (a
-        K = 768 projection changes between ``M <= 5`` and ``M >= 6``),
-        and the chunk lane's height is the step's chunk-token count,
-        which varies.  Decode rows run in
+        Inside every layer, each projection — fused QKV, O, the FFN's,
+        then the LM head — runs the decode rows first, in
         :meth:`~repro.llm.layers.Linear.step`'s fixed ``ROW_TILE``-row
-        tiles instead, the height sequential decode uses, so every
-        decode row stays bitwise.  A cache set named twice across the
-        two lanes is rejected before any layer runs, and the chunk lane
-        runs *first*: if it raises, no decode cache has been touched,
-        so the engine can release the chunk participants' caches and
-        recover.
+        tiles, which stream the weight once without packing it, and then
+        the chunk's flat GEMM, which packs it while it is still in
+        cache, so a mixed step reads each weight from memory once
+        rather than once per lane.  The lanes never share a GEMM:
+        OpenBLAS may give a row different bits at different GEMM
+        heights (a K = 768 projection changes between ``M <= 5`` and
+        ``M >= 6``), and the chunk's height is the step's chunk-token
+        count, which varies.  Each GEMM keeps the shape and the input
+        it has when its lane runs alone, so running the lanes together
+        changes only the call order, never a bit: every decode row and
+        every chunk row equals the same call without the other lane.
+        The attention bodies stay per lane
+        (:meth:`~repro.llm.attention.MultiHeadAttention.step_batch`,
+        :meth:`~repro.llm.attention.MultiHeadAttention.step_mixed`).
+        Every input is checked, and a cache set named twice across the
+        lanes is rejected, before any layer runs; a failure inside a
+        layer may leave K/V rows of both lanes behind, which the engine
+        rolls back.
 
         Args:
             chunk_groups: per chunked request, a 1-D array of prompt
@@ -350,7 +375,7 @@ class CausalLM(Module):
             chunk_caches: per chunked request, the per-layer cache list
                 to extend, aligned with ``chunk_groups``.
             decode_tokens: optional ``(batch, 1)`` next-token ids for
-                the decode lane.
+                the decode rows.
             decode_caches: per decode request, the per-layer cache
                 list (required when ``decode_tokens`` is given).
             sample_rows: per chunked request, how many of its trailing
@@ -363,35 +388,55 @@ class CausalLM(Module):
             ``(chunk_logits, decode_logits)`` — per chunk, plain-numpy
             logits ``(sampled, vocab)`` for its last ``sampled`` rows;
             decode logits ``(batch, 1, vocab)`` or ``None`` when the
-            decode lane is empty.
+            step has no decode rows.
         """
         if not chunk_groups and decode_tokens is None:
             raise ModelError("mixed step needs at least one chunk or decode")
         self._check_distinct(list(chunk_caches) + list(decode_caches or []))
-        chunk_logits = self._forward_chunk_lane(chunk_groups, chunk_caches, sample_rows)
-        decode_logits = None
+        chunk = self._chunk_lane(chunk_groups, chunk_caches, sample_rows)
+        if chunk is None:
+            # A step of decode rows alone is the decode-only entry.
+            return [], self.forward_decode_batch(decode_tokens, decode_caches or [])
+        decode = None
         if decode_tokens is not None:
-            decode_logits = self.forward_decode_batch(
-                decode_tokens, decode_caches or []
-            )
+            decode = self._decode_lane(decode_tokens, decode_caches or [])
+        decode_logits, chunk_logits = self._forward(decode, chunk)
         return chunk_logits, decode_logits
 
-    def _forward_chunk_lane(
+    def _decode_lane(
+        self, tokens: np.ndarray, request_caches: list[list[KVCache]]
+    ) -> _Lane:
+        """Check a step's decode rows: one next token per request."""
+        tokens = np.asarray(tokens)
+        if tokens.ndim != 2 or tokens.shape[0] < 1 or tokens.shape[1] != 1:
+            raise ModelError(
+                f"decode batch expects (batch >= 1, 1) token ids, got {tokens.shape}"
+            )
+        self._check_requests(list(tokens), request_caches)
+        starts = np.array([caches[0].length for caches in request_caches])
+        if (starts + 1).max(initial=0) > self.config.max_seq_len:
+            raise ModelError(
+                f"a request would exceed max_seq_len {self.config.max_seq_len}"
+            )
+        return _Lane(tokens, starts[:, None], request_caches)
+
+    def _chunk_lane(
         self,
         chunk_groups: list[np.ndarray],
         chunk_caches: list[list[KVCache]],
-        sample_rows: list[int] | None = None,
-    ) -> list[np.ndarray]:
-        """Flat-GeMM pass over every prompt chunk of a mixed step.
+        sample_rows: list[int] | None,
+    ) -> _Lane | None:
+        """Check a step's prompt chunks and flatten them into one lane.
 
-        Every layer but the last runs over every position.  The last
-        splits (:meth:`TransformerBlock.step_mixed` with ``rows``): its
-        key/value side — attention norm, fused QKV, rotary on K, codec
-        and cache append — still covers every position, while its query
-        side — attention, O, residual, FFN, final norm and LM head —
-        runs only for the rows a segment samples, one decode-shaped row
-        each.  A partial prompt chunk that samples ``0`` rows therefore
-        lands its K/V and returns ``(0, vocab)``.
+        ``None`` when the step has none.  The lane's ``rows`` are the
+        flat positions the last layer runs queries for: each segment's
+        last ``sample_rows`` rows.  That layer's key/value side —
+        attention norm, fused QKV, rotary on K, codec and cache append
+        — still covers every position, while its query side —
+        attention, O, residual, FFN, final norm and LM head — runs only
+        for those rows, one decode-shaped row each.  A partial prompt
+        chunk that samples ``0`` rows therefore lands its K/V and
+        returns ``(0, vocab)``.
         """
         groups = [np.asarray(group) for group in chunk_groups]
         if any(group.ndim != 1 or group.shape[0] < 1 for group in groups):
@@ -407,7 +452,7 @@ class CausalLM(Module):
                 f"{len(groups)} chunks a count in [0, its length {lengths}]"
             )
         if not groups:
-            return []
+            return None
         self._check_requests(groups, chunk_caches)
         starts = [caches[0].length for caches in chunk_caches]
         if max(
@@ -422,32 +467,80 @@ class CausalLM(Module):
         rows = np.flatnonzero(
             np.arange(ends[-1]) >= np.repeat(ends - sample_rows, lengths)
         )
-        flat = np.concatenate(groups)[None, :]  # (1, total)
+        return _Lane(
+            np.concatenate(groups)[None, :],  # (1, total)
+            # Shared with the attention layers' rotary gather: one
+            # memoized build per step, not one per consumer.
+            chunk_positions(starts, lengths),
+            chunk_caches,
+            lengths,
+            rows,
+            sample_rows,
+        )
+
+    def _forward(
+        self, decode: _Lane | None, chunk: _Lane | None
+    ) -> tuple[np.ndarray | None, list[np.ndarray]]:
+        """The model's one serving layer loop, over a step's two lanes.
+
+        Serves decode-only steps (:meth:`forward_decode_batch`),
+        chunk-only ones (:meth:`forward_step`) and mixed ones
+        (:meth:`forward_mixed_step`): each layer is one
+        :meth:`TransformerBlock.step` over both lanes, the last sampling
+        the chunk's ``rows``.  Returns the decode rows' logits
+        ``(batch, 1, vocab)`` (``None`` without decode rows) and per
+        chunk its sampled rows' logits ``(sampled, vocab)``.
+        """
         tracer = active_scope().tracer
         if tracer is not None:
-            tracer.begin(
-                "step.prefill_chunks",
-                chunks=len(groups),
-                tokens=int(flat.shape[1]),
-            )
+            if chunk is not None:
+                tracer.begin(
+                    "step.prefill_chunks",
+                    chunks=len(chunk.caches),
+                    tokens=int(chunk.ids.shape[1]),
+                )
+            if decode is not None:
+                tracer.begin("step.decode_batch", batch=decode.ids.shape[0])
+        lanes = [decode, chunk]
+        lengths = [] if chunk is None else chunk.lengths
         with no_grad():
-            hidden = self.token_embedding(flat).data
-            if self.position_embedding is not None:
-                # Shared with the attention layers' rotary gather: one
-                # memoized build per mixed step, not one per consumer.
-                positions = chunk_positions(starts, lengths)
-                hidden = hidden + self.position_embedding(positions).data
-            *front, last = self.blocks
-            for layer_index, block in enumerate(front):
-                layer_caches = [caches[layer_index] for caches in chunk_caches]
-                hidden = block.step_mixed(hidden, layer_caches, lengths)
-            last_caches = [caches[-1] for caches in chunk_caches]
-            hidden = last.step_mixed(hidden, last_caches, lengths, rows)
-            # (sampled, 1, vocab)
-            logits = self.lm_head.step(self.final_norm(hidden))
+            hidden = [
+                None if lane is None else self._embed_lane(lane) for lane in lanes
+            ]
+            last = len(self.blocks) - 1
+            for layer_index, block in enumerate(self.blocks):
+                hidden = block.step(
+                    hidden,
+                    [
+                        None
+                        if lane is None
+                        else [caches[layer_index] for caches in lane.caches]
+                        for lane in lanes
+                    ],
+                    lengths,
+                    None if layer_index < last or chunk is None else chunk.rows,
+                )
+            decode_logits, chunk_logits = each(
+                self.lm_head.step, each(self.final_norm, hidden)
+            )
         if tracer is not None:
-            tracer.end("step.prefill_chunks")
-        return np.split(logits[:, 0, :], np.cumsum(sample_rows)[:-1])
+            if decode is not None:
+                tracer.end("step.decode_batch")
+            if chunk is not None:
+                tracer.end("step.prefill_chunks")
+        if chunk is None:
+            return decode_logits, []
+        # (sampled, 1, vocab) -> per chunk (its sampled rows, vocab)
+        return decode_logits, np.split(
+            chunk_logits[:, 0, :], np.cumsum(chunk.sample_rows)[:-1]
+        )
+
+    def _embed_lane(self, lane: _Lane) -> np.ndarray:
+        """A lane's token (plus learned position) embeddings, plain numpy."""
+        hidden = self.token_embedding(lane.ids).data
+        if self.position_embedding is not None:
+            hidden = hidden + self.position_embedding(lane.positions).data
+        return hidden
 
     def _check_requests(
         self, ids: list[np.ndarray], request_caches: list[list[KVCache]]

@@ -46,8 +46,10 @@ The engine has one serving lane; two sizes shape it:
   still differ from monolithic ones in the low bits (BLAS blocks a
   few-row product differently from the same rows of a taller one), and
   the tests pin that tokens agree across chunk budgets.  Inside the
-  one model call, decode rows keep their own batched GeMMs (see
-  ``forward_mixed_step`` for why they must not share the chunks').
+  one model call, decode rows and chunks advance through the layers
+  together and read each projection weight once, but every GeMM stays
+  one lane's own (see ``forward_mixed_step`` for why a decode row must
+  not share the chunks').
 * **The paged KV pool** (:mod:`repro.serve.kvpool`, ``kv_pool_blocks``
   blocks of ``kv_block_size`` positions) holds every request's KV:
   requests sharing a prompt prefix map the same physical blocks
@@ -87,10 +89,15 @@ because it shares the report's clock readings.
 
 The decode batch's projections run over a ``(batch, 1)`` token array
 in fixed ``ROW_TILE``-row GeMM tiles
-(:meth:`repro.llm.layers.Linear.step`); per layer, every request's K/V
-row lands in one batch append and attention runs one ``M == 1`` launch
-per request over its own exact-length history, read in place
+(:meth:`repro.llm.layers.Linear.step`), each right before the same
+projection's chunk GeMM when the step carries prompt chunks
+(:data:`repro.llm.layers.Lanes`); per layer, every request's K/V row
+lands in one batch append and attention runs one ``M == 1`` launch per
+request over its own exact-length history, read in place
 (:meth:`repro.llm.attention.MultiHeadAttention.step_batch`).
+A model failure mid-forward may therefore leave K/V of both row kinds
+behind; the engine rolls every decode row back to its pre-step length
+and every chunk participant back to waiting.
 
 Every emitted token is bitwise identical to what a sequential
 :func:`repro.llm.generation.generate` call would produce — the parity
@@ -759,15 +766,14 @@ class Engine:
             # Blanket-with-reraise, deliberately: an *unknown* failure
             # class mid-forward may have corrupted shared engine state,
             # so the engine must not absorb it — but it still rolls
-            # back what it provably can before propagating.  The chunk
-            # lane runs before the decode lane, so a failure there
-            # leaves decode caches untouched; releasing the chunk
-            # participants' partial caches puts them back to a clean
-            # un-prefilled waiting state (no pool blocks leak).  Earlier
-            # waves already committed consistent states (completed or
-            # half-prefilled).
-            for run in runs:
-                self._rollback_chunk(run.state)
+            # back what it provably can before propagating.  Decode
+            # rows and chunks advance through the layers together, so
+            # a failure in any layer may have landed K/V of both:
+            # every decode row returns to its watermark and every
+            # chunk participant to a clean un-prefilled waiting state
+            # (no pool blocks leak).  Earlier waves already committed
+            # consistent states (completed or half-prefilled).
+            self._rollback_wave(runs, decodes, watermarks)
             raise
         if decode_logits is not None:
             self._commit_decodes(decodes, watermarks, decode_logits, tally)
@@ -1257,9 +1263,6 @@ class Engine:
         an unattributed fault counts as one batch retry — the whole
         step simply replays next tick, bitwise.
         """
-        for state, length in zip(decodes, watermarks):
-            assert state.kv is not None  # every decode holds its sequence
-            state.kv.rollback(length)
         victim: RequestState | None = None
         if fault.request_id is not None:
             for state in itertools.chain(
@@ -1268,13 +1271,30 @@ class Engine:
                 if state.request.request_id == fault.request_id:
                     victim = state
                     break
-        for run in runs:
-            if run.state is not victim:
-                self._rollback_chunk(run.state)
+        self._rollback_wave(runs, decodes, watermarks, keep=victim)
         if victim is None:
             self._fault_retries += 1
             return
         self._handle_request_fault(victim, fault)
+
+    def _rollback_wave(
+        self,
+        runs: list[_ChunkRun],
+        decodes: list[RequestState],
+        watermarks: list[int],
+        keep: RequestState | None = None,
+    ) -> None:
+        """Undo a wave's forward: decode KV to its watermarks, chunks to waiting.
+
+        ``keep`` names a chunk participant the caller handles itself
+        (an injected fault's victim).
+        """
+        for state, length in zip(decodes, watermarks):
+            assert state.kv is not None  # every decode holds its sequence
+            state.kv.rollback(length)
+        for run in runs:
+            if run.state is not keep:
+                self._rollback_chunk(run.state)
 
     # -- paged KV pool paths ----------------------------------------------
 

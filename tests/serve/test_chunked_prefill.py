@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError
+from repro.llm.attention import MultiHeadAttention
 from repro.llm.config import ModelConfig, tiny_test_config
 from repro.llm.generation import generate
 from repro.llm.kv_quant import KVFormat
@@ -295,6 +296,62 @@ class TestMixedSteps:
         assert engine._pool.free_blocks == free_before  # no block leak
         done = finished_results(engine, [short, chunked], max_steps=50)
         assert sorted(done) == [0, 1]
+
+    @pytest.mark.parametrize("family", ["opt", "llama"])
+    def test_late_layer_chunk_failure_rolls_back_decode_rows(
+        self, model, llama, family, monkeypatch
+    ):
+        # Decode rows and chunks advance through the layers together,
+        # so a failure in a chunk row of the last layer finds every
+        # decode row's K/V already landed in every layer.  The engine
+        # must roll each decode row back to its pre-step length and
+        # release the chunk before re-raising; afterwards it serves
+        # everyone bitwise and leaks no block.
+        model = {"opt": model, "llama": llama}[family]
+        rng = np.random.default_rng(12)
+        prompts = [rng.integers(0, 256, size=n) for n in (3, 4, 30)]
+        engine = Engine(
+            model,
+            chunked_config(max_batch_tokens=8, kv_pool_blocks=32, kv_block_size=4),
+        )
+        params = SamplingParams(max_new_tokens=6)
+        handles = [engine.submit(prompt, params) for prompt in prompts[:2]]
+        engine.step()
+        running = list(engine._running)
+        assert len(running) == 2
+        lengths = [[cache.length for cache in state.kv.caches] for state in running]
+        assert all(len(set(layers)) == 1 for layers in lengths)
+        free_before = engine._pool.free_blocks
+        handles.append(engine.submit(prompts[2], params))
+
+        last = model.blocks[-1].attention
+        real = MultiHeadAttention.step_mixed
+
+        def failing(self, *args, **kwargs):
+            if self is last:
+                raise RuntimeError("late-layer chunk failure")
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(MultiHeadAttention, "step_mixed", failing)
+        with pytest.raises(RuntimeError, match="late-layer"):
+            engine.step()
+        monkeypatch.undo()
+
+        after = [[cache.length for cache in state.kv.caches] for state in running]
+        assert after == lengths
+        assert [state.context_length for state in running] == [
+            layers[0] for layers in lengths
+        ]
+        (waiting,) = engine._waiting
+        assert waiting.status is RequestStatus.WAITING
+        assert waiting.kv is None and waiting.prefill_pos == 0
+        assert engine._pool.free_blocks == free_before
+        done = finished_results(engine, handles, max_steps=50)
+        assert sorted(done) == [0, 1, 2]
+        assert engine._pool.leaked_blocks() == 0
+        for prompt, handle in zip(prompts, handles):
+            expected = generate(model, prompt, 6).tokens
+            np.testing.assert_array_equal(done[handle.request_id].tokens, expected)
 
     def test_half_prefilled_request_preempted_under_pool_pressure(self, model):
         # Decode growth outranks a half-prefilled prompt: when the pool

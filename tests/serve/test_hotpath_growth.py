@@ -438,7 +438,8 @@ class TestStoredFormCrossing:
     def decode(
         attention: MultiHeadAttention, x: np.ndarray, caches: list[KVCache]
     ) -> np.ndarray:
-        return attention.step_batch(x, caches)
+        qkv, _ = attention.project_qkv([x, None])
+        return attention.step_batch(qkv, caches)
 
     def assert_saturated(self, history, length: int) -> None:
         for array in history:
@@ -455,16 +456,14 @@ class TestStoredFormCrossing:
             assert np.isfinite(attention._attention_core(q, *history, 0)).all()
         self.assert_saturated(gather_reference(sequence, 0, 3), 3)
 
-    def test_fp16_decode_append_saturates(self, monkeypatch):
+    def test_fp16_decode_append_saturates(self):
         sequence, unpaged = self.layer_caches("fp16")
         attention = self.attention()
         # Projections the layer cannot produce from small weights:
         # K and V rows of +-1e5, which overflow float16.
         huge = np.concatenate([self.huge_rows(1)] * 2)
         qkv = np.stack([np.ones_like(huge), huge, huge])
-        monkeypatch.setattr(attention, "_project_qkv", lambda x: qkv)
-        x = np.zeros((2, 1, HEADS * HEAD_DIM), dtype=np.float32)
-        out = self.decode(attention, x, [unpaged, sequence.caches[0]])
+        out = attention.step_batch(qkv, [unpaged, sequence.caches[0]])
         assert np.isfinite(out).all()
         for cache in (unpaged, sequence.caches[0]):
             self.assert_saturated(cache.view(), 1)
@@ -481,7 +480,8 @@ class TestStoredFormCrossing:
         for length in (5, 3):
             x = rng.normal(size=(1, length, HEADS * HEAD_DIM)).astype(np.float32)
             for cache in (paged, unpaged):
-                attention.step_mixed(x, [cache], [length])
+                _, qkv = attention.project_qkv([None, x])
+                attention.step_mixed(qkv, [cache], [length])
         for _ in range(3):
             x = rng.normal(size=(1, 1, HEADS * HEAD_DIM)).astype(np.float32)
             self.decode(attention, np.repeat(x, 2, axis=0), [paged, unpaged])

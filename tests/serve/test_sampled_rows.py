@@ -130,7 +130,7 @@ class TestSampledRows:
 
         def last_layer(rows):
             caches = [model.new_cache()[-1] for _ in lengths]
-            return last.step_mixed(hidden, caches, lengths, rows)
+            return last.step([None, hidden], [None, caches], lengths, rows)[1]
 
         every = last_layer(np.arange(sum(lengths)))
         assert every.shape == (sum(lengths), 1, model.config.d_model)

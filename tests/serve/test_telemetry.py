@@ -365,13 +365,15 @@ class TestEngineTracing:
             "step.schedule",
             "step.preempt",
             "step.prefill_chunks",
-            "step.decode_batch",
             "step.sample",
             "step.swap_in",
         )
         assert span_parents == {
             "step": {None},
             **{name: {"step"} for name in lane_phases},
+            # A mixed step's decode rows run inside its chunks' layer
+            # loop; a decode-only step's run on their own.
+            "step.decode_batch": {"step", "step.prefill_chunks"},
             "decode.attention": {"step.decode_batch"},
             "decode.codec": {"step.decode_batch"},
         }
