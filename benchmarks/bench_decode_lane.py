@@ -13,9 +13,10 @@ layers, d_model 256, 4 heads of 64, block size 16):
   padded tile, batch 5 ends on a ragged one.
 
 Each case first checks its batched logits, pool bytes and residency
-bitwise against the per-row path (sequential ``forward_step``: a
-one-token segment of the chunk lane, one ``append`` and one
-``_attention_core`` launch per row) on a twin pool, then times the
+bitwise against the per-row path (each row decoded alone, a
+``forward_decode_batch`` batch of one as sequential ``generate``
+decodes: one ``append`` and one ``_attention_core`` launch per row) on
+a twin pool, then times the
 batched step with every history rolled back between rounds.  Run with::
 
     python -m pytest benchmarks/bench_decode_lane.py --benchmark-only -q
@@ -78,7 +79,7 @@ def assert_matches_per_row(model, lengths, fmt, tokens):
     pool_b, per_row = prefilled(model, lengths, fmt)
     logits = model.forward_decode_batch(tokens, [s.caches for s in batched])
     for index, sequence in enumerate(per_row):
-        row = model.forward_step(tokens[index : index + 1], sequence.caches)
+        row = model.forward_decode_batch(tokens[index : index + 1], [sequence.caches])
         assert logits[index].tobytes() == row[0].tobytes()
     for left, right in zip(batched, per_row):
         for layer in range(CONFIG.n_layers):

@@ -704,21 +704,23 @@ class NoImportCycles(Rule):
 class MatmulsRouteThroughAttention(Rule):
     code = "RPL010"
     title = "no raw matmuls in serve/, no raw weight products in llm/ (lane discipline)"
-    rationale = "decode rows stay bitwise identical to sequential decode only if every kernel shape is fixed: projections run in Linear.step's ROW_TILE-row GEMM tiles, attention in _attention_core's one launch per row"
+    rationale = "a row's bits stay a function of its own request only if every kernel shape is fixed: projections run in Linear.step (ROW_TILE-row GEMM tiles, or one flat GEMM of at least min_rows rows), attention in _attention_core (one launch per decode row or ATTN_TILE chunk tile)"
     invariant = "lane discipline: serve/README.md 'Decode attention & lane discipline' (bitwise kernel-lane contract)"
     explain = (
         "BLAS picks its kernel by operand shape, and a row's bits can change\n"
         "with the kernel: OpenBLAS gives a row different bits as M == 1 (GeMV)\n"
         "than inside a GeMM, and a K = 768 projection changes bits between\n"
         "M <= 5 and M >= 6.  Inside a GeMM of fixed M a row's bits depend on\n"
-        "neither its co-rows nor its position.  So decode rows are bitwise\n"
-        "identical to sequential decode only where the serving math runs at\n"
-        "shapes fixed by construction:\n"
+        "neither its co-rows nor its position.  So a row's bits depend on its\n"
+        "own request alone only where the serving math runs at shapes fixed\n"
+        "by construction:\n"
         "  * every inference projection goes through Linear.step\n"
         "    (repro.llm.layers), which runs one-token rows as ROW_TILE-row\n"
-        "    GeMM tiles whether the batch holds one request or many;\n"
+        "    GeMM tiles whether the batch holds one request or many, and the\n"
+        "    flat prompt lane as one GeMM of at least the weight's min_rows;\n"
         "  * attention math goes through _attention_core, one M == 1 launch\n"
-        "    per decode row over its own history.\n"
+        "    per decode row over its own history, one launch per\n"
+        "    position-aligned ATTN_TILE tile of a prompt chunk.\n"
         "Findings: any @ / np.matmul / np.dot / np.einsum inside\n"
         "src/repro/serve (serve/ orchestrates, repro.llm computes), and any\n"
         "matmul with a '<...>.weight.data' operand in repro.llm outside\n"

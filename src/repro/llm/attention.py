@@ -20,13 +20,14 @@ cache (as in the paper), one layer loop serving two row kinds:
   one token for each of many requests, every row bitwise identical to
   that request decoded alone.
 * :meth:`MultiHeadAttention.step_mixed` — prompt chunks' attention
-  body: chunks of many requests flattened into one lane, attention
-  per segment.  In the model's last layer it lands every position's
-  K/V but runs queries only for the rows a caller samples, each
-  through the decode rows' per-row launch
-  (:meth:`MultiHeadAttention._attend_rows`).  Sequential
-  ``CausalLM.forward_step`` (:mod:`repro.llm.generation`) is this lane
-  with one segment, sampling every row.
+  body: chunks of many requests flattened into one lane, attention in
+  ``ATTN_TILE``-position tiles aligned to absolute position, so a
+  prompt row's bits depend only on its own request — never on chunk
+  boundaries or co-riders.  In the model's last layer it lands every
+  position's K/V but runs queries only for the rows a caller samples,
+  each through the decode rows' per-row launch
+  (:meth:`MultiHeadAttention._attend_rows`).  ``CausalLM.forward_step``
+  is this lane with one segment, sampling every row.
 """
 
 from __future__ import annotations
@@ -104,11 +105,11 @@ class AttentionDispatchStats:
     """Process-wide counter of attention kernel launches.
 
     ``dispatches`` counts :meth:`MultiHeadAttention._attention_core`
-    calls — one per decode row per layer, one per prefill segment in
-    every layer but the last, and one per sampled chunk row in the last
-    — so a step costs exactly ``layers x decode rows + (layers - 1) x
-    chunk segments + sampled rows`` dispatches (pinned in the
-    grouped-attention tests).
+    calls — one per decode row per layer, one per ``ATTN_TILE``-position
+    tile a prompt chunk touches in every layer but the last, and one
+    per sampled chunk row in the last — so a step costs ``layers x
+    decode rows + (layers - 1) x chunk tiles + sampled rows``
+    dispatches (pinned in the grouped-attention tests).
 
     The engine snapshots it around each step and reports the delta
     (``StepReport.attention_dispatches``), mirroring
@@ -191,11 +192,14 @@ def grow_buffer(
     kept: int,
     dtype: np.dtype,
 ) -> np.ndarray:
-    """Allocate a larger cache buffer, carrying over its logical prefix.
+    """Allocate a larger, zero-filled cache buffer, carrying over its prefix.
 
     The decode-ready residency's growth (:meth:`KVCache.write_through`),
     kept apart so the prefix-copy slicing and the ``copy_bytes``
-    accounting live in one place.
+    accounting live in one place.  Positions past ``kept`` read as
+    zeros: a chunk's attention tile reads keys up to its tile's end,
+    past the cache's length, and masks them (see
+    :meth:`KVCache.tile_view`).
 
     Args:
         buffer: current buffer, or None for a first allocation.
@@ -203,7 +207,7 @@ def grow_buffer(
         axis: the time axis being grown.
         kept: logical positions to carry over along ``axis``.
     """
-    grown = np.empty(shape, dtype=dtype)
+    grown = np.zeros(shape, dtype=dtype)
     if buffer is not None and kept:
         index = (slice(None),) * axis + (slice(0, kept),)
         grown[index] = buffer[index]
@@ -211,30 +215,33 @@ def grow_buffer(
     return grown
 
 
+#: Query positions per chunk-attention launch.  Tile ``a`` holds
+#: positions ``[a * ATTN_TILE, (a + 1) * ATTN_TILE)`` of one request
+#: and attends over keys ``[0, (a + 1) * ATTN_TILE)`` under one
+#: constant causal block, so every launch of a tile has one shape, and
+#: a row's bits are the same in every launch of its tile: whichever
+#: chunk holds it, whatever rides beside it.
+ATTN_TILE = 32
+
+
 def buffer_capacity(length: int, reserved: int, current: int, minimum: int) -> int:
     """Time-axis capacity for a buffer that must hold ``length`` positions.
 
-    A reservation that covers ``length`` is taken as-is — the buffer
-    then never regrows; without one (0) or once outgrown, capacity
-    doubles from ``current`` (at least ``minimum``) so growth copies
-    amortize.
+    A reservation that covers ``length`` is taken — the buffer then
+    never regrows; without one (0) or once outgrown, capacity doubles
+    from ``current`` (at least ``minimum``) so growth copies amortize.
+    Either way it rounds up to a whole number of :data:`ATTN_TILE`
+    positions, so the last tile a cache's positions touch fits.
     """
-    if reserved >= length:
-        return reserved
-    return max(length, minimum, 2 * current)
+    if reserved < length:
+        reserved = max(length, minimum, 2 * current)
+    return -(-reserved // ATTN_TILE) * ATTN_TILE
 
 
-# -- per-forward-pass memos ---------------------------------------------------
-#
-# Every layer of a forward pass asks for the same additive masks and
-# position ranges (all layers sit at the same cache lengths), so these
-# small module-level memos turn O(layers) identical constructions per
-# step into O(1).  Values are marked read-only: callers only ever add
-# or index them, never mutate.
-
-_CAUSAL_BLOCK: np.ndarray | None = None
-
-_CHUNK_POS_MEMO: tuple[tuple, np.ndarray] | None = None
+#: The one causal block every chunk tile adds to its last
+#: ``ATTN_TILE`` score columns; read-only.
+_CAUSAL_TILE = causal_mask(ATTN_TILE)
+_CAUSAL_TILE.setflags(write=False)
 
 
 def causal_block(new_len: int) -> np.ndarray | None:
@@ -251,24 +258,26 @@ def causal_block(new_len: int) -> np.ndarray | None:
     same reason the single-token decode case returns ``None`` (its
     block is one zero).
 
-    Memoized as one growing triangle: a causal mask's top-left corner
-    is the causal mask of the smaller size, so every ``new_len`` is a
-    view of the largest block built so far — no per-shape entries to
-    cap.  The side grows to the next power of two, so chunk sizes that
-    creep upward rebuild it O(log) times, not once per size, and the
-    block that stays pinned for the life of the process is under twice
-    the largest ``new_len`` ever asked for on a side (exactly
-    ``max_seq_len`` squared float32 after a full power-of-two prefill).
+    A read-only view of the one ``ATTN_TILE``-square block: launches
+    are one-row decodes or chunk tiles, so ``new_len`` never exceeds
+    the tile.
     """
     if new_len <= 1:
         return None
-    global _CAUSAL_BLOCK
-    block = _CAUSAL_BLOCK
-    if block is None or block.shape[0] < new_len:
-        block = causal_mask(1 << (new_len - 1).bit_length())
-        block.setflags(write=False)
-        _CAUSAL_BLOCK = block
-    return block[:new_len, :new_len]
+    if new_len > ATTN_TILE:
+        raise ModelError(f"a launch holds at most {ATTN_TILE} queries, got {new_len}")
+    return _CAUSAL_TILE[:new_len, :new_len]
+
+
+# -- per-forward-pass memos ---------------------------------------------------
+#
+# Every layer of a forward pass asks for the same position ranges (all
+# layers sit at the same cache lengths), so this small module-level
+# memo turns O(layers) identical constructions per step into O(1).
+# Values are marked read-only: callers only ever add or index them,
+# never mutate.
+
+_CHUNK_POS_MEMO: tuple[tuple, np.ndarray] | None = None
 
 
 def chunk_positions(starts: list[int], lengths: list[int]) -> np.ndarray:
@@ -384,6 +393,14 @@ def apply_rotary(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     return x * Tensor(cos) + _rotate_half(x) * Tensor(sin)
 
 
+def _read_only(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only aliases of writable residency buffers."""
+    readable = (keys.view(), values.view())
+    readable[0].setflags(write=False)
+    readable[1].setflags(write=False)
+    return readable
+
+
 def _rotate_half_np(x: np.ndarray) -> np.ndarray:
     half = x.shape[-1] // 2
     return np.concatenate([-x[..., half:], x[..., :half]], axis=-1)
@@ -392,7 +409,7 @@ def _rotate_half_np(x: np.ndarray) -> np.ndarray:
 #: Smallest time-axis capacity a residency is allocated with; single
 #: -token decode growth doubles from here instead of reallocating at
 #: every one of the first appends.
-_INITIAL_CAPACITY = 16
+_INITIAL_CAPACITY = ATTN_TILE
 
 
 class KVCache:
@@ -420,7 +437,10 @@ class KVCache:
     * **growth** — a reservation (``_reserved``, set by the paged
       subclass to ``prompt + max_new_tokens``) sizes the buffer once;
       without one, capacity doubles from :data:`_INITIAL_CAPACITY` so
-      growth copies amortize to O(1) per token;
+      growth copies amortize to O(1) per token.  Capacity is a whole
+      number of :data:`ATTN_TILE` positions and starts zero-filled, so
+      a chunk's attention tile reads its keys in place
+      (:meth:`tile_view`);
     * **truncate / release** — :meth:`truncate` drops positions and
       clamps the watermark (re-appending the same rows reproduces the
       same bytes); :meth:`release` frees the buffer.
@@ -450,6 +470,20 @@ class KVCache:
         self.length = 0
         self._filled = 0
         self._reserved = 0
+
+    def __setstate__(self, state: tuple) -> None:
+        """Restore a copied cache with ``_readable`` aliasing its own buffers.
+
+        ``copy.deepcopy`` copies ``_k`` / ``_v`` and the read-only
+        aliases as unrelated arrays, so a copy's reads would miss its
+        own later appends; the aliases are rebuilt from the copies.
+        """
+        attributes, slots = state if isinstance(state, tuple) else (state, None)
+        for part in (attributes, slots):
+            for name, value in (part or {}).items():
+                setattr(self, name, value)
+        if self._k is not None and self._v is not None:
+            self._readable = _read_only(self._k, self._v)
 
     def compress(self, tensor: np.ndarray) -> np.ndarray:
         """Write-side transform; must be row-local along leading axes.
@@ -526,11 +560,7 @@ class KVCache:
             shape = (k.shape[0], k.shape[1], capacity, k.shape[3])
             keys = self._k = grow_buffer(keys, shape, 2, start, np.float32)
             values = self._v = grow_buffer(values, shape, 2, start, np.float32)
-            readable = (keys.view(), values.view())
-            # The buffers stay writable for the next write-through.
-            readable[0].setflags(write=False)
-            readable[1].setflags(write=False)
-            self._readable = readable
+            self._readable = _read_only(keys, values)
         keys[:, :, start:end] = k
         values[:, :, start:end] = v
         # float32 residency: 4 bytes per landed key and value element.
@@ -551,6 +581,28 @@ class KVCache:
         if not 0 < length <= self._filled or readable is None:
             raise ModelError(f"read({length}) of a cache holding {self._filled}")
         return readable[0][:, :, :length], readable[1][:, :, :length]
+
+    def tile_view(self, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """The residency's first ``stop`` positions, past ``length`` too.
+
+        The chunk lane reads here, in place, right after :meth:`append`
+        landed every stored position: an attention tile's keys and
+        values (``stop`` a multiple of :data:`ATTN_TILE`) and a sampled
+        row's history.  What lies past ``length`` — zeros, or rows a
+        rollback dropped — is finite, and a tile's causal block masks
+        it to weight zero.
+        """
+        readable = self._readable
+        if (
+            readable is None
+            or self._filled < self.length
+            or stop > readable[0].shape[2]
+        ):
+            raise ModelError(
+                f"tile_view({stop}) of a cache holding {self._filled} of "
+                f"{self.length} positions"
+            )
+        return readable[0][:, :, :stop], readable[1][:, :, :stop]
 
     def truncate(self, length: int) -> None:
         """Roll the cache back to ``length`` positions (fault rollback).
@@ -732,15 +784,18 @@ class MultiHeadAttention(Module):
     # -- incremental decode path ------------------------------------------
 
     def project_qkv(self, lanes: Lanes) -> Lanes:
-        """QKV tap + fused projection per lane: ``(B, T, D)`` -> ``(3, B, H, T, hd)``.
+        """QKV tap + fused projection per lane, split into heads.
 
+        Decode rows ``(B, 1, D)`` become ``(3, B, H, 1, hd)``; the flat
+        chunk ``(T, D)`` becomes ``(3, 1, H, T, hd)``.
         The projection reads its weight once for every lane
         (:data:`~repro.llm.layers.Lanes`).
         """
 
         def split_heads(qkv: np.ndarray) -> np.ndarray:
-            batch, new_len, _ = qkv.shape
-            qkv = qkv.reshape(batch, new_len, 3, self.n_heads, self.head_dim)
+            # The flat chunk lane (T, 3D) is one batch row.
+            new_len = qkv.shape[-2]
+            qkv = qkv.reshape(-1, new_len, 3, self.n_heads, self.head_dim)
             return qkv.transpose(2, 0, 3, 1, 4)
 
         lanes = self.tap.quantize(TensorKind.QKV, lanes)
@@ -754,18 +809,19 @@ class MultiHeadAttention(Module):
         start: int,
         out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Masked softmax attention over one request's exact history.
+        """Masked softmax attention of one request's queries over its keys.
 
         ``q`` is ``(batch, heads, new, head_dim)``; ``keys``/``values``
-        hold ``start + new`` cached positions as :meth:`KVCache.view`
-        returns them (float32 / float32).  The whole pipeline — scores,
-        softmax, ``weights @ values`` — runs in float32 in place on the
-        one scores buffer, so no launch promotes or copies the history.
-        No padding is involved: scores span exactly the request's
-        history, which is what makes batched decode token-identical to
-        sequential decode.  ``out`` (a C-contiguous float32 buffer of
-        the context's shape) receives the context in place of a fresh
-        array; BLAS computes the same bits either way.
+        hold ``start + new`` positions as :meth:`KVCache.view` /
+        :meth:`KVCache.tile_view` return them (float32 / float32), the
+        last ``new`` under the causal block.  The whole pipeline —
+        scores, softmax, ``weights @ values`` — runs in float32 in place
+        on the one scores buffer, so no launch promotes or copies the
+        history.  A decode row (``new == 1``) scores exactly its
+        request's history; a chunk tile scores one fixed span.  ``out``
+        (a C-contiguous float32 buffer of the context's shape) receives
+        the context in place of a fresh array; BLAS computes the same
+        bits either way.
 
         The reductions call the ufuncs directly: ``ndarray.max`` /
         ``sum`` are the same reductions behind an extra Python frame,
@@ -811,7 +867,7 @@ class MultiHeadAttention(Module):
         )
 
     def project_out(self, contexts: Lanes) -> Lanes:
-        """O tap + output projection per lane of ``(B, T, D)`` contexts."""
+        """O tap + output projection per lane of contexts."""
         contexts = self.tap.quantize(TensorKind.O, contexts)
         return as_float32(each(self.out_proj.step, contexts))
 
@@ -921,7 +977,7 @@ class MultiHeadAttention(Module):
 
         Prompt chunks — a budget-sized slice of a long prompt, or a
         whole short prompt — are flattened along the time axis into one
-        ``(1, total, d_model)`` array, so the fused QKV projection
+        ``(total, d_model)`` lane, so the fused QKV projection
         (:meth:`project_qkv`) is a single GeMM over every prefill token
         of the step; this method takes that projection
         ``(3, 1, H, total, hd)`` and returns the attention context for
@@ -932,14 +988,22 @@ class MultiHeadAttention(Module):
         segment's cache — the prefix cache, later decodes and swap all
         read it.
 
-        The query side comes in two shapes:
+        Queries run in tiles aligned to absolute position: tile ``a`` of
+        a request holds its positions ``[a * ATTN_TILE, (a + 1) *
+        ATTN_TILE)`` — the segment's rows there, zeros elsewhere — and
+        attends in one launch over the cache's first ``(a + 1) *
+        ATTN_TILE`` keys, read in place (:meth:`KVCache.tile_view`),
+        under one constant causal block.  Keys past a row's own
+        position — later rows of the prompt, or the residency's zero
+        fill past the cache's length — get weight exactly zero.  Every
+        launch of a tile has one shape and a row's bits inside a launch
+        ignore its co-rows, so a prompt row gets the same bits whichever
+        chunk holds it and whatever rides beside it: chunked prefill is
+        bitwise a monolithic prefill.
 
-        * ``rows=None`` (every layer but the model's last): attention
-          runs once per segment against that request's exact-length
-          cache, the causal mask spanning ``cache_len + segment`` so
-          chunk queries see the whole cached history plus their own
-          prefix.  Returns ``(1, total, d_model)``, which the output
-          projection takes as one GeMM of height ``total``.
+        * ``rows=None`` (every layer but the model's last) runs every
+          tile the segments touch and returns ``(total, d_model)``,
+          which the output projection takes as one flat GeMM.
         * ``rows`` given (the last layer): only those flat positions
           run a query — one ``M == 1`` launch each over its causal
           history ``[:start + j + 1]``, through the decode rows'
@@ -948,21 +1012,6 @@ class MultiHeadAttention(Module):
           :meth:`~repro.llm.layers.Linear.step`'s ``ROW_TILE``-row
           tiles; a row's bits depend only on that row, so sampling one
           row equals the same row of a pass that samples every row.
-
-        Logits are *not* bitwise equal to the same rows of a monolithic
-        prefill: BLAS may accumulate a product of a few rows
-        differently from the same rows inside a taller one (OpenBLAS
-        does for an FFN down projection with K = 768 at 2–5 rows), and
-        a segment's attention reduces over ``cache_len + segment`` keys
-        rather than the whole prompt's, so chunk boundaries move logits
-        in the low bits (1e-6 to 1e-4 at logit scale ~4).  Tokens agree;
-        ``tests/serve/test_chunked_prefill.py`` pins token equality and
-        a logit tolerance across chunk budgets and tails.  Single-token
-        decodes run :meth:`step_batch` instead: this lane's GeMM height
-        is the step's chunk-token count, which varies, while a decode
-        row's bits are pinned to ``ROW_TILE``-row tiles.  A mixed step
-        runs both bodies in every layer, between projections that serve
-        both (see :meth:`repro.llm.transformer.CausalLM.forward_mixed_step`).
 
         Args:
             qkv: ``(3, 1, heads, total, head_dim)`` projected positions,
@@ -984,44 +1033,48 @@ class MultiHeadAttention(Module):
             raise ModelError(f"got {len(caches)} caches for {len(lengths)} segments")
         starts = [cache.length for cache in caches]
         positions = chunk_positions(starts, lengths)
-        q, k, v = qkv[0], qkv[1], qkv[2]  # (1, H, total, hd)
+        q, k, v = qkv[0, 0], qkv[1], qkv[2]  # q (H, total, hd), k / v (1, H, total, hd)
 
         if self.rotary is not None:
             cos, sin = self.rotary.gather(positions)  # (total, hd)
             k = k * cos + _rotate_half_np(k) * sin
 
-        histories: list[tuple[np.ndarray, np.ndarray]] = []
         offset = 0
         for cache, length in zip(caches, lengths):
             stop = offset + length
-            histories.append(
-                cache.append(k[:, :, offset:stop], v[:, :, offset:stop])
-            )
+            cache.append(k[:, :, offset:stop], v[:, :, offset:stop])
             offset = stop
 
+        owners = np.repeat(np.arange(len(lengths)), lengths)
         if rows is not None:
-            q = q[0][:, rows].transpose(1, 0, 2)[:, :, None, :]  # (R, H, 1, hd)
+            q = q[:, rows].transpose(1, 0, 2)[:, :, None, :]  # (R, H, 1, hd)
             if self.rotary is not None:
                 cos = cos[rows][:, None, None, :]
                 sin = sin[rows][:, None, None, :]
                 q = q * cos + _rotate_half_np(q) * sin
-            owners = np.repeat(np.arange(len(lengths)), lengths)[rows]
-            row_histories = [
-                (histories[owner][0][:, :, :end], histories[owner][1][:, :, :end])
-                for owner, end in zip(owners, positions[rows] + 1)
+            histories = [
+                caches[owner].tile_view(end)
+                for owner, end in zip(owners[rows], positions[rows] + 1)
             ]
-            return self._attend_rows(q, row_histories)
+            return self._attend_rows(q, histories)
 
         if self.rotary is not None:
             q = q * cos + _rotate_half_np(q) * sin
-        context = np.empty((1, self.n_heads, total, self.head_dim), dtype=np.float32)
-        offset = 0
-        for (keys, values), start, length in zip(histories, starts, lengths):
-            stop = offset + length
-            context[:, :, offset:stop] = self._attention_core(
-                q[:, :, offset:stop], keys, values, start
-            )
-            offset = stop
-        return context.transpose(0, 2, 1, 3).reshape(
-            batch, total, self.n_heads * self.head_dim
-        )
+        tiles, slots = np.divmod(positions, ATTN_TILE)
+        # A segment's rows are consecutive positions, so each (segment,
+        # tile) launch takes one contiguous stretch of the flat rows.
+        firsts = np.flatnonzero(
+            np.diff(owners, prepend=-1) | np.diff(tiles, prepend=-1)
+        ).tolist()
+        context = np.empty((total, self.n_heads, self.head_dim), dtype=np.float32)
+        tile_shape = (1, self.n_heads, ATTN_TILE, self.head_dim)
+        for first, stop in zip(firsts, [*firsts[1:], total]):
+            span = (int(tiles[first]) + 1) * ATTN_TILE
+            slot = int(slots[first])
+            tile_rows = slice(slot, slot + stop - first)
+            tile = np.zeros(tile_shape, dtype=np.float32)
+            tile[0, :, tile_rows] = q[:, first:stop]
+            keys, values = caches[owners[first]].tile_view(span)
+            out = self._attention_core(tile, keys, values, span - ATTN_TILE)
+            context[first:stop] = out[0, :, tile_rows].transpose(1, 0, 2)
+        return context.reshape(total, self.n_heads * self.head_dim)

@@ -8,8 +8,11 @@ The decoding recipe is a per-request :class:`repro.serve.SamplingParams`
 (temperature, top-k, nucleus top-p, stop tokens, seed).  :func:`generate`
 accepts either one directly (``params=``) or the equivalent scalar
 kwargs; the serving engine's batched decode uses the same
-:func:`select_next_token` on the same recipe, which is what makes the
-two paths token-bitwise identical.
+:func:`select_next_token` on the same recipe.  :func:`generate`
+prefills the prompt monolithically and decodes through the engine's
+decode lane, and a chunked prefill gives every prompt row the same
+bits as a monolithic one, so the two paths are token-bitwise
+identical however the engine chunks and batches a request.
 """
 
 from __future__ import annotations
@@ -145,7 +148,8 @@ def generate(
         )
     rng = np.random.default_rng(params.seed)
     caches = model.new_cache() if cache_factory is None else cache_factory()
-    # Only the prompt's last row is sampled; the rest only land K/V.
+    # A monolithic prefill: chunked ones give every prompt row the same
+    # bits.  Only the prompt's last row is sampled; the rest land K/V.
     logits = model.forward_mixed_step([prompt[0]], [caches], sample_rows=[1])[0][0]
 
     produced = [prompt[0]]
@@ -163,7 +167,8 @@ def generate(
             finish_reason = "stop"
             break
         if index + 1 < params.max_new_tokens:
-            logits = model.forward_step(np.array([[next_token]]), caches)[:, -1, :]
+            # The serving engine's decode lane, one row.
+            logits = model.forward_decode_batch(np.array([[next_token]]), [caches])[0]
     return GenerationResult(
         tokens=np.concatenate(produced),
         prompt_length=prompt.shape[1],

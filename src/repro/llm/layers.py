@@ -22,7 +22,7 @@ from repro.llm.autograd import Tensor, embedding_lookup
 Array = np.ndarray
 
 #: A serving step's activations per row kind: decode rows
-#: ``(B, 1, D)`` first, then the flat prompt chunk ``(1, total, D)``
+#: ``(B, 1, D)`` first, then the flat prompt chunk ``(total, D)``
 #: (or, in the last layer, its sampled rows ``(R, 1, D)``); a kind the
 #: step does not carry is ``None``.  A projection runs ``each`` lane's
 #: :meth:`Linear.step` back to back on one weight, decode rows first:
@@ -106,6 +106,31 @@ class Module:
 #: tiles cost it ~1 %.
 ROW_TILE = 2
 
+#: OpenBLAS (0.3.31, Haswell kernels) runs an ``(M, K) @ (K, N)``
+#: float32 GEMM with ``M * K * N <= _SMALL_GEMM`` on a small-matrix
+#: kernel.  That kernel gives a row the same bits as the blocked one
+#: when ``K <= _ONE_K_BLOCK`` and ``N`` is a multiple of ``_N_PANEL``,
+#: and other bits otherwise (measured at 2–2000 rows on a grid of K and
+#: N).  An ``M == 1`` product is a GEMV, which differs from both.
+_SMALL_GEMM = 10**6
+_ONE_K_BLOCK = 448
+_N_PANEL = 16
+
+
+def min_gemm_rows(in_features: int, out_features: int) -> int:
+    """Fewest rows from which a flat ``x @ W`` row's bits ignore the height.
+
+    From this height on, a row of a ``(M, in_features) @ (in_features,
+    out_features)`` product has the same bits at every ``M`` (and, as in
+    any GEMM, whatever its co-rows hold).  Two rows for most shapes; a
+    shape whose small-matrix kernel reorders the sum needs the first
+    height past it — 6 rows for a 768 -> 256 FFN down projection, 11 for
+    768 -> 128.  ``TestLayers`` pins it at heights 1–80.
+    """
+    if in_features <= _ONE_K_BLOCK and out_features % _N_PANEL == 0:
+        return 2
+    return max(2, _SMALL_GEMM // (in_features * out_features) + 1)
+
 
 def _parameter(array: Array) -> Tensor:
     return Tensor(np.asarray(array, dtype=np.float32), requires_grad=True)
@@ -131,6 +156,8 @@ class Linear(Module):
         self.bias = _parameter(np.zeros(out_features)) if bias else None
         self.in_features = in_features
         self.out_features = out_features
+        #: The flat lane's height floor (:func:`min_gemm_rows`).
+        self.min_rows = min_gemm_rows(in_features, out_features)
 
     def __call__(self, x: Tensor) -> Tensor:
         out = x @ self.weight
@@ -141,18 +168,31 @@ class Linear(Module):
     def step(self, x: Array) -> Array:
         """Inference projection on plain numpy: ``x @ W (+ b)``.
 
-        One-token rows — a ``(B, 1, K)`` input, the decode lane's shape
-        — are zero-padded to a multiple of :data:`ROW_TILE` and run as
-        one ``M == ROW_TILE`` GEMM per tile, so each weight pass serves
-        ``ROW_TILE`` rows instead of one ``M == 1`` GEMV per row.  A
-        row's bits inside a GEMM of fixed M depend neither on its
-        co-rows nor on its position, so a row decoded alone (one row
-        plus padding) and the same row inside any batch get identical
-        bits.  Multi-token inputs (prefill, the chunk lane) keep plain
-        ``x @ W``.
+        Two row kinds, each with a row's bits fixed whatever rides
+        beside it:
+
+        * One-token rows — a ``(B, 1, K)`` input: decode rows and a
+          prompt chunk's sampled rows — are zero-padded to a multiple of
+          :data:`ROW_TILE` and run as one ``M == ROW_TILE`` GEMM per
+          tile, so each weight pass serves ``ROW_TILE`` rows instead of
+          one ``M == 1`` GEMV per row.  A row's bits inside a GEMM of
+          fixed M depend neither on its co-rows nor on its position, so
+          a row decoded alone (one row plus padding) and the same row
+          inside any batch get identical bits.
+        * The flat prompt lane — a ``(T, K)`` input, even at ``T == 1``
+          — runs one GEMM of height ``max(T, min_rows)``, zero-padded
+          below the floor, so a prompt row has the same bits at every
+          chunk size and beside any co-riding chunk.
         """
         weight = self.weight.data
-        if x.ndim == 3 and x.shape[1] == 1:
+        if x.ndim == 2:
+            rows = x.shape[0]
+            if rows < self.min_rows:
+                padded = np.zeros((self.min_rows, x.shape[1]), dtype=x.dtype)
+                padded[:rows] = x
+                x = padded
+            out = (x @ weight)[:rows]
+        elif x.ndim == 3 and x.shape[1] == 1:
             rows, _, in_features = x.shape
             if rows % ROW_TILE:
                 padded = np.zeros(
@@ -163,7 +203,10 @@ class Linear(Module):
             out = x.reshape(-1, ROW_TILE, in_features) @ weight
             out = out.reshape(-1, 1, out.shape[-1])[:rows]
         else:
-            out = x @ weight
+            raise ModelError(
+                f"Linear.step takes flat (T, K) or one-token (B, 1, K) rows, "
+                f"got {x.shape}"
+            )
         if self.bias is not None:
             out += self.bias.data
         return out

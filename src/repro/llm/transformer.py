@@ -151,7 +151,7 @@ class TransformerBlock(Module):
 
         ``hidden`` holds the step's two lanes
         (:data:`~repro.llm.layers.Lanes`): decode rows ``(B, 1,
-        d_model)`` and the flat chunk ``(1, total, d_model)``, either
+        d_model)`` and the flat chunk ``(total, d_model)``, either
         ``None`` when the step carries none; ``caches`` holds this
         layer's caches per lane.  The lanes share every projection —
         fused QKV, O and the FFN's — each reading its weight once for
@@ -165,8 +165,8 @@ class TransformerBlock(Module):
         With ``rows`` (the model's last layer) every chunk position
         still lands its K/V, but only those flat positions run
         attention, the residual and the FFN, as ``(len(rows), 1,
-        d_model)`` rows in ``ROW_TILE``-row tiles — the decode rows'
-        arithmetic, so a row's bits depend only on that row.
+        d_model)`` rows in ``ROW_TILE``-row tiles, so a row's bits
+        depend only on that row.
         """
         attention = self.attention
         decode, chunk = attention.project_qkv(each(self.attn_norm, hidden))
@@ -177,7 +177,7 @@ class TransformerBlock(Module):
         attended = attention.project_out([decode, chunk])
         del decode, chunk
         if rows is not None:
-            hidden = [hidden[0], hidden[1][0, rows][:, None, :]]
+            hidden = [hidden[0], hidden[1][rows][:, None, :]]
         hidden = _residual(hidden, attended)
         del attended
         return _residual(hidden, self.ffn.step(each(self.ffn_norm, hidden)))
@@ -187,7 +187,7 @@ class TransformerBlock(Module):
 class _Lane:
     """One row kind of a serving step, checked and ready for the layer loop."""
 
-    #: Token ids: ``(batch, 1)`` decode rows or the ``(1, total)`` flat chunk.
+    #: Token ids: ``(batch, 1)`` decode rows or the ``(total,)`` flat chunk.
     ids: np.ndarray
     #: Position ids, broadcastable against ``ids``.
     positions: np.ndarray
@@ -270,11 +270,13 @@ class CausalLM(Module):
     ) -> np.ndarray:
         """Extend one request's cached decoding by ``tokens`` (``(1, new)`` ids).
 
-        A step with one prompt chunk that samples every row, so a chunk
-        that rides a step alone is bitwise equal to ``forward_step``
-        over the same boundaries, and each row equals the same row
+        A step with one prompt chunk that samples every row, so every
+        row — at any chunk boundary, even a one-token chunk — is bitwise
+        the same row of a monolithic prefill, and equals the same row
         sampled on its own (``forward_mixed_step(..., sample_rows=[1])``
-        for the last).  Returns plain-numpy logits ``(1, new, vocab)``.
+        for the last).  Decoding a sampled token runs the decode lane
+        instead (:meth:`forward_decode_batch`), as the serving engine
+        does.  Returns plain-numpy logits ``(1, new, vocab)``.
         """
         tokens = np.asarray(tokens)
         if tokens.ndim != 2 or tokens.shape[0] != 1:
@@ -300,9 +302,9 @@ class CausalLM(Module):
         ``ROW_TILE`` rows, each tile a GEMM of fixed height — and
         attention consults each request's own exact-length cache — so
         requests may sit at arbitrary, different positions.  Every row
-        of the result is bitwise identical to running that request alone
-        through :meth:`forward_step`, whose one row lands in the same
-        fixed-height tile (padded).
+        of the result is bitwise identical to decoding that request
+        alone (a batch of one, its row padded into the same tile), which
+        is how :func:`~repro.llm.generation.generate` decodes.
 
         Each layer lands every request's K/V row in one batch append
         and runs one ``M == 1`` attention launch per request over its
@@ -335,16 +337,19 @@ class CausalLM(Module):
         advances both row kinds together (:meth:`_forward`).
 
         * The **prompt chunks** flatten along the time axis into one
-          ``(1, total, d_model)`` lane that lands every position's K/V
-          but computes logits only for the trailing rows each segment
-          samples (``sample_rows``).  Their logits match a monolithic
-          prefill of the same prompt only to within BLAS
-          accumulation-order differences (1e-6 to 1e-4 at logit scale
-          ~4), not bitwise, and their tokens agree (pinned across chunk
-          budgets and tails by the chunked-prefill tests).
+          ``(total, d_model)`` lane that lands every position's K/V but
+          computes logits only for the trailing rows each segment
+          samples (``sample_rows``).  Every prompt row is bitwise the
+          same row of a monolithic prefill of its own prompt, whatever
+          the chunk boundaries and whatever rides in the step: each
+          flat projection runs one GEMM of at least the weight's
+          :attr:`~repro.llm.layers.Linear.min_rows` rows, from which
+          height on a row's bits ignore the height and the co-rows, and
+          attention runs in position-aligned tiles of one shape
+          (:meth:`~repro.llm.attention.MultiHeadAttention.step_mixed`).
         * The **decode rows** are a ``(batch, 1, d_model)`` lane, each
-          row bitwise identical to :meth:`forward_decode_batch` and to
-          sequential decoding.
+          row bitwise identical to :meth:`forward_decode_batch` of that
+          request alone.
 
         Inside every layer, each projection — fused QKV, O, the FFN's,
         then the LM head — runs the decode rows first, in
@@ -352,15 +357,10 @@ class CausalLM(Module):
         tiles, which stream the weight once without packing it, and then
         the chunk's flat GEMM, which packs it while it is still in
         cache, so a mixed step reads each weight from memory once
-        rather than once per lane.  The lanes never share a GEMM:
-        OpenBLAS may give a row different bits at different GEMM
-        heights (a K = 768 projection changes between ``M <= 5`` and
-        ``M >= 6``), and the chunk's height is the step's chunk-token
-        count, which varies.  Each GEMM keeps the shape and the input
-        it has when its lane runs alone, so running the lanes together
-        changes only the call order, never a bit: every decode row and
-        every chunk row equals the same call without the other lane.
-        The attention bodies stay per lane
+        rather than once per lane.  The lanes never share a GEMM, and
+        each GEMM keeps the shape and the input it has when its lane
+        runs alone, so running the lanes together changes only the call
+        order, never a bit.  The attention bodies stay per lane
         (:meth:`~repro.llm.attention.MultiHeadAttention.step_batch`,
         :meth:`~repro.llm.attention.MultiHeadAttention.step_mixed`).
         Every input is checked, and a cache set named twice across the
@@ -468,7 +468,7 @@ class CausalLM(Module):
             np.arange(ends[-1]) >= np.repeat(ends - sample_rows, lengths)
         )
         return _Lane(
-            np.concatenate(groups)[None, :],  # (1, total)
+            np.concatenate(groups),  # (total,)
             # Shared with the attention layers' rotary gather: one
             # memoized build per step, not one per consumer.
             chunk_positions(starts, lengths),
@@ -497,7 +497,7 @@ class CausalLM(Module):
                 tracer.begin(
                     "step.prefill_chunks",
                     chunks=len(chunk.caches),
-                    tokens=int(chunk.ids.shape[1]),
+                    tokens=int(chunk.ids.shape[0]),
                 )
             if decode is not None:
                 tracer.begin("step.decode_batch", batch=decode.ids.shape[0])

@@ -40,16 +40,15 @@ The engine has one serving lane; two sizes shape it:
   tracks progress; a half-prefilled request waits in the queue holding
   its partial cache until its final chunk completes and emits its
   first token; only that chunk samples logits (its last row), a
-  partial chunk just lands its K/V.  Attention masks span
-  ``cache_len + chunk``, so a chunk sees exactly the history a
-  monolithic prefill would; chunk logits
-  still differ from monolithic ones in the low bits (BLAS blocks a
-  few-row product differently from the same rows of a taller one), and
-  the tests pin that tokens agree across chunk budgets.  Inside the
-  one model call, decode rows and chunks advance through the layers
-  together and read each projection weight once, but every GeMM stays
-  one lane's own (see ``forward_mixed_step`` for why a decode row must
-  not share the chunks').
+  partial chunk just lands its K/V.  A chunk's rows get the bits of a
+  monolithic prefill's: its flat projections run GeMMs of at least
+  each weight's ``min_rows`` rows, and its attention runs in
+  position-aligned ``ATTN_TILE`` tiles of one shape, so no chunk
+  boundary and nothing co-riding moves a prompt row, and every request
+  equals sequential ``generate()`` bitwise.  Inside the one model call,
+  decode rows and chunks advance through the layers together and read
+  each projection weight once, but every GeMM stays one lane's own (see
+  ``forward_mixed_step``).
 * **The paged KV pool** (:mod:`repro.serve.kvpool`, ``kv_pool_blocks``
   blocks of ``kv_block_size`` positions) holds every request's KV:
   requests sharing a prompt prefix map the same physical blocks

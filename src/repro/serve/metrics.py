@@ -74,9 +74,11 @@ class StepReport:
             8 bytes per pair) this step (only the appended tail is
             converted).
         attention_dispatches: attention launches this step —
-            ``layers × decode rows + (layers − 1) × prefill chunks +
-            sampled chunk rows`` (a chunk's last layer launches once
-            per sampled row, so a partial chunk costs ``layers − 1``).
+            ``layers × decode rows + (layers − 1) × chunk tiles +
+            sampled chunk rows``, where a chunk's tiles are the
+            ``ATTN_TILE``-position tiles its positions touch (a chunk's
+            last layer launches once per sampled row, so a partial chunk
+            costs ``layers − 1`` launches per tile).
         kv_format_bytes: per-format split of the step's simulated KV
             traffic — ``((format_label, bytes), ...)`` sorted by label,
             where each request's KV reads+writes are attributed to its
@@ -130,8 +132,9 @@ class EngineMetrics:
             values, 8 bytes per pair; each stored position is converted
             once, not once per step).
         attention_dispatches: total attention launches — per step,
-            ``layers × decode rows + (layers − 1) × prefill chunks +
-            sampled chunk rows``.
+            ``layers × decode rows + (layers − 1) × chunk tiles +
+            sampled chunk rows`` (a chunk launches once per
+            ``ATTN_TILE``-position tile it touches).
         attention_grouped_requests: always 0.  Decode rows no longer
             share a stacked launch; the field stays because the
             serving ledger reads it.

@@ -1,5 +1,7 @@
 """Tests for layers, attention, transformer blocks and the causal LM."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,8 +33,9 @@ def _linears(module):
 
 
 def _tile_contract_layers():
-    """Every projection of a tiny OPT (biased) and tiny LLaMA, plus the
-    bench-llama decode shapes (QKV 256->768, O 256->256, D 768->256)."""
+    """Every projection of a tiny OPT (biased) and tiny LLaMA, the
+    bench-llama shapes (QKV 256->768, O 256->256, D 768->256) and the
+    chunk-boundary model's FFN down projection (768->128)."""
     rng = np.random.default_rng(7)
     layers = [
         pytest.param(
@@ -41,7 +44,7 @@ def _tile_contract_layers():
         for family in ("opt", "llama")
         for i, layer in enumerate(_linears(tiny_model(family)))
     ]
-    for k, n in ((256, 768), (256, 256), (768, 256)):
+    for k, n in ((256, 768), (256, 256), (768, 256), (768, 128)):
         layer = Linear(k, n, rng, bias=False)
         layers.append(pytest.param(layer, id=f"bench-{k}x{n}"))
     return layers
@@ -114,14 +117,46 @@ class TestLayers:
                 assert out[position].tobytes() == alone[0].tobytes(), (batch, position)
 
     @pytest.mark.parametrize("layer", _tile_contract_layers())
-    @pytest.mark.parametrize("shape", [(1, 2), (1, 7), (3, 5)])
-    def test_linear_step_multi_token_is_plain_matmul(self, layer, shape):
-        rng = np.random.default_rng(5)
-        x = rng.normal(0.0, 1.0, size=(*shape, layer.in_features)).astype(np.float32)
-        expected = x @ layer.weight.data
+    def test_linear_step_multi_token_is_plain_matmul(self, layer):
+        """The flat prompt lane's contract: a row of a ``(T, K)`` input
+        through ``Linear.step`` has the bits of the same row in a tall
+        plain ``x @ W (+ b)``, at every height T from 1 to 80 and
+        whatever its co-rows hold — so a prompt row ignores chunk sizes
+        and co-riders.  Plain products agree from the layer's
+        ``min_rows`` on; below a floor above 2 some height differs,
+        which is why ``step`` pads up to it."""
+        rng = np.random.default_rng(layer.in_features * 7 + layer.out_features)
         if layer.bias is not None:
-            expected = expected + layer.bias.data
-        assert layer.step(x).tobytes() == expected.tobytes()
+            layer.bias.data[...] = rng.normal(0.0, 0.5, size=layer.out_features)
+        weight = layer.weight.data
+
+        def plain(x):
+            out = x @ weight
+            return out if layer.bias is None else out + layer.bias.data
+
+        row = rng.normal(0.0, 1.0, size=layer.in_features).astype(np.float32)
+        tall = rng.normal(0.0, 1.0, size=(200, layer.in_features)).astype(np.float32)
+        tall[57] = row
+        expected = plain(tall)[57].tobytes()
+        below_floor = set()
+        for height in range(1, 81):
+            scale = rng.uniform(0.01, 50.0)
+            x = rng.normal(0.0, scale, size=(height, layer.in_features))
+            x = x.astype(np.float32)
+            position = int(rng.integers(height))
+            x[position] = row
+            out = layer.step(x)
+            assert out.shape == (height, layer.out_features)
+            assert out[position].tobytes() == expected, height
+            if height >= layer.min_rows:
+                assert plain(x)[position].tobytes() == expected, height
+            elif height >= 2:
+                below_floor.add(plain(x)[position].tobytes())
+        if layer.min_rows > 2:
+            assert below_floor - {expected}
+        # A (1, T, K) chunk is neither lane's shape.
+        with pytest.raises(ModelError, match="Linear.step"):
+            layer.step(np.zeros((1, 3, layer.in_features), np.float32))
 
     def test_embedding_range_check(self):
         emb = Embedding(10, 4, np.random.default_rng(3))
@@ -225,6 +260,23 @@ class TestKVCacheDecode:
         k = np.zeros((1, 2, 3, 4), np.float32)
         cache.append(k, k)
         assert cache.length == 3
+
+    def test_deep_copy_reads_its_own_appends(self):
+        # A copy's read-only aliases must view its own buffers, not
+        # copies of the original's: chunk tiles read the buffers in place.
+        cache = KVCache()
+        rows = np.arange(24, dtype=np.float32).reshape(1, 2, 3, 4)
+        cache.append(rows, -rows)
+        clone = copy.deepcopy(cache)
+        row = np.full((1, 2, 1, 4), 7.0, np.float32)
+        clone.append(row, -row)
+        keys, values = clone.view()
+        assert keys.shape == (1, 2, 4, 4)
+        assert keys[:, :, 3:].tobytes() == row.tobytes()
+        assert values[:, :, 3:].tobytes() == (-row).tobytes()
+        assert keys[:, :, :3].tobytes() == rows.tobytes()
+        keys, _ = cache.view()
+        assert cache.length == 3 and keys.shape[2] == 3
 
 
 #: Two layers, so a cache list one short still reaches a block.

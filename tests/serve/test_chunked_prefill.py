@@ -6,10 +6,9 @@ composition — and therefore latency — but **never** changes a token.
 Parity with sequential ``generate()`` is pinned across fp16 and anda
 formats, pool geometries, greedy and sampled decoding, tiny budgets
 (many chunks per prompt) and budgets covering every prompt.  Chunk
-*logits* are not bitwise equal to a monolithic prefill's (BLAS blocks a
-few-row product differently from the same rows of a taller one); what
-holds — equal tokens, logits within a stated tolerance — is pinned
-across chunk budgets and tails.  The
+*logits* are bitwise a monolithic prefill's, pinned across chunk
+budgets, tails, KV formats and co-riders, and every request of a
+preempting, sampled, mixed-format workload equals ``generate()``.  The
 scheduler side is pinned too: mixed steps keep decoding while a long
 prompt prefills (no head-of-line starvation), half-prefilled requests
 hold their residency slot, can be preempted under pool pressure, and
@@ -155,14 +154,6 @@ class TestChunkedParity:
         assert metrics.prefix_saved_bytes > 0
 
 
-#: Largest |chunked - monolithic| logit gap accepted.  Chunk boundaries
-#: move logits only through BLAS accumulation order (2.2e-5 at most, at
-#: logit scale ~4.6, on this model with OpenBLAS 0.3.31 on x86-64); a
-#: wrong mask, position or cache offset moves them by orders of
-#: magnitude more.
-CHUNK_LOGIT_ATOL = 1e-3
-
-
 @pytest.fixture(scope="module")
 def wide_llama():
     # The serving ledger's block shape (head_dim 64, FFN 768): a down
@@ -182,28 +173,131 @@ def wide_llama():
     )
 
 
-class TestChunkBoundaryLogits:
-    """What chunk boundaries may and may not change."""
+#: The serving ledger's model (``benchmarks/ledger``'s bench-llama).
+BENCH_LLAMA = ModelConfig(
+    name="bench-llama",
+    family="llama",
+    n_layers=4,
+    d_model=256,
+    n_heads=4,
+    ffn_dim=768,
+    vocab_size=256,
+    max_seq_len=1024,
+    seed=7,
+)
 
+KV_FORMATS = {"fp16": KVFormat.fp16(), "anda8": KVFormat.anda(8)}
+
+
+def assert_same_caches(left, right):
+    for ours, reference in zip(left, right):
+        assert ours.length == reference.length
+        for a, b in zip(ours.view(), reference.view()):
+            assert a.tobytes() == b.tobytes()
+
+
+class TestChunkBoundaryLogits:
+    """Chunk boundaries, co-riding chunks and decode rows move no bit."""
+
+    @pytest.mark.parametrize("kv", list(KV_FORMATS))
     @pytest.mark.parametrize("tail", range(1, 9))
     @pytest.mark.parametrize("budget", [16, 64, 128])
-    def test_tail_chunk_keeps_tokens_and_logits_close(self, wide_llama, budget, tail):
+    def test_tail_chunk_is_bitwise_monolithic(self, wide_llama, budget, tail, kv):
         model = wide_llama
-        prompt = np.random.default_rng(budget * 10 + tail).integers(
-            0, model.config.vocab_size, size=budget + tail
+        factory = KV_FORMATS[kv].cache_factory(model)
+        vocab = model.config.vocab_size
+        rng = np.random.default_rng(budget * 10 + tail)
+        prompt = rng.integers(0, vocab, size=budget + tail)
+        mono_caches = factory()
+        monolithic = model.forward_step(prompt[None], mono_caches)[0]
+        decoders = [factory(), factory()]
+        for caches, length in zip(decoders, (5, 40)):
+            model.forward_step(rng.integers(0, vocab, size=(1, length)), caches)
+        caches = factory()
+        head = model.forward_mixed_step([prompt[:budget]], [caches])[0][0]
+        # The tail rides with another request's chunk and two decode rows.
+        rider = rng.integers(0, vocab, size=budget // 2 + 3)
+        tail_logits, _ = model.forward_mixed_step(
+            [rider, prompt[budget:]],
+            [factory(), caches],
+            decode_tokens=np.array([[3], [4]]),
+            decode_caches=decoders,
         )
-        monolithic = model.forward_step(prompt[None], model.new_cache())[0]
-        caches = model.new_cache()
-        chunked = np.concatenate(
-            [
-                model.forward_mixed_step([part], [caches])[0][0]
-                for part in (prompt[:budget], prompt[budget:])
-            ]
+        chunked = np.concatenate([head, tail_logits[1]])
+        assert chunked.tobytes() == monolithic.tobytes()
+        assert_same_caches(caches, mono_caches)
+
+    def test_ledger_request_31_shape_is_bitwise_monolithic(self):
+        # The serving ledger's churn_mixed seed 5, request 31: 141
+        # prompt tokens, Anda(8) KV, served as chunks of 124 + 17 beside
+        # other requests.  A 2.7e-4 logit shift in its last prompt row
+        # flips its temperature-0.8 sample at token 18.
+        model = build_model(BENCH_LLAMA)
+        factory = KVFormat.anda(8).cache_factory(model)
+        rng = np.random.default_rng(31)
+        prompt = rng.integers(0, 256, size=141)
+        mono_caches = factory()
+        (monolithic,), _ = model.forward_mixed_step(
+            [prompt], [mono_caches], sample_rows=[1]
         )
-        np.testing.assert_array_equal(
-            chunked.argmax(axis=-1), monolithic.argmax(axis=-1)
+        decoder = factory()
+        model.forward_step(rng.integers(0, 256, size=(1, 30)), decoder)
+        caches = factory()
+        model.forward_mixed_step(
+            [rng.integers(0, 256, size=9), prompt[:124]],
+            [factory(), caches],
+            sample_rows=[1, 0],
         )
-        np.testing.assert_allclose(chunked, monolithic, rtol=0, atol=CHUNK_LOGIT_ATOL)
+        (chunked, _), _ = model.forward_mixed_step(
+            [prompt[124:], rng.integers(0, 256, size=6)],
+            [caches, factory()],
+            decode_tokens=np.array([[7]]),
+            decode_caches=[decoder],
+            sample_rows=[1, 1],
+        )
+        assert chunked.tobytes() == monolithic.tobytes()
+        assert_same_caches(caches, mono_caches)
+
+
+class TestEveryRequestIsGenerate:
+    """The exact oracle covers every request, not a sample."""
+
+    def test_preempting_mixed_format_sampled_workload(self, wide_llama):
+        # Chunked prompts (budget 40), fp16 and Anda(8) KV side by side,
+        # temperature-0.8 sampling and a pool small enough to preempt.
+        model = wide_llama
+        rng = np.random.default_rng(1)
+        requests = []
+        for index in range(12):
+            prompt = rng.integers(0, 256, size=int(rng.integers(20, 150)))
+            params = SamplingParams(
+                max_new_tokens=int(rng.integers(12, 40)),
+                temperature=0.8,
+                seed=100 + index,
+                kv_format=KV_FORMATS["anda8" if index % 2 else "fp16"],
+            )
+            requests.append((prompt, params))
+        engine = Engine(
+            model,
+            EngineConfig(
+                max_batch_tokens=40,
+                max_batch_size=6,
+                kv_pool_blocks=24,
+                kv_block_size=16,
+            ),
+        )
+        handles = [engine.submit(prompt, params) for prompt, params in requests]
+        engine.run_until_idle(max_steps=5000)
+        metrics = engine.metrics()
+        assert metrics.preemptions > 0 and metrics.partial_prefills > 0
+        for (prompt, params), handle in zip(requests, handles):
+            expected = generate(
+                model,
+                prompt,
+                params=params,
+                cache_factory=params.kv_format.cache_factory(model),
+            )
+            np.testing.assert_array_equal(handle.result().tokens, expected.tokens)
 
 
 class TestMixedSteps:

@@ -6,8 +6,9 @@ scatter per tensor into the pool — then runs every row's ``M == 1``
 ``_attention_core`` launch in one loop, writing each context row in
 place.  Each row must stay bitwise identical to the per-row path:
 ``append_precompressed`` (``SequenceKV.write``'s block loop) plus its
-own ``_attention_core`` launch, which is what sequential
-``forward_step`` runs.  These tests pin that property over ragged
+own ``_attention_core`` launch, which is what the row decoded alone —
+a ``forward_decode_batch`` batch of one, as sequential ``generate``
+decodes — runs.  These tests pin that property over ragged
 batches, formats, block boundaries and copy-on-write forks; the
 rollback of a fault that fires after the scatter; and the decode and
 chunk lanes' process-wide memos under two engines on two threads.
@@ -98,7 +99,7 @@ def written_slots(pool: KVPool, sequence: SequenceKV, layer: int):
 
 
 class TestBatchedDecodeBitwise:
-    """The batched lane against per-row ``forward_step`` on a twin pool."""
+    """The batched lane against each row decoded alone on a twin pool."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -140,7 +141,9 @@ class TestBatchedDecodeBitwise:
                 )
             with stats_scope(hot_b, AttentionDispatchStats()):
                 expected = [
-                    model.forward_step(tokens[index : index + 1], sequence.caches)
+                    model.forward_decode_batch(
+                        tokens[index : index + 1], [sequence.caches]
+                    )
                     for index, sequence in enumerate(per_row)
                 ]
             for index, row in enumerate(expected):
@@ -223,7 +226,7 @@ class TestBatchedDecodeBitwise:
         model.forward_step(np.arange(4)[None], twin_unpaged)
         twins = [twin_left[0].caches, twin_right[0].caches, twin_unpaged]
         for index, caches in enumerate(twins):
-            expected = model.forward_step(tokens[index : index + 1], caches)
+            expected = model.forward_decode_batch(tokens[index : index + 1], [caches])
             assert bitwise_equal(logits[index], expected[0])
 
 
@@ -332,7 +335,7 @@ class TestScatterFaultRollback:
 class TestTwoEnginesTwoThreads:
     """The attention module's process-wide memos under concurrent engines.
 
-    ``_CAUSAL_BLOCK``, ``_CHUNK_POS_MEMO``, ``_ROTARY_BUILD_MEMO`` and
+    ``_CHUNK_POS_MEMO``, ``_ROTARY_BUILD_MEMO`` and
     ``RotaryTable._gather_memo`` are shared by every engine in the
     process.  Engines with different chunk geometries on their own
     threads (more threads than the CI hosts' two cores), switching
@@ -365,7 +368,6 @@ class TestTwoEnginesTwoThreads:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(3):
-                monkeypatch.setattr(attention_module, "_CAUSAL_BLOCK", None)
                 monkeypatch.setattr(attention_module, "_CHUNK_POS_MEMO", None)
                 attention_module._ROTARY_BUILD_MEMO.clear()
                 results: dict[int, list[np.ndarray]] = {}

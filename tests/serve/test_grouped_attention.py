@@ -4,15 +4,15 @@ A decode step's attention runs one ``M == 1`` ``_attention_core``
 launch per request over its own decode-ready history, read in place,
 in one loop per layer.  The contract: emitted tokens (and the logits
 behind them) stay **bitwise** identical to decoding each request alone
-through ``forward_step``.  These tests pin it across the places it
-could crack:
+(a ``forward_decode_batch`` batch of one, as ``generate`` decodes).
+These tests pin it across the places it could crack:
 
 * the bucket planner the benchmark ledger's probe still calls (equal
   lengths group, distinct lengths never merge, degenerate inputs),
 * grouped decode parity for both KV modes and both storages, and the
   rotary family,
 * the launch count — one per (layer, decode row) plus one per
-  (layer, prefill chunk) — and the absence of history copies on the
+  (layer, prefill chunk tile) — and the absence of history copies on the
   steady decode path,
 * the engine, which must emit sequential ``generate()``'s tokens.
 
@@ -132,13 +132,13 @@ def decode_batch_logits(model, factory, prompts, steps):
 
 
 def per_request_logits(model, factory, prompts, steps):
-    """The oracle: each request decoded alone through ``forward_step``."""
+    """The oracle: each request decoded alone, a batch of one."""
     request_caches, tokens = prefill_all(model, factory, prompts)
     history = []
     for _ in range(steps):
         logits = np.concatenate(
             [
-                model.forward_step(np.array([[token]]), caches)
+                model.forward_decode_batch(np.array([[token]]), [caches])
                 for token, caches in zip(tokens, request_caches)
             ]
         )
@@ -274,7 +274,7 @@ class TestGroupedBitwiseParity:
         probed = model.forward_decode_batch(
             np.full((1, 1), 3), [twin], BucketedAttention()
         )
-        expected = model.forward_step(np.full((1, 1), 3), oracle)
+        expected = model.forward_decode_batch(np.full((1, 1), 3), [oracle])
         assert bitwise_equal(logits, expected)
         assert bitwise_equal(probed, expected)
 

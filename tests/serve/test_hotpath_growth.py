@@ -30,8 +30,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.llm import attention as attention_module
 from repro.llm.attention import (
+    ATTN_TILE,
     HOT_PATH_STATS,
     KVCache,
     MultiHeadAttention,
@@ -339,16 +339,19 @@ class TestWriteThroughScratch:
                 sequence.caches[0].append(random_kv(rng, 1), random_kv(rng, 1))
             grown[name] = HOT_PATH_STATS.copy_bytes - before
         assert grown["reserved"] == 0
-        assert grown["unreserved"] > 0  # doubling: 16 -> 32 -> 64
-        # The residency was sized to the reservation: the view's
-        # backing buffer holds exactly 40 positions.
+        assert grown["unreserved"] > 0  # doubling: 32 -> 64
+        # The residency was sized to the reservation rounded up to whole
+        # attention tiles: the view's backing buffer holds 64 positions.
+        assert ATTN_TILE == 32
         keys, values = reserved.caches[0].view()
-        assert keys.base.shape[2] == values.base.shape[2] == 40
+        assert keys.base.shape[2] == values.base.shape[2] == 64
         # A reservation is a hint, not a limit: outgrowing it falls
         # back to doubling and stays bitwise right.
-        reserved.caches[0].append(random_kv(rng, 3), random_kv(rng, 3))
+        reserved.caches[0].append(random_kv(rng, 25), random_kv(rng, 25))
+        keys, _ = reserved.caches[0].view()
+        assert keys.base.shape[2] == 128
         assert history_equal(
-            reserved.caches[0].read(43), gather_reference(reserved, 0, 43)
+            reserved.caches[0].read(65), gather_reference(reserved, 0, 65)
         )
 
 
@@ -478,7 +481,7 @@ class TestStoredFormCrossing:
         # Chunk appends (step_mixed: compress, then the float32 rows),
         # then decode appends (step_batch: the bulk float16 cast).
         for length in (5, 3):
-            x = rng.normal(size=(1, length, HEADS * HEAD_DIM)).astype(np.float32)
+            x = rng.normal(size=(length, HEADS * HEAD_DIM)).astype(np.float32)
             for cache in (paged, unpaged):
                 _, qkv = attention.project_qkv([None, x])
                 attention.step_mixed(qkv, [cache], [length])
@@ -497,21 +500,9 @@ class TestMaskMemo:
         block = causal_block(6)
         assert block is not None
         assert bitwise_equal(block, causal_mask(6))
-        # One growing triangle: every size is a view of the same memo.
+        # Every size is a view of the one read-only tile block.
         assert np.shares_memory(causal_block(6), causal_block(4))
-
-    def test_memo_grows_by_powers_of_two(self, monkeypatch):
-        # Creeping chunk sizes must not rebuild the triangle per size:
-        # one build covers every size up to the next power of two.
-        monkeypatch.setattr(attention_module, "_CAUSAL_BLOCK", None)
-        assert causal_block(5).base is attention_module._CAUSAL_BLOCK
-        built = attention_module._CAUSAL_BLOCK
-        assert built.shape == (8, 8)
-        for size in (6, 7, 8):
-            assert bitwise_equal(causal_block(size), causal_mask(size))
-            assert attention_module._CAUSAL_BLOCK is built
-        assert causal_block(9).shape == (9, 9)
-        assert attention_module._CAUSAL_BLOCK.shape == (16, 16)
+        assert not causal_block(6).flags.writeable
 
     def test_decode_mask_is_elided(self):
         # A single new token attends to its entire history: the
@@ -579,6 +570,8 @@ class TestBatchedLogitsBitwise:
     @pytest.mark.parametrize("family", ["opt", "llama"])
     @pytest.mark.parametrize("mode", KV_MODES)
     def test_decode_batch_logits_bitwise_equal_sequential(self, family, mode):
+        # Three requests at different positions, batched, against each
+        # decoded alone (a batch of one, as sequential generate decodes).
         model = build_model(tiny_test_config(family=family, seed=17))
         factory = (
             model.new_cache
@@ -586,18 +579,20 @@ class TestBatchedLogitsBitwise:
             else (lambda: [AndaKVCache(8) for _ in model.blocks])
         )
         rng = np.random.default_rng(5)
-        prompt = rng.integers(0, 255, size=(1, 11))
-        seq_caches, bat_caches = factory(), factory()
-        prefill_a = model.forward_step(prompt, seq_caches)
-        prefill_b = model.forward_step(prompt, bat_caches)
-        assert bitwise_equal(prefill_a, prefill_b)
-        token = np.array([[7]])
+        prompts = [rng.integers(0, 255, size=(1, n)) for n in (11, 4, 23)]
+        seq_caches = [factory() for _ in prompts]
+        bat_caches = [factory() for _ in prompts]
+        for prompt, left, right in zip(prompts, seq_caches, bat_caches):
+            prefill_a = model.forward_step(prompt, left)
+            prefill_b = model.forward_step(prompt, right)
+            assert bitwise_equal(prefill_a, prefill_b)
+        tokens = np.array([[7], [8], [9]])
         for _ in range(6):
-            sequential = model.forward_step(token, seq_caches)
-            # A batch of one: one row on the M == 1 path.
-            batched = model.forward_decode_batch(token, [bat_caches])
-            assert bitwise_equal(sequential[0, -1], batched[0, -1])
-            token = np.array([[int(np.argmax(sequential[0, -1]))]])
+            batched = model.forward_decode_batch(tokens, bat_caches)
+            for index, caches in enumerate(seq_caches):
+                alone = model.forward_decode_batch(tokens[index : index + 1], [caches])
+                assert bitwise_equal(alone[0, -1], batched[index, -1])
+            tokens = batched[:, -1].argmax(axis=-1)[:, None]
 
     @pytest.mark.parametrize("mode", KV_MODES)
     def test_mixed_chunk_logits_bitwise_equal_monolithic(self, mode):
@@ -686,7 +681,8 @@ class TestFloat32Pipeline:
         logits.append(model.forward_step(np.array([[5]]), second))
 
         assert [array.dtype for array in logits] == [np.float32] * len(logits)
-        # Per layer but the last: forward_step x2 and chunk segments x2;
+        # Per layer but the last: forward_step x2 and chunk segments x2,
+        # one attention tile each (every one inside positions [0, 32));
         # the last layer launches once per sampled row (7 + 1 + 5 + 6,
         # every row); decode rows x4 in every layer.
         n_layers = model.config.n_layers

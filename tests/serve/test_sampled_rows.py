@@ -125,7 +125,7 @@ class TestSampledRows:
         last = model.blocks[-1]
         rng = np.random.default_rng(13)
         lengths = [5, 4]
-        hidden = rng.normal(size=(1, sum(lengths), model.config.d_model))
+        hidden = rng.normal(size=(sum(lengths), model.config.d_model))
         hidden = hidden.astype(np.float32)
 
         def last_layer(rows):
