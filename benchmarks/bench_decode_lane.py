@@ -7,10 +7,12 @@ layers, d_model 256, 4 heads of 64, block size 16):
 
 * batch 16 at lengths 24–160, fp16 KV (``decode_fp16``'s steady state);
 * batch 8 at lengths 547–554, anda(8) KV (long shared-prefix decode);
-* batch 1 at length 64 and batch 5 at lengths 24–160, fp16 KV — the
-  small batches that pay for the projections' fixed ``ROW_TILE``-row
-  GEMM tiles (``repro.llm.layers.Linear.step``): batch 1 is one whole
-  padded tile, batch 5 ends on a ragged one.
+* batch 1 at length 64, and batches 5 and 7 at lengths 24–160, fp16
+  KV — the batches that end on the projections' zero-padded
+  ``ROW_TILE``-row tail (``repro.llm.layers.Linear.step``): batch 1 is
+  one padded 2-row tile, batch 5 one 4-row tile and a padded 2-row
+  one, batch 7 one 4-row tile, a full 2-row tile and a padded one.
+  Batches 8 and 16 run 4-row tiles only.
 
 Each case first checks its batched logits, pool bytes and residency
 bitwise against the per-row path (each row decoded alone, a
@@ -48,6 +50,7 @@ CASES = {
     "b8_len550_anda8": (547 + np.arange(8), KVFormat.anda(8)),
     "b1_len64_fp16": (np.array([64]), KVFormat.fp16()),
     "b5_len24-160_fp16": (np.linspace(24, 160, 5).astype(int), KVFormat.fp16()),
+    "b7_len24-160_fp16": (np.linspace(24, 160, 7).astype(int), KVFormat.fp16()),
 }
 
 

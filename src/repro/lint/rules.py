@@ -704,7 +704,7 @@ class NoImportCycles(Rule):
 class MatmulsRouteThroughAttention(Rule):
     code = "RPL010"
     title = "no raw matmuls in serve/, no raw weight products in llm/ (lane discipline)"
-    rationale = "a row's bits stay a function of its own request only if every kernel shape is fixed: projections run in Linear.step (ROW_TILE-row GEMM tiles, or one flat GEMM of at least min_rows rows), attention in _attention_core (one launch per decode row or ATTN_TILE chunk tile)"
+    rationale = "a row's bits stay a function of its own request only if every kernel shape is fixed: projections run in Linear.step (4-row GEMM tiles while four rows remain, then 2-row ones, or one flat GEMM of at least min_rows rows), attention in _attention_core (one launch per decode row or ATTN_TILE chunk tile)"
     invariant = "lane discipline: serve/README.md 'Decode attention & lane discipline' (bitwise kernel-lane contract)"
     explain = (
         "BLAS picks its kernel by operand shape, and a row's bits can change\n"
@@ -715,9 +715,11 @@ class MatmulsRouteThroughAttention(Rule):
         "own request alone only where the serving math runs at shapes fixed\n"
         "by construction:\n"
         "  * every inference projection goes through Linear.step\n"
-        "    (repro.llm.layers), which runs one-token rows as ROW_TILE-row\n"
-        "    GeMM tiles whether the batch holds one request or many, and the\n"
-        "    flat prompt lane as one GeMM of at least the weight's min_rows;\n"
+        "    (repro.llm.layers), which runs one-token rows as 4-row GeMM\n"
+        "    tiles while four rows remain and 2-row tiles after (heights at\n"
+        "    which a row gets the same bits, checked per weight), whether the\n"
+        "    batch holds one request or many, and the flat prompt lane as one\n"
+        "    GeMM of at least the weight's min_rows;\n"
         "  * attention math goes through _attention_core, one M == 1 launch\n"
         "    per decode row over its own history, one launch per\n"
         "    position-aligned ATTN_TILE tile of a prompt chunk.\n"

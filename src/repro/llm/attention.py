@@ -14,8 +14,8 @@ cache (as in the paper), one layer loop serving two row kinds:
 * :meth:`MultiHeadAttention.project_qkv` /
   :meth:`MultiHeadAttention.project_out` — the fused QKV and output
   projections for both row kinds of a step, each reading its weight
-  once: decode rows' ``ROW_TILE``-row tiles, then the chunk's flat
-  GeMM.
+  once: decode rows' fixed-height tiles (4 rows while four remain,
+  then 2), then the chunk's flat GeMM.
 * :meth:`MultiHeadAttention.step_batch` — decode rows' attention body:
   one token for each of many requests, every row bitwise identical to
   that request decoded alone.
@@ -1009,9 +1009,10 @@ class MultiHeadAttention(Module):
           history ``[:start + j + 1]``, through the decode rows'
           :meth:`_attend_rows`.  Returns ``(len(rows), 1, d_model)``,
           which the output projection takes in
-          :meth:`~repro.llm.layers.Linear.step`'s ``ROW_TILE``-row
-          tiles; a row's bits depend only on that row, so sampling one
-          row equals the same row of a pass that samples every row.
+          :meth:`~repro.llm.layers.Linear.step`'s one-token tiles (4
+          rows while four remain, then 2); a row's bits depend only on
+          that row, so sampling one row equals the same row of a pass
+          that samples every row.
 
         Args:
             qkv: ``(3, 1, heads, total, head_dim)`` projected positions,

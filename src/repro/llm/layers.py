@@ -25,15 +25,14 @@ Array = np.ndarray
 #: ``(B, 1, D)`` first, then the flat prompt chunk ``(total, D)``
 #: (or, in the last layer, its sampled rows ``(R, 1, D)``); a kind the
 #: step does not carry is ``None``.  A projection runs ``each`` lane's
-#: :meth:`Linear.step` back to back on one weight, decode rows first:
-#: their ``ROW_TILE``-row tiles stream the weight once without packing
-#: it, and the chunk's flat GEMM then packs it while it is still in
-#: cache — one weight read from memory per step instead of one per
-#: lane (a bench-llama 256 -> 768 projection of one 2-row tile costs
-#: about 32 µs with its weight in cache and 200–230 µs streaming it
-#: after a 64 MB pass; 2-core x86-64, OpenBLAS 0.3.31, one thread).
-#: Each lane's GEMMs keep their own shapes and inputs, so every row
-#: keeps its bits.
+#: :meth:`Linear.step` back to back on one weight, decode rows first in
+#: their fixed-height tiles, and the chunk's flat GEMM then reads the
+#: weight while it is still in cache — one weight read from memory per
+#: step instead of one per lane (a bench-llama 256 -> 768 projection of
+#: one 2-row tile costs about 20 µs with its weight in cache and
+#: 60–115 µs streaming it after a 64 MB pass; 2-core x86-64, OpenBLAS
+#: 0.3.31, one thread).  Each lane's GEMMs keep their own shapes and
+#: inputs, so every row keeps its bits.
 Lanes = list[Array | None]
 
 
@@ -94,17 +93,24 @@ class Module:
             param.data[...] = state[name]
 
 
-#: Rows per decode-projection GEMM (see :meth:`Linear.step`).  A
-#: constant, not a function of the batch size: a row's bits must match
-#: the same row decoded alone, which pins every batch to one tile
-#: height.  2 rather than 4 (2-core x86-64, OpenBLAS 0.3.31, one
-#: thread): a 4-row tile is faster on 16-row decode, but an M == 4 GEMM
-#: packs its weights, so with the weights out of cache a 256 -> 768
-#: projection at batch 1 costs 104 µs against 52 µs for a 2-row tile
-#: and 38 µs for a GEMV.  In the serving benchmark that made 4-row
-#: tiles cost prefill-heavy traffic ~6 % of its throughput; 2-row
-#: tiles cost it ~1 %.
+#: Rows per GEMM for a one-token batch's last ``B % WIDE_TILE`` rows
+#: (see :meth:`Linear.step`), zero-padded to a whole tile.  A constant,
+#: not a function of the batch size: a row's bits must match the same
+#: row decoded alone.  The tail keeps 2-row tiles because a padded
+#: 4-row tile is slower for a lone row: 1–4 µs with a 256 -> 768
+#: weight in cache and up to 30 µs streaming it after a 64 MB pass
+#: (2-core x86-64, OpenBLAS 0.3.31, one thread), and batches of 1–3
+#: rows are most of a prefill-heavy workload's decode steps.
 ROW_TILE = 2
+
+#: Rows per GEMM for a one-token batch's leading ``B - B % WIDE_TILE``
+#: rows, on every weight whose rows get the same bits at this height as
+#: at :data:`ROW_TILE` (:func:`decode_tile`).  At batch 16 a 4-row tile
+#: makes half the weight passes of a 2-row one: 66–94 against 128–159 µs
+#: for a 256 -> 768 projection, 61–85 against 115–162 µs for 768 -> 256
+#: and 21–31 against 37–52 µs for 256 -> 256 (weights in cache, same
+#: machine, three runs).
+WIDE_TILE = 4
 
 #: OpenBLAS (0.3.31, Haswell kernels) runs an ``(M, K) @ (K, N)``
 #: float32 GEMM with ``M * K * N <= _SMALL_GEMM`` on a small-matrix
@@ -130,6 +136,42 @@ def min_gemm_rows(in_features: int, out_features: int) -> int:
     if in_features <= _ONE_K_BLOCK and out_features % _N_PANEL == 0:
         return 2
     return max(2, _SMALL_GEMM // (in_features * out_features) + 1)
+
+
+def decode_tile(in_features: int, out_features: int) -> int:
+    """Rows per GEMM for a one-token batch's leading rows on this weight.
+
+    :data:`WIDE_TILE` when a row of an ``(in_features, out_features)``
+    product has the same bits in a ``WIDE_TILE``-row GEMM as in a
+    :data:`ROW_TILE`-row one, else :data:`ROW_TILE`.  The heights agree
+    when both run the blocked kernel (:func:`min_gemm_rows` is 2) or
+    both run the small-matrix kernel (the floor is above
+    ``WIDE_TILE``), except that the small-matrix kernel's row bits
+    follow the height when ``out_features`` ends in a partial panel of
+    1–3 or 5–7 columns, which asking for ``out_features`` a multiple of
+    4 rules out (with some safe widths).  A floor of 3 or 4 (768 -> 384, 512 -> 512) puts
+    the two heights on different kernels.  Measured on 5390 shapes (K
+    from 1 to 3000, N from 1 to 1295); no admitted shape disagreed, and
+    every in-tree model shape is admitted (``TestLayers``).
+    """
+    floor = min_gemm_rows(in_features, out_features)
+    if floor == 2 or (floor > WIDE_TILE and out_features % 4 == 0):
+        return WIDE_TILE
+    return ROW_TILE
+
+
+def _row_tiles(x: Array, weight: Array) -> Array:
+    """``x @ weight`` for one-token rows ``(B, 1, K)`` as
+    :data:`ROW_TILE`-row GEMMs, zero-padding the last tile."""
+    rows, _, in_features = x.shape
+    if rows % ROW_TILE:
+        padded = np.zeros(
+            (rows + ROW_TILE - rows % ROW_TILE, 1, in_features), dtype=x.dtype
+        )
+        padded[:rows] = x
+        x = padded
+    out = x.reshape(-1, ROW_TILE, in_features) @ weight
+    return out.reshape(-1, 1, out.shape[-1])[:rows]
 
 
 def _parameter(array: Array) -> Tensor:
@@ -158,6 +200,8 @@ class Linear(Module):
         self.out_features = out_features
         #: The flat lane's height floor (:func:`min_gemm_rows`).
         self.min_rows = min_gemm_rows(in_features, out_features)
+        #: Rows per GEMM for one-token rows (:func:`decode_tile`).
+        self.decode_tile = decode_tile(in_features, out_features)
 
     def __call__(self, x: Tensor) -> Tensor:
         out = x @ self.weight
@@ -172,13 +216,19 @@ class Linear(Module):
         beside it:
 
         * One-token rows — a ``(B, 1, K)`` input: decode rows and a
-          prompt chunk's sampled rows — are zero-padded to a multiple of
-          :data:`ROW_TILE` and run as one ``M == ROW_TILE`` GEMM per
-          tile, so each weight pass serves ``ROW_TILE`` rows instead of
-          one ``M == 1`` GEMV per row.  A row's bits inside a GEMM of
-          fixed M depend neither on its co-rows nor on its position, so
-          a row decoded alone (one row plus padding) and the same row
-          inside any batch get identical bits.
+          prompt chunk's sampled rows — run as GEMMs of fixed height,
+          so each weight pass serves several rows instead of one
+          ``M == 1`` GEMV per row: the leading ``B - B % decode_tile``
+          rows as ``decode_tile``-row GEMMs (4 rows on every in-tree
+          weight, :func:`decode_tile`), the last 0–3 as
+          :data:`ROW_TILE`-row GEMMs, zero-padded, into the same
+          output.  A row's bits inside a GEMM of fixed M depend neither
+          on its co-rows nor on its position, and ``decode_tile`` rows
+          give it the bits ``ROW_TILE`` rows do, so a row decoded alone
+          (one row plus padding) and the same row inside any batch get
+          identical bits.  The tail runs first: in a bench-llama decode
+          step of 5–7 rows that order was 4–15 % faster than the tail
+          last (the same GEMMs, so the same bits).
         * The flat prompt lane — a ``(T, K)`` input, even at ``T == 1``
           — runs one GEMM of height ``max(T, min_rows)``, zero-padded
           below the floor, so a prompt row has the same bits at every
@@ -194,14 +244,20 @@ class Linear(Module):
             out = (x @ weight)[:rows]
         elif x.ndim == 3 and x.shape[1] == 1:
             rows, _, in_features = x.shape
-            if rows % ROW_TILE:
-                padded = np.zeros(
-                    (rows + ROW_TILE - rows % ROW_TILE, 1, in_features), dtype=x.dtype
+            tile = self.decode_tile
+            wide = rows - rows % tile
+            if not wide:
+                out = _row_tiles(x, weight)
+            else:
+                out_features = weight.shape[1]
+                out = np.empty((rows, 1, out_features), dtype=np.result_type(x, weight))
+                if wide < rows:
+                    out[wide:] = _row_tiles(x[wide:], weight)
+                np.matmul(
+                    x[:wide].reshape(-1, tile, in_features),
+                    weight,
+                    out=out[:wide].reshape(-1, tile, out_features),
                 )
-                padded[:rows] = x
-                x = padded
-            out = x.reshape(-1, ROW_TILE, in_features) @ weight
-            out = out.reshape(-1, 1, out.shape[-1])[:rows]
         else:
             raise ModelError(
                 f"Linear.step takes flat (T, K) or one-token (B, 1, K) rows, "

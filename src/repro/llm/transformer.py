@@ -165,8 +165,8 @@ class TransformerBlock(Module):
         With ``rows`` (the model's last layer) every chunk position
         still lands its K/V, but only those flat positions run
         attention, the residual and the FFN, as ``(len(rows), 1,
-        d_model)`` rows in ``ROW_TILE``-row tiles, so a row's bits
-        depend only on that row.
+        d_model)`` rows in :meth:`~repro.llm.layers.Linear.step`'s
+        one-token tiles, so a row's bits depend only on that row.
         """
         attention = self.attention
         decode, chunk = attention.project_qkv(each(self.attn_norm, hidden))
@@ -299,12 +299,14 @@ class CausalLM(Module):
         gathered into one ``(batch, 1)`` token array, every projection
         (QKV, O, FFN, LM head) runs through
         :meth:`~repro.llm.layers.Linear.step` — one weight pass per
-        ``ROW_TILE`` rows, each tile a GEMM of fixed height — and
-        attention consults each request's own exact-length cache — so
-        requests may sit at arbitrary, different positions.  Every row
-        of the result is bitwise identical to decoding that request
-        alone (a batch of one, its row padded into the same tile), which
-        is how :func:`~repro.llm.generation.generate` decodes.
+        4-row tile while four rows remain, then per 2-row tile, each a
+        GEMM of fixed height whose rows get the same bits at either
+        height — and attention consults each request's own
+        exact-length cache — so requests may sit at arbitrary,
+        different positions.  Every row of the result is bitwise
+        identical to decoding that request alone (a batch of one, its
+        row padded into a 2-row tile), which is how
+        :func:`~repro.llm.generation.generate` decodes.
 
         Each layer lands every request's K/V row in one batch append
         and runs one ``M == 1`` attention launch per request over its
@@ -353,11 +355,11 @@ class CausalLM(Module):
 
         Inside every layer, each projection — fused QKV, O, the FFN's,
         then the LM head — runs the decode rows first, in
-        :meth:`~repro.llm.layers.Linear.step`'s fixed ``ROW_TILE``-row
-        tiles, which stream the weight once without packing it, and then
-        the chunk's flat GEMM, which packs it while it is still in
-        cache, so a mixed step reads each weight from memory once
-        rather than once per lane.  The lanes never share a GEMM, and
+        :meth:`~repro.llm.layers.Linear.step`'s fixed-height tiles (4
+        rows while four remain, then 2), and then the chunk's flat
+        GEMM, which reads the weight while it is still in cache, so a
+        mixed step reads each weight from memory once rather than once
+        per lane.  The lanes never share a GEMM, and
         each GEMM keeps the shape and the input it has when its lane
         runs alone, so running the lanes together changes only the call
         order, never a bit.  The attention bodies stay per lane

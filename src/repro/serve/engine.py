@@ -87,8 +87,8 @@ when tracing is off; only the root ``step`` span is opened directly,
 because it shares the report's clock readings.
 
 The decode batch's projections run over a ``(batch, 1)`` token array
-in fixed ``ROW_TILE``-row GeMM tiles
-(:meth:`repro.llm.layers.Linear.step`), each right before the same
+in fixed-height GeMM tiles — 4 rows while four remain, then 2
+(:meth:`repro.llm.layers.Linear.step`) — each right before the same
 projection's chunk GeMM when the step carries prompt chunks
 (:data:`repro.llm.layers.Lanes`); per layer, every request's K/V row
 lands in one batch append and attention runs one ``M == 1`` launch per

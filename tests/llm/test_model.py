@@ -11,9 +11,18 @@ from repro.core.precision import PrecisionCombination, TensorKind
 from repro.errors import ModelError
 from repro.llm.attention import KVCache, causal_mask
 from repro.llm.autograd import Tensor, no_grad
-from repro.llm.config import get_config, tiny_test_config
+from repro.llm.config import SIM_CONFIGS, ModelConfig, get_config, tiny_test_config
 from repro.llm.hooks import ActivationStatsRecorder, anda_quantizer
-from repro.llm.layers import ROW_TILE, Embedding, LayerNorm, Linear, Module, RMSNorm
+from repro.llm.layers import (
+    ROW_TILE,
+    WIDE_TILE,
+    Embedding,
+    LayerNorm,
+    Linear,
+    Module,
+    RMSNorm,
+    decode_tile,
+)
 from repro.llm.transformer import build_model
 
 
@@ -48,6 +57,30 @@ def _tile_contract_layers():
         layer = Linear(k, n, rng, bias=False)
         layers.append(pytest.param(layer, id=f"bench-{k}x{n}"))
     return layers
+
+
+def _in_tree_configs():
+    """Every model shape the repo builds: the zoo's sim twins, the tiny
+    test configs, the serving ledger's bench-llama (also
+    ``benchmarks/bench_decode_lane.py``), the chunk-boundary and
+    lockstep models (d_model 128, FFN 768), the QAT test model and the
+    QAT example's."""
+    extras = [
+        ("bench-llama", "llama", 256, 4, 768),
+        ("chunk-boundary-llama", "llama", 128, 2, 768),
+        ("lockstep-opt", "opt", 128, 2, 768),
+        ("qat-micro", "opt", 48, 2, 96),
+        ("qat-example", "opt", 64, 2, 128),
+    ]
+    return [
+        *SIM_CONFIGS.values(),
+        tiny_test_config("opt"),
+        tiny_test_config("llama"),
+        *(
+            ModelConfig(name, family, 1, d_model, heads, ffn_dim)
+            for name, family, d_model, heads, ffn_dim in extras
+        ),
+    ]
 
 
 class TestLayers:
@@ -96,17 +129,19 @@ class TestLayers:
     @pytest.mark.parametrize("layer", _tile_contract_layers())
     def test_linear_step_row_bits_ignore_co_rows_and_position(self, layer):
         """The decode parity contract: a one-token row through
-        ``Linear.step`` has the same bits alone as at every position of
-        every batch up to ``2 * ROW_TILE + 1`` rows, whatever its
-        co-rows hold.  A BLAS build whose fixed-M GEMM rows depend on
-        their neighbours fails here, before any engine parity suite."""
+        ``Linear.step`` has the same bits alone (one padded
+        ``ROW_TILE``-row tile) as at every position of every batch of
+        1–11 rows, whatever its co-rows hold — in a ``WIDE_TILE``-row
+        tile and in tails of 1, 2 and 3 rows.  A BLAS build whose
+        fixed-M GEMM rows depend on their neighbours, or on a 2- against
+        a 4-row height, fails here, before any engine parity suite."""
         rng = np.random.default_rng(layer.in_features * 31 + layer.out_features)
         if layer.bias is not None:
             layer.bias.data[...] = rng.normal(0.0, 0.5, size=layer.out_features)
         row = rng.normal(0.0, 1.0, size=(1, 1, layer.in_features)).astype(np.float32)
         alone = layer.step(row)
         assert alone.shape == (1, 1, layer.out_features)
-        for batch in range(1, 2 * ROW_TILE + 2):
+        for batch in range(1, 12):
             for position in range(batch):
                 scale = rng.uniform(0.01, 50.0)
                 rows = rng.normal(0.0, scale, size=(batch, 1, layer.in_features))
@@ -115,6 +150,41 @@ class TestLayers:
                 out = layer.step(rows)
                 assert out.shape == (batch, 1, layer.out_features)
                 assert out[position].tobytes() == alone[0].tobytes(), (batch, position)
+
+    def test_wide_tile_rows_have_row_tile_bits_on_every_admitted_shape(self):
+        """The guard behind the decode lane's 4-row tiles: on every
+        (K, N) of a grid that :func:`decode_tile` admits, a row has the
+        same bits in a ``WIDE_TILE``-row GEMM as in a ``ROW_TILE``-row
+        one, whatever its co-rows hold.  The grid spans both OpenBLAS
+        kernels, K on both sides of one K block and N with every
+        partial-panel width; the guard must reject some of it (floors
+        of 3 and 4, narrow partial panels) for the check to bite."""
+        rng = np.random.default_rng(43)
+        admitted = rejected = 0
+        for k in (16, 32, 100, 128, 256, 448, 449, 512, 768, 1024, 2048):
+            for n in (*range(1, 18), 20, 24, 96, 128, 160, 192, 256, 384, 512, 768):
+                if decode_tile(k, n) != WIDE_TILE:
+                    rejected += 1
+                    continue
+                admitted += 1
+                weight = rng.standard_normal((k, n), dtype=np.float32)
+                scale = rng.uniform(0.01, 50.0)
+                x = rng.normal(0.0, scale, size=(WIDE_TILE, k)).astype(np.float32)
+                short = (x.reshape(-1, ROW_TILE, k) @ weight).reshape(WIDE_TILE, n)
+                wide = x.reshape(1, WIDE_TILE, k) @ weight
+                assert short.tobytes() == wide[0].tobytes(), (k, n)
+        assert admitted > 100 and rejected > 50
+        for k, n in ((768, 384), (512, 512), (32, 2), (768, 7)):
+            assert decode_tile(k, n) == ROW_TILE, (k, n)
+
+    @pytest.mark.parametrize("config", _in_tree_configs(), ids=lambda c: c.name)
+    def test_every_in_tree_projection_runs_wide_tiles(self, config):
+        """Every projection of every in-tree model shape runs 4-row decode
+        tiles, so the decode lane's halved weight passes cannot vanish
+        silently behind a guard that rejects a shape."""
+        for layer in _linears(build_model(config)):
+            shape = (layer.in_features, layer.out_features)
+            assert layer.decode_tile == WIDE_TILE, shape
 
     @pytest.mark.parametrize("layer", _tile_contract_layers())
     def test_linear_step_multi_token_is_plain_matmul(self, layer):

@@ -570,8 +570,11 @@ class TestBatchedLogitsBitwise:
     @pytest.mark.parametrize("family", ["opt", "llama"])
     @pytest.mark.parametrize("mode", KV_MODES)
     def test_decode_batch_logits_bitwise_equal_sequential(self, family, mode):
-        # Three requests at different positions, batched, against each
-        # decoded alone (a batch of one, as sequential generate decodes).
+        # Requests at different positions, batched, against each decoded
+        # alone (a batch of one, as sequential generate decodes).  The
+        # batch sizes cover 2-row tiles only (1, 3), 4-row tiles only
+        # (4, 8) and 4-row tiles beside a 2-row tail of 1 row (5, 9) or
+        # 3 rows (7).
         model = build_model(tiny_test_config(family=family, seed=17))
         factory = (
             model.new_cache
@@ -579,20 +582,26 @@ class TestBatchedLogitsBitwise:
             else (lambda: [AndaKVCache(8) for _ in model.blocks])
         )
         rng = np.random.default_rng(5)
-        prompts = [rng.integers(0, 255, size=(1, n)) for n in (11, 4, 23)]
-        seq_caches = [factory() for _ in prompts]
-        bat_caches = [factory() for _ in prompts]
-        for prompt, left, right in zip(prompts, seq_caches, bat_caches):
-            prefill_a = model.forward_step(prompt, left)
-            prefill_b = model.forward_step(prompt, right)
-            assert bitwise_equal(prefill_a, prefill_b)
-        tokens = np.array([[7], [8], [9]])
-        for _ in range(6):
-            batched = model.forward_decode_batch(tokens, bat_caches)
-            for index, caches in enumerate(seq_caches):
-                alone = model.forward_decode_batch(tokens[index : index + 1], [caches])
-                assert bitwise_equal(alone[0, -1], batched[index, -1])
-            tokens = batched[:, -1].argmax(axis=-1)[:, None]
+        for batch in (1, 3, 4, 5, 7, 8, 9):
+            prompts = [
+                rng.integers(0, 255, size=(1, int(n)))
+                for n in rng.integers(2, 30, size=batch)
+            ]
+            seq_caches = [factory() for _ in prompts]
+            bat_caches = [factory() for _ in prompts]
+            for prompt, left, right in zip(prompts, seq_caches, bat_caches):
+                prefill_a = model.forward_step(prompt, left)
+                prefill_b = model.forward_step(prompt, right)
+                assert bitwise_equal(prefill_a, prefill_b)
+            tokens = rng.integers(0, 255, size=(batch, 1))
+            for _ in range(6):
+                batched = model.forward_decode_batch(tokens, bat_caches)
+                for index, caches in enumerate(seq_caches):
+                    alone = model.forward_decode_batch(
+                        tokens[index : index + 1], [caches]
+                    )
+                    assert bitwise_equal(alone[0, -1], batched[index, -1]), batch
+                tokens = batched[:, -1].argmax(axis=-1)[:, None]
 
     @pytest.mark.parametrize("mode", KV_MODES)
     def test_mixed_chunk_logits_bitwise_equal_monolithic(self, mode):
